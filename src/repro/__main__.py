@@ -65,12 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.sweep.cli import main as sweep_main
 
         return sweep_main(argv[1:])
-    if argv and argv[0] == "serve":
-        # The long-running simulation service has its own flags; hand
-        # off before the experiment parser sees them.
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -80,8 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiment",
         help="experiment name (see 'list'), 'all', 'docs', 'list', "
              "'check' (static verification; see 'check --help'), "
-             "'sweep' (design-space exploration; see 'sweep --help'), or "
-             "'serve' (simulation service; see 'serve --help')",
+             "or 'sweep' (design-space exploration; see 'sweep --help')",
     )
     parser.add_argument(
         "--procs",

@@ -300,16 +300,9 @@ CLI_KNOBS = {"procs": "proc_counts", "trace_len": "trace_len"}
 def entry_points() -> dict[str, str]:
     """Analysis roots: experiment name -> dotted entry-point function.
 
-    Besides the registered experiments this includes the simulation
-    service's roots (``serve:*``), so the ``deps``/``units``/``lints``
-    passes reach the serving subsystem — its admission path, breaker
-    and HTTP stack — exactly like experiment code.  Lazy import: the
-    serve package resolves requests *against* this registry."""
-    points = {name: spec.entry_point for name, spec in SPECS.items()}
-    from repro.serve.api import serve_entry_points
-
-    points.update(serve_entry_points())
-    return points
+    The ``deps`` and ``units`` passes walk the call graph from these
+    roots, one per registered experiment."""
+    return {name: spec.entry_point for name, spec in SPECS.items()}
 
 
 def docs_table() -> str:

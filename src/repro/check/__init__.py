@@ -1,6 +1,6 @@
 """repro.check: static verification of the paper's model layers.
 
-``python -m repro check`` runs six passes, each guarding a different
+``python -m repro check`` runs five passes, each guarding a different
 pillar of the evaluation *before* any simulation happens (and before a
 silent model bug can poison the content-addressed result cache):
 
@@ -21,8 +21,9 @@ silent model bug can poison the content-addressed result cache):
   depends on: no module-level RNG state, no wall-clock reads in
   simulator cores, no float ``==`` on simulated quantities, no mutable
   default arguments, no silently swallowed exceptions.  Findings can
-  be suppressed inline with ``# repro: allow(<rule>)``; unknown or
-  unused suppressions are themselves reported.
+  be suppressed inline with ``# repro: allow(<rule>)``, a comment
+  every pass honours (:mod:`repro.check.report`); unknown or unused
+  suppressions are themselves reported.
 - ``deps`` (:mod:`repro.check.deps`, on the graph of
   :mod:`repro.check.callgraph`) — whole-program dependency analysis:
   an interprocedural import/call graph over the package, seed-flow
@@ -41,16 +42,6 @@ silent model bug can poison the content-addressed result cache):
   parameter, a seconds↔cycles boundary missing
   ``cycles_for_time``/``time_for_cycles``) is an error with a
   call-chain witness from a registered entry point.
-- ``races`` (:mod:`repro.check.races`, also on the call graph) —
-  static race detection over the repo's *own* concurrency (the serve
-  subsystem's ThreadingHTTPServer, worker threads, token buckets and
-  circuit breaker, and the SIGTERM→journal bridge): thread roots are
-  discovered from ``threading.Thread`` targets, ``do_*`` HTTP handler
-  methods and ``signal.signal`` handlers; shared attributes get their
-  guarding lock inferred as the intersection of locksets at their
-  write sites (Eraser-style); unguarded accesses, disjoint guards,
-  lock-order inversions and non-reentrant work in signal handlers are
-  errors with ``[thread root]``-rooted witnesses.
 
 This ``__init__`` deliberately re-exports nothing: the runner's
 fingerprint slicer imports :mod:`repro.check.callgraph`, which executes

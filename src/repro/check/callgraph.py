@@ -12,11 +12,6 @@ the package answering two questions the per-module lints cannot —
   :meth:`CallGraph.witness` — the counterexample chains of the seed-flow
   analysis in :mod:`repro.check.deps`).
 
-It also records the thread-flow facts the ``races`` pass turns into
-concurrency entry points: ``threading.Thread(target=...)`` /
-``threading.Timer`` callables (:attr:`FunctionInfo.thread_targets`) and
-``signal.signal`` handlers (:attr:`FunctionInfo.signal_handlers`).
-
 The import closure is deliberately an **over-approximation of Python's
 import semantics**: an import statement anywhere in a module — module
 body or function body — counts as an edge, and importing ``a.b.c``
@@ -95,11 +90,6 @@ class FunctionInfo:
     env_reads: list[int] = field(default_factory=list)
     file_reads: list[int] = field(default_factory=list)
     rng_locals: set[str] = field(default_factory=set)  # names bound to a fresh Generator
-    # Thread-flow facts for the races pass: callables handed to
-    # threading.Thread(target=...)/Timer, and signal.signal handlers,
-    # each as written at the call site ("<dynamic>" for non-name exprs).
-    thread_targets: list[tuple[str, int]] = field(default_factory=list)
-    signal_handlers: list[tuple[str, int]] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -431,29 +421,6 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     # -- reads, calls, special sites ----------------------------------------
 
-    @staticmethod
-    def _callable_arg(node: ast.Call, *, keyword: str,
-                      position: int | None) -> str | None:
-        """The callable argument of a Thread/Timer/signal call, as written.
-
-        Returns the dotted expression ("client_loop", "self._worker"),
-        ``"<dynamic>"`` for a non-name expression (lambda, subscript), or
-        None when the argument is absent or literally None.
-        """
-        expr: ast.expr | None = None
-        for kw in node.keywords:
-            if kw.arg == keyword:
-                expr = kw.value
-                break
-        if expr is None and position is not None and len(node.args) > position:
-            expr = node.args[position]
-        if expr is None:
-            return None
-        if isinstance(expr, ast.Constant):
-            return None  # Thread(target=None), signal.signal(sig, SIG_DFL-ish)
-        dotted = _dotted(expr)
-        return dotted if dotted is not None else "<dynamic>"
-
     def visit_Name(self, node: ast.Name) -> None:
         if isinstance(node.ctx, ast.Load):
             self.scope.reads.add(node.id)
@@ -480,18 +447,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             if canonical in ("importlib.import_module", "__import__",
                             "importlib.reload"):
                 self.info.dynamic_sites.append((node.lineno, canonical))
-            if canonical in ("threading.Thread", "threading.Timer"):
-                target = self._callable_arg(
-                    node, keyword="function" if canonical.endswith("Timer")
-                    else "target",
-                    position=1 if canonical.endswith("Timer") else None)
-                if target is not None:
-                    self.scope.thread_targets.append((target, node.lineno))
-            if canonical == "signal.signal":
-                handler = self._callable_arg(node, keyword="handler",
-                                             position=1)
-                if handler is not None:
-                    self.scope.signal_handlers.append((handler, node.lineno))
         if isinstance(node.func, ast.Attribute):
             method = node.func.attr
             receiver = _dotted(node.func.value)

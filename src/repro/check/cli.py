@@ -1,6 +1,6 @@
 """``python -m repro check`` — run the static verification suite.
 
-    python -m repro check                    # all six passes
+    python -m repro check                    # all five passes
     python -m repro check --only protocol
     python -m repro check --only units --format json
     python -m repro check --skip lints --format json
@@ -19,12 +19,10 @@ from repro.check.deps import check_deps
 from repro.check.gspn import check_gspn_models
 from repro.check.lints import lint_paths
 from repro.check.protocol import check_protocol
-from repro.check.races import check_races
 from repro.check.report import CheckReport
 from repro.check.units import check_units
 
-PASS_NAMES: tuple[str, ...] = (
-    "protocol", "gspn", "lints", "deps", "units", "races")
+PASS_NAMES: tuple[str, ...] = ("protocol", "gspn", "lints", "deps", "units")
 
 _RUNNERS = {
     "protocol": check_protocol,
@@ -32,7 +30,6 @@ _RUNNERS = {
     "lints": lint_paths,
     "deps": check_deps,
     "units": check_units,
-    "races": check_races,
 }
 
 
@@ -71,9 +68,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Static verification: coherence-protocol model "
                     "checking, GSPN structural analysis, "
                     "simulation-discipline lints, whole-program "
-                    "dependency/seed-flow analysis, "
-                    "units-and-dimensions flow analysis, and "
-                    "lockset/thread-root race detection.",
+                    "dependency/seed-flow analysis, and "
+                    "units-and-dimensions flow analysis.",
     )
     parser.add_argument(
         "--only",

@@ -49,7 +49,7 @@ from repro.check.callgraph import (
     build_callgraph,
     canonicalize,
 )
-from repro.check.report import Finding, PassResult
+from repro.check.report import Finding, PassResult, suppressions
 
 DEPS_RULES: tuple[str, ...] = (
     "module-rng",
@@ -122,13 +122,11 @@ class _DepsAnalysis:
 
     def _allowed(self, module: ModuleInfo, lineno: int, rule: str) -> bool:
         if module.name not in self._suppressions:
-            from repro.check.lints import _suppressions
-
             try:
                 source = module.path.read_text()
             except OSError:
                 source = ""
-            self._suppressions[module.name] = _suppressions(source)
+            self._suppressions[module.name] = suppressions(source)
         return rule in self._suppressions[module.name].get(lineno, ())
 
     def _find(self, rule: str, severity: str, location: str, message: str,

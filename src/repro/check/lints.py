@@ -37,24 +37,29 @@ reject the ways that assumption quietly breaks:
 A finding on a line containing ``# repro: allow(<rule>[, <rule>...])``
 is suppressed — the suppression is part of the reviewed source, so every
 exemption is deliberate and visible in diffs.  The suppressions are
-themselves checked: naming a rule no pass defines (``allow(wall-clok)``
-guards nothing) is an ``unknown-suppression`` warning, and a lint-rule
-suppression on a line where that rule finds nothing is an
-``unused-suppression`` warning, so stale exemptions cannot linger after
-the code they excused is gone.  The rule namespace spans this pass, the
-``deps`` pass (:data:`repro.check.deps.DEPS_RULES`), the ``units`` pass
-(:data:`repro.check.units.UNITS_RULES`) and the ``races`` pass
-(:data:`repro.check.races.RACES_RULES`), whose findings honour the same
+themselves checked (:func:`repro.check.report.suppression_findings`):
+naming a rule no pass defines (``allow(wall-clok)`` guards nothing) is
+an ``unknown-suppression`` warning, and a lint-rule suppression on a
+line where that rule finds nothing is an ``unused-suppression`` warning,
+so stale exemptions cannot linger after the code they excused is gone.
+The rule namespace spans this pass, the ``deps`` pass
+(:data:`repro.check.deps.DEPS_RULES`) and the ``units`` pass
+(:data:`repro.check.units.UNITS_RULES`), whose findings honour the same
 comments; each pass polices unused suppressions of its own rules.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from pathlib import Path
 
-from repro.check.report import Finding, PassResult
+from repro.check.callgraph import _dotted
+from repro.check.report import (
+    Finding,
+    PassResult,
+    suppression_findings,
+    suppressions,
+)
 
 LINT_RULES: tuple[str, ...] = (
     "global-rng",
@@ -64,22 +69,6 @@ LINT_RULES: tuple[str, ...] = (
     "broad-except",
     "doc-coverage",
 )
-
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")
-
-# Diagnostics about the suppression comments themselves.
-META_RULES: tuple[str, ...] = ("unknown-suppression", "unused-suppression")
-
-
-def _known_rules() -> frozenset[str]:
-    """Every rule an allow-comment may legitimately name."""
-    from repro.check.deps import DEPS_RULES  # deps imports us; keep lazy
-    from repro.check.races import RACES_RULES  # races imports us; keep lazy
-    from repro.check.units import UNITS_RULES  # units imports us; keep lazy
-
-    return (frozenset(LINT_RULES) | frozenset(DEPS_RULES)
-            | frozenset(UNITS_RULES) | frozenset(RACES_RULES)
-            | frozenset(META_RULES))
 
 # numpy.random attributes that are *not* module-level state.
 _NP_RANDOM_OK = {"Generator", "default_rng", "SeedSequence", "BitGenerator",
@@ -95,27 +84,6 @@ _BROAD_EXCEPTIONS = {"Exception", "BaseException"}
 _REPORTING_CALLS = {"log", "debug", "info", "warning", "warn", "error",
                     "exception", "critical", "print", "write",
                     "format_exc", "print_exc"}
-
-
-_RULE_TOKEN_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
-
-
-def _suppressions(source: str) -> dict[int, set[str]]:
-    """line number -> rules allowed on that line.
-
-    Only well-formed rule tokens (kebab-case identifiers) register, so
-    prose *about* the syntax — ``allow(<rule>)`` in a docstring — is
-    neither a suppression nor an unknown-suppression warning.
-    """
-    allowed: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _ALLOW_RE.search(line)
-        if match:
-            rules = {part.strip() for part in match.group(1).split(",")}
-            rules = {rule for rule in rules if _RULE_TOKEN_RE.match(rule)}
-            if rules:
-                allowed[lineno] = rules
-    return allowed
 
 
 class _Imports(ast.NodeVisitor):
@@ -143,18 +111,6 @@ class _Imports(ast.NodeVisitor):
                 self.modules[local] = qualified
             else:
                 self.members[local] = qualified
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """`a.b.c` -> "a.b.c" for pure attribute chains, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 class _Linter(ast.NodeVisitor):
@@ -360,7 +316,7 @@ def lint_source(
     linter.findings.extend(
         _doc_findings(tree, require_module_doc, required_docs)
     )
-    allowed = _suppressions(source)
+    allowed = suppressions(source)
     findings = []
     for lineno, rule, message in sorted(linter.findings):
         if rule in allowed.get(lineno, ()):
@@ -368,33 +324,15 @@ def lint_source(
         findings.append(
             Finding("lints", rule, "error", f"{path}:{lineno}", message)
         )
-    known = _known_rules()
+    # A rule that did not run on this source cannot have its
+    # suppressions judged unused here.
+    ran = LINT_RULES if doc_checks_ran else tuple(
+        rule for rule in LINT_RULES if rule != "doc-coverage")
     flagged = {(lineno, rule) for lineno, rule, _ in linter.findings}
-    for lineno in sorted(allowed):
-        for rule in sorted(allowed[lineno]):
-            if rule not in known:
-                findings.append(Finding(
-                    "lints", "unknown-suppression", "warning",
-                    f"{path}:{lineno}",
-                    f"allow({rule}) names no known rule — it guards "
-                    f"nothing (known rules: "
-                    f"{', '.join(sorted(known - set(META_RULES)))})",
-                ))
-            elif rule == "doc-coverage" and not doc_checks_ran:
-                # The rule did not run on this source, so its
-                # suppressions cannot be judged unused here.
-                continue
-            elif rule in LINT_RULES and (lineno, rule) not in flagged:
-                # Deps-, units- and races-pass rules are judged by
-                # their own passes (they suppress interprocedural
-                # findings this linter cannot see), so only lint rules
-                # can be called unused here.
-                findings.append(Finding(
-                    "lints", "unused-suppression", "warning",
-                    f"{path}:{lineno}",
-                    f"allow({rule}) suppresses nothing on this line; "
-                    f"the code it excused is gone — remove the comment",
-                ))
+    findings.extend(suppression_findings(
+        "lints", allowed, ran, flagged, lambda lineno: f"{path}:{lineno}",
+        report_unknown=True,
+    ))
     return findings
 
 

@@ -38,8 +38,8 @@ through the code and reports where they collide:
 
 Suppressions share the established ``# repro: allow(<rule>)`` namespace
 (on the reported line); unit-rule suppressions that suppress nothing are
-reported as ``unused-suppression`` by this pass, mirroring the lints'
-meta-discipline.
+reported as ``unused-suppression`` by this pass, through the same
+:func:`repro.check.report.suppression_findings` the lints use.
 """
 
 from __future__ import annotations
@@ -67,7 +67,12 @@ from repro.check.dimensions import (
     suffix_dim,
     unit_comments,
 )
-from repro.check.report import Finding, PassResult
+from repro.check.report import (
+    Finding,
+    PassResult,
+    suppression_findings,
+    suppressions,
+)
 
 UNITS_RULES: tuple[str, ...] = (
     "unit-mix",
@@ -114,6 +119,7 @@ class _ModuleUnits:
         except (OSError, SyntaxError):
             self.tree = None  # callgraph already records the hole
         self.unit_lines = unit_comments(self.source) if self.source else {}
+        self.allowed = suppressions(self.source)
 
     def resolve(self, dotted: str) -> str | None:
         """Canonical dotted target of a name read in this module."""
@@ -154,22 +160,12 @@ class _UnitsAnalysis:
                 entries.append(fn.name)
         self.entry_count = len(entries)
         self.parents = graph.reachable(entries)
-        self._suppressions: dict[str, dict[int, set[str]]] = {}
 
     # -- annotation / suppression plumbing ---------------------------------
 
     def _annotation_dim(self, key: str) -> Dim | None:
         token = self.annotations.get(key)
         return UNITS.get(token) if token else None
-
-    def _suppressed(self, module: _ModuleUnits, lineno: int,
-                    rule: str) -> bool:
-        name = module.info.name
-        if name not in self._suppressions:
-            from repro.check.lints import _suppressions
-
-            self._suppressions[name] = _suppressions(module.source)
-        return rule in self._suppressions[name].get(lineno, ())
 
     def _location(self, module: _ModuleUnits, lineno: int) -> str:
         path = module.info.path
@@ -336,7 +332,7 @@ class _UnitsAnalysis:
             module_flagged = flagged.setdefault(sig.module, set())
             for lineno, rule, message in flow.findings:
                 module_flagged.add((lineno, rule))
-                if self._suppressed(module, lineno, rule):
+                if rule in module.allowed.get(lineno, ()):
                     continue
                 severity = "warning" if rule in (
                     "unit-unknown-return", "unit-annotation") else "error"
@@ -346,7 +342,12 @@ class _UnitsAnalysis:
                 self._find(rule, severity,
                            self._location(module, lineno), message, trace)
         self.check_annotations()
-        self._check_unused_suppressions(flagged)
+        for name, module in sorted(self.modules.items()):
+            self.result.findings.extend(suppression_findings(
+                "units", module.allowed, UNITS_RULES,
+                flagged.get(name, set()),
+                lambda lineno, module=module: self._location(module, lineno),
+            ))
         self.result.findings.sort(key=lambda f: (f.rule, f.location))
         self.result.info.update({
             "modules": len(self.modules),
@@ -357,24 +358,6 @@ class _UnitsAnalysis:
             "reachable_functions": len(self.parents),
         })
         return self.result
-
-    def _check_unused_suppressions(
-            self, flagged: dict[str, set[tuple[int, str]]]) -> None:
-        """A unit-rule allow() on a line this pass never flags is stale
-        — the same meta-discipline the lints apply to their own rules."""
-        from repro.check.lints import _suppressions
-
-        for name, module in sorted(self.modules.items()):
-            hits = flagged.get(name, set())
-            for lineno, rules in sorted(_suppressions(module.source).items()):
-                for rule in sorted(rules):
-                    if rule in UNITS_RULES and (lineno, rule) not in hits:
-                        self._find(
-                            "unused-suppression", "warning",
-                            self._location(module, lineno),
-                            f"allow({rule}) suppresses nothing on this "
-                            f"line; the code it excused is gone — remove "
-                            f"the comment")
 
 
 class _FunctionFlow:

@@ -175,12 +175,17 @@ def since(position: int) -> list[SpanRecord]:
 def rollback(position: int) -> None:
     """Drop every record appended after ``position`` — used to erase the
     spans of a failed inline attempt so a retry cannot double-count."""
-    del _records[position:]  # repro: allow(race-unguarded) — the tracer is single-threaded by contract (module docstring); serve threads never reach rollback with tracing enabled, so this truncation only runs in the one-threaded runner
+    # Unguarded: the tracer is single-threaded by contract (module
+    # docstring), so no other thread appends while this truncates.
+    del _records[position:]
 
 
 def absorb(records: list[SpanRecord]) -> None:
     """Merge records collected in another process into this one's list."""
-    _records.extend(records)  # repro: allow(race-unguarded) — single atomic append under the GIL; concurrent absorbers interleave whole batches, which the rollup tolerates (records carry their own timestamps)
+    # Unguarded: the tracer is single-threaded by contract (module
+    # docstring); records carry their own timestamps, so the rollup
+    # does not depend on the order batches arrive in.
+    _records.extend(records)
 
 
 def records() -> list[SpanRecord]:

@@ -28,8 +28,8 @@ Layout under the cache root (default ``.repro-cache``, overridable with
 Writes go through a per-writer temp file + atomic ``os.replace`` so a
 crashed run never leaves a truncated entry behind, and — because temp
 names are unique per (pid, thread, store) — two writers racing to
-store the same key (two pool processes, or two threads of the
-simulation daemon) never interleave bytes in one temp file: the loser's
+store the same key (two pool processes, or two threads of one
+process) never interleave bytes in one temp file: the loser's
 complete entry simply replaces the winner's complete entry.
 """
 
@@ -83,9 +83,9 @@ class ResultCache:
         self.fingerprint = fingerprint or code_fingerprint(package_root)
         self.slicing = slicing
         self._slices: dict[str, tuple[str, str]] = {}
-        # The slice memo is hit from every serve handler thread (key)
-        # and every worker (store); the slicer behind a miss is a whole
-        # call-graph build, so the guard also stops duplicate computes.
+        # The slice memo may be hit from several threads of one
+        # process; the slicer behind a miss is a whole call-graph
+        # build, so the guard also stops duplicate computes.
         self._slices_lock = threading.Lock()
 
     def fingerprint_for(self, entry: str | None) -> tuple[str, str]:
@@ -160,10 +160,9 @@ class ResultCache:
     def _tmp_suffix(self) -> str:
         """A temp-file suffix no other in-flight writer can collide with.
 
-        ``os.getpid()`` alone is not enough: the simulation daemon
-        stores from multiple *threads* of one process, and two threads
-        sharing a temp path interleave their writes into a torn file
-        that the next reader quarantines.
+        ``os.getpid()`` alone is not enough: two *threads* of one
+        process sharing a temp path interleave their writes into a torn
+        file that the next reader quarantines.
         """
         token = next(self._store_counter)
         return f".tmp-{os.getpid()}-{threading.get_ident()}-{token}"

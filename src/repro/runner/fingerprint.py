@@ -34,9 +34,9 @@ from pathlib import Path
 # digest caches keyed by (root, tree-state); see _tree_state().
 _CACHE: dict[tuple, str] = {}
 _SLICE_CACHE: dict[tuple, "SliceFingerprint"] = {}
-# Both memos are hit by the serve daemon's handler and worker threads;
-# the lock covers lookups and stores only — digesting runs outside it,
-# so a concurrent miss may compute twice but always stores equal values.
+# Both memos may be hit from several threads of one process; the lock
+# covers lookups and stores only — digesting runs outside it, so a
+# concurrent miss may compute twice but always stores equal values.
 _MEMO_LOCK = threading.Lock()
 
 # Files hashed into every slice as a version salt: a change to the

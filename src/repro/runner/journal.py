@@ -22,21 +22,13 @@ falls through to normal execution.
 A fresh (non-resume) run truncates the fingerprint's journal first, so
 the journal always describes exactly one logical run.
 
-The simulation service (:mod:`repro.serve`) shares this journal and
-adds a third status, ``submitted``: a request journaled the moment it
-is admitted to the work queue.  A ``submitted`` record whose label
-never reaches ``done``/``quarantined`` marks work a killed daemon left
-in flight; :meth:`RunJournal.pending` surfaces exactly those so a
-restarted daemon ``--resume``\\ s them.
-
 Interrupts: every record is appended and flushed the moment it is
 written, so *any* death — Ctrl-C, SIGTERM, SIGKILL — leaves a faithful
 journal of everything that settled.  What SIGTERM needs on top is the
 *orderly teardown* Ctrl-C gets for free (terminate live workers,
 report partial metrics): :func:`sigterm_interrupts` converts SIGTERM
 into ``KeyboardInterrupt`` for the duration of a run, so ``kill
-<pid>`` journals a sweep — and drains a daemon — exactly the way
-Ctrl-C does.
+<pid>`` journals a run or a sweep exactly the way Ctrl-C does.
 """
 
 from __future__ import annotations
@@ -51,15 +43,14 @@ JOURNAL_DIR = "journal"
 
 STATUS_DONE = "done"
 STATUS_QUARANTINED = "quarantined"
-STATUS_SUBMITTED = "submitted"
 
 
 @contextmanager
 def sigterm_interrupts():
     """Raise ``KeyboardInterrupt`` on SIGTERM while the context is open.
 
-    Installed by the CLI around a run and by the daemon around serving,
-    so SIGTERM takes the same flush-journal-and-unwind path as Ctrl-C
+    Installed by ``repro all`` and ``repro sweep`` around a run, so
+    SIGTERM takes the same flush-journal-and-unwind path as Ctrl-C
     instead of the default handler's instant death.  A no-op off the
     main thread or on platforms without SIGTERM (only the main thread
     may set signal handlers).
@@ -70,10 +61,9 @@ def sigterm_interrupts():
         return
 
     def _raise_interrupt(signum, frame):
-        # Audited by `check --only races` (race-signal-unsafe): the
-        # handler body is the documented reentrant-safe minimum — a
-        # bare raise, no locks, no I/O buffers.  The actual journal
-        # flush runs in the unwound frame, outside handler context.
+        # The handler body is the reentrant-safe minimum — a bare
+        # raise, no locks, no I/O buffers.  The actual journal flush
+        # runs in the unwound frame, outside handler context.
         raise KeyboardInterrupt
 
     previous = signal.signal(signal.SIGTERM, _raise_interrupt)
@@ -90,8 +80,8 @@ class RunJournal:
         self.root = Path(root)
         self.fingerprint = fingerprint
         self.path = self.root / JOURNAL_DIR / f"{fingerprint}.jsonl"
-        # The daemon's worker threads record concurrently; one lock per
-        # journal keeps each appended line whole.
+        # One lock per journal keeps each appended line whole when
+        # several threads of one process record concurrently.
         self._lock = threading.Lock()
 
     def begin(self, *, resume: bool) -> None:
@@ -102,19 +92,15 @@ class RunJournal:
             self.path.write_text("")
 
     def record(self, label: str, *, status: str, key: str,
-               attempts: int = 1, extra: dict | None = None) -> None:
-        """Append one settled (or, for the daemon, admitted) task;
-        flushed (and the line complete) before returning so an
-        interrupt cannot lose it.  ``extra`` fields (e.g. the service's
-        original request body) are merged into the record."""
+               attempts: int = 1) -> None:
+        """Append one settled task; flushed (and the line complete)
+        before returning so an interrupt cannot lose it."""
         entry = {
             "label": label,
             "status": status,
             "key": key,
             "attempts": attempts,
         }
-        if extra:
-            entry.update(extra)
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
@@ -148,21 +134,7 @@ class RunJournal:
             label = record.get("label", "")
             if record.get("status") == STATUS_DONE and record.get("key"):
                 done[label] = record["key"]
-            elif record.get("status") != STATUS_SUBMITTED:
-                # A quarantine (or unknown status) un-does the label; a
-                # ``submitted`` record is a promise, not a verdict, so
-                # it never demotes an earlier completion.
+            else:
+                # A quarantine (or unknown status) un-does the label.
                 done.pop(label, None)
         return done
-
-    def pending(self) -> list[dict]:
-        """Records for labels whose *latest* status is ``submitted`` —
-        work a killed daemon admitted but never settled, oldest first."""
-        latest: dict[str, dict] = {}
-        for record in self.entries():
-            label = record.get("label", "")
-            latest[label] = record
-        return [
-            record for record in latest.values()
-            if record.get("status") == STATUS_SUBMITTED
-        ]

@@ -23,8 +23,10 @@ class TestCLI:
         assert "Section" in out  # paper references are shown
 
     def test_unknown_experiment(self, capsys):
-        assert main(["bogus"]) == 2
-        assert "unknown" in capsys.readouterr().err
+        # "serve" once named a subcommand; it is an unknown name now.
+        for name in ("bogus", "serve"):
+            assert main([name]) == 2
+            assert f"unknown experiment(s): {name}" in capsys.readouterr().err
 
     def test_run_table1(self, capsys, cache_dir):
         assert main(["table1"]) == 0

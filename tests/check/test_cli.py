@@ -20,7 +20,7 @@ class TestSelection:
 
     def test_skip_removes(self):
         selected, _ = select_passes(None, "gspn")
-        assert selected == ["protocol", "lints", "deps", "units", "races"]
+        assert selected == ["protocol", "lints", "deps", "units"]
 
     def test_unknown_names_reported_not_ignored(self):
         _, unknown = select_passes("protocol,nosuch", "bogus")
@@ -32,10 +32,10 @@ class TestMain:
         assert main(["--only", "nosuch"]) == 2
         err = capsys.readouterr().err
         assert "unknown pass(es): nosuch" in err
-        assert "known: protocol, gspn, lints, deps, units, races" in err
+        assert "known: protocol, gspn, lints, deps, units" in err
 
     def test_empty_selection_exits_2(self, capsys):
-        assert main(["--skip", "protocol,gspn,lints,deps,units,races"]) == 2
+        assert main(["--skip", "protocol,gspn,lints,deps,units"]) == 2
         assert "selection is empty" in capsys.readouterr().err
 
     def test_json_format_parses(self, capsys):
@@ -67,6 +67,13 @@ class TestFullSuite:
         report = run_check()
         assert [p.name for p in report.passes] == list(PASS_NAMES)
         assert report.exit_code == 0, [f.render() for f in report.errors]
+
+    def test_code_passes_report_nothing_on_the_shipped_tree(self):
+        # Warnings included: a new deps, units or lints finding (or a
+        # stale allow-comment) must be fixed or suppressed, not let
+        # accumulate.
+        report = run_check(["lints", "deps", "units"])
+        assert report.findings == [], [f.render() for f in report.findings]
 
 
 class TestReport:

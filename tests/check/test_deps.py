@@ -255,9 +255,8 @@ class TestRealPackage:
         assert result.errors == [], [f.render() for f in result.errors]
         resolution = float(result.info["import_resolution"].rstrip("%")) / 100
         assert resolution >= 0.95
-        # 11 registered experiments + 4 sweep base points + 2 serve
-        # roots (daemon + request resolver).
-        assert result.info["entry_points"] == 17
+        # 11 registered experiments + 4 sweep base points.
+        assert result.info["entry_points"] == 15
         assert [f for f in result.findings if f.rule == "entry-point"] == []
 
     def test_sweep_bases_join_the_entry_points(self):

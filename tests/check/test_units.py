@@ -360,9 +360,8 @@ class TestRealPackage:
         # reviewed annotations.
         result = check_units()
         assert result.errors == [], [f.render() for f in result.errors]
-        # 11 registered experiments + 4 sweep base points + 2 serve
-        # roots (daemon + request resolver).
-        assert result.info["entry_points"] == 17
+        # 11 registered experiments + 4 sweep base points.
+        assert result.info["entry_points"] == 15
         assert result.info["reachable_functions"] > 0
         assert result.info["seeded_names"] > 100
 

@@ -106,7 +106,7 @@ class TestResultCache:
 
 
 class TestConcurrentStore:
-    """The daemon's worker threads store concurrently; writes must be
+    """Threads and processes may store concurrently; writes must be
     atomic (write-to-temp + ``os.replace``) so a reader never sees — and
     the quarantine path never fires on — a torn entry."""
 

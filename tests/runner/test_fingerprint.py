@@ -217,7 +217,7 @@ class TestMemoUnderContention:
         # all miss the memo at once; duplicate computes are allowed but
         # every thread must return the same digest and the memo must
         # end up filled (a torn dict write under free-threading would
-        # corrupt it).  The static side is `check --only races`.
+        # corrupt it).
         import threading
 
         root = _tree(tmp_path)

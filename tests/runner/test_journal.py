@@ -10,11 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.runner import ResultCache, RunJournal, sigterm_interrupts
-from repro.runner.journal import (
-    STATUS_DONE,
-    STATUS_QUARANTINED,
-    STATUS_SUBMITTED,
-)
+from repro.runner.journal import STATUS_DONE
 
 
 def _journal(tmp_path):
@@ -30,36 +26,6 @@ class TestRecords:
         assert journal.completed() == {"a": "k1"}
         journal.begin(resume=False)
         assert journal.completed() == {}
-
-    def test_extra_fields_are_merged(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.begin(resume=False)
-        journal.record("a", status=STATUS_SUBMITTED, key="k1",
-                       extra={"request": {"n": 3}})
-        [record] = journal.entries()
-        assert record["request"] == {"n": 3}
-        assert record["status"] == STATUS_SUBMITTED
-
-    def test_submitted_never_demotes_done(self, tmp_path):
-        # The daemon journals an admission before the settle; a *later*
-        # submit of the same label (coalesce miss, resubmit) must not
-        # make --resume forget the completion.
-        journal = _journal(tmp_path)
-        journal.begin(resume=False)
-        journal.record("a", status=STATUS_DONE, key="k1")
-        journal.record("a", status=STATUS_SUBMITTED, key="k1")
-        assert journal.completed() == {"a": "k1"}
-        journal.record("a", status=STATUS_QUARANTINED, key="k1")
-        assert journal.completed() == {}  # a real verdict still un-does it
-
-    def test_pending_is_latest_submitted_only(self, tmp_path):
-        journal = _journal(tmp_path)
-        journal.begin(resume=False)
-        journal.record("a", status=STATUS_SUBMITTED, key="k1")
-        journal.record("b", status=STATUS_SUBMITTED, key="k2")
-        journal.record("a", status=STATUS_DONE, key="k1")
-        pending = journal.pending()
-        assert [record["label"] for record in pending] == ["b"]
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         journal = _journal(tmp_path)
@@ -108,7 +74,7 @@ class TestSigtermBridge:
     @pytest.mark.skipif(sys.platform == "win32",
                         reason="POSIX signal semantics")
     def test_sigterm_flushes_journal_like_ctrl_c(self, tmp_path):
-        # Regression for the daemon/sweep drain path: a run killed with
+        # Regression for the run/sweep drain path: a run killed with
         # SIGTERM mid-sweep must leave the same journal a Ctrl-C leaves —
         # every task that settled *before* the signal journaled done,
         # the run exiting through the KeyboardInterrupt path (130).

@@ -13,11 +13,16 @@ Rendered tables go to **stdout** and are byte-identical for any
 ``--jobs`` value and cache state (fixed seeds, independent shards);
 progress, timing and the metrics summary go to stderr.  Results are
 cached under ``.repro-cache/`` keyed by (experiment, parameters, code
-fingerprint) — any source change invalidates the cache.  See
-``--metrics-out`` for the per-task JSON (wall time, cache hit/miss,
-event tallies, worker utilization), ``--trace`` for a Chrome
-trace-event timeline of every modeling layer, and ``--perf-summary``
-for the per-run throughput benchmark JSON.
+fingerprint) — a source change in an experiment's dependency slice
+invalidates its entries.
+
+The run flags (``--jobs``, ``--no-cache``, ``--metrics-out``,
+``--resume``, ``--inject``, ``--trace``, ``--perf-summary``, ...) and
+their setup come from :mod:`repro.runner.session`, shared with
+``python -m repro sweep run``.  This module adds only the experiment
+selection (``--only``, ``--skip``), the per-experiment knobs
+(``--procs``, ``--trace-len``) and the ``docs`` outputs
+(``--artifacts``, ``--docs-out``).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import obs
 from repro.analysis import CLI_KNOBS, SPECS, run_experiments
 from repro.analysis.docs import (
     DEFAULT_ARTIFACTS_PATH,
@@ -36,19 +40,15 @@ from repro.analysis.docs import (
     render_result,
     write_artifacts,
 )
-from repro.faults import FaultPlan, FaultPlanError
-from repro.runner import (
-    FailFastError,
-    ResultCache,
-    RunJournal,
-    SupervisionPolicy,
-    default_cache_dir,
-    sigterm_interrupts,
-)
+from repro.runner.session import add_run_flags, open_session, positive_int
 
 
 def _csv(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
+
+
+def _procs(value: str) -> tuple[int, ...]:
+    return tuple(positive_int(item) for item in _csv(value))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -78,38 +78,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--procs",
+        type=_procs,
         help="comma-separated processor counts for figures13-17",
         default=None,
     )
     parser.add_argument(
         "--trace-len",
-        type=int,
+        type=positive_int,
         default=None,
         help="trace length for miss-rate/CPI experiments",
     )
-    parser.add_argument(
-        "--jobs", "-j",
-        type=int,
-        default=1,
-        help="worker processes for independent experiment shards (default 1)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything, and do not store results",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default .repro-cache, or $REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write per-task run metrics (wall time, cache status, event "
-             "tallies) as JSON",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--only",
         default=None,
@@ -121,62 +100,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NAMES",
         help="comma-separated experiments to exclude from the selection",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt wall-clock limit; a stuck worker is killed, "
-             "replaced, and the task retried (default: no limit)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts for a crashed/hung/failed shard before it "
-             "is quarantined (default 1)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip shards journaled as completed by an interrupted run "
-             "(requires the cache; journal lives under the cache root)",
-    )
-    parser.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="abort the sweep on the first quarantined shard instead of "
-             "completing the healthy ones",
-    )
-    parser.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="LABEL=KIND",
-        help="deterministic fault injection for testing: fault shards "
-             "matching LABEL (fnmatch, e.g. 'figure7/*') with KIND "
-             "(crash, hang, raise, corrupt), optionally only the first "
-             "N attempts (':N'); repeatable, also read from $REPRO_INJECT",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="enable span tracing and write a Chrome trace-event JSON "
-             "(load in Perfetto / chrome://tracing) covering every "
-             "modeling layer",
-    )
-    parser.add_argument(
-        "--perf-summary",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="enable span tracing and write a per-run perf summary "
-             "(wall time, events/sec per stage); default path "
-             "artifacts/bench/BENCH_<fingerprint>.json",
     )
     parser.add_argument(
         "--artifacts",
@@ -231,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     # warning naming the ones that ignore it.
     provided: dict[str, object] = {}
     if args.procs is not None:
-        provided["procs"] = tuple(int(p) for p in _csv(args.procs))
+        provided["procs"] = args.procs
     if args.trace_len is not None:
         provided["trace_len"] = args.trace_len
     overrides: dict[str, dict[str, object]] = {}
@@ -255,64 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         for name in takers:
             overrides.setdefault(name, {})[CLI_KNOBS[flag]] = value
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-
-    if args.resume and cache is None:
-        print("--resume needs the result cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    try:
-        faults = FaultPlan.parse(args.inject or []) if args.inject \
-            else FaultPlan()
-        faults = FaultPlan(faults.specs + FaultPlan.from_env().specs)
-    except FaultPlanError as exc:
-        print(f"bad --inject / $REPRO_INJECT: {exc}", file=sys.stderr)
-        return 2
-    try:
-        policy = SupervisionPolicy(
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            fail_fast=args.fail_fast,
-        )
-    except ValueError as exc:
-        print(f"bad supervision flags: {exc}", file=sys.stderr)
-        return 2
-    journal = RunJournal(cache.root, cache.fingerprint) if cache else None
-
-    tracing = args.trace is not None or args.perf_summary is not None
-    spans_before = 0
-    if tracing:
-        # Enable before any worker spawns so pooled workers inherit the
-        # flag (via $REPRO_TRACE) and their spans ride back with results.
-        obs.enable()
-        spans_before = obs.mark()
-
-    def write_partial(partial) -> None:
-        if args.metrics_out:
-            partial.write(args.metrics_out)
-
-    try:
-        # SIGTERM takes the KeyboardInterrupt path: live workers are
-        # terminated and the journal stays flushed, so a `kill` is as
-        # resumable as a Ctrl-C.
-        with sigterm_interrupts():
-            results, metrics = run_experiments(
-                selected, overrides, jobs=args.jobs, cache=cache,
-                policy=policy, faults=faults or None,
-                journal=journal, resume=args.resume, on_partial=write_partial,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — completed shards are journaled and cached; "
-              "rerun with --resume to pick up where this run stopped",
-              file=sys.stderr)
-        return 130
-    except FailFastError as exc:
-        print(f"fail-fast: {exc}", file=sys.stderr)
-        print("completed shards are journaled and cached; rerun with "
-              "--resume after fixing the failure", file=sys.stderr)
-        return 1
+    session = open_session(args)
+    if isinstance(session, int):
+        return session
+    ran = session.run(run_experiments, selected, overrides)
+    if isinstance(ran, int):
+        return ran
+    results, metrics = ran
 
     for name in selected:
         if results[name] is not None:
@@ -321,55 +193,20 @@ def main(argv: list[str] | None = None) -> int:
         wall = sum(t.wall_s for t in tasks)
         hits = sum(1 for t in tasks if t.cache in ("hit", "resumed"))
         bad = sum(1 for t in tasks if t.status == "quarantined")
-        status = f"{hits}/{len(tasks)} cached" if cache else "cache off"
+        summary = f"{hits}/{len(tasks)} cached" if session.cache \
+            else "cache off"
         if bad:
-            status += f", {bad} quarantined"
+            summary += f", {bad} quarantined"
         if results[name] is None:
-            status += " — every shard quarantined, nothing to render"
-        print(f"[{name}: {wall:.1f}s, {status}]\n", file=sys.stderr)
+            summary += " — every shard quarantined, nothing to render"
+        print(f"[{name}: {wall:.1f}s, {summary}]\n", file=sys.stderr)
 
-    print(metrics.render(), file=sys.stderr)
-    if args.metrics_out:
-        metrics.write(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-
-    if tracing:
-        from repro.obs import export as obs_export
-
-        records = obs.since(spans_before)
-        if args.trace is not None:
-            obs_export.write_chrome_trace(args.trace, records)
-            print(f"trace written to {args.trace} "
-                  f"({len(records)} spans)", file=sys.stderr)
-        if args.perf_summary is not None:
-            fingerprint = cache.fingerprint if cache else None
-            if fingerprint is None:
-                from repro.runner import code_fingerprint
-
-                fingerprint = code_fingerprint()
-            summary = obs_export.perf_summary(
-                records,
-                fingerprint=fingerprint,
-                jobs=args.jobs,
-                wall_s=metrics.wall_s,
-            )
-            bench_path = (Path(args.perf_summary) if args.perf_summary
-                          else obs_export.default_bench_path(fingerprint))
-            obs_export.write_perf_summary(bench_path, summary)
-            print(f"perf summary written to {bench_path}", file=sys.stderr)
-
-    if metrics.quarantined:
-        print(f"run finished with {metrics.quarantined} quarantined "
-              f"shard(s); see the metrics for tracebacks", file=sys.stderr)
-        return 1
+    status = session.finish(metrics)
+    if status:
+        return status
 
     if docs_mode:
-        fingerprint = cache.fingerprint if cache else None
-        if fingerprint is None:
-            from repro.runner import code_fingerprint
-
-            fingerprint = code_fingerprint()
-        artifacts = build_artifacts(results, metrics, fingerprint)
+        artifacts = build_artifacts(results, metrics, session.fingerprint)
         write_artifacts(args.artifacts, artifacts)
         Path(args.docs_out).write_text(generate_experiments_md(artifacts))
         print(f"wrote {args.artifacts} and {args.docs_out}", file=sys.stderr)

@@ -300,25 +300,6 @@ def generate_experiments_md(artifacts: dict) -> str:
     return "\n".join(lines)
 
 
-def regenerate(
-    *,
-    jobs: int = 1,
-    cache: Any = None,
-    artifacts_path: Path | str = DEFAULT_ARTIFACTS_PATH,
-    doc_path: Path | str = DEFAULT_DOC_PATH,
-) -> tuple[dict, Any]:
-    """Run everything, refresh the artifacts file, rewrite EXPERIMENTS.md."""
-    from repro.analysis.registry import SPECS, run_experiments
-    from repro.runner import code_fingerprint
-
-    results, metrics = run_experiments(list(SPECS), jobs=jobs, cache=cache)
-    fingerprint = cache.fingerprint if cache is not None else code_fingerprint()
-    artifacts = build_artifacts(results, metrics, fingerprint)
-    write_artifacts(artifacts_path, artifacts)
-    Path(doc_path).write_text(generate_experiments_md(artifacts))
-    return artifacts, metrics
-
-
 def check_drift(repo_root: Path | str = ".") -> list[str]:
     """Diff the checked-in EXPERIMENTS.md against a regeneration from the
     checked-in artifacts.  Empty list = in sync."""

@@ -21,6 +21,10 @@ The pieces, each usable on its own:
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
   attempts / quarantine records, exported as JSON and a rendered
   summary.
+- :mod:`repro.runner.session` — the run flags and their setup and
+  teardown, shared by ``python -m repro <experiment>`` and
+  ``python -m repro sweep run``.  Not re-exported here: it imports the
+  :mod:`repro.obs.export` file writers.
 
 Fault injection for testing all of the above lives in
 :mod:`repro.faults`.  The experiment-level API (sharding Table 3 into

@@ -8,11 +8,13 @@
 ``run`` resolves its argument as a checked-in spec name under
 ``artifacts/sweeps/`` or a direct path, validates it (every violation
 is a named ``SweepSpecError`` rule), executes the expanded grid through
-the same supervised pool as ``python -m repro <experiment>`` — so the
-full flag set (``--jobs``, ``--resume``, ``--inject``, ``--trace``,
-``--task-timeout``, ...) carries over — and writes the deterministic
-report artifact next to the spec.  ``report`` only rereads checked-in
-artifacts; it never recomputes.
+the same supervised pool as ``python -m repro <experiment>`` and writes
+the deterministic report artifact next to the spec.  Its run flags
+(``--jobs``, ``--resume``, ``--inject``, ``--trace``,
+``--task-timeout``, ...) and their setup come from
+:mod:`repro.runner.session`, shared with the experiment CLI; only
+``--report-out`` and ``--no-report`` are its own.  ``report`` only
+rereads checked-in artifacts; it never recomputes.
 """
 
 from __future__ import annotations
@@ -21,16 +23,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import obs
-from repro.faults import FaultPlan, FaultPlanError
-from repro.runner import (
-    FailFastError,
-    ResultCache,
-    RunJournal,
-    SupervisionPolicy,
-    default_cache_dir,
-    sigterm_interrupts,
-)
+from repro.runner.session import add_run_flags, open_session
 from repro.sweep.engine import run_sweep
 from repro.sweep.report import (
     DEFAULT_SWEEPS_DOC,
@@ -77,30 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="checked-in sweep name (see 'list') or a path to a "
              "TOML/JSON spec file",
     )
-    run.add_argument(
-        "--jobs", "-j",
-        type=int,
-        default=1,
-        help="worker processes for independent configurations (default 1)",
-    )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute every configuration, and do not store results",
-    )
-    run.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default .repro-cache, or "
-             "$REPRO_CACHE_DIR)",
-    )
-    run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write per-configuration run metrics (wall time, cache "
-             "status, fingerprint kind) as JSON",
-    )
+    add_run_flags(run)
     run.add_argument(
         "--report-out",
         default=None,
@@ -112,58 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-report",
         action="store_true",
         help="run and print the frontier without writing the artifact",
-    )
-    run.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt wall-clock limit; a stuck worker is killed, "
-             "replaced, and the configuration retried (default: no limit)",
-    )
-    run.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts for a crashed/hung/failed configuration "
-             "before it is quarantined (default 1)",
-    )
-    run.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip configurations journaled as completed by an "
-             "interrupted run (requires the cache)",
-    )
-    run.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="abort the sweep on the first quarantined configuration",
-    )
-    run.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="LABEL=KIND",
-        help="deterministic fault injection: fault configurations "
-             "matching LABEL (fnmatch over 'sweep:<base>/<label>') with "
-             "KIND (crash, hang, raise, corrupt); repeatable, also read "
-             "from $REPRO_INJECT",
-    )
-    run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="enable span tracing and write a Chrome trace-event JSON "
-             "covering compile/run/reduce and every modeling layer",
-    )
-    run.add_argument(
-        "--perf-summary",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="enable span tracing and write a per-run perf summary JSON",
     )
     return parser
 
@@ -205,89 +123,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid sweep spec [{exc.rule}]: {exc}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.resume and cache is None:
-        print("--resume needs the result cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    try:
-        faults = FaultPlan.parse(args.inject or []) if args.inject \
-            else FaultPlan()
-        faults = FaultPlan(faults.specs + FaultPlan.from_env().specs)
-    except FaultPlanError as exc:
-        print(f"bad --inject / $REPRO_INJECT: {exc}", file=sys.stderr)
-        return 2
-    try:
-        policy = SupervisionPolicy(
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            fail_fast=args.fail_fast,
-        )
-    except ValueError as exc:
-        print(f"bad supervision flags: {exc}", file=sys.stderr)
-        return 2
-    journal = RunJournal(cache.root, cache.fingerprint) if cache else None
-
-    tracing = args.trace is not None or args.perf_summary is not None
-    spans_before = 0
-    if tracing:
-        obs.enable()
-        spans_before = obs.mark()
-
-    def write_partial(partial) -> None:
-        if args.metrics_out:
-            partial.write(args.metrics_out)
+    session = open_session(args)
+    if isinstance(session, int):
+        return session
 
     configs = spec.configs()
     print(f"sweep {spec.name}: {len(configs)} configurations of "
           f"{spec.base} ({'×'.join(str(len(v)) for _, v in spec.axes)})",
           file=sys.stderr)
-    try:
-        # SIGTERM drains like Ctrl-C: journal flushed, workers reaped.
-        with sigterm_interrupts():
-            outcome, metrics = run_sweep(
-                spec, jobs=args.jobs, cache=cache, policy=policy,
-                faults=faults or None, journal=journal, resume=args.resume,
-                on_partial=write_partial,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — completed configurations are journaled and "
-              "cached; rerun with --resume", file=sys.stderr)
-        return 130
-    except FailFastError as exc:
-        print(f"fail-fast: {exc}", file=sys.stderr)
-        return 1
+    ran = session.run(run_sweep, spec)
+    if isinstance(ran, int):
+        return ran
+    outcome, metrics = ran
 
     hits = sum(1 for t in metrics.tasks if t.cache in ("hit", "resumed"))
     print(f"[{spec.name}: {metrics.wall_s:.1f}s, "
           f"{hits}/{len(metrics.tasks)} cached]", file=sys.stderr)
-    print(metrics.render(), file=sys.stderr)
-    if args.metrics_out:
-        metrics.write(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}", file=sys.stderr)
-
-    if tracing:
-        from repro.obs import export as obs_export
-        from repro.runner import code_fingerprint
-
-        records = obs.since(spans_before)
-        if args.trace is not None:
-            obs_export.write_chrome_trace(args.trace, records)
-            print(f"trace written to {args.trace} "
-                  f"({len(records)} spans)", file=sys.stderr)
-        if args.perf_summary is not None:
-            fingerprint = cache.fingerprint if cache \
-                else code_fingerprint()
-            summary = obs_export.perf_summary(
-                records, fingerprint=fingerprint, jobs=args.jobs,
-                wall_s=metrics.wall_s,
-            )
-            bench_path = (Path(args.perf_summary) if args.perf_summary
-                          else obs_export.default_bench_path(fingerprint))
-            obs_export.write_perf_summary(bench_path, summary)
-            print(f"perf summary written to {bench_path}", file=sys.stderr)
+    status = session.finish(metrics)
 
     # The human-readable reduction goes to stdout, like rendered tables.
     print(f"sweep {spec.name}: frontier {len(outcome.frontier)} of "
@@ -310,12 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_sweep_artifact(out, artifact)
         print(f"report written to {out}", file=sys.stderr)
 
-    if outcome.failed:
-        print(f"sweep finished with {len(outcome.failed)} quarantined "
-              f"configuration(s); see the metrics for tracebacks",
-              file=sys.stderr)
-        return 1
-    return 0
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

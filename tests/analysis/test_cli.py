@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.runner import METRICS_SCHEMA_VERSION
+from repro.runner import METRICS_SCHEMA_VERSION, RunMetrics
+from repro.sweep.cli import main as sweep_main
+
+MICRO_SWEEP = Path(__file__).resolve().parents[2] / "artifacts" / "sweeps" \
+    / "micro.toml"
 
 
 @pytest.fixture
@@ -12,6 +17,33 @@ def cache_dir(tmp_path, monkeypatch):
     """Point the CLI cache at a per-test directory."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     return tmp_path / "cache"
+
+
+class EntryPoint:
+    """A command that takes the shared run flags, with a task it runs."""
+
+    def __init__(self, main, argv, label):
+        self.main = main
+        self.argv = argv
+        self.label = label  # one task label the run launches
+
+    def __call__(self, *flags):
+        return self.main([*self.argv, *flags])
+
+
+ENTRY_POINTS = {
+    "repro": EntryPoint(main, ["all", "--only", "table1,figure2"], "table1"),
+    "sweep": EntryPoint(
+        sweep_main, ["run", str(MICRO_SWEEP), "--no-report"],
+        "sweep:figure7/line_bytes=256,num_banks=4",
+    ),
+}
+
+
+@pytest.fixture(params=list(ENTRY_POINTS))
+def entry(request):
+    """Each command that launches a supervised run."""
+    return ENTRY_POINTS[request.param]
 
 
 class TestCLI:
@@ -98,6 +130,22 @@ class TestCLI:
         assert main(["docs", "--only", "table1"]) == 2
         assert "docs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["figures13-17", "--procs", "a"], "--procs",
+                     id="procs-a"),
+        pytest.param(["figures13-17", "--procs", "2,0"], "--procs",
+                     id="procs-0"),
+        pytest.param(["table4", "--trace-len", "-5"], "--trace-len",
+                     id="trace-len-negative"),
+    ])
+    def test_bad_experiment_knob_rejected_at_parse_time(
+            self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a positive integer" \
+            in capsys.readouterr().err
+
 
 class TestCLIObservability:
     @pytest.fixture(autouse=True)
@@ -142,6 +190,7 @@ class TestCLIObservability:
         assert bench["schema"] == 1
         assert bench["kind"] == "bench"
         assert bench["events"] > 0
+        assert bench["wall_s"] > 0
         assert bench["events_per_sec"] > 0
         assert bench["stages"]
         for stage in bench["stages"].values():
@@ -161,6 +210,21 @@ class TestCLIObservability:
         assert data["schema"] == METRICS_SCHEMA_VERSION
         assert any(name.startswith("task/section5.6/")
                    for name in data["stages"])
+
+    def test_trace_and_perf_summary_together(
+            self, capsys, cache_dir, tmp_path, entry):
+        trace_out = tmp_path / "trace.json"
+        bench_out = tmp_path / "bench.json"
+        assert entry("--no-cache", "--trace", str(trace_out),
+                     "--perf-summary", str(bench_out)) == 0
+        err = capsys.readouterr().err
+        assert "trace written" in err and "perf summary" in err
+        events = json.loads(trace_out.read_text())["traceEvents"]
+        assert any(e["cat"] == "task" for e in events)
+        bench = json.loads(bench_out.read_text())
+        assert bench["kind"] == "bench"
+        assert bench["spans"] == len(events)
+        assert bench["stages"]
 
     def test_no_tracing_means_no_stages(self, capsys, cache_dir, tmp_path):
         metrics_out = tmp_path / "metrics.json"
@@ -204,18 +268,39 @@ class TestCLIFaultTolerance:
         assert main(["table1", "--resume", "--no-cache"]) == 2
         assert "--resume" in capsys.readouterr().err
 
-    def test_bad_inject_rejected(self, capsys):
-        assert main(["table1", "--inject", "table1=explode"]) == 2
+    def test_bad_inject_rejected(self, capsys, cache_dir, entry):
+        assert entry("--inject", f"{entry.label}=explode") == 2
         assert "inject" in capsys.readouterr().err.lower()
 
-    def test_bad_timeout_rejected(self, capsys, cache_dir):
-        assert main(["table1", "--task-timeout", "0"]) == 2
+    def test_bad_timeout_rejected(self, capsys, cache_dir, entry):
+        assert entry("--task-timeout", "0") == 2
         assert "task_timeout" in capsys.readouterr().err
 
-    def test_fail_fast_aborts(self, capsys, cache_dir):
-        assert main([
-            "all", "--only", "table1,figure2", "--inject", "table1=raise",
-            "--max-retries", "0", "--fail-fast",
-        ]) == 1
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_rejected(self, capsys, entry, jobs):
+        with pytest.raises(SystemExit) as exc:
+            entry("--jobs", jobs)
+        assert exc.value.code == 2
+        assert "argument --jobs/-j: expected a positive integer" \
+            in capsys.readouterr().err
+
+    def test_fail_fast_aborts(self, capsys, cache_dir, entry):
+        assert entry("--inject", f"{entry.label}=raise",
+                     "--max-retries", "0", "--fail-fast") == 1
         err = capsys.readouterr().err
         assert "fail-fast" in err and "--resume" in err
+
+    def test_interrupt_exits_130_with_partial_metrics(
+            self, capsys, cache_dir, tmp_path, monkeypatch, entry):
+        def interrupted(tasks, *, jobs, on_partial, **kwargs):
+            on_partial(RunMetrics(jobs=jobs, fingerprint="partial"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.analysis.registry.run_tasks", interrupted)
+        monkeypatch.setattr("repro.sweep.engine.run_tasks", interrupted)
+        out = tmp_path / "metrics.json"
+        assert entry("--metrics-out", str(out)) == 130
+        assert "rerun with --resume" in capsys.readouterr().err
+        data = json.loads(out.read_text())
+        assert data["schema"] == METRICS_SCHEMA_VERSION
+        assert data["fingerprint"] == "partial"

@@ -20,8 +20,8 @@ device together with every substrate its evaluation depends on:
 - :mod:`repro.uniproc`, :mod:`repro.machines`, :mod:`repro.analysis` -
   the performance pipeline and the per-table/per-figure experiments.
 - :mod:`repro.obs` - low-overhead hierarchical span tracing across all
-  of the above, with Chrome trace-event and perf-summary exporters
-  (the CLI's ``--trace`` / ``--perf-summary``).
+  of the above, with a Chrome trace-event exporter (the CLI's
+  ``--trace``) and the per-stage rollup the run metrics embed.
 
 Quickstart::
 

@@ -17,7 +17,7 @@ fingerprint) — a source change in an experiment's dependency slice
 invalidates its entries.
 
 The run flags (``--jobs``, ``--no-cache``, ``--metrics-out``,
-``--resume``, ``--inject``, ``--trace``, ``--perf-summary``, ...) and
+``--resume``, ``--inject``, ``--trace``, ...) and
 their setup come from :mod:`repro.runner.session`, shared with
 ``python -m repro sweep run``.  This module adds only the experiment
 selection (``--only``, ``--skip``), the per-experiment knobs

@@ -89,7 +89,8 @@ def parse_fault_entry(entry: str) -> FaultSpec:
     """``"label=kind[:times]"`` -> :class:`FaultSpec`.
 
     The *last* ``=`` separates label from kind, because labels may
-    themselves contain ``=`` (``replication/seed=3=crash``).
+    themselves contain ``=``, as sweep labels do
+    (``sweep:figure7/line_bytes=256,num_banks=4=crash``).
     """
     pattern, sep, rest = entry.rpartition("=")
     if not sep or not rest:

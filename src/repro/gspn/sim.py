@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -311,66 +310,3 @@ class GSPNSimulator:
             busy_fraction=busy_fraction,
         )
 
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo replication fan-out
-# ---------------------------------------------------------------------------
-
-
-def _replicate(job: tuple) -> SimResult:
-    """Pool worker: build one simulator and run it (module-level so it
-    pickles under the supervised executor)."""
-    factory, seed, run_kwargs = job
-    return factory(seed).run(**run_kwargs)
-
-
-def run_replications(
-    factory: "Callable[[int], GSPNSimulator]",
-    seeds: "Sequence[int]",
-    *,
-    jobs: int = 1,
-    policy=None,
-    faults=None,
-    **run_kwargs,
-) -> list[SimResult]:
-    """Evaluate independent Monte-Carlo replications, optionally in
-    parallel.
-
-    ``factory(seed)`` must be a picklable (module-level) callable that
-    builds a fresh :class:`GSPNSimulator` — net plus a seed-derived RNG —
-    for one replication.  Results come back in ``seeds`` order, and the
-    replications are independent by construction, so ``jobs=N`` is
-    bit-identical to ``jobs=1``.
-
-    Replications run under the supervised executor
-    (:func:`repro.runner.resilience.supervised_map`): a crashed or hung
-    worker is retried per ``policy`` (default: one retry, no timeout)
-    without losing the other replications, and a replication that
-    exhausts its retries raises :class:`SimulationError` **naming the
-    offending seed** instead of an opaque pool traceback.  ``faults``
-    (a :class:`repro.faults.FaultPlan`) can inject deterministic
-    failures into labels of the form ``replication/seed=<seed>``.
-    """
-    from repro.runner.resilience import SupervisionPolicy, supervised_map
-
-    jobs_list = [(factory, seed, run_kwargs) for seed in seeds]
-    outcomes = supervised_map(
-        _replicate,
-        jobs_list,
-        labels=[f"replication/seed={seed}" for seed in seeds],
-        jobs=jobs,
-        policy=policy or SupervisionPolicy(),
-        faults=faults,
-    )
-    results: list[SimResult] = []
-    for seed, outcome in zip(seeds, outcomes):
-        if outcome.failure is not None:
-            failure = outcome.failure
-            detail = f"\n{failure.traceback}" if failure.traceback else ""
-            raise SimulationError(
-                f"replication seed={seed} failed after {failure.attempts} "
-                f"attempt(s) ({failure.kind}): {failure.error_type}: "
-                f"{failure.message}{detail}"
-            )
-        results.append(outcome.result)
-    return results

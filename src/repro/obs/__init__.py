@@ -1,7 +1,7 @@
-"""Observability: hierarchical span tracing and its exporters.
+"""Observability: hierarchical span tracing and its trace exporter.
 
 The package-wide tracing layer behind ``python -m repro <experiment>
---trace out.json`` and ``--perf-summary``:
+--trace out.json``:
 
 - :mod:`repro.obs.spans` — the tracer itself: ``span()`` context
   managers with monotonic timing, nesting, counter attachment,
@@ -10,13 +10,12 @@ The package-wide tracing layer behind ``python -m repro <experiment>
   default; the disabled path is a shared no-op object, cheap enough to
   leave in every hot entry point.
 - :mod:`repro.obs.export` — the Chrome trace-event JSON exporter
-  (loadable in Perfetto) and the per-run ``BENCH_<fingerprint>.json``
-  perf summary.  **Not re-exported here**: this ``__init__`` executes
-  inside every simulator import (``from repro import obs`` in the hot
-  paths), so it stays inside every experiment's fingerprint slice —
-  re-exporting the file writers would put ``export.py`` in every slice
-  too and an exporter tweak would invalidate every cached result.  The
-  CLI and tests import :mod:`repro.obs.export` directly.
+  (loadable in Perfetto).  **Not re-exported here**: this ``__init__``
+  executes inside every simulator import (``from repro import obs`` in
+  the hot paths), so it stays inside every experiment's fingerprint
+  slice — re-exporting the file writer would put ``export.py`` in
+  every slice too and an exporter tweak would invalidate every cached
+  result.  The CLI and tests import :mod:`repro.obs.export` directly.
 
 All four modeling layers are instrumented at their run() granularity:
 trace generation (``trace/gen/*``), trace-driven cache sweeps

@@ -1,17 +1,12 @@
-"""Span exporters: Chrome trace-event JSON and the perf summary.
+"""Span exporter: Chrome trace-event JSON.
 
-Two consumers of the same :class:`~repro.obs.spans.SpanRecord` stream:
-
-- :func:`chrome_trace` / :func:`write_chrome_trace` — the Trace Event
-  Format (complete ``"ph": "X"`` events) that ``chrome://tracing`` and
-  Perfetto load directly.  Each process becomes one pid/tid track;
-  nesting falls out of the timestamps.
-- :func:`perf_summary` / :func:`write_perf_summary` — a per-run
-  ``BENCH_<fingerprint>.json``: wall time, simulated events/sec, and a
-  per-stage breakdown (span count, total seconds, summed counters, and
-  counter-per-second rates such as cache-sim refs/sec).  One file per
-  code fingerprint seeds the bench trajectory under
-  ``artifacts/bench/``.
+:func:`chrome_trace` / :func:`write_chrome_trace` turn the
+:class:`~repro.obs.spans.SpanRecord` stream of a ``--trace`` run into
+the Trace Event Format (complete ``"ph": "X"`` events) that
+``chrome://tracing`` and Perfetto load directly.  Each process becomes
+one pid/tid track; nesting falls out of the timestamps.  The per-stage
+rollup of the same records is :func:`repro.obs.aggregate_stages`, which
+the run metrics (``--metrics-out``) embed as ``stages``.
 """
 
 from __future__ import annotations
@@ -19,16 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.spans import SpanRecord, aggregate_stages
-
-PERF_SUMMARY_SCHEMA_VERSION = 1
-
-DEFAULT_BENCH_DIR = Path("artifacts") / "bench"
-
-# Counters that count simulated work; their depth-0 totals make the
-# headline events/sec figure (nested spans re-report their parents'
-# tally deltas, so deeper depths would double-count).
-EVENT_COUNTERS = ("gspn_firings", "mp_ops", "cache_refs", "trace_refs")
+from repro.obs.spans import SpanRecord
 
 
 def chrome_trace(records: list[SpanRecord]) -> dict:
@@ -55,42 +41,3 @@ def write_chrome_trace(path: Path | str, records: list[SpanRecord]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(chrome_trace(records), indent=1) + "\n")
 
-
-def perf_summary(
-    records: list[SpanRecord],
-    *,
-    fingerprint: str,
-    jobs: int,
-    wall_s: float,
-) -> dict:
-    """The ``BENCH_*.json`` payload for one run."""
-    events = sum(
-        value
-        for record in records if record.depth == 0
-        for name, value in record.counters.items()
-        if name in EVENT_COUNTERS
-    )
-    return {
-        "schema": PERF_SUMMARY_SCHEMA_VERSION,
-        "kind": "bench",
-        "fingerprint": fingerprint,
-        "jobs": jobs,
-        "wall_s": wall_s,
-        "events": events,
-        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "spans": len(records),
-        "stages": aggregate_stages(records),
-    }
-
-
-def default_bench_path(fingerprint: str, root: Path | str | None = None) -> Path:
-    """``artifacts/bench/BENCH_<fingerprint prefix>.json``."""
-    base = Path(root) if root is not None else DEFAULT_BENCH_DIR
-    return base / f"BENCH_{fingerprint[:12]}.json"
-
-
-def write_perf_summary(path: Path | str, summary: dict) -> None:
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

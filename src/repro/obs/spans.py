@@ -17,8 +17,8 @@ Tracing is **off by default** and :func:`span` then returns a shared
 no-op context manager — one function call, one branch, no allocation —
 so instrumented hot paths cost nothing measurable when nobody is
 looking.  It is enabled explicitly (:func:`enable`, or the
-``REPRO_TRACE`` environment variable) by the CLI's ``--trace`` /
-``--perf-summary`` flags.
+``REPRO_TRACE`` environment variable) by the CLI's ``--trace``
+flag.
 
 Records are **per-process**, mirroring the snapshot/since pattern of
 :mod:`repro.common.tally`: a pool worker accumulates its own records,

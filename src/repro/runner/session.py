@@ -4,10 +4,10 @@
 runs the same way, and this module is the one place that way is spelled
 out:
 
-- :func:`add_run_flags` declares the eleven run flags (``--jobs``,
+- :func:`add_run_flags` declares the ten run flags (``--jobs``,
   ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--task-timeout``,
   ``--max-retries``, ``--resume``, ``--fail-fast``, ``--inject``,
-  ``--trace``, ``--perf-summary``) on a parser.
+  ``--trace``) on a parser.
 - :func:`open_session` turns the parsed flags into a :class:`RunSession`:
   the result cache, the fault plan (``--inject`` plus ``$REPRO_INJECT``),
   the supervision policy and the resume journal, with tracing enabled
@@ -16,10 +16,11 @@ out:
   :func:`repro.sweep.engine.run_sweep` with those pieces, with SIGTERM
   taking the Ctrl-C path so the journal stays flushed either way.
 - :meth:`RunSession.finish` prints the metrics summary and writes
-  ``--metrics-out``, the Chrome trace and the perf summary.
+  ``--metrics-out`` and the Chrome trace.  With ``--trace`` on, the
+  metrics also carry the per-stage ``stages`` rollup of the spans.
 
 Not re-exported from :mod:`repro.runner`: this module imports the
-:mod:`repro.obs.export` file writers, which stay out of every
+:mod:`repro.obs.export` trace writer, which stays out of every
 experiment's fingerprint slice.
 """
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
@@ -124,16 +124,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
              "(load in Perfetto / chrome://tracing) covering every "
              "modeling layer",
     )
-    parser.add_argument(
-        "--perf-summary",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="enable span tracing and write a per-run perf summary "
-             "(wall time, events/sec per stage); default path "
-             "artifacts/bench/BENCH_<fingerprint>.json",
-    )
 
 
 class RunSession:
@@ -147,7 +137,7 @@ class RunSession:
         self.policy = policy
         self.journal = RunJournal(cache.root, cache.fingerprint) \
             if cache else None
-        self.tracing = args.trace is not None or args.perf_summary is not None
+        self.tracing = args.trace is not None
         self.spans_before = 0
         if self.tracing:
             # Enable before any worker spawns so pooled workers inherit the
@@ -202,21 +192,9 @@ class RunSession:
 
         if self.tracing:
             records = obs.since(self.spans_before)
-            if self.args.trace is not None:
-                obs_export.write_chrome_trace(self.args.trace, records)
-                print(f"trace written to {self.args.trace} "
-                      f"({len(records)} spans)", file=sys.stderr)
-            if self.args.perf_summary is not None:
-                summary = obs_export.perf_summary(
-                    records, fingerprint=self.fingerprint,
-                    jobs=self.args.jobs, wall_s=metrics.wall_s,
-                )
-                bench_path = (
-                    Path(self.args.perf_summary) if self.args.perf_summary
-                    else obs_export.default_bench_path(self.fingerprint))
-                obs_export.write_perf_summary(bench_path, summary)
-                print(f"perf summary written to {bench_path}",
-                      file=sys.stderr)
+            obs_export.write_chrome_trace(self.args.trace, records)
+            print(f"trace written to {self.args.trace} "
+                  f"({len(records)} spans)", file=sys.stderr)
 
         if metrics.quarantined:
             print(f"run finished with {metrics.quarantined} quarantined "

@@ -19,8 +19,8 @@
    the deterministic sweep outcome the report layer renders.
 
 Each stage runs under an ``obs`` span (``sweep/compile``, ``sweep/run``,
-``sweep/reduce``) so ``--perf-summary`` breaks a sweep's wall time down
-by stage next to the simulator stages.
+``sweep/reduce``) so ``--trace`` with ``--metrics-out`` breaks a
+sweep's wall time down by stage next to the simulator stages.
 """
 
 from __future__ import annotations

@@ -150,8 +150,8 @@ class TestCLI:
 class TestCLIObservability:
     @pytest.fixture(autouse=True)
     def reset_tracing(self):
-        # --trace/--perf-summary enable the process-global tracer; leave
-        # it the way other tests expect it.
+        # --trace enables the process-global tracer; leave it the way
+        # other tests expect it.
         yield
         obs.disable()
         obs.reset()
@@ -178,25 +178,6 @@ class TestCLIObservability:
         assert any(n.startswith("gspn/run/") for n in depths)
         assert any(n.startswith("task/section5.6/") for n in depths)
 
-    def test_perf_summary_written_and_parseable(
-            self, capsys, cache_dir, tmp_path):
-        bench_out = tmp_path / "bench.json"
-        assert main([
-            "section5.6", "--trace-len", "8000", "--no-cache",
-            "--perf-summary", str(bench_out),
-        ]) == 0
-        assert "perf summary" in capsys.readouterr().err
-        bench = json.loads(bench_out.read_text())
-        assert bench["schema"] == 1
-        assert bench["kind"] == "bench"
-        assert bench["events"] > 0
-        assert bench["wall_s"] > 0
-        assert bench["events_per_sec"] > 0
-        assert bench["stages"]
-        for stage in bench["stages"].values():
-            assert stage["count"] >= 1
-            assert stage["wall_s"] >= 0
-
     def test_metrics_include_stages_when_tracing(
             self, capsys, cache_dir, tmp_path):
         metrics_out = tmp_path / "metrics.json"
@@ -208,23 +189,40 @@ class TestCLIObservability:
         capsys.readouterr()
         data = json.loads(metrics_out.read_text())
         assert data["schema"] == METRICS_SCHEMA_VERSION
+        assert data["wall_s"] > 0
+        stages = data["stages"]
+        assert stages
+        for stage in stages.values():
+            assert stage["count"] >= 1
+            assert stage["wall_s"] >= 0
+        # The simulated work is tallied: the section5.6 task spans count
+        # the GSPN firings their CPI points took.
         assert any(name.startswith("task/section5.6/")
-                   for name in data["stages"])
+                   and stage["counters"].get("gspn_firings", 0) > 0
+                   for name, stage in stages.items())
 
-    def test_trace_and_perf_summary_together(
+    def test_trace_and_metrics_together(
             self, capsys, cache_dir, tmp_path, entry):
         trace_out = tmp_path / "trace.json"
-        bench_out = tmp_path / "bench.json"
+        metrics_out = tmp_path / "metrics.json"
         assert entry("--no-cache", "--trace", str(trace_out),
-                     "--perf-summary", str(bench_out)) == 0
+                     "--metrics-out", str(metrics_out)) == 0
         err = capsys.readouterr().err
-        assert "trace written" in err and "perf summary" in err
+        assert "trace written" in err and "metrics written" in err
         events = json.loads(trace_out.read_text())["traceEvents"]
         assert any(e["cat"] == "task" for e in events)
-        bench = json.loads(bench_out.read_text())
-        assert bench["kind"] == "bench"
-        assert bench["spans"] == len(events)
-        assert bench["stages"]
+        stages = json.loads(metrics_out.read_text())["stages"]
+        assert stages
+        assert set(stages) <= {e["name"] for e in events}
+
+    def test_perf_summary_flag_removed(self, capsys, entry):
+        # --perf-summary once wrote a second per-run record; the stages
+        # rollup now rides in --metrics-out, and the flag is unknown.
+        with pytest.raises(SystemExit) as exc:
+            entry("--perf-summary")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --perf-summary" \
+            in capsys.readouterr().err
 
     def test_no_tracing_means_no_stages(self, capsys, cache_dir, tmp_path):
         metrics_out = tmp_path / "metrics.json"

@@ -1,16 +1,8 @@
-"""Span exporters: Chrome trace-event JSON and the perf summary."""
+"""Span exporter (Chrome trace-event JSON) and the per-stage rollup."""
 
 import json
 
-from repro.obs.export import (
-    EVENT_COUNTERS,
-    PERF_SUMMARY_SCHEMA_VERSION,
-    chrome_trace,
-    default_bench_path,
-    perf_summary,
-    write_chrome_trace,
-    write_perf_summary,
-)
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.spans import SpanRecord, aggregate_stages
 
 
@@ -73,33 +65,3 @@ class TestAggregateStages:
         )
         assert stages["instant"]["per_sec"]["cache_refs"] == 0.0
 
-
-class TestPerfSummary:
-    def test_counts_depth_zero_events_only(self):
-        # The nested gspn span re-reports its parent task span's tally
-        # delta; counting every depth would double it.
-        summary = perf_summary(
-            _records(), fingerprint="cafe" * 10, jobs=2, wall_s=2.0
-        )
-        assert summary["schema"] == PERF_SUMMARY_SCHEMA_VERSION
-        assert summary["kind"] == "bench"
-        assert summary["events"] == 800 + 5000
-        assert summary["events_per_sec"] == (800 + 5000) / 2.0
-        assert summary["spans"] == 3
-        assert "gspn/run/membank" in summary["stages"]
-
-    def test_event_counters_cover_all_layers(self):
-        assert set(EVENT_COUNTERS) == {
-            "gspn_firings", "mp_ops", "cache_refs", "trace_refs"
-        }
-
-    def test_default_bench_path_uses_fingerprint_prefix(self, tmp_path):
-        path = default_bench_path("abcdef0123456789", root=tmp_path)
-        assert path == tmp_path / "BENCH_abcdef012345.json"
-
-    def test_write_roundtrip(self, tmp_path):
-        summary = perf_summary(_records(), fingerprint="f" * 40, jobs=1,
-                               wall_s=1.0)
-        out = tmp_path / "bench" / "BENCH_x.json"
-        write_perf_summary(out, summary)
-        assert json.loads(out.read_text())["events"] == 5800

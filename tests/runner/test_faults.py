@@ -22,8 +22,9 @@ class TestParsing:
         assert spec.times == 2
 
     def test_label_may_contain_equals(self):
-        spec = parse_fault_entry("replication/seed=3=hang")
-        assert spec.pattern == "replication/seed=3"
+        spec = parse_fault_entry(
+            "sweep:figure7/line_bytes=256,num_banks=4=hang")
+        assert spec.pattern == "sweep:figure7/line_bytes=256,num_banks=4"
         assert spec.kind == "hang"
 
     @pytest.mark.parametrize("bad", [

@@ -207,3 +207,83 @@ class TestStatsAndInvariants:
         assert second.mean_marking["B"] == pytest.approx(0.75)
         # Lifetime firing counts keep accumulating across calls.
         assert second.firings["T_ab"] == 2
+
+
+class TestTypedFailures:
+    """Unreachable targets, livelock and negative marking raise named errors."""
+
+    def _single_shot(self) -> PetriNet:
+        net = PetriNet("once")
+        net.place("a", 1)
+        net.place("b")
+        net.deterministic("T", {"a": 1}, {"b": 1}, delay=5.0)
+        return net
+
+    def test_deadlock_before_target_raises(self):
+        sim = GSPNSimulator(self._single_shot(), make_rng(0))
+        with pytest.raises(SimulationError) as err:
+            sim.run(stop_transition="T", stop_count=5)
+        message = str(err.value)
+        assert "net once" in message
+        assert "T fired 1 of 5" in message
+        assert "deadlocked at time 5" in message
+
+    def test_target_that_never_fires_raises_not_keyerror(self):
+        # Callers divide by firings[target]; a target that never fired
+        # used to surface there as a bare KeyError.
+        net = self._single_shot()
+        net.place("c")
+        net.deterministic("T_never", {"c": 1}, {}, delay=1.0)
+        sim = GSPNSimulator(net, make_rng(0))
+        with pytest.raises(SimulationError, match="T_never fired 0 of 3"):
+            sim.run(stop_transition="T_never", stop_count=3)
+
+    def test_event_budget_before_target_raises(self):
+        sim = GSPNSimulator(_ring_net(3, delay=1.0), make_rng(0))
+        with pytest.raises(SimulationError) as err:
+            sim.run(stop_transition="t0", stop_count=100, max_events=10)
+        message = str(err.value)
+        assert "net ring" in message
+        assert "t0 fired 4 of 100" in message
+        assert "max_events=10" in message
+
+    def test_target_met_on_last_budgeted_event_returns(self):
+        sim = GSPNSimulator(_ring_net(3, delay=1.0), make_rng(0))
+        result = sim.run(stop_transition="t0", stop_count=4, max_events=10)
+        assert result.firings["t0"] == 4
+        assert result.events == 10
+
+    def test_max_time_before_target_returns(self):
+        # max_time is a horizon the caller chose, not a failure.
+        sim = GSPNSimulator(_ring_net(3, delay=1.0), make_rng(0))
+        result = sim.run(max_time=5.0, stop_transition="t0", stop_count=100)
+        assert result.firings["t0"] == 2
+        assert not result.deadlocked
+
+    def test_time_bounded_run_still_reports_deadlock(self):
+        result = GSPNSimulator(self._single_shot(), make_rng(0)).run(
+            max_time=100
+        )
+        assert result.deadlocked
+
+    def test_livelock_names_net_and_transition(self):
+        net = PetriNet("spin")
+        net.place("a", 1)
+        net.place("b")
+        net.immediate("T_ab", {"a": 1}, {"b": 1})
+        net.immediate("T_ba", {"b": 1}, {"a": 1})
+        with pytest.raises(
+            SimulationError,
+            match=r"net spin: immediate-transition livelock: .*last fired: T_(ab|ba)",
+        ):
+            GSPNSimulator(net, make_rng(0)).run(max_time=1)
+
+    def test_negative_marking_names_net_transition_and_place(self):
+        net = self._single_shot()
+        sim = GSPNSimulator(net, make_rng(0))
+        sim.marking[0] = 0  # steal the token T's armed timer will consume
+        with pytest.raises(
+            SimulationError,
+            match="net once: firing T left place a with negative marking -1",
+        ):
+            sim.run(max_time=100)

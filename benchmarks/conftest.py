@@ -12,25 +12,13 @@ follows ``python -m repro all`` — or a previous benchmark run on
 unchanged code — replays results instead of recomputing them.  Set
 ``REPRO_BENCH_CACHE=0`` to force recomputation (e.g. when timing the
 simulators themselves rather than checking their output).
-
-Execution reuses the runner's supervised path
-(:func:`repro.runner.supervised_call`): a flaky experiment is retried
-``REPRO_BENCH_RETRIES`` times (default 1) before the benchmark fails,
-the result's integrity digest is verified, and ``$REPRO_INJECT`` fault
-plans apply to labels of the form ``bench:<module>.<qualname>``.
 """
 
 import os
 
 import pytest
 
-from repro.faults import FaultPlan
-from repro.runner import (
-    ResultCache,
-    SupervisionPolicy,
-    cached_call,
-    supervised_call,
-)
+from repro.runner import ResultCache, cached_call
 
 
 def scale() -> float:
@@ -64,24 +52,12 @@ def once(benchmark, result_cache):
         cacheable = result_cache is not None and (
             fn.__module__ or ""
         ).startswith("repro.") and "<locals>" not in fn.__qualname__
-        label = f"bench:{fn.__module__}.{fn.__qualname__}"
-        policy = SupervisionPolicy(
-            max_retries=int(os.environ.get("REPRO_BENCH_RETRIES", "1")),
-        )
-        supervision = {
-            "label": label,
-            "policy": policy,
-            "faults": FaultPlan.from_env() or None,
-        }
         if not cacheable:
             return benchmark.pedantic(
-                supervised_call, args=(fn,),
-                kwargs={"args": args, "kwargs": kwargs, **supervision},
-                rounds=1, iterations=1,
+                fn, args=args, kwargs=kwargs, rounds=1, iterations=1,
             )
         return benchmark.pedantic(
-            supervised_call, args=(cached_call,),
-            kwargs={"args": (fn, kwargs, result_cache, args), **supervision},
+            cached_call, args=(fn, kwargs, result_cache, args),
             rounds=1, iterations=1,
         )
 

@@ -22,11 +22,11 @@ flag.
 
 Records are **per-process**, mirroring the snapshot/since pattern of
 :mod:`repro.common.tally`: a pool worker accumulates its own records,
-ships the ones a successful attempt produced back over the supervised
+ships the ones a successful task produced back over the supervised
 executor's result pipe (see :mod:`repro.runner.resilience`), and the
-supervisor :func:`absorb`\\ s them.  A failed attempt's records are
-rolled back (inline) or die with the worker (pooled), so retries never
-double-count.
+supervisor :func:`absorb`\\ s them.  A failed task's records are
+rolled back (inline) or die with the worker (pooled), so ``jobs=1``
+and ``jobs=N`` report the same spans.
 
 The tracer is intentionally not thread-safe: the simulators are
 single-threaded per process, and keeping the enabled fast path free of
@@ -174,7 +174,7 @@ def since(position: int) -> list[SpanRecord]:
 
 def rollback(position: int) -> None:
     """Drop every record appended after ``position`` — used to erase the
-    spans of a failed inline attempt so a retry cannot double-count."""
+    spans of a failed inline task, which a pooled run never receives."""
     # Unguarded: the tracer is single-threaded by contract (module
     # docstring), so no other thread appends while this truncates.
     del _records[position:]

@@ -10,17 +10,16 @@ The pieces, each usable on its own:
   ``(call id, kwargs, code fingerprint)``, using the slice fingerprint
   when it is provably sound and the whole-tree hash otherwise; damaged
   entries are quarantined (``*.corrupt``), never re-read.
-- :mod:`repro.runner.resilience` — the supervised executor: per-task
-  timeouts with a watchdog, bounded deterministic retries, crash and
-  corrupt-result detection, failure quarantine, ``fail_fast``.
+- :mod:`repro.runner.resilience` — the supervised executor: one
+  attempt per task, per-task timeouts with a watchdog, crash detection,
+  failure quarantine, ``fail_fast``.
 - :mod:`repro.runner.journal` — per-fingerprint completion journal
   under the cache root; powers ``--resume``.
 - :mod:`repro.runner.core` — :class:`Task` and :func:`run_tasks`, the
   supervised executor (``jobs=1`` runs inline, deterministically
   identical).
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
-  attempts / quarantine records, exported as JSON and a rendered
-  summary.
+  quarantine records, exported as JSON and a rendered summary.
 - :mod:`repro.runner.session` — the run flags and their setup and
   teardown, shared by ``python -m repro <experiment>`` and
   ``python -m repro sweep run``.  Not re-exported here: it imports the
@@ -55,7 +54,6 @@ from repro.runner.resilience import (
     SupervisionPolicy,
     TaskFailure,
     TaskOutcome,
-    supervised_call,
     supervised_map,
 )
 
@@ -82,6 +80,5 @@ __all__ = [
     "run_tasks",
     "sigterm_interrupts",
     "slice_fingerprint",
-    "supervised_call",
     "supervised_map",
 ]

@@ -17,13 +17,13 @@ Execution contract, which makes ``--jobs N`` byte-identical to
   code path for cache and metrics).
 
 Execution is **supervised** (see :mod:`repro.runner.resilience`): a
-crashed, hung, or corrupt-result task is retried under the
-:class:`SupervisionPolicy` and, if it exhausts its retries,
-*quarantined* — recorded in :class:`RunMetrics` with its exception
-type, traceback, attempt count and worker pid — while every other task
-still completes and caches.  Completed tasks are journaled under the
-cache root (see :mod:`repro.runner.journal`) so an interrupted sweep
-resumes instead of recomputing.
+task that crashes, hangs past the :class:`SupervisionPolicy` timeout or
+raises is *quarantined* after its one attempt — recorded in
+:class:`RunMetrics` with its failure kind, exception type, traceback
+and worker pid — while every other task still completes and caches.
+Completed tasks are journaled under the cache root (see
+:mod:`repro.runner.journal`) so an interrupted sweep resumes instead of
+recomputing.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ def run_tasks(
     Returns ``(results, metrics)`` where ``results`` maps
     ``(experiment, shard)`` to the task's return value and ``metrics``
     lists one record per task in submission order.  A quarantined task
-    (one that exhausted its retries under ``policy``) has **no** entry
-    in ``results``; its failure is recorded in ``metrics`` instead.
+    (one that failed under ``policy``) has **no** entry in ``results``;
+    its failure is recorded in ``metrics`` instead.
 
     ``journal``/``resume``: completed tasks are journaled as they
     settle; with ``resume=True`` tasks the journal marks done are
@@ -162,8 +162,7 @@ def run_tasks(
         pending.append(task)
 
     def record_miss(task: Task, result: Any, wall: float,
-                    tallies: dict[str, int], worker: int,
-                    attempts: int = 1) -> None:
+                    tallies: dict[str, int], worker: int) -> None:
         slot = (task.experiment, task.shard)
         key = ""
         kind = ""
@@ -188,12 +187,10 @@ def run_tasks(
             worker=worker,
             tallies=tallies,
             key=key,
-            attempts=attempts,
             fingerprint_kind=kind,
         )
         if journal is not None:
-            journal.record(task.label, status=STATUS_DONE, key=key,
-                           attempts=attempts)
+            journal.record(task.label, status=STATUS_DONE, key=key)
 
     def record_quarantine(task: Task, outcome: TaskOutcome) -> None:
         slot = (task.experiment, task.shard)
@@ -209,19 +206,16 @@ def run_tasks(
             worker=failure.worker,
             key=key,
             status=STATUS_QUARANTINED,
-            attempts=outcome.attempts,
             failure=failure.to_json(),
         )
         if journal is not None:
-            journal.record(task.label, status=STATUS_QUARANTINED, key=key,
-                           attempts=outcome.attempts)
+            journal.record(task.label, status=STATUS_QUARANTINED, key=key)
 
     def on_done(index: int, outcome: TaskOutcome) -> None:
         task = pending[index]
         if outcome.ok:
             result, wall, tallies, worker = outcome.result
-            record_miss(task, result, wall, tallies, worker,
-                        attempts=outcome.attempts)
+            record_miss(task, result, wall, tallies, worker)
         else:
             record_quarantine(task, outcome)
 

@@ -4,12 +4,12 @@ One append-only JSONL file per code fingerprint under the cache root::
 
     .repro-cache/
       journal/
-        <fingerprint>.jsonl    # {"label", "status", "key", "attempts"}
+        <fingerprint>.jsonl    # {"label", "status", "key"}
 
 Each completed task appends one record the moment it settles —
 ``done`` for a task whose result landed in the cache, ``quarantined``
-for one that exhausted its retries — and the file is flushed per
-record, so a run killed mid-sweep leaves a faithful journal behind.
+for one that failed — and the file is flushed per record, so a run
+killed mid-sweep leaves a faithful journal behind.
 
 ``--resume`` reads the journal back and serves journaled-``done``
 tasks from the result cache instead of re-executing them.  Staleness
@@ -91,16 +91,10 @@ class RunJournal:
         if not resume:
             self.path.write_text("")
 
-    def record(self, label: str, *, status: str, key: str,
-               attempts: int = 1) -> None:
+    def record(self, label: str, *, status: str, key: str) -> None:
         """Append one settled task; flushed (and the line complete)
         before returning so an interrupt cannot lose it."""
-        entry = {
-            "label": label,
-            "status": status,
-            "key": key,
-            "attempts": attempts,
-        }
+        entry = {"label": label, "status": status, "key": key}
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
@@ -128,7 +122,7 @@ class RunJournal:
     def completed(self) -> dict[str, str]:
         """``label -> cache key`` for tasks journaled ``done`` (latest
         record per label wins, so a quarantine followed by a successful
-        retry on resume counts as done)."""
+        rerun on resume counts as done)."""
         done: dict[str, str] = {}
         for record in self.entries():
             label = record.get("label", "")

@@ -3,9 +3,9 @@
 Every task (an experiment, or one shard of a sharded experiment) gets a
 :class:`TaskMetrics` record — wall time, cache hit/miss, the worker that
 ran it, the event tallies the simulators reported while it ran
-(GSPN firings, MP ops), and — under the supervised executor — how many
-attempts it took and, for a quarantined task, the full failure record
-(kind, exception type, message, traceback, worker pid).
+(GSPN firings, MP ops), and — for a task the supervised executor
+quarantined — the full failure record (kind, exception type, message,
+traceback, worker pid).
 :class:`RunMetrics` aggregates them into the JSON artifact behind
 ``--metrics-out`` and the summary table printed after a run.
 """
@@ -23,7 +23,8 @@ from pathlib import Path
 # v4: per-task "fingerprint_kind" — which code fingerprint keyed the
 # task's cache entry: "slice" (per-entry-point dependency slice) or
 # "tree" (whole-package hash); "" when the run had no cache.
-METRICS_SCHEMA_VERSION = 4
+# v5: per-task "attempts" dropped — every task gets exactly one attempt.
+METRICS_SCHEMA_VERSION = 5
 
 STATUS_OK = "ok"
 STATUS_QUARANTINED = "quarantined"
@@ -39,7 +40,6 @@ class TaskMetrics:
     tallies: dict[str, int] = field(default_factory=dict)
     key: str = ""
     status: str = STATUS_OK  # "ok" | "quarantined"
-    attempts: int = 1
     failure: dict | None = None  # TaskFailure.to_json() when quarantined
     fingerprint_kind: str = ""  # "slice" | "tree" | "" (no cache)
 
@@ -53,7 +53,6 @@ class TaskMetrics:
             "tallies": dict(self.tallies),
             "key": self.key,
             "status": self.status,
-            "attempts": self.attempts,
             "fingerprint_kind": self.fingerprint_kind,
         }
         if self.failure is not None:
@@ -165,8 +164,8 @@ class RunMetrics:
                 info = task.failure or {}
                 lines.append(
                     f"  {task.experiment}/{task.shard or '-'}: "
-                    f"{info.get('kind', '?')} after {task.attempts} "
-                    f"attempt(s) — {info.get('error_type', '?')}: "
+                    f"{info.get('kind', '?')} — "
+                    f"{info.get('error_type', '?')}: "
                     f"{info.get('message', '')}"
                 )
             return "\n".join(lines)

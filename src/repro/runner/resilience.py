@@ -1,65 +1,50 @@
-"""Supervised task execution: timeouts, retries, quarantine.
+"""Supervised task execution: timeouts, crash detection, quarantine.
 
 :func:`supervised_map` is the fault-tolerant replacement for a bare
-``pool.map``: it runs ``fn(item)`` for every item, each attempt in its
-own single-task worker process, under a supervisor that
+``pool.map``: it runs ``fn(item)`` for every item, each in its own
+single-task worker process, under a supervisor that
 
-- enforces a per-attempt wall-clock **timeout**, killing and replacing
-  a stuck worker (``SIGTERM`` then ``SIGKILL``);
+- enforces a per-task wall-clock **timeout**, killing a stuck worker
+  (``SIGTERM`` then ``SIGKILL``);
 - detects **crashes** (a worker that exits without reporting a result,
-  e.g. a segfault or ``os._exit``) and **corrupted results** (the
-  worker sends a SHA-256 digest of its pickled result; the supervisor
-  verifies the bytes it received);
-- **retries** failed attempts with deterministic linear backoff
-  (``backoff_s * attempts-so-far``, no jitter) up to
-  ``max_retries`` extra attempts;
-- **quarantines** a task that exhausts its retries: the failure
-  (kind, exception type, message, traceback, attempt count, worker
-  pid) is recorded in the returned :class:`TaskOutcome` and every
-  other task still completes — unless ``fail_fast`` asks the first
-  quarantine to abort the whole run via :class:`FailFastError`.
+  e.g. a segfault or ``os._exit``);
+- **quarantines** a failed task: the failure (kind, exception type,
+  message, traceback, worker pid) is recorded in the returned
+  :class:`TaskOutcome` and every other task still completes — unless
+  ``fail_fast`` asks the first quarantine to abort the whole run via
+  :class:`FailFastError`.
 
-With ``jobs <= 1`` attempts run inline in the calling process (same
-code path the cache and tallies rely on); supervision still applies,
-except a hung task cannot be killed, so an injected ``hang`` fails
-immediately with a timeout-kind failure.
+Each task gets exactly one attempt.  Every task here is a pure, seeded
+function, so a crash, hang or exception would only happen again on a
+retry.  A result that the parent cannot unpickle is an ``exception``
+failure that names its task, like any other.
 
-Results travel as ``(sha256 digest, pickled payload)`` pairs even
-inline, so the integrity check exercises one code path everywhere, and
-a :class:`~repro.faults.FaultPlan` can damage the payload after the
-digest is computed to prove the check works.
+With ``jobs <= 1`` tasks run inline in the calling process (same code
+path the cache and tallies rely on); supervision still applies, except
+a hung task cannot be killed, so an injected ``hang`` fails immediately
+with a timeout-kind failure.
 
-Observability spans (:mod:`repro.obs`) ride the same channel: a pooled
-attempt ships the span records it accumulated alongside its result
-payload, and the supervisor absorbs them only when the attempt settles
-successfully; a failed *inline* attempt's spans are rolled back before
-the retry.  Either way a retried task's spans appear exactly once.
-
-Determinism: a retried attempt reruns the same pure function with the
-same arguments, so retries never change results — ``jobs=N`` with
-faults injected stays byte-identical to a fault-free ``jobs=1`` run
-for every task that succeeds.
+Observability spans (:mod:`repro.obs`) ride the result pipe: a pooled
+worker ships the span records its task produced alongside the result,
+and the supervisor absorbs them only when the task succeeds.  A failed
+*inline* task's spans are rolled back, so ``jobs=1`` and ``jobs=N``
+report the same spans.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 import multiprocessing
 import os
 import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.faults import (
-    FaultPlan,
-    InjectedCrash,
-    InjectedFault,
-    corrupt_payload,
-)
+from repro.faults import FaultPlan, InjectedCrash, InjectedFault
 
 _CRASH_EXIT_CODE = 73  # what an injected crash exits with
 _HANG_SLEEP_S = 3600.0  # far beyond any sane task timeout
@@ -68,28 +53,21 @@ _KILL_GRACE_S = 2.0  # SIGTERM -> SIGKILL escalation window
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How hard to try before giving a task up.
+    """When to give a task up, and what a failure does to the run.
 
-    ``task_timeout`` is seconds per *attempt* (``None`` disables the
-    watchdog); ``max_retries`` counts extra attempts after the first;
-    ``backoff_s`` scales the deterministic delay before attempt *n+1*
-    (``backoff_s * n`` seconds — linear, no jitter, so runs replay
-    exactly); ``fail_fast`` turns the first quarantine into
+    ``task_timeout`` is seconds per task (``None`` disables the
+    watchdog); ``fail_fast`` turns the first quarantine into
     :class:`FailFastError` instead of carrying on.
     """
 
     task_timeout: float | None = None
-    max_retries: int = 1
-    backoff_s: float = 0.0
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {self.task_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.task_timeout is not None and not (
+                math.isfinite(self.task_timeout) and self.task_timeout > 0):
+            raise ValueError(
+                f"task_timeout must be finite and > 0, got {self.task_timeout}")
 
 
 @dataclass(frozen=True)
@@ -97,12 +75,11 @@ class TaskFailure:
     """Why one task was quarantined."""
 
     label: str
-    kind: str  # "crash" | "timeout" | "exception" | "corrupt"
+    kind: str  # "crash" | "timeout" | "exception"
     error_type: str
     message: str
     traceback: str = ""
-    attempts: int = 1
-    worker: int = 0  # pid of the last failing attempt (0 if unknown)
+    worker: int = 0  # pid of the failing process (0 if unknown)
 
     def to_json(self) -> dict:
         return {
@@ -111,15 +88,12 @@ class TaskFailure:
             "error_type": self.error_type,
             "message": self.message,
             "traceback": self.traceback,
-            "attempts": self.attempts,
             "worker": self.worker,
         }
 
     def describe(self) -> str:
-        return (
-            f"{self.label}: {self.kind} after {self.attempts} attempt(s) — "
-            f"{self.error_type}: {self.message}"
-        )
+        return (f"{self.label}: {self.kind} — "
+                f"{self.error_type}: {self.message}")
 
 
 @dataclass
@@ -129,8 +103,7 @@ class TaskOutcome:
     label: str
     result: Any = None
     failure: TaskFailure | None = None
-    attempts: int = 1
-    wall_s: float = 0.0  # supervisor-side elapsed across all attempts
+    wall_s: float = 0.0  # supervisor-side elapsed
 
     @property
     def ok(self) -> bool:
@@ -146,28 +119,18 @@ class FailFastError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Running one task
 # ---------------------------------------------------------------------------
 
 
-def _package_result(result: Any, fault: str | None) -> tuple[str, bytes]:
-    """Pickle a result and digest the bytes; a ``corrupt`` fault damages
-    the payload *after* the digest so verification must notice."""
-    payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest()
-    if fault == "corrupt":
-        payload = corrupt_payload(payload)
-    return digest, payload
+def _run_in_worker(fn: Callable, item: Any, fault: str | None,
+                   conn) -> None:
+    """Child-process entry point: run one task, report over the pipe.
 
-
-def _attempt_in_worker(fn: Callable, item: Any, fault: str | None,
-                       conn) -> None:
-    """Child-process entry point: run one attempt, report over the pipe.
-
-    The message is either ``("ok", digest, payload, pid, spans)`` —
-    where ``spans`` are the :mod:`repro.obs` records this attempt
-    produced — or ``("error", type_name, message, traceback, pid)``; a
-    crash sends nothing at all, which the supervisor reads as EOF.
+    The message is either ``("ok", result, spans)`` — where
+    ``spans`` are the :mod:`repro.obs` records the task produced — or
+    ``("error", type_name, message, traceback, pid)``; a crash sends
+    nothing at all, which the supervisor reads as EOF.
     """
     pid = os.getpid()
     try:
@@ -179,9 +142,8 @@ def _attempt_in_worker(fn: Callable, item: Any, fault: str | None,
             raise InjectedFault(f"injected fault in worker {pid}")
         spans_before = obs.mark()
         result = fn(item)
-        digest, payload = _package_result(result, fault)
-        conn.send(("ok", digest, payload, pid, obs.since(spans_before)))
-    except BaseException as exc:  # reported to the supervisor, which retries or quarantines
+        conn.send(("ok", result, obs.since(spans_before)))
+    except BaseException as exc:  # reported to the supervisor, which quarantines
         try:
             conn.send(("error", type(exc).__name__, str(exc),
                        traceback.format_exc(), pid))
@@ -195,13 +157,12 @@ def _attempt_in_worker(fn: Callable, item: Any, fault: str | None,
         os._exit(0)
 
 
-def _attempt_inline(fn: Callable, item: Any, label: str, fault: str | None,
-                    attempts: int) -> tuple[tuple | None, TaskFailure | None]:
-    """One in-process attempt; mirrors the worker protocol.
+def _run_inline(fn: Callable, item: Any, label: str,
+                fault: str | None) -> tuple[Any, TaskFailure | None]:
+    """Run one task in this process: ``(result, failure)``.
 
-    Returns ``(message, failure)`` where ``message`` follows the worker
-    wire format and ``failure`` short-circuits kinds that need a real
-    process to express (crash, hang).
+    Kinds that need a real worker process to express (crash, hang) are
+    reported without running the task.
     """
     pid = os.getpid()
     if fault == "crash":
@@ -212,58 +173,26 @@ def _attempt_inline(fn: Callable, item: Any, label: str, fault: str | None,
         return None, TaskFailure(
             label=label, kind="crash", error_type=InjectedCrash.__name__,
             message="injected crash (inline execution)", traceback=tb,
-            attempts=attempts, worker=pid,
+            worker=pid,
         )
     if fault == "hang":
         return None, TaskFailure(
             label=label, kind="timeout", error_type="Timeout",
             message="injected hang (inline execution fails immediately: "
                     "no watchdog can kill the calling process)",
-            attempts=attempts, worker=pid,
+            worker=pid,
         )
     try:
         if fault == "raise":
             raise InjectedFault(f"injected fault in worker {pid}")
-        result = fn(item)
+        return fn(item), None
     except KeyboardInterrupt:
         raise  # the caller flushes its journal and re-raises
-    except BaseException as exc:  # converted to a TaskFailure for retry/quarantine
+    except BaseException as exc:  # converted to a TaskFailure for quarantine
         return None, TaskFailure(
             label=label, kind="exception", error_type=type(exc).__name__,
-            message=str(exc), traceback=traceback.format_exc(),
-            attempts=attempts, worker=pid,
+            message=str(exc), traceback=traceback.format_exc(), worker=pid,
         )
-    digest, payload = _package_result(result, fault)
-    # Inline spans are already in this process's record list, so the
-    # message carries none; _run_inline rolls them back on failure.
-    return ("ok", digest, payload, pid, []), None
-
-
-def _verify(message: tuple, label: str,
-            attempts: int) -> tuple[Any, TaskFailure | None, list]:
-    """Turn a worker message into ``(result, failure, spans)``, checking
-    the integrity digest against the bytes that actually arrived."""
-    if message[0] == "error":
-        _, error_type, text, tb, pid = message
-        return None, TaskFailure(
-            label=label, kind="exception", error_type=error_type,
-            message=text, traceback=tb, attempts=attempts, worker=pid,
-        ), []
-    _, digest, payload, pid, spans = message
-    if hashlib.sha256(payload).hexdigest() != digest:
-        return None, TaskFailure(
-            label=label, kind="corrupt", error_type="CorruptResult",
-            message="result payload does not match its integrity digest",
-            attempts=attempts, worker=pid,
-        ), []
-    try:
-        return pickle.loads(payload), None, spans
-    except Exception as exc:  # repro: allow(broad-except) — undecodable payload is quarantined as corrupt
-        return None, TaskFailure(
-            label=label, kind="corrupt", error_type=type(exc).__name__,
-            message=f"result payload failed to unpickle: {exc}",
-            attempts=attempts, worker=pid,
-        ), []
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +201,9 @@ def _verify(message: tuple, label: str,
 
 
 @dataclass
-class _Slot:
-    """One task moving through launch -> attempts -> settled."""
-
-    index: int
-    label: str
-    item: Any
-    attempts: int = 0
-    started: float = 0.0  # first-launch timestamp (monotonic)
-    ready_at: float = 0.0  # earliest next-attempt time (backoff)
-
-
-@dataclass
 class _Running:
-    slot: _Slot
+    index: int
+    started: float  # launch timestamp (monotonic)
     process: multiprocessing.process.BaseProcess
     conn: Any
     deadline: float | None
@@ -326,170 +244,116 @@ def supervised_map(
     policy = policy or SupervisionPolicy()
     outcomes: list[TaskOutcome | None] = [None] * len(items)
 
-    def settle(slot: _Slot, result: Any, failure: TaskFailure | None) -> bool:
-        """Record a final outcome; returns False to request a retry."""
-        if failure is not None and slot.attempts <= policy.max_retries:
-            slot.ready_at = (
-                time.monotonic()  # repro: allow(wall-clock) — backoff pacing, not simulated time
-                + policy.backoff_s * slot.attempts
-            )
-            return False
-        wall = time.monotonic() - slot.started  # repro: allow(wall-clock) — supervision bookkeeping
-        outcome = TaskOutcome(
-            label=slot.label, result=result, failure=failure,
-            attempts=slot.attempts, wall_s=wall,
-        )
-        outcomes[slot.index] = outcome
+    def fault_for(index: int) -> str | None:
+        return faults.fault_for(labels[index]) if faults else None
+
+    def settle(index: int, started: float, result: Any,
+               failure: TaskFailure | None) -> None:
+        """Record one task's outcome and report it."""
+        wall = time.monotonic() - started  # repro: allow(wall-clock) — supervision bookkeeping
+        outcome = TaskOutcome(label=labels[index], result=result,
+                              failure=failure, wall_s=wall)
+        outcomes[index] = outcome
         if on_done is not None:
-            on_done(slot.index, outcome)
+            on_done(index, outcome)
         if failure is not None and policy.fail_fast:
             raise FailFastError(failure)
-        return True
-
-    slots = [
-        _Slot(index=i, label=label, item=item)
-        for i, (item, label) in enumerate(zip(items, labels))
-    ]
 
     if jobs <= 1:
-        _run_inline(fn, slots, policy, faults, settle)
+        for index, item in enumerate(items):
+            started = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
+            spans_before = obs.mark()
+            result, failure = _run_inline(fn, item, labels[index],
+                                          fault_for(index))
+            if failure is not None:
+                # A failed pooled task's spans die with its worker;
+                # erase the inline ones so jobs=1 reports the same.
+                obs.rollback(spans_before)
+            settle(index, started, result, failure)
     else:
-        _run_pooled(fn, slots, jobs, policy, faults, settle)
-    # Every slot settles before the loops return (an abort raises past
-    # this point instead), so the list is fully populated.
+        _run_pooled(fn, items, labels, jobs, policy, fault_for, settle)
+    # Every task settles before this point (an abort raises past it
+    # instead), so the list is fully populated.
     return outcomes  # type: ignore[return-value]
 
 
-def _run_inline(fn, slots, policy, faults, settle) -> None:
-    for slot in slots:
-        slot.started = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
-        while True:
-            slot.attempts += 1
-            fault = faults.fault_for(slot.label, slot.attempts) if faults else None
-            spans_before = obs.mark()
-            message, failure = _attempt_inline(
-                fn, slot.item, slot.label, fault, slot.attempts
-            )
-            result = None
-            if failure is None and message is not None:
-                result, failure, _ = _verify(message, slot.label, slot.attempts)
-            if failure is not None:
-                # Erase the failed attempt's spans so a retry (or the
-                # quarantine) never reports its work twice.
-                obs.rollback(spans_before)
-            if settle(slot, result, failure):
-                break
-            pause = slot.ready_at - time.monotonic()  # repro: allow(wall-clock) — backoff pacing
-            if pause > 0:
-                time.sleep(pause)
-
-
-def _run_pooled(fn, slots, jobs, policy, faults, settle) -> None:
+def _run_pooled(fn, items, labels, jobs, policy, fault_for, settle) -> None:
     from multiprocessing.connection import wait as wait_connections
 
     ctx = multiprocessing.get_context()
-    pending: deque[_Slot] = deque(slots)
-    waiting: list[_Slot] = []  # in backoff, not yet re-queued
+    pending: deque[int] = deque(range(len(items)))
     running: dict[Any, _Running] = {}
 
-    def launch(slot: _Slot) -> None:
-        slot.attempts += 1
-        now = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
-        if slot.attempts == 1:
-            slot.started = now
-        fault = faults.fault_for(slot.label, slot.attempts) if faults else None
+    def launch(index: int) -> None:
+        started = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
-            target=_attempt_in_worker,
-            args=(fn, slot.item, fault, child_conn),
+            target=_run_in_worker,
+            args=(fn, items[index], fault_for(index), child_conn),
             daemon=True,
         )
         process.start()
         child_conn.close()
         deadline = (
-            now + policy.task_timeout if policy.task_timeout is not None
+            started + policy.task_timeout if policy.task_timeout is not None
             else None
         )
-        running[parent_conn] = _Running(slot, process, parent_conn, deadline)
+        running[parent_conn] = _Running(index, started, process, parent_conn,
+                                        deadline)
 
-    def settle_running(entry: _Running, result: Any,
-                       failure: TaskFailure | None) -> None:
-        if not settle(entry.slot, result, failure):
-            waiting.append(entry.slot)
+    def fail(entry: _Running, kind: str, error_type: str, message: str,
+             tb: str, worker: int) -> None:
+        settle(entry.index, entry.started, None, TaskFailure(
+            label=labels[entry.index], kind=kind, error_type=error_type,
+            message=message, traceback=tb, worker=worker,
+        ))
 
     def receive(entry: _Running) -> None:
+        pid = entry.process.pid or 0
         try:
             message = entry.conn.recv()
         except (EOFError, OSError):
             message = None
+        except Exception as exc:  # the result arrived but will not unpickle
+            message = ("error", type(exc).__name__,
+                       f"result failed to unpickle in the supervisor: {exc}",
+                       traceback.format_exc(), pid)
         entry.conn.close()
         entry.process.join()
         if message is None:
             code = entry.process.exitcode
-            settle_running(entry, None, TaskFailure(
-                label=entry.slot.label, kind="crash",
-                error_type="WorkerCrash",
-                message=f"worker pid {entry.process.pid} exited with code "
-                        f"{code} before reporting a result",
-                traceback=f"(no Python traceback: worker pid "
-                          f"{entry.process.pid} died with exit code {code} "
-                          f"before reporting a result)",
-                attempts=entry.slot.attempts,
-                worker=entry.process.pid or 0,
-            ))
-            return
-        result, failure, spans = _verify(message, entry.slot.label,
-                                         entry.slot.attempts)
-        if failure is None and spans:
-            # A successful attempt never retries, so absorbing here
-            # counts each task's spans exactly once; failed or crashed
-            # attempts' spans die with their worker process.
+            fail(entry, "crash", "WorkerCrash",
+                 f"worker pid {pid} exited with code {code} before "
+                 f"reporting a result",
+                 f"(no Python traceback: worker pid {pid} died with exit "
+                 f"code {code} before reporting a result)", pid)
+        elif message[0] == "error":
+            _, error_type, text, tb, worker = message
+            fail(entry, "exception", error_type, text, tb, worker)
+        else:
+            _, result, spans = message
+            # Only a successful task's spans are kept; a failed task's
+            # die with its worker process.
             obs.absorb(spans)
-        settle_running(entry, result, failure)
+            settle(entry.index, entry.started, result, None)
 
     def expire(entry: _Running) -> None:
         _terminate(entry.process)
         entry.conn.close()
-        settle_running(entry, None, TaskFailure(
-            label=entry.slot.label, kind="timeout", error_type="Timeout",
-            message=f"attempt exceeded --task-timeout "
-                    f"({policy.task_timeout:g}s); worker pid "
-                    f"{entry.process.pid} killed and replaced",
-            attempts=entry.slot.attempts, worker=entry.process.pid or 0,
-        ))
+        fail(entry, "timeout", "Timeout",
+             f"task exceeded --task-timeout ({policy.task_timeout:g}s); "
+             f"worker pid {entry.process.pid} killed", "",
+             entry.process.pid or 0)
 
     try:
-        while pending or waiting or running:
-            now = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
-            # Re-queue tasks whose backoff has elapsed.
-            still_waiting = []
-            for slot in waiting:
-                if slot.ready_at <= now:
-                    pending.append(slot)
-                else:
-                    still_waiting.append(slot)
-            waiting[:] = still_waiting
+        while pending or running:
             while pending and len(running) < jobs:
                 launch(pending.popleft())
-            if not running:
-                # Everything left is in backoff; sleep until the nearest.
-                if waiting:
-                    nearest = min(slot.ready_at for slot in waiting)
-                    pause = nearest - time.monotonic()  # repro: allow(wall-clock) — backoff pacing
-                    if pause > 0:
-                        time.sleep(pause)
-                continue
-            timeout = None
             deadlines = [e.deadline for e in running.values()
                          if e.deadline is not None]
-            if deadlines:
-                timeout = max(0.0, min(deadlines) - now)
-            if waiting:
-                nearest = min(slot.ready_at for slot in waiting) - now
-                timeout = nearest if timeout is None else min(timeout, nearest)
-                timeout = max(0.0, timeout)
-            ready = wait_connections(list(running), timeout=timeout)
-            for conn in ready:
+            now = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
+            timeout = max(0.0, min(deadlines) - now) if deadlines else None
+            for conn in wait_connections(list(running), timeout=timeout):
                 receive(running.pop(conn))
             now = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
             for conn in [c for c, e in running.items()
@@ -500,31 +364,3 @@ def _run_pooled(fn, slots, jobs, policy, faults, settle) -> None:
             _terminate(entry.process)
             entry.conn.close()
         raise
-
-
-def supervised_call(
-    fn: Callable,
-    *,
-    label: str,
-    policy: SupervisionPolicy | None = None,
-    faults: FaultPlan | None = None,
-    args: tuple = (),
-    kwargs: dict | None = None,
-) -> Any:
-    """Run one callable inline under the supervision policy.
-
-    The single-task convenience the benchmark harness uses: same
-    attempt/retry/integrity engine as :func:`supervised_map`, but the
-    result is returned directly and an exhausted task raises
-    :class:`FailFastError` (there is no sweep to keep alive).
-    """
-    def invoke(_item) -> Any:
-        return fn(*args, **(kwargs or {}))
-
-    [outcome] = supervised_map(
-        invoke, [None], labels=[label], jobs=1,
-        policy=policy, faults=faults,
-    )
-    if outcome.failure is not None:
-        raise FailFastError(outcome.failure)
-    return outcome.result

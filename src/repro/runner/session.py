@@ -4,10 +4,9 @@
 runs the same way, and this module is the one place that way is spelled
 out:
 
-- :func:`add_run_flags` declares the ten run flags (``--jobs``,
+- :func:`add_run_flags` declares the nine run flags (``--jobs``,
   ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--task-timeout``,
-  ``--max-retries``, ``--resume``, ``--fail-fast``, ``--inject``,
-  ``--trace``) on a parser.
+  ``--resume``, ``--fail-fast``, ``--inject``, ``--trace``) on a parser.
 - :func:`open_session` turns the parsed flags into a :class:`RunSession`:
   the result cache, the fault plan (``--inject`` plus ``$REPRO_INJECT``),
   the supervision policy and the resume journal, with tracing enabled
@@ -82,16 +81,8 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-attempt wall-clock limit; a stuck worker is killed, "
-             "replaced, and the task retried (default: no limit)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts for a crashed/hung/failed task before it "
-             "is quarantined (default 1)",
+        help="per-task wall-clock limit; a stuck worker is killed and "
+             "the task quarantined (default: no limit)",
     )
     parser.add_argument(
         "--resume",
@@ -112,9 +103,9 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         metavar="LABEL=KIND",
         help="deterministic fault injection for testing: fault tasks "
              "matching LABEL (fnmatch over task labels, e.g. 'figure7/*' "
-             "or 'sweep:figure7/*') with KIND (crash, hang, raise, "
-             "corrupt), optionally only the first N attempts (':N'); "
-             "repeatable, also read from $REPRO_INJECT",
+             "or 'sweep:figure7/*') with KIND (crash, hang, raise; "
+             "hang needs --task-timeout); repeatable, also read from "
+             "$REPRO_INJECT",
     )
     parser.add_argument(
         "--trace",
@@ -219,10 +210,14 @@ def open_session(args: argparse.Namespace) -> RunSession | int:
     except FaultPlanError as exc:
         print(f"bad --inject / $REPRO_INJECT: {exc}", file=sys.stderr)
         return 2
+    if args.task_timeout is None and \
+            any(spec.kind == "hang" for spec in faults.specs):
+        print("a hang injection needs --task-timeout; nothing else ends "
+              "the hung task", file=sys.stderr)
+        return 2
     try:
         policy = SupervisionPolicy(
             task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
             fail_fast=args.fail_fast,
         )
     except ValueError as exc:

@@ -4,7 +4,7 @@ A *sweep* is a checked-in TOML/JSON spec (``artifacts/sweeps/``) that
 names a base pipeline (:mod:`repro.sweep.points`), the axes to vary,
 and the objectives to optimise.  :mod:`repro.sweep.spec` validates and
 expands the spec, :mod:`repro.sweep.engine` compiles each configuration
-onto the supervised experiment runner (inheriting caching, retries,
+onto the supervised experiment runner (inheriting caching, quarantine,
 fault injection, resume and span tracing), :mod:`repro.sweep.pareto`
 reduces the results to a Pareto frontier, and :mod:`repro.sweep.report`
 renders the deterministic artifact plus the auto-generated SWEEPS.md.

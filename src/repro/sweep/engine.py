@@ -11,7 +11,7 @@
    configuration collapse onto a single cached result, and editing code
    outside the base's dependency slice invalidates nothing.
 2. **fan out** — the tasks go through :func:`repro.runner.run_tasks`
-   unchanged, inheriting the supervised pool: retries, quarantine,
+   unchanged, inheriting the supervised pool: timeouts, quarantine,
    fault injection, the fingerprint-keyed journal behind ``--resume``,
    and span transport back from workers.
 3. **reduce** — surviving metric dicts are Pareto-classified
@@ -91,7 +91,7 @@ def run_sweep(
     """Run every configuration of ``spec`` and reduce the results.
 
     Returns ``(outcome, metrics)``.  Quarantined configurations (the
-    supervised pool exhausted their retries) appear in
+    supervised pool gave them up) appear in
     ``outcome.failed`` with empty metrics and are excluded from the
     Pareto classification; the per-task failure records live in
     ``metrics`` exactly as for registered experiments.

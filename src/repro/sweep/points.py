@@ -9,7 +9,7 @@ knobs (benchmark, trace length, seed), and whose return value is a flat
 (:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
 per expanded configuration over these functions, so every configuration
 
-- runs through the supervised process pool (retries, fault injection,
+- runs through the supervised process pool (quarantine, fault injection,
   ``--resume``, span transport) exactly like a registered experiment,
   and
 - caches under a :func:`repro.runner.fingerprint.slice_fingerprint`

@@ -215,6 +215,15 @@ class TestCLIObservability:
         assert stages
         assert set(stages) <= {e["name"] for e in events}
 
+    def test_retry_flag_removed(self, capsys, entry):
+        # Every task is pure and seeded, so a retry could only repeat
+        # the failure; each task gets one attempt and the flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            entry("--max-retries", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-retries" \
+            in capsys.readouterr().err
+
     def test_perf_summary_flag_removed(self, capsys, entry):
         # --perf-summary once wrote a second per-run record; the stages
         # rollup now rides in --metrics-out, and the flag is unknown.
@@ -236,7 +245,7 @@ class TestCLIFaultTolerance:
             self, capsys, cache_dir, tmp_path):
         out = tmp_path / "metrics.json"
         assert main([
-            "table1", "--inject", "table1=crash", "--max-retries", "0",
+            "table1", "--inject", "table1=crash",
             "--metrics-out", str(out),
         ]) == 1
         err = capsys.readouterr().err
@@ -245,12 +254,6 @@ class TestCLIFaultTolerance:
         assert data["quarantined"] == 1
         [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
         assert task["failure"]["kind"] == "crash"
-
-    def test_injected_crash_recovers_with_a_retry(self, capsys, cache_dir):
-        assert main([
-            "table1", "--inject", "table1=crash:1", "--max-retries", "1",
-        ]) == 0
-        assert "SparcStation-5" in capsys.readouterr().out
 
     def test_resume_serves_journaled_shards(self, capsys, cache_dir, tmp_path):
         assert main(["table1"]) == 0
@@ -271,8 +274,26 @@ class TestCLIFaultTolerance:
         assert "inject" in capsys.readouterr().err.lower()
 
     def test_bad_timeout_rejected(self, capsys, cache_dir, entry):
-        assert entry("--task-timeout", "0") == 2
-        assert "task_timeout" in capsys.readouterr().err
+        # inf would overflow selectors.select; nan would never expire.
+        for timeout in ("0", "inf", "nan"):
+            assert entry("--task-timeout", timeout) == 2
+            assert "task_timeout must be finite and > 0" \
+                in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_hang_needs_a_task_timeout(
+            self, capsys, cache_dir, monkeypatch, entry, source):
+        # Without a watchdog nothing ends a hung worker.  ("*" because
+        # $REPRO_INJECT splits on the commas sweep labels contain.)
+        inject = "*=hang"
+        if source == "env":
+            monkeypatch.setenv("REPRO_INJECT", inject)
+            status = entry()
+        else:
+            status = entry("--inject", inject)
+        assert status == 2
+        assert "hang injection needs --task-timeout" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_rejected(self, capsys, entry, jobs):
@@ -284,7 +305,7 @@ class TestCLIFaultTolerance:
 
     def test_fail_fast_aborts(self, capsys, cache_dir, entry):
         assert entry("--inject", f"{entry.label}=raise",
-                     "--max-retries", "0", "--fail-fast") == 1
+                     "--fail-fast") == 1
         err = capsys.readouterr().err
         assert "fail-fast" in err and "--resume" in err
 

@@ -6,11 +6,9 @@ import pytest
 
 from repro import obs
 from repro.common import tally
-from repro.faults import FaultPlan
 from repro.runner import (
     METRICS_SCHEMA_VERSION,
     ResultCache,
-    SupervisionPolicy,
     Task,
     run_tasks,
 )
@@ -26,6 +24,12 @@ def _tasks():
     return [
         Task("demo", str(n), _work, {"n": n, "seed": n}) for n in (1, 2, 3, 4)
     ]
+
+
+def _span_then_raise():
+    with obs.span("demo/inner"):
+        tally.add("gspn_firings", 5)
+        raise RuntimeError("fails after opening a span")
 
 
 class TestRunTasks:
@@ -79,11 +83,11 @@ class TestMetricsJSON:
         for task in data["tasks"]:
             assert set(task) == {
                 "experiment", "shard", "cache", "wall_s", "worker",
-                "tallies", "key", "status", "attempts", "fingerprint_kind",
+                "tallies", "key", "status", "fingerprint_kind",
             }
             assert task["cache"] in ("hit", "miss", "off", "resumed")
             assert task["fingerprint_kind"] in ("slice", "tree")
-            assert task["status"] == "ok" and task["attempts"] == 1
+            assert task["status"] == "ok"
             assert task["tallies"] == {"gspn_firings": 10 * int(task["shard"])}
 
     def test_render_mentions_cache_and_jobs(self):
@@ -95,8 +99,8 @@ class TestMetricsJSON:
 
 
 class TestSpanCollection:
-    """Tracing across the executor: every settled task contributes its
-    spans exactly once, whatever mix of workers, retries, and crashes."""
+    """Tracing across the executor: every successful task contributes
+    its spans exactly once, and a failed task none, at any ``jobs``."""
 
     @pytest.fixture(autouse=True)
     def tracing(self):
@@ -135,33 +139,17 @@ class TestSpanCollection:
         ]
         assert metrics.stages["task/demo/3"]["counters"]["gspn_firings"] == 30
 
-    def test_crashed_attempt_spans_are_not_double_counted(self):
-        # demo/2's first pooled attempt crashes; its spans die with the
-        # worker, and only the successful retry's spans come back.
-        faults = FaultPlan.parse(["demo/2=crash:1"])
-        _, metrics = run_tasks(
-            _tasks(), jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_retries=1),
-        )
-        assert metrics.quarantined == 0
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_task_spans_are_dropped(self, jobs):
+        # A pooled task's spans die with its worker; inline, they must be
+        # rolled back, or jobs=1 would report spans jobs=2 never sees.
+        tasks = _tasks() + [Task("demo", "boom", _span_then_raise, {})]
+        _, metrics = run_tasks(tasks, jobs=jobs)
+        [failed] = metrics.failures
+        assert failed.shard == "boom"
+        assert failed.failure["error_type"] == "RuntimeError"
         assert self._task_spans() == [
             "task/demo/1", "task/demo/2", "task/demo/3", "task/demo/4"
         ]
-        assert metrics.stages["task/demo/2"]["count"] == 1
-        assert metrics.stages["task/demo/2"]["counters"]["gspn_firings"] == 20
-
-    def test_failed_inline_attempt_spans_roll_back(self):
-        # Inline execution (jobs=1) shares the supervisor's record list;
-        # a corrupt first attempt's spans must be erased before the
-        # retry, or the stage would count the task twice.
-        faults = FaultPlan.parse(["demo/3=corrupt:1"])
-        _, metrics = run_tasks(
-            _tasks(), jobs=1, faults=faults,
-            policy=SupervisionPolicy(max_retries=1),
-        )
-        assert metrics.quarantined == 0
-        assert self._task_spans() == [
-            "task/demo/1", "task/demo/2", "task/demo/3", "task/demo/4"
-        ]
-        assert metrics.stages["task/demo/3"]["count"] == 1
-        assert metrics.stages["task/demo/3"]["counters"]["gspn_firings"] == 30
+        assert not any(r.name == "demo/inner" for r in obs.records())
+        assert "task/demo/boom" not in metrics.stages

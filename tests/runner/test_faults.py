@@ -7,7 +7,6 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
     FaultSpec,
-    corrupt_payload,
     parse_fault_entry,
 )
 
@@ -15,11 +14,7 @@ from repro.faults import (
 class TestParsing:
     def test_label_kind(self):
         spec = parse_fault_entry("figure7/126.gcc=crash")
-        assert spec == FaultSpec("figure7/126.gcc", "crash", None)
-
-    def test_attempt_bound(self):
-        spec = parse_fault_entry("table1=raise:2")
-        assert spec.times == 2
+        assert spec == FaultSpec("figure7/126.gcc", "crash")
 
     def test_label_may_contain_equals(self):
         spec = parse_fault_entry(
@@ -29,7 +24,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("bad", [
         "no-equals", "=crash", "x=", "x=unknown", "x=crash:zero",
-        "x=crash:0",
+        "x=crash:0", "x=crash:1", "x=corrupt",
     ])
     def test_bad_entries_rejected(self, bad):
         with pytest.raises(FaultPlanError):
@@ -40,7 +35,7 @@ class TestParsing:
         assert len(plan.specs) == 1
 
     def test_from_env(self):
-        plan = FaultPlan.from_env({ENV_INJECT: "a=crash, b=raise:1"})
+        plan = FaultPlan.from_env({ENV_INJECT: "a=crash, b=raise"})
         assert [s.kind for s in plan.specs] == ["crash", "raise"]
         assert not FaultPlan.from_env({})
 
@@ -48,40 +43,20 @@ class TestParsing:
 class TestMatching:
     def test_exact_label(self):
         plan = FaultPlan.parse(["figure7/126.gcc=crash"])
-        assert plan.fault_for("figure7/126.gcc", 1) == "crash"
-        assert plan.fault_for("figure7/102.swim", 1) is None
+        assert plan.fault_for("figure7/126.gcc") == "crash"
+        assert plan.fault_for("figure7/102.swim") is None
 
     def test_glob_matches_every_shard(self):
         plan = FaultPlan.parse(["figure7/*=hang"])
-        assert plan.fault_for("figure7/126.gcc", 1) == "hang"
-        assert plan.fault_for("figure8/126.gcc", 1) is None
-
-    def test_times_bounds_attempts(self):
-        plan = FaultPlan.parse(["t=crash:2"])
-        assert plan.fault_for("t", 1) == "crash"
-        assert plan.fault_for("t", 2) == "crash"
-        assert plan.fault_for("t", 3) is None
-
-    def test_unbounded_faults_every_attempt(self):
-        plan = FaultPlan.parse(["t=corrupt"])
-        assert all(plan.fault_for("t", n) == "corrupt" for n in (1, 5, 50))
+        assert plan.fault_for("figure7/126.gcc") == "hang"
+        assert plan.fault_for("figure8/126.gcc") is None
 
     def test_first_match_wins(self):
-        plan = FaultPlan.parse(["t=crash:1", "t=raise"])
-        assert plan.fault_for("t", 1) == "crash"
-        assert plan.fault_for("t", 2) == "raise"
+        plan = FaultPlan.parse(["t/1=crash", "t/*=raise"])
+        assert plan.fault_for("t/1") == "crash"
+        assert plan.fault_for("t/2") == "raise"
 
     def test_empty_plan_is_falsy(self):
         assert not FaultPlan()
         assert FaultPlan.parse(["t=crash"])
 
-
-class TestCorruptPayload:
-    def test_deterministic_and_damaging(self):
-        payload = b"\x80\x05data"
-        assert corrupt_payload(payload) != payload
-        assert corrupt_payload(payload) == corrupt_payload(payload)
-        assert len(corrupt_payload(payload)) == len(payload)
-
-    def test_empty_payload_still_changes(self):
-        assert corrupt_payload(b"") != b""

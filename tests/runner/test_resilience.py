@@ -1,4 +1,4 @@
-"""Supervised executor: retries, timeouts, quarantine, resume, faults.
+"""Supervised executor: timeouts, quarantine, resume, faults.
 
 Every fault here is injected through :mod:`repro.faults`, so the
 failure scenarios are deterministic — no flaky sleeps or real
@@ -6,11 +6,12 @@ segfaults, and the healthy shards must stay byte-identical to a
 fault-free run.
 """
 
+import json
+import math
 import time
 
 import pytest
 
-from repro.common.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.runner import (
     FailFastError,
@@ -19,7 +20,6 @@ from repro.runner import (
     SupervisionPolicy,
     Task,
     run_tasks,
-    supervised_call,
     supervised_map,
 )
 
@@ -43,50 +43,27 @@ def _sleepy(duration=30.0):
     return duration
 
 
-FAST = dict(policy=SupervisionPolicy(max_retries=1))
+def _refuse_to_load(label):
+    raise ValueError(f"{label} cannot be rebuilt here")
 
 
-class TestRetry:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_crash_then_retry_succeeds(self, jobs):
-        # The first attempt of demo/2 crashes; the retry must succeed
-        # and the sweep's results must match a fault-free run exactly.
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        faults = FaultPlan.parse(["demo/2=crash:1"])
-        results, metrics = run_tasks(
-            _tasks(), jobs=jobs, faults=faults,
-            policy=SupervisionPolicy(max_retries=1),
-        )
-        assert results == clean
-        assert metrics.quarantined == 0
-        by_shard = {t.shard: t for t in metrics.tasks}
-        assert by_shard["2"].attempts == 2
-        assert all(by_shard[s].attempts == 1 for s in "134")
+class _Unloadable:
+    """Pickles fine in the worker; raises while the parent unpickles it."""
 
-    @pytest.mark.parametrize("kind", ["crash", "raise", "corrupt"])
-    def test_each_fault_kind_recovers_after_one_retry(self, kind):
-        faults = FaultPlan.parse([f"demo/3={kind}:1"])
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        results, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
-        assert results == clean and metrics.quarantined == 0
+    def __reduce__(self):
+        return _refuse_to_load, ("demo/bad",)
 
-    def test_deterministic_backoff_is_applied(self):
-        faults = FaultPlan.parse(["demo/1=raise:1"])
-        started = time.monotonic()
-        _, metrics = run_tasks(
-            [_tasks()[0]], jobs=1, faults=faults,
-            policy=SupervisionPolicy(max_retries=1, backoff_s=0.2),
-        )
-        assert time.monotonic() - started >= 0.2
-        assert metrics.tasks[0].attempts == 2
+
+def _unloadable():
+    return _Unloadable()
 
 
 class TestQuarantine:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_retries_quarantine_only_that_shard(self, jobs):
         clean, _ = run_tasks(_tasks(), jobs=1)
-        faults = FaultPlan.parse(["demo/2=crash"])  # every attempt
-        results, metrics = run_tasks(_tasks(), jobs=jobs, faults=faults, **FAST)
+        faults = FaultPlan.parse(["demo/2=crash"])
+        results, metrics = run_tasks(_tasks(), jobs=jobs, faults=faults)
         # The healthy shards are byte-identical to the fault-free run.
         assert ("demo", "2") not in results
         assert results == {k: v for k, v in clean.items() if k[1] != "2"}
@@ -94,58 +71,64 @@ class TestQuarantine:
         [failed] = metrics.failures
         assert failed.shard == "2"
         assert failed.status == "quarantined"
-        assert failed.attempts == 2
         assert failed.failure["kind"] == "crash"
 
     def test_k_injected_faults_give_exactly_k_quarantines(self):
         clean, _ = run_tasks(_tasks(), jobs=1)
         faults = FaultPlan.parse(["demo/1=raise", "demo/4=crash"])
-        results, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
+        results, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
         assert metrics.quarantined == 2
         assert sorted(results) == [("demo", "2"), ("demo", "3")]
         assert all(results[k] == clean[k] for k in results)
 
     def test_exception_fault_records_type_and_traceback(self):
         faults = FaultPlan.parse(["demo/1=raise"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
+        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
         [failed] = metrics.failures
         assert failed.failure["error_type"] == "InjectedFault"
         assert "InjectedFault" in failed.failure["traceback"]
         assert failed.failure["worker"] > 0
 
-    def test_corrupted_result_detected_by_integrity_digest(self):
-        faults = FaultPlan.parse(["demo/3=corrupt"])
-        results, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
+    def test_result_that_fails_to_unpickle_is_quarantined(self):
+        # The worker pickles the result fine; the parent's unpickle
+        # raises.  That is a typed exception-kind failure naming the
+        # task, and the healthy shards still complete.
+        clean, _ = run_tasks(_tasks(), jobs=1)
+        tasks = _tasks() + [Task("demo", "bad", _unloadable, {})]
+        results, metrics = run_tasks(tasks, jobs=2)
+        assert results == clean
         [failed] = metrics.failures
-        assert failed.failure["kind"] == "corrupt"
-        assert ("demo", "3") not in results
+        assert failed.shard == "bad"
+        assert failed.failure["kind"] == "exception"
+        assert failed.failure["label"] == "demo/bad"
+        assert failed.failure["error_type"] == "ValueError"
+        assert "failed to unpickle" in failed.failure["message"]
+        assert "demo/bad cannot be rebuilt here" in failed.failure["message"]
 
     def test_metrics_json_carries_the_failure(self, tmp_path):
         faults = FaultPlan.parse(["demo/2=crash"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
+        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
         out = tmp_path / "metrics.json"
         metrics.write(out)
-        import json
-
         data = json.loads(out.read_text())
         assert data["quarantined"] == 1
         [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
         assert task["failure"]["kind"] == "crash"
-        assert task["attempts"] == 2
+        assert task["failure"]["label"] == "demo/2"
 
     def test_render_lists_quarantined_shards(self):
         faults = FaultPlan.parse(["demo/2=crash"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults, **FAST)
-        text = metrics.render()
-        assert "quarantined shards:" in text
-        assert "demo/2" in text
+        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
+        lines = metrics.render().splitlines()
+        assert "quarantined shards:" in lines
+        assert lines[-1].startswith("  demo/2: crash — WorkerCrash: ")
 
     def test_fail_fast_aborts_the_sweep(self):
         faults = FaultPlan.parse(["demo/1=raise"])
         with pytest.raises(FailFastError) as err:
             run_tasks(
                 _tasks(), jobs=1, faults=faults,
-                policy=SupervisionPolicy(max_retries=0, fail_fast=True),
+                policy=SupervisionPolicy(fail_fast=True),
             )
         assert err.value.failure.label == "demo/1"
 
@@ -158,32 +141,19 @@ class TestTimeout:
         faults = FaultPlan.parse(["demo/2=hang"])
         results, metrics = run_tasks(
             _tasks(), jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_retries=0, task_timeout=0.5),
+            policy=SupervisionPolicy(task_timeout=0.5),
         )
         [failed] = metrics.failures
         assert failed.failure["kind"] == "timeout"
         assert failed.failure["worker"] > 0
         assert results == {k: v for k, v in clean.items() if k[1] != "2"}
 
-    def test_timeout_then_replacement_retry_succeeds(self):
-        # First attempt hangs, the replacement worker's attempt runs clean.
-        faults = FaultPlan.parse(["demo/2=hang:1"])
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        results, metrics = run_tasks(
-            _tasks(), jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_retries=1, task_timeout=0.5),
-        )
-        assert results == clean
-        assert metrics.quarantined == 0
-        by_shard = {t.shard: t for t in metrics.tasks}
-        assert by_shard["2"].attempts == 2
-
     def test_genuinely_slow_task_times_out(self):
         tasks = [Task("slow", "1", _sleepy, {"duration": 30.0}),
                  Task("slow", "2", _work, {"n": 2})]
         results, metrics = run_tasks(
             tasks, jobs=2,
-            policy=SupervisionPolicy(max_retries=0, task_timeout=0.5),
+            policy=SupervisionPolicy(task_timeout=0.5),
         )
         [failed] = metrics.failures
         assert failed.shard == "1" and failed.failure["kind"] == "timeout"
@@ -233,7 +203,6 @@ class TestJournalResume:
         faults = FaultPlan.parse(["demo/2=crash"])
         _, metrics = run_tasks(
             _tasks(), jobs=1, cache=cache, journal=journal, faults=faults,
-            policy=SupervisionPolicy(max_retries=0),
         )
         assert metrics.quarantined == 1
         assert "demo/2" not in journal.completed()
@@ -305,37 +274,8 @@ def _probe(n):
     return n * n
 
 
-def _fragile(attempts=()):
-    raise SimulationError("always fails")
-
-
-class TestSupervisedCall:
-    def test_returns_result(self):
-        assert supervised_call(_probe, label="one", args=(5,)) == 25
-
-    def test_exhaustion_raises_fail_fast(self):
-        with pytest.raises(FailFastError) as err:
-            supervised_call(
-                _fragile, label="bench:fragile",
-                policy=SupervisionPolicy(max_retries=1),
-            )
-        assert err.value.failure.attempts == 2
-        assert err.value.failure.error_type == "SimulationError"
-
-    def test_injected_fault_applies_to_label(self):
-        faults = FaultPlan.parse(["bench:*=raise"])
-        with pytest.raises(FailFastError):
-            supervised_call(
-                _probe, label="bench:probe", args=(2,), faults=faults,
-                policy=SupervisionPolicy(max_retries=0),
-            )
-
-
 class TestPolicyValidation:
     def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            SupervisionPolicy(task_timeout=0)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            SupervisionPolicy(backoff_s=-0.1)
+        for timeout in (0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                SupervisionPolicy(task_timeout=timeout)

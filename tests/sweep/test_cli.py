@@ -74,7 +74,6 @@ class TestRun:
     def test_quarantine_exits_nonzero(self, spec_path, capsys):
         status = sweep_main([
             "run", str(spec_path), "--no-cache", "--no-report",
-            "--max-retries", "0",
             "--inject", "sweep:figure7/line_bytes=256*=raise",
         ])
         assert status == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultPlan
-from repro.runner import ResultCache, SupervisionPolicy
+from repro.runner import ResultCache
 from repro.sweep.engine import compile_tasks, run_sweep
 from repro.sweep.spec import parse_spec
 
@@ -85,10 +85,7 @@ class TestRun:
         faults = FaultPlan.parse(
             ["sweep:figure7/line_bytes=256*=raise"]
         )
-        policy = SupervisionPolicy(max_retries=0)
-        outcome, metrics = run_sweep(
-            tiny_spec(), faults=faults, policy=policy,
-        )
+        outcome, metrics = run_sweep(tiny_spec(), faults=faults)
         assert outcome.failed == ["line_bytes=256,num_banks=4"]
         assert [c.label for c in outcome.configs] == [
             "line_bytes=512,num_banks=4"]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.address import line_address, set_index, tag_of
+from repro.common.address import index_fields
 from repro.common.errors import ConfigError
 from repro.common.params import CacheGeometry, IntegratedDeviceParams
 from repro.common.units import is_power_of_two
@@ -69,16 +69,20 @@ class ColumnBufferCache(Cache):
         self._num_sets = geometry.num_sets
         self._ways = geometry.ways
         self._line = geometry.line_bytes
+        self._line_shift, self._set_mask, self._tag_shift = index_fields(
+            self._line, self._num_sets
+        )
+        self._sub_mask = ~(sub_block_bytes - 1)
         self._sets: list[list[_Line]] = [[] for _ in range(self._num_sets)]
         self.main_hits = 0
         self.victim_hits = 0
         self.last_hit_was_victim = False
 
     def _lookup_and_update(self, addr: int, write: bool) -> bool:
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         lines = self._sets[index]
-        sub_addr = line_address(addr, self.sub_block_bytes)
+        sub_addr = addr & self._sub_mask
         self.last_hit_was_victim = False
         for pos, line in enumerate(lines):
             if line.tag == tag:
@@ -103,25 +107,38 @@ class ColumnBufferCache(Cache):
             if evicted.dirty:
                 self.stats.writebacks += 1
             if self._on_evict_line is not None:
-                # Exact inverse of set_index/tag_of: CacheGeometry
-                # guarantees power-of-two line_bytes and num_sets, so
-                # (n - 1).bit_length() is their exact bit width.
-                bits_line = (self._line - 1).bit_length()
-                bits_set = (self._num_sets - 1).bit_length()
-                evicted_addr = (evicted.tag << (bits_line + bits_set)) | (
-                    index << bits_line
-                )
-                self._on_evict_line(evicted_addr, evicted.dirty)
+                self._on_evict_line(self._line_address(evicted.tag, index),
+                                    evicted.dirty)
             if self.victim is not None:
                 self.victim.insert(evicted.last_sub_addr)
         lines.append(_Line(tag=tag, last_sub_addr=sub_addr, dirty=write))
         return False
 
+    def hit_mru(self, addr: int) -> bool:
+        """Serve a read that hits its set's most recently used column.
+
+        On such a hit this does exactly what ``access(addr)`` does and
+        returns True; otherwise it changes nothing and returns False.
+        It is the MP system's fast local-hit path.
+        """
+        lines = self._sets[(addr >> self._line_shift) & self._set_mask]
+        if not lines or lines[-1].tag != addr >> self._tag_shift:
+            return False
+        lines[-1].last_sub_addr = addr & self._sub_mask
+        self.main_hits += 1
+        self.last_hit_was_victim = False
+        self.stats.loads.record(True)
+        return True
+
     def contains(self, addr: int) -> bool:
         """Non-mutating probe of the column buffers only."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
-        return any(line.tag == tag for line in self._sets[index])
+        tag = addr >> self._tag_shift
+        lines = self._sets[(addr >> self._line_shift) & self._set_mask]
+        return any(line.tag == tag for line in lines)
+
+    def _line_address(self, tag: int, index: int) -> int:
+        """Exact inverse of the (index, tag) split."""
+        return (tag << self._tag_shift) | (index << self._line_shift)
 
     @property
     def total_writebacks(self) -> int:
@@ -132,21 +149,15 @@ class ColumnBufferCache(Cache):
     def resident_lines(self) -> list[int]:
         """Byte addresses of resident column-buffer lines.
 
-        The reconstruction ``(tag << (bits_line + bits_set)) |
-        (index << bits_line)`` is the exact inverse of
+        The reconstruction is the exact inverse of
         :func:`~repro.common.address.set_index` /
         :func:`~repro.common.address.tag_of` because
         :class:`~repro.common.params.CacheGeometry` rejects
         non-power-of-two line sizes and set counts (see the
         address-roundtrip tests).
         """
-        bits_line = (self._line - 1).bit_length()
-        bits_set = (self._num_sets - 1).bit_length()
-        out = []
-        for index, lines in enumerate(self._sets):
-            for line in lines:
-                out.append((line.tag << (bits_line + bits_set)) | (index << bits_line))
-        return out
+        return [self._line_address(line.tag, index)
+                for index, lines in enumerate(self._sets) for line in lines]
 
     def reset(self) -> None:
         super().reset()

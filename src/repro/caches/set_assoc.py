@@ -8,7 +8,7 @@ associativities the paper studies).
 
 from __future__ import annotations
 
-from repro.common.address import set_index, tag_of
+from repro.common.address import index_fields
 from repro.common.params import CacheGeometry
 from repro.caches.base import Cache
 
@@ -31,14 +31,21 @@ class SetAssociativeCache(Cache):
         self._num_sets = geometry.num_sets
         self._ways = geometry.ways
         self._line = geometry.line_bytes
+        self._line_shift, self._set_mask, self._tag_shift = index_fields(
+            self._line, self._num_sets
+        )
         self._on_evict = on_evict
         # Each set is a list of tags, most-recently-used last.
         self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self._dirty: set[tuple[int, int]] = set()  # (set index, tag)
 
+    def _split(self, addr: int) -> tuple[int, int]:
+        """``(set index, tag)`` of ``addr``."""
+        return (addr >> self._line_shift) & self._set_mask, addr >> self._tag_shift
+
     def _lookup_and_update(self, addr: int, write: bool) -> bool:
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index = (addr >> self._line_shift) & self._set_mask
+        tag = addr >> self._tag_shift
         tags = self._sets[index]
         if tag in tags:
             if tags[-1] != tag:
@@ -63,25 +70,32 @@ class SetAssociativeCache(Cache):
 
     def is_dirty(self, addr: int) -> bool:
         """True when the line holding ``addr`` is resident and dirty."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
-        return (index, tag) in self._dirty
+        return self._split(addr) in self._dirty
 
     def _line_address(self, tag: int, index: int) -> int:
-        bits_line = (self._line - 1).bit_length()
-        bits_set = (self._num_sets - 1).bit_length()
-        return (tag << (bits_line + bits_set)) | (index << bits_line)
+        return (tag << self._tag_shift) | (index << self._line_shift)
+
+    def hit_mru(self, addr: int) -> bool:
+        """Serve a read that hits its set's most recently used line.
+
+        On such a hit this does exactly what ``access(addr)`` does and
+        returns True; otherwise it changes nothing and returns False.
+        It is the MP system's fast local-hit path.
+        """
+        tags = self._sets[(addr >> self._line_shift) & self._set_mask]
+        if not tags or tags[-1] != addr >> self._tag_shift:
+            return False
+        self.stats.loads.record(True)
+        return True
 
     def contains(self, addr: int) -> bool:
         """Non-mutating membership probe (does not touch LRU or stats)."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index, tag = self._split(addr)
         return tag in self._sets[index]
 
     def invalidate(self, addr: int) -> None:
         """Drop the line containing ``addr`` without eviction callbacks."""
-        index = set_index(addr, self._line, self._num_sets)
-        tag = tag_of(addr, self._line, self._num_sets)
+        index, tag = self._split(addr)
         tags = self._sets[index]
         if tag in tags:
             tags.remove(tag)

@@ -22,7 +22,6 @@ matching how the main caches account writebacks.
 
 from __future__ import annotations
 
-from repro.common.address import line_address
 from repro.common.params import VictimCacheParams
 
 
@@ -36,6 +35,7 @@ class VictimCache:
 
     def __init__(self, params: VictimCacheParams | None = None) -> None:
         self.params = params or VictimCacheParams()
+        self._block_mask = ~(self.params.line_bytes - 1)
         self._blocks: list[int] = []  # block addresses, MRU last
         self._dirty: set[int] = set()
         self.probes = 0
@@ -62,7 +62,7 @@ class VictimCache:
         the buffer holds the only copy of the modified data).
         """
         self.probes += 1
-        block = line_address(addr, self.line_bytes)
+        block = addr & self._block_mask
         if block in self._blocks:
             self.hits += 1
             if self._blocks[-1] != block:
@@ -82,7 +82,7 @@ class VictimCache:
         cache already wrote back wholesale.
         """
         self.inserts += 1
-        block = line_address(addr, self.line_bytes)
+        block = addr & self._block_mask
         if block in self._blocks:
             self._blocks.remove(block)
             self._retire(block)
@@ -92,11 +92,11 @@ class VictimCache:
 
     def contains(self, addr: int) -> bool:
         """Non-mutating membership probe."""
-        return line_address(addr, self.line_bytes) in self._blocks
+        return (addr & self._block_mask) in self._blocks
 
     def is_dirty(self, addr: int) -> bool:
         """True when the block containing ``addr`` is resident and dirty."""
-        block = line_address(addr, self.line_bytes)
+        block = addr & self._block_mask
         return block in self._blocks and block in self._dirty
 
     def invalidate(self, addr: int) -> None:
@@ -105,7 +105,7 @@ class VictimCache:
         Invalidating a dirty block counts a writeback: the modified data
         is merged back to its home before the copy is discarded.
         """
-        block = line_address(addr, self.line_bytes)
+        block = addr & self._block_mask
         if block in self._blocks:
             self._blocks.remove(block)
             self._retire(block)

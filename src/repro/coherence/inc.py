@@ -8,7 +8,7 @@ pays the local-memory latency plus one tag-check cycle (Table 6).
 
 from __future__ import annotations
 
-from repro.common.address import set_index, tag_of
+from repro.common.address import index_fields
 from repro.common.errors import ConfigError
 from repro.common.params import COHERENCE_UNIT_BYTES, INC_WAYS
 from repro.common.units import MB, is_power_of_two
@@ -32,6 +32,9 @@ class InterNodeCache:
         self.ways = INC_WAYS
         self.line_bytes = COHERENCE_UNIT_BYTES
         self.num_sets = sets
+        self._line_shift, self._set_mask, self._tag_shift = index_fields(
+            self.line_bytes, sets
+        )
         self._on_evict = on_evict
         self._sets: list[list[int]] = [[] for _ in range(sets)]  # tags, MRU last
         self.probes = 0
@@ -44,9 +47,8 @@ class InterNodeCache:
         return self.num_sets * self.ways * self.line_bytes
 
     def _locate(self, addr: int) -> tuple[list[int], int]:
-        index = set_index(addr, self.line_bytes, self.num_sets)
-        tag = tag_of(addr, self.line_bytes, self.num_sets)
-        return self._sets[index], tag
+        return (self._sets[(addr >> self._line_shift) & self._set_mask],
+                addr >> self._tag_shift)
 
     def probe(self, addr: int) -> bool:
         self.probes += 1
@@ -69,13 +71,9 @@ class InterNodeCache:
             victim_tag = tags.pop(0)
             self.evictions += 1
             if self._on_evict is not None:
-                index = set_index(addr, self.line_bytes, self.num_sets)
-                bits_line = (self.line_bytes - 1).bit_length()
-                bits_set = (self.num_sets - 1).bit_length()
-                victim_addr = (victim_tag << (bits_line + bits_set)) | (
-                    index << bits_line
-                )
-                self._on_evict(victim_addr)
+                # Same set as ``addr``: keep its index bits, swap the tag.
+                index_bits = addr & (self._set_mask << self._line_shift)
+                self._on_evict((victim_tag << self._tag_shift) | index_bits)
         tags.append(tag)
         self.installs += 1
 

@@ -117,9 +117,19 @@ class Directory:
             self._entries[block] = found
         return found
 
+    def peek(self, addr: int) -> BlockEntry | None:
+        """The entry of ``addr``'s block if one exists; never allocates.
+
+        A missing entry means ``UNOWNED``: read-only queries go through
+        here so they leave ``_entries`` unchanged.
+        """
+        return self._entries.get(addr - addr % self.block_bytes)
+
     def copies_to_invalidate(self, addr: int, requester: int) -> set[int]:
         """Nodes (other than the requester) holding copies of ``addr``."""
-        entry = self.entry(addr)
+        entry = self.peek(addr)
+        if entry is None:
+            return set()
         if entry.state is BlockState.SHARED:
             return entry.sharers - {requester}
         if entry.state is BlockState.EXCLUSIVE and entry.owner != requester:
@@ -194,9 +204,11 @@ class Directory:
         entry.check(self.num_nodes, self.block_of(addr))
 
     def is_remote_exclusive(self, addr: int, node: int) -> bool:
-        entry = self.entry(addr)
-        return entry.state is BlockState.EXCLUSIVE and entry.owner != node
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner != node)
 
     def is_owner(self, addr: int, node: int) -> bool:
-        entry = self.entry(addr)
-        return entry.state is BlockState.EXCLUSIVE and entry.owner == node
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner == node)

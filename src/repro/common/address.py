@@ -32,6 +32,17 @@ def tag_of(addr: int, line_bytes: int, num_sets: int) -> int:
     return addr >> (log2_int(line_bytes) + log2_int(num_sets))
 
 
+def index_fields(line_bytes: int, num_sets: int) -> tuple[int, int, int]:
+    """``(line_shift, set_mask, tag_shift)`` for one cache geometry.
+
+    ``(addr >> line_shift) & set_mask`` is :func:`set_index` and
+    ``addr >> tag_shift`` is :func:`tag_of`; a cache computes these once
+    rather than on every access.
+    """
+    line_shift = log2_int(line_bytes)
+    return line_shift, num_sets - 1, line_shift + log2_int(num_sets)
+
+
 def bank_of(addr: int, column_bytes: int, num_banks: int) -> int:
     """DRAM bank selected by column interleaving (bank = column index mod banks)."""
     return (addr >> log2_int(column_bytes)) & (num_banks - 1)

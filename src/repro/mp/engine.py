@@ -78,7 +78,8 @@ class MPEngine:
             return self._run(kernel)
 
     def _run(self, kernel: KernelFactory) -> MPResult:
-        n = self.system.num_nodes
+        system = self.system
+        n = system.num_nodes
         procs = [kernel(i, n) for i in range(n)]
         time = [0] * n
         finished = [False] * n
@@ -91,13 +92,17 @@ class MPEngine:
         heapq.heapify(ready)
         blocked_since: dict[int, int] = {}
         total_ops = 0
+        max_ops = self.max_ops
+        fast_hits_before = system.fast_hits
+        access = system.access
+        heappush, heappop = heapq.heappush, heapq.heappop
 
         def resume(proc: int, at_time: int) -> None:
             time[proc] = at_time
-            heapq.heappush(ready, (at_time, proc))
+            heappush(ready, (at_time, proc))
 
         while ready:
-            now, proc = heapq.heappop(ready)
+            now, proc = heappop(ready)
             if finished[proc] or now < time[proc]:
                 continue  # stale entry
             try:
@@ -107,30 +112,32 @@ class MPEngine:
                 continue
             total_ops += 1
             ops_executed[proc] += 1
-            if total_ops > self.max_ops:
+            if total_ops > max_ops:
                 raise SimulationError("MP op budget exceeded")
 
-            if isinstance(op, (Read, Write)):
-                latency = self.system.access(proc, op.addr, isinstance(op, Write))
-                resume(proc, now + latency)
-            elif isinstance(op, Compute):
+            kind = type(op)
+            if kind is Read or kind is Write:
+                now += access(proc, op.addr, kind is Write)
+                time[proc] = now
+                heappush(ready, (now, proc))
+            elif kind is Compute:
                 resume(proc, now + max(0, op.cycles))
-            elif isinstance(op, Lock):
+            elif kind is Lock:
                 state = locks.setdefault(op.lock_id, _LockState())
                 if state.holder is None:
                     state.holder = proc
-                    latency = self.system.access(proc, self._lock_addr(op.lock_id), True)
+                    latency = access(proc, self._lock_addr(op.lock_id), True)
                     resume(proc, now + latency)
                 else:
                     state.waiters.append(proc)
                     blocked_since[proc] = now
-            elif isinstance(op, Unlock):
+            elif kind is Unlock:
                 state = locks.get(op.lock_id)
                 if state is None or state.holder != proc:
                     raise SimulationError(
                         f"proc {proc} unlocked lock {op.lock_id} it does not hold"
                     )
-                latency = self.system.access(proc, self._lock_addr(op.lock_id), True)
+                latency = access(proc, self._lock_addr(op.lock_id), True)
                 release_time = now + latency
                 if state.waiters:
                     waiter = state.waiters.pop(0)
@@ -141,7 +148,7 @@ class MPEngine:
                 else:
                     state.holder = None
                 resume(proc, release_time)
-            elif isinstance(op, Barrier):
+            elif kind is Barrier:
                 state = barriers.setdefault(op.barrier_id, _BarrierState())
                 state.waiting.append(proc)
                 state.latest_arrival = max(state.latest_arrival, now)
@@ -161,6 +168,7 @@ class MPEngine:
             stuck = [i for i, done in enumerate(finished) if not done]
             raise SimulationError(f"deadlock: processors {stuck} never finished")
         tally.add("mp_ops", total_ops)
+        tally.add("mp_fast_hits", system.fast_hits - fast_hits_before)
         return MPResult(
             finish_times=time,
             ops_executed=ops_executed,

@@ -50,9 +50,16 @@ class HitLevel(Enum):
     REMOTE = "remote"  # 80 cycles
     PAGE_FAULT = "page_fault"  # S-COMA page allocation (software cost)
 
+    # Members are singletons, so identity hashing is exact, and unlike
+    # Enum.__hash__ it runs in C: the MP system counts a level per access.
+    __hash__ = object.__hash__
+
 
 class NodeMemory(Protocol):
     node_id: int
+    # A local read hitting its set's MRU line: does what ``lookup(addr,
+    # True)`` does on that CACHE hit and returns True; else changes nothing.
+    hit_local_mru: Callable[[int], bool]
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel: ...
 
@@ -80,6 +87,7 @@ class IntegratedNode:
         self.columns = ColumnBufferCache(
             self.params.dcache_geometry, victim=self.victim
         )
+        self.hit_local_mru = self.columns.hit_mru
 
         def _inc_evicted(addr: int) -> None:
             # Staged victim copies are tied to INC residency.
@@ -198,6 +206,7 @@ class ReferenceNode:
             flc_geometry or CacheGeometry(16 * KB, COHERENCE_UNIT_BYTES, 1)
         )
         self._slc: set[int] = set()  # infinite: resident block addresses
+        self.hit_local_mru = self.flc.hit_mru
 
     @staticmethod
     def _block(addr: int) -> int:

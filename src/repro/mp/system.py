@@ -11,13 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.coherence.protocol import Directory
+from repro.coherence.protocol import BlockState, Directory
 from repro.common.errors import ConfigError
 from repro.common.params import IntegratedDeviceParams, MPLatencies
 from repro.common.units import MB
 from repro.interconnect.fabric import Fabric, MessageType
 from repro.mp.layout import Layout
 from repro.mp.node import HitLevel, IntegratedNode, ReferenceNode, SCOMANode
+
+_CACHE = HitLevel.CACHE
+_UNOWNED = BlockState.UNOWNED
+_SHARED = BlockState.SHARED
 
 
 class SystemKind(Enum):
@@ -44,9 +48,6 @@ class AccessStats:
     upgrades: int = 0
     recalls: int = 0
 
-    def record_level(self, level: HitLevel) -> None:
-        self.by_level[level] = self.by_level.get(level, 0) + 1
-
     def imbalance(self, others: list["AccessStats"]) -> float:
         """Max/mean access-count ratio across per-node stats."""
         counts = [s.total for s in others]
@@ -57,12 +58,13 @@ class AccessStats:
     def total(self) -> int:
         return self.reads + self.writes
 
-    def hit_fraction(self, level: HitLevel) -> float:
-        return self.by_level.get(level, 0) / self.total if self.total else 0.0
-
 
 class MPSystem:
-    """A CC-NUMA machine built from integrated or reference nodes."""
+    """A CC-NUMA machine built from integrated or reference nodes.
+
+    ``fast_hits`` counts the references served by the local-hit fast
+    path of :meth:`access`.
+    """
 
     def __init__(
         self,
@@ -82,20 +84,20 @@ class MPSystem:
         self.fabric = Fabric(device_params)
         self.stats = AccessStats()
         self.node_stats = [AccessStats() for _ in range(num_nodes)]
+        self.fast_hits = 0
 
         def _remote_evicted(node_id: int, addr: int) -> None:
             self.directory.record_eviction(addr, node_id)
 
-        if kind is SystemKind.REFERENCE:
+        reference = kind is SystemKind.REFERENCE
+        if reference:
             self.nodes = [ReferenceNode(i) for i in range(num_nodes)]
-            self._reference_evictions = True
         elif kind is SystemKind.SCOMA:
             self.nodes = [
                 SCOMANode(i, params=device_params,
                           on_remote_eviction=_remote_evicted)
                 for i in range(num_nodes)
             ]
-            self._reference_evictions = False
         else:
             with_victim = kind is SystemKind.INTEGRATED
             self.nodes = [
@@ -108,7 +110,31 @@ class MPSystem:
                 )
                 for i in range(num_nodes)
             ]
-            self._reference_evictions = False
+        # Table 6 latency of each level that serves a reference with no
+        # protocol work.  A remote block found in the column buffers or
+        # victim staging costs a victim hit, in the reference FLC an FLC
+        # hit.  Integrated nodes have no SLC and reference nodes no INC.
+        lat = self.latencies
+        cache_hit = lat.flc_hit if reference else lat.cache_hit
+        staged_hit = lat.flc_hit if reference else lat.victim_hit
+        self._local_latency = {
+            HitLevel.CACHE: cache_hit,
+            HitLevel.VICTIM: lat.victim_hit,
+            HitLevel.SLC: lat.slc_hit,
+            HitLevel.LOCAL_MEMORY: lat.local_memory,
+        }
+        self._remote_hit_latency = {
+            HitLevel.CACHE: staged_hit,
+            HitLevel.VICTIM: staged_hit,
+            HitLevel.INC: lat.inc_access,
+            HitLevel.SLC: lat.slc_hit,
+            HitLevel.LOCAL_MEMORY: lat.local_memory,  # S-COMA attraction memory
+        }
+        # Fixed for the machine's lifetime; read by the fast path.
+        self._region_bytes = self.layout.region_bytes
+        self._regions = self.layout.num_nodes
+        self._hit_mru = [node.hit_local_mru for node in self.nodes]
+        self._mru_latency = cache_hit
 
     @property
     def num_nodes(self) -> int:
@@ -117,26 +143,49 @@ class MPSystem:
     # -- the protocol -------------------------------------------------------
 
     def access(self, node_id: int, addr: int, write: bool) -> int:
-        """Apply one reference; returns its latency in cycles."""
-        home = self.layout.home_of(addr)
-        local = home == node_id
-        for stats in (self.stats, self.node_stats[node_id]):
-            if write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-            if local:
-                stats.local += 1
-            else:
-                stats.remote += 1
-        self._current_node_stats = self.node_stats[node_id]
-        if local:
-            return self._local_access(node_id, addr, write)
-        return self._remote_access(node_id, addr, home, write)
+        """Apply one reference; returns its latency in cycles.
 
-    def _record_level(self, level: HitLevel) -> None:
-        self.stats.record_level(level)
-        self._current_node_stats.record_level(level)
+        Fast path: a local reference whose block the directory already
+        lets this node use (a read of a block no remote node owns, or a
+        write to a block no remote node holds) and which hits the MRU
+        line of its set costs one cache hit and touches neither the
+        directory nor the fabric.  Everything else takes the protocol
+        path below, which handles every case.
+        """
+        home = addr // self._region_bytes
+        if not 0 <= home < self._regions:
+            self.layout.home_of(addr)  # raises, naming the address
+        stats = self.stats
+        nstats = self.node_stats[node_id]
+        if write:
+            stats.writes += 1
+            nstats.writes += 1
+        else:
+            stats.reads += 1
+            nstats.reads += 1
+        if home != node_id:
+            stats.remote += 1
+            nstats.remote += 1
+            return self._remote_access(node_id, addr, home, write, nstats)
+        stats.local += 1
+        nstats.local += 1
+        entry = self.directory.peek(addr)
+        if (
+            (entry is None or entry.state is _UNOWNED
+             or (entry.state is _SHARED and not write))
+            and self._hit_mru[node_id](addr)
+        ):
+            self.fast_hits += 1
+            by_level = stats.by_level
+            by_level[_CACHE] = by_level.get(_CACHE, 0) + 1
+            by_level = nstats.by_level
+            by_level[_CACHE] = by_level.get(_CACHE, 0) + 1
+            return self._mru_latency
+        return self._local_access(node_id, addr, write, nstats)
+
+    def _record_level(self, nstats: AccessStats, level: HitLevel) -> None:
+        for stats in (self.stats, nstats):
+            stats.by_level[level] = stats.by_level.get(level, 0) + 1
 
     def _invalidate_copies(self, addr: int, victims: set[int]) -> None:
         for victim in victims:
@@ -145,7 +194,9 @@ class MPSystem:
             self.fabric.send(MessageType.INVALIDATE, len(victims))
             self.fabric.send(MessageType.ACK, len(victims))
 
-    def _local_access(self, node_id: int, addr: int, write: bool) -> int:
+    def _local_access(
+        self, node_id: int, addr: int, write: bool, nstats: AccessStats
+    ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
         directory = self.directory
@@ -153,7 +204,6 @@ class MPSystem:
             # Recall the dirty block from its remote owner before touching
             # local memory (round-trip latency dominates).
             self.stats.recalls += 1
-            owner = directory.entry(addr).owner
             if write:
                 victims = directory.record_write(addr, node_id, node_id)
                 self._invalidate_copies(addr, victims)
@@ -162,50 +212,33 @@ class MPSystem:
                 self.fabric.send(MessageType.READ_REQUEST)
             self.fabric.send(MessageType.WRITEBACK)
             node.lookup(addr, is_local=True)  # keep cache state coherent
-            self._record_level(HitLevel.REMOTE)
-            del owner
+            self._record_level(nstats, HitLevel.REMOTE)
             return lat.invalidation_round_trip
-        if write:
-            victims = directory.copies_to_invalidate(addr, node_id)
-            level = node.lookup(addr, is_local=True)
-            self._record_level(level)
-            if victims:
-                self.stats.upgrades += 1
-                directory.record_write(addr, node_id, node_id)
-                self._invalidate_copies(addr, victims)
-                return lat.invalidation_round_trip
-            return self._local_level_latency(level)
+        victims = directory.copies_to_invalidate(addr, node_id) if write else None
         level = node.lookup(addr, is_local=True)
-        self._record_level(level)
-        return self._local_level_latency(level)
+        self._record_level(nstats, level)
+        if victims:
+            self.stats.upgrades += 1
+            directory.record_write(addr, node_id, node_id)
+            self._invalidate_copies(addr, victims)
+            return lat.invalidation_round_trip
+        return self._local_latency[level]
 
-    def _local_level_latency(self, level: HitLevel) -> int:
-        lat = self.latencies
-        if level is HitLevel.CACHE:
-            return lat.cache_hit if not self._reference_evictions else lat.flc_hit
-        if level is HitLevel.VICTIM:
-            return lat.victim_hit
-        if level is HitLevel.SLC:
-            return lat.slc_hit
-        return lat.local_memory
-
-    def _remote_access(self, node_id: int, addr: int, home: int, write: bool) -> int:
+    def _remote_access(
+        self, node_id: int, addr: int, home: int, write: bool, nstats: AccessStats
+    ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
         directory = self.directory
+        if not write or directory.is_owner(addr, node_id):
+            level = node.lookup(addr, is_local=False)
+            latency = self._remote_hit_latency.get(level)
+            if latency is not None:
+                self._record_level(nstats, level)
+                return latency
+            # Not held: a read miss, or an owner whose copy was evicted
+            # (the eviction callback downgraded it).
         if write:
-            if directory.is_owner(addr, node_id):
-                level = node.lookup(addr, is_local=False)
-                if level in (HitLevel.CACHE, HitLevel.VICTIM):
-                    self._record_level(level)
-                    return lat.victim_hit
-                if level in (HitLevel.INC, HitLevel.SLC):
-                    self._record_level(level)
-                    return lat.inc_access if not self._reference_evictions else lat.slc_hit
-                if level is HitLevel.LOCAL_MEMORY:
-                    self._record_level(level)
-                    return lat.local_memory
-                # The eviction callback downgraded us; fall through.
             # Upgrade or remote write miss: fetch ownership, invalidating
             # every other copy (one lumped round trip, Table 6).
             self.stats.upgrades += 1
@@ -214,23 +247,8 @@ class MPSystem:
             node.fill_remote(addr)
             self.fabric.send(MessageType.WRITE_REQUEST)
             self.fabric.send(MessageType.READ_REPLY)
-            self._record_level(HitLevel.REMOTE)
+            self._record_level(nstats, HitLevel.REMOTE)
             return lat.invalidation_round_trip
-        level = node.lookup(addr, is_local=False)
-        if level in (HitLevel.CACHE, HitLevel.VICTIM):
-            self._record_level(level)
-            return lat.victim_hit if not self._reference_evictions else lat.flc_hit
-        if level is HitLevel.INC:
-            self._record_level(level)
-            return lat.inc_access
-        if level is HitLevel.SLC:
-            self._record_level(level)
-            return lat.slc_hit
-        if level is HitLevel.LOCAL_MEMORY:
-            # S-COMA attraction-memory hit: the imported page lives in
-            # local DRAM and is served at local latency.
-            self._record_level(level)
-            return lat.local_memory
         # Remote load: to the home (and possibly on to a dirty owner),
         # one lumped 80-cycle latency (Table 6).  An S-COMA first touch of
         # the page additionally pays the software allocation fault.
@@ -238,8 +256,8 @@ class MPSystem:
         node.fill_remote(addr)
         self.fabric.send(MessageType.READ_REQUEST)
         self.fabric.send(MessageType.READ_REPLY)
-        self._record_level(level if level is HitLevel.PAGE_FAULT
-                                else HitLevel.REMOTE)
+        self._record_level(nstats, level if level is HitLevel.PAGE_FAULT
+                           else HitLevel.REMOTE)
         if level is HitLevel.PAGE_FAULT:
             return lat.scoma_page_fault + lat.remote_load
         return lat.remote_load

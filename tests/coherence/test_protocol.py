@@ -97,6 +97,19 @@ class TestDirectoryTransitions:
         assert not directory.is_remote_exclusive(0x100, node=1)
         assert directory.is_owner(0x100, node=1)
 
+    def test_queries_do_not_allocate_entries(self):
+        directory = Directory(num_nodes=4)
+        directory.record_write(0x100, requester=1, home=0)
+        before = len(directory._entries)
+        for addr in range(0, 0x400, 8):
+            for node in range(4):
+                directory.is_remote_exclusive(addr, node)
+                directory.is_owner(addr, node)
+                directory.copies_to_invalidate(addr, node)
+        assert len(directory._entries) == before == 1
+        assert directory.peek(0x11F) is directory.entry(0x100)
+        assert directory.peek(0x120) is None
+
 
 @settings(max_examples=40, deadline=None)
 @given(

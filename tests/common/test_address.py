@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from repro.common.address import (
     bank_of,
+    index_fields,
     line_address,
     line_index,
     set_index,
@@ -51,6 +52,15 @@ def test_address_decomposition_roundtrip(addr, line, sets):
     bits_set = sets.bit_length() - 1
     rebuilt = (tag << (bits_line + bits_set)) | (idx << bits_line)
     assert rebuilt == line_address(addr, line)
+
+
+@given(st.integers(0, 2**40), st.sampled_from([8, 32, 512]),
+       st.sampled_from([1, 2, 16, 4096]))
+def test_index_fields_match_scalar(addr, line, sets):
+    """The precomputed shifts give the same set index and tag."""
+    line_shift, set_mask, tag_shift = index_fields(line, sets)
+    assert (addr >> line_shift) & set_mask == set_index(addr, line, sets)
+    assert addr >> tag_shift == tag_of(addr, line, sets)
 
 
 @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=50))

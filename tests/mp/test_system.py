@@ -1,5 +1,6 @@
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.params import MPLatencies
 from repro.mp.layout import NODE_REGION_BYTES
 from repro.mp.system import MPSystem, SystemKind
@@ -76,6 +77,15 @@ class TestCoherence:
         assert latency == LAT.remote_load
         assert system.directory.stats.recalls == 1
 
+    def test_reference_owner_rewrite_hits_flc(self):
+        # Regression: an owner's rewrite served by the reference FLC was
+        # charged victim_hit instead of flc_hit (both 1 under Table 6).
+        lat = MPLatencies(flc_hit=2, victim_hit=5)
+        system = MPSystem(2, SystemKind.REFERENCE, latencies=lat)
+        got = [system.access(0, REMOTE_BASE, write=True) for _ in range(4)]
+        assert got == [lat.invalidation_round_trip, lat.slc_hit,
+                       lat.flc_hit, lat.flc_hit]
+
     def test_ping_pong_writes(self):
         system = MPSystem(2, SystemKind.INTEGRATED)
         for _ in range(3):
@@ -98,6 +108,23 @@ class TestStats:
         assert sum(stats.by_level.values()) == stats.total == 100
         assert stats.local == 50
         assert stats.remote == 50
+
+    def test_fast_hits_count_local_mru_hits(self):
+        system = MPSystem(2, SystemKind.INTEGRATED)
+        system.access(0, 0x1000, write=False)  # cold: local memory
+        system.access(0, 0x1008, write=True)  # MRU column, block unowned
+        system.access(1, 0x1000, write=False)  # node 1 shares the block
+        system.access(0, 0x1010, write=False)  # shared read: still fast
+        assert system.access(0, 0x1018, write=True) == LAT.invalidation_round_trip
+        assert system.fast_hits == 2
+        assert system.stats.upgrades == 1
+
+    def test_out_of_range_address_rejected(self):
+        system = MPSystem(2, SystemKind.INTEGRATED)
+        with pytest.raises(ConfigError, match="outside any node region"):
+            system.access(0, 2 * NODE_REGION_BYTES, write=False)
+        with pytest.raises(ConfigError):
+            system.access(0, -1, write=False)
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(Exception):

@@ -46,7 +46,6 @@ from repro.check.callgraph import (
     CallGraph,
     FunctionInfo,
     ModuleInfo,
-    build_callgraph,
     canonicalize,
 )
 from repro.check.report import Finding, PassResult, suppressions
@@ -379,15 +378,18 @@ def registry_entry_points() -> dict[str, str]:
     return roots
 
 
-def check_deps(root: Path | None = None, package: str | None = None,
+def check_deps(root: Path | None = None,
                entry_points: dict[str, str] | None = None) -> PassResult:
     """Run the whole-program dependency pass.
 
-    ``root``/``package`` default to the installed ``repro`` package;
+    ``root`` defaults to the installed ``repro`` package, whose call
+    graph the runner's fingerprint slicer shares;
     ``entry_points`` defaults to the experiment registry's declarations
     (experiment name -> dotted function name).
     """
-    graph = build_callgraph(root, package)
+    from repro.runner.fingerprint import shared_callgraph
+
+    graph = shared_callgraph(root)
     if entry_points is None:
         entry_points = registry_entry_points() if root is None else {}
     return _DepsAnalysis(graph, entry_points).run()

@@ -52,7 +52,6 @@ from repro.check.callgraph import (
     CallGraph,
     ModuleInfo,
     _dotted,
-    build_callgraph,
     canonicalize,
 )
 from repro.check.dimensions import (
@@ -774,17 +773,20 @@ def default_entry_points() -> dict[str, str]:
     return registry_entry_points()
 
 
-def check_units(root: Path | None = None, package: str | None = None,
+def check_units(root: Path | None = None,
                 entry_points: dict[str, str] | None = None,
                 annotations: dict[str, str] | None = None) -> PassResult:
     """Run the units-and-dimensions flow pass.
 
-    ``root``/``package`` default to the installed ``repro`` package;
+    ``root`` defaults to the installed ``repro`` package, whose call
+    graph the runner's fingerprint slicer shares;
     ``entry_points`` defaults to the experiment registry plus the sweep
     bases (the witness roots); ``annotations`` defaults to the shipped
     registry (:data:`repro.check.dimensions.ANNOTATIONS`).
     """
-    graph = build_callgraph(root, package)
+    from repro.runner.fingerprint import shared_callgraph
+
+    graph = shared_callgraph(root)
     if entry_points is None:
         entry_points = default_entry_points() if root is None else {}
     if annotations is None:

@@ -84,8 +84,9 @@ class ResultCache:
         self.slicing = slicing
         self._slices: dict[str, tuple[str, str]] = {}
         # The slice memo may be hit from several threads of one
-        # process; the slicer behind a miss is a whole call-graph
-        # build, so the guard also stops duplicate computes.
+        # process; a miss stats the tree and hashes the slice's files
+        # (plus one call-graph build per process and tree state), so
+        # the guard also stops duplicate computes.
         self._slices_lock = threading.Lock()
 
     def fingerprint_for(self, entry: str | None) -> tuple[str, str]:

@@ -18,10 +18,17 @@ Two fingerprints implement that contract:
   *degrades* to the whole-tree digest and says so (``kind="tree"``),
   which is exactly the pre-slicing behaviour.
 
-Both are memoized per (root, tree state), where the tree state is the
-stat summary (relative path, size, mtime) of every tracked file — so an
-edit mid-process is picked up without :func:`invalidate`, which remains
-for tests and long-lived embedders that want a hard reset.
+Both rest on memos keyed per (root, tree state), where the tree state
+is the stat summary (relative path, size, mtime) of every tracked file
+— so an edit mid-process is picked up without :func:`invalidate`,
+which remains for tests and long-lived embedders that want a hard
+reset.  :func:`code_fingerprint` memoizes its digest;
+:func:`slice_fingerprint` memoizes the call graph behind every slice
+(:func:`shared_callgraph`): one graph per package root, built at most
+once per tree state and replaced when the state moves, so a process
+pays one build however many entry points it slices, and hashing a
+slice's files is all a further entry costs.  The ``deps`` and ``units``
+check passes read the same graph; nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -30,14 +37,22 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-# digest caches keyed by (root, tree-state); see _tree_state().
+if TYPE_CHECKING:  # the graph modules load lazily, on the first slice
+    from repro.check.callgraph import CallGraph
+
+# whole-tree digests keyed by (root, tree-state); see _tree_state().
 _CACHE: dict[tuple, str] = {}
-_SLICE_CACHE: dict[tuple, "SliceFingerprint"] = {}
-# Both memos may be hit from several threads of one process; the lock
+# The memo may be hit from several threads of one process; the lock
 # covers lookups and stores only — digesting runs outside it, so a
 # concurrent miss may compute twice but always stores equal values.
 _MEMO_LOCK = threading.Lock()
+# root -> (tree state, call graph): one slot per root, replaced when the
+# tree state moves.  _GRAPH_LOCK is held across a build, so concurrent
+# misses wait for one build instead of each paying for their own.
+_GRAPHS: dict[Path, tuple[tuple, "CallGraph"]] = {}
+_GRAPH_LOCK = threading.Lock()
 
 # Files hashed into every slice as a version salt: a change to the
 # slicer itself (graph construction or this module) must invalidate
@@ -97,16 +112,47 @@ def _tree_state(sources: list[tuple[str, Path]]) -> tuple:
 
 
 def invalidate(root: Path | None = None) -> None:
-    """Drop memoized digests (for ``root``, or all roots when None)."""
-    with _MEMO_LOCK:
-        if root is None:
-            _CACHE.clear()
-            _SLICE_CACHE.clear()
-            return
+    """Drop memoized digests and call graphs (for ``root``, or all roots
+    when None)."""
+    if root is not None:
         root = _package_root(root)
-        for memo in (_CACHE, _SLICE_CACHE):
-            for key in [k for k in memo if k[0] == root]:
-                del memo[key]
+    with _GRAPH_LOCK:
+        if root is None:
+            _GRAPHS.clear()
+        else:
+            _GRAPHS.pop(root, None)
+    with _MEMO_LOCK:
+        for key in [k for k in _CACHE if root is None or k[0] == root]:
+            del _CACHE[key]
+
+
+def _callgraph(root: Path, state: tuple | None) -> "CallGraph":
+    """``root``'s call graph, memoized under ``state`` (None: no memo)."""
+    # The builder is looked up on its module at call time, never bound
+    # here, so a wrapper installed on the module sees every build.
+    from repro.check import callgraph
+
+    if state is None:
+        return callgraph.build_callgraph(root, root.name)
+    with _GRAPH_LOCK:
+        memo = _GRAPHS.get(root)
+        if memo is not None and memo[0] == state:
+            return memo[1]
+        graph = callgraph.build_callgraph(root, root.name)
+        _GRAPHS[root] = (state, graph)
+        return graph
+
+
+def shared_callgraph(root: Path | None = None) -> "CallGraph":
+    """The static call graph of ``root``'s current tree.
+
+    ``root`` defaults to the installed ``repro`` package directory.
+    Memoized per (root, tree state) like the digests: a process builds
+    the graph once, and an edited file makes the next call rebuild it.
+    Callers share the returned graph, so they must not mutate it.
+    """
+    root = _package_root(root)
+    return _callgraph(root, _tree_state(_tracked_sources(root)))
 
 
 def _digest_files(entries: list[tuple[str, Path]]) -> str:
@@ -191,17 +237,12 @@ def slice_fingerprint(entry: str, root: Path | None = None, *,
         return _degrade(root, f"entry point {entry} is outside package "
                         f"'{package}'", use_cache=use_cache)
     sources = _tracked_sources(root)
-    key = (root, _tree_state(sources), entry) if use_cache else None
-    if key is not None:
-        with _MEMO_LOCK:
-            cached = _SLICE_CACHE.get(key)
-        if cached is not None:
-            return cached
+    state = _tree_state(sources) if use_cache else None
 
-    from repro.check.callgraph import build_callgraph, canonicalize
+    from repro.check.callgraph import canonicalize
 
     try:
-        graph = build_callgraph(root, package)
+        graph = _callgraph(root, state)
     except Exception as exc:  # repro: allow(broad-except) — analysis failure must never break caching, only widen it
         return _degrade(root, f"call-graph construction failed: {exc!r}",
                         use_cache=use_cache)
@@ -238,7 +279,4 @@ def slice_fingerprint(entry: str, root: Path | None = None, *,
                 kind="slice",
                 modules=tuple(sorted(slice_modules)),
             )
-    if key is not None:
-        with _MEMO_LOCK:
-            _SLICE_CACHE[key] = result
     return result

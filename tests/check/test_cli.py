@@ -1,10 +1,38 @@
 """``python -m repro check`` CLI: selection, formats, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 
 import repro.__main__ as repro_main
 from repro.check.cli import PASS_NAMES, main, run_check, select_passes
+from repro.check.deps import check_deps
 from repro.check.report import CheckReport, Finding, PassResult
+from repro.check.units import check_units
+from repro.runner.fingerprint import invalidate, shared_callgraph
+
+
+def _canonical(value):
+    """A repr-able, order-independent form of a call-graph field."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                tuple((f.name, _canonical(getattr(value, f.name)))
+                      for f in dataclasses.fields(value)))
+    if isinstance(value, dict):
+        return tuple(sorted((repr(k), _canonical(v))
+                            for k, v in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(repr(_canonical(v)) for v in value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_canonical(v) for v in value)
+    return repr(value)
+
+
+def _graph_digest(graph) -> str:
+    """Structural digest of a graph's modules, functions and edges."""
+    parts = (graph.modules, graph.functions, graph.edges,
+             graph.call_sites_total, graph.call_sites_resolved)
+    return hashlib.sha256(repr(_canonical(parts)).encode()).hexdigest()
 
 
 class TestSelection:
@@ -61,12 +89,24 @@ class TestMain:
 
 
 class TestFullSuite:
-    def test_shipped_tree_passes_every_check(self):
+    def test_shipped_tree_passes_every_check(self, callgraph_builds):
         # The tier-1 self-check: protocol exhaustion, GSPN structural
-        # analysis and lints all clean on the shipped sources.
+        # analysis and lints all clean on the shipped sources.  The
+        # deps and units passes share one memoized call graph, so a
+        # fresh process pays for one build.
+        invalidate()
         report = run_check()
         assert [p.name for p in report.passes] == list(PASS_NAMES)
         assert report.exit_code == 0, [f.render() for f in report.errors]
+        assert len(callgraph_builds) == 1
+
+    def test_deps_and_units_leave_the_shared_graph_unmutated(self):
+        graph = shared_callgraph()
+        before = _graph_digest(graph)
+        check_deps()
+        check_units()
+        assert shared_callgraph() is graph
+        assert _graph_digest(graph) == before
 
     def test_code_passes_report_nothing_on_the_shipped_tree(self):
         # Warnings included: a new deps, units or lints finding (or a

@@ -3,7 +3,13 @@
 import textwrap
 from pathlib import Path
 
-from repro.runner import code_fingerprint, invalidate, slice_fingerprint
+from repro.runner import (
+    code_fingerprint,
+    fingerprint,
+    invalidate,
+    slice_fingerprint,
+)
+from repro.runner.fingerprint import shared_callgraph
 
 
 def _tree(tmp_path: Path) -> Path:
@@ -150,6 +156,88 @@ class TestSliceFingerprint:
         assert "repro.check.gspn" not in sliced.modules
         assert "repro.check.deps" not in sliced.modules
         assert "repro.__main__" not in sliced.modules
+
+
+class TestGraphMemo:
+    """One call graph per package root and tree state."""
+
+    def test_slices_of_many_entries_share_one_build(self, tmp_path,
+                                                    callgraph_builds):
+        root = _sliceable(tmp_path)
+        first = slice_fingerprint("pkg.entry.experiment", root)
+        second = slice_fingerprint("pkg.model.simulate", root)
+        assert first.kind == second.kind == "slice"
+        assert len(callgraph_builds) == 1
+        assert shared_callgraph(root) is fingerprint._GRAPHS[root.resolve()][1]
+        assert len(callgraph_builds) == 1
+
+    def test_midprocess_edit_replaces_the_graph(self, tmp_path,
+                                                callgraph_builds):
+        root = _sliceable(tmp_path)
+        graphs_before = len(fingerprint._GRAPHS)
+        graph = shared_callgraph(root)
+        sliced = slice_fingerprint("pkg.entry.experiment", root)
+        for n in range(3):
+            (root / "model.py").write_text(
+                "def simulate():\n    return 42\n"
+                f"def extra_{n}():\n    return {n}\n")
+            edited = shared_callgraph(root)
+            assert edited is not graph
+            assert f"pkg.model.extra_{n}" in edited.functions
+            resliced = slice_fingerprint("pkg.entry.experiment", root)
+            assert resliced.kind == "slice"
+            assert resliced.digest != sliced.digest
+            graph, sliced = edited, resliced
+        # A new import must widen the slice: a stale graph would not.
+        (root / "entry.py").write_text(
+            "import pkg.exporter\n"
+            "from pkg.model import simulate\n"
+            "def experiment():\n    return simulate()\n")
+        widened = slice_fingerprint("pkg.entry.experiment", root)
+        assert "pkg.exporter" in widened.modules
+        assert len(callgraph_builds) == 5
+        # One slot per root: the edits replaced the graph, never added.
+        assert len(fingerprint._GRAPHS) == graphs_before + 1
+
+    def test_use_cache_false_bypasses_the_memo(self, tmp_path,
+                                               callgraph_builds):
+        root = _sliceable(tmp_path)
+        memoized = shared_callgraph(root)
+        for _ in range(2):
+            slice_fingerprint("pkg.entry.experiment", root, use_cache=False)
+        assert len(callgraph_builds) == 3
+        assert fingerprint._GRAPHS[root.resolve()][1] is memoized
+
+    def test_invalidate_clears_the_graph(self, tmp_path, callgraph_builds):
+        root = _sliceable(tmp_path)
+        shared_callgraph(root)
+        invalidate(root)
+        assert root.resolve() not in fingerprint._GRAPHS
+        shared_callgraph(root)
+        invalidate()
+        assert fingerprint._GRAPHS == {}
+        shared_callgraph(root)
+        assert len(callgraph_builds) == 3
+
+
+class TestShippedSliceEquivalence:
+    def test_memoized_slices_equal_fresh_ones(self, callgraph_builds):
+        # Every registry entry point and sweep base slices from one
+        # graph to exactly what an uncached computation gives.
+        from repro.analysis.registry import entry_points
+        from repro.sweep.points import base_entry_points
+
+        entries = sorted({*entry_points().values(),
+                          *base_entry_points().values()})
+        invalidate()
+        memoized = {entry: slice_fingerprint(entry) for entry in entries}
+        assert len(callgraph_builds) == 1
+        for entry in entries:
+            fresh = slice_fingerprint(entry, use_cache=False)
+            got = memoized[entry]
+            assert (got.digest, got.kind, got.reason, got.modules) == (
+                fresh.digest, fresh.kind, fresh.reason, fresh.modules), entry
+        assert len(callgraph_builds) == 1 + len(entries)
 
 
 class TestSlicerSalt:

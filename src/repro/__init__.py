@@ -10,8 +10,6 @@ device together with every substrate its evaluation depends on:
   the directory-in-ECC encoding.
 - :mod:`repro.gspn` - a generalized stochastic Petri net engine and the
   paper's memory-bank and processor models (Figures 9 and 10).
-- :mod:`repro.isa` - a mini-RISC ISA with assembler and pipeline timing,
-  used as an execution-driven trace source.
 - :mod:`repro.trace` / :mod:`repro.workloads` - reference-stream
   generators, the SPEC'95 workload proxy models, and executable
   SPLASH-like parallel kernels.

@@ -62,15 +62,6 @@ def incidence_matrix(net: PetriNet) -> tuple[list[str], list[str], list[list[int
     return places, transitions, matrix
 
 
-def _normalize(row: list[int]) -> tuple[int, ...]:
-    divisor = 0
-    for value in row:
-        divisor = gcd(divisor, value)
-    if divisor > 1:
-        return tuple(value // divisor for value in row)
-    return tuple(row)
-
-
 def semiflows(matrix: list[list[int]]) -> list[tuple[int, ...]]:
     """Minimal nonnegative integer solutions of ``y M = 0`` (Farkas).
 

@@ -13,9 +13,5 @@ class SimulationError(ReproError):
     """A simulator reached an invalid state."""
 
 
-class AssemblyError(ReproError):
-    """The mini-ISA assembler rejected a source program."""
-
-
 class ProtocolError(ReproError):
     """The coherence protocol reached an illegal state transition."""

@@ -47,11 +47,6 @@ class SplashKernel(ABC):
         return engine.run(factory), system
 
 
-def word_addrs(base: int, count: int, word_bytes: int = 8) -> list[int]:
-    """Addresses of ``count`` consecutive words starting at ``base``."""
-    return [base + i * word_bytes for i in range(count)]
-
-
 def touch(addrs: Iterator[int] | list[int], write: bool = False) -> Iterator[Op]:
     """Yield one Read/Write per address."""
     from repro.mp.ops import Read, Write

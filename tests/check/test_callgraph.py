@@ -1,9 +1,16 @@
 """Static import/call graph: discovery, resolution, slices, witnesses."""
 
+import ast
 import textwrap
 from pathlib import Path
 
 from repro.check.callgraph import build_callgraph, canonicalize
+from repro.runner.fingerprint import shared_callgraph
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+# Directories whose scripts use the package; tests and examples do not
+# count, so a package only they import shows up as unreached.
+CONSUMER_DIRS = ("scripts", "perfbench", "benchmarks")
 
 
 def _pkg(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -210,3 +217,30 @@ class TestRealPackage:
     def test_no_dynamic_imports_in_shipped_tree(self):
         graph = build_callgraph()
         assert not any(m.dynamic_sites for m in graph.modules.values())
+
+
+def _imported_modules(path: Path, modules: dict) -> set[str]:
+    """Modules of the graph that the file at ``path`` imports."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names.intersection(modules)
+
+
+class TestShippedTreeReachability:
+    def test_every_module_reached_by_a_real_consumer(self):
+        graph = shared_callgraph()
+        entries = {"repro.__main__"}
+        for directory in CONSUMER_DIRS:
+            for path in sorted((REPO_ROOT / directory).glob("*.py")):
+                entries |= _imported_modules(path, graph.modules)
+        reached: set[str] = set()
+        for entry in entries:
+            reached |= graph.module_slice(entry)
+        unreached = sorted(set(graph.modules) - reached)
+        assert not unreached, (
+            f"modules no real consumer imports: {', '.join(unreached)}")

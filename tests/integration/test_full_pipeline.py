@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.caches import DirectMappedCache, proposed_dcache, proposed_icache
 from repro.coherence.engines import engine_report
 from repro.coherence.protocol import BlockState
-from repro.isa import Assembler, CPU, CacheMemoryModel, PipelineTimer
-from repro.isa.programs import vector_sum
 from repro.mp.engine import MPEngine
 from repro.mp.system import MPSystem, SystemKind
 from repro.paperdata import PAPER_TABLE4
@@ -32,36 +29,6 @@ class TestUniprocessorChain:
         b = integrated_cpi(get_proxy("126.gcc"), trace_len=30_000,
                            instructions=4_000, seed=9)
         assert a.total_cpi == b.total_cpi
-
-
-class TestISACrossValidation:
-    """The mini-ISA's real executions agree with the proxy-driven
-    conclusion: long lines + low latency beat a conventional hierarchy
-    on streaming code (DESIGN.md section 6)."""
-
-    def test_streaming_kernel_prefers_integrated_memory(self):
-        program = Assembler().assemble(vector_sum(2048))
-        timer = PipelineTimer()
-        integrated = timer.run(
-            CPU(program, keep_instruction_objects=True).run(),
-            CacheMemoryModel(proposed_icache(), proposed_dcache(), miss_cycles=6),
-        )
-        conventional = timer.run(
-            CPU(program, keep_instruction_objects=True).run(),
-            CacheMemoryModel(
-                DirectMappedCache(8192, 32),
-                DirectMappedCache(16384, 32),
-                miss_cycles=24,
-            ),
-        )
-        assert integrated.cpi < conventional.cpi
-
-    def test_isa_trace_feeds_cache_simulators_directly(self):
-        execution = CPU(Assembler().assemble(vector_sum(512))).run()
-        cache = proposed_dcache()
-        stats = cache.run(execution.data_trace)
-        # 512 words = 2 KB = 4 column lines; plus the final checksum store.
-        assert stats.misses <= 6
 
 
 class TestMultiprocessorChain:

@@ -127,7 +127,9 @@ class ColumnBufferCache(Cache):
         lines[-1].last_sub_addr = addr & self._sub_mask
         self.main_hits += 1
         self.last_hit_was_victim = False
-        self.stats.loads.record(True)
+        loads = self.stats.loads  # loads.record(True), inlined
+        loads.total += 1
+        loads.hits += 1
         return True
 
     def contains(self, addr: int) -> bool:

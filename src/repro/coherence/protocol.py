@@ -52,19 +52,27 @@ class BlockEntry:
             self.owner is None or self.sharers
         ):
             raise ProtocolError(f"EXCLUSIVE block inconsistent{_at(addr)}")
-        ids = set(self.sharers)
-        if self.owner is not None:
-            ids.add(self.owner)
-        negative = sorted(i for i in ids if i < 0)
-        if negative:
+        # Bound the ids by their extremes; list them only for the error.
+        sharers, owner = self.sharers, self.owner
+        if sharers:
+            low, high = min(sharers), max(sharers)
+            if owner is not None:
+                low, high = min(low, owner), max(high, owner)
+        elif owner is not None:
+            low = high = owner
+        else:
+            return
+        if low >= 0 and (num_nodes is None or high < num_nodes):
+            return
+        ids = sharers | {owner} if owner is not None else sharers
+        if low < 0:
+            negative = sorted(i for i in ids if i < 0)
             raise ProtocolError(f"negative node id(s) {negative}{_at(addr)}")
-        if num_nodes is not None:
-            out_of_range = sorted(i for i in ids if i >= num_nodes)
-            if out_of_range:
-                raise ProtocolError(
-                    f"node id(s) {out_of_range} out of range for a "
-                    f"{num_nodes}-node system{_at(addr)}"
-                )
+        out_of_range = sorted(i for i in ids if i >= num_nodes)
+        raise ProtocolError(
+            f"node id(s) {out_of_range} out of range for a "
+            f"{num_nodes}-node system{_at(addr)}"
+        )
 
 
 @dataclass

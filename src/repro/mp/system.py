@@ -62,8 +62,11 @@ class AccessStats:
 class MPSystem:
     """A CC-NUMA machine built from integrated or reference nodes.
 
-    ``fast_hits`` counts the references served by the local-hit fast
-    path of :meth:`access`.
+    :meth:`access` counts each reference once, in its node's
+    ``node_stats`` entry; ``upgrades`` and ``recalls`` count the
+    machine's coherence events, and :attr:`stats` derives the
+    machine-wide totals from both.  ``fast_hits`` counts the references
+    served by the local-hit fast path of :meth:`access`.
     """
 
     def __init__(
@@ -82,8 +85,9 @@ class MPSystem:
         self.layout = layout or Layout(num_nodes)
         self.directory = Directory(num_nodes=num_nodes)
         self.fabric = Fabric(device_params)
-        self.stats = AccessStats()
         self.node_stats = [AccessStats() for _ in range(num_nodes)]
+        self.upgrades = 0
+        self.recalls = 0
         self.fast_hits = 0
 
         def _remote_evicted(node_id: int, addr: int) -> None:
@@ -140,6 +144,21 @@ class MPSystem:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
+    @property
+    def stats(self) -> AccessStats:
+        """Machine-wide access counts: the sum of ``node_stats``, with
+        the machine's ``upgrades`` and ``recalls``."""
+        total = AccessStats(upgrades=self.upgrades, recalls=self.recalls)
+        by_level = total.by_level
+        for nstats in self.node_stats:
+            total.reads += nstats.reads
+            total.writes += nstats.writes
+            total.local += nstats.local
+            total.remote += nstats.remote
+            for level, count in nstats.by_level.items():
+                by_level[level] = by_level.get(level, 0) + count
+        return total
+
     # -- the protocol -------------------------------------------------------
 
     def access(self, node_id: int, addr: int, write: bool) -> int:
@@ -155,19 +174,14 @@ class MPSystem:
         home = addr // self._region_bytes
         if not 0 <= home < self._regions:
             self.layout.home_of(addr)  # raises, naming the address
-        stats = self.stats
         nstats = self.node_stats[node_id]
         if write:
-            stats.writes += 1
             nstats.writes += 1
         else:
-            stats.reads += 1
             nstats.reads += 1
         if home != node_id:
-            stats.remote += 1
             nstats.remote += 1
             return self._remote_access(node_id, addr, home, write, nstats)
-        stats.local += 1
         nstats.local += 1
         entry = self.directory.peek(addr)
         if (
@@ -176,16 +190,14 @@ class MPSystem:
             and self._hit_mru[node_id](addr)
         ):
             self.fast_hits += 1
-            by_level = stats.by_level
-            by_level[_CACHE] = by_level.get(_CACHE, 0) + 1
             by_level = nstats.by_level
             by_level[_CACHE] = by_level.get(_CACHE, 0) + 1
             return self._mru_latency
         return self._local_access(node_id, addr, write, nstats)
 
-    def _record_level(self, nstats: AccessStats, level: HitLevel) -> None:
-        for stats in (self.stats, nstats):
-            stats.by_level[level] = stats.by_level.get(level, 0) + 1
+    @staticmethod
+    def _record_level(nstats: AccessStats, level: HitLevel) -> None:
+        nstats.by_level[level] = nstats.by_level.get(level, 0) + 1
 
     def _invalidate_copies(self, addr: int, victims: set[int]) -> None:
         for victim in victims:
@@ -203,7 +215,7 @@ class MPSystem:
         if directory.is_remote_exclusive(addr, node_id):
             # Recall the dirty block from its remote owner before touching
             # local memory (round-trip latency dominates).
-            self.stats.recalls += 1
+            self.recalls += 1
             if write:
                 victims = directory.record_write(addr, node_id, node_id)
                 self._invalidate_copies(addr, victims)
@@ -218,7 +230,7 @@ class MPSystem:
         level = node.lookup(addr, is_local=True)
         self._record_level(nstats, level)
         if victims:
-            self.stats.upgrades += 1
+            self.upgrades += 1
             directory.record_write(addr, node_id, node_id)
             self._invalidate_copies(addr, victims)
             return lat.invalidation_round_trip
@@ -241,7 +253,7 @@ class MPSystem:
         if write:
             # Upgrade or remote write miss: fetch ownership, invalidating
             # every other copy (one lumped round trip, Table 6).
-            self.stats.upgrades += 1
+            self.upgrades += 1
             victims = directory.record_write(addr, node_id, home)
             self._invalidate_copies(addr, victims)
             node.fill_remote(addr)

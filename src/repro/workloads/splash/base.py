@@ -16,11 +16,10 @@ used for each figure.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.mp.engine import KernelFactory, MPEngine, MPResult
 from repro.mp.layout import Layout
-from repro.mp.ops import Op
 from repro.mp.system import MPSystem, SystemKind
 
 
@@ -46,10 +45,3 @@ class SplashKernel(ABC):
         engine = engine_factory(system) if engine_factory else MPEngine(system)
         return engine.run(factory), system
 
-
-def touch(addrs: Iterator[int] | list[int], write: bool = False) -> Iterator[Op]:
-    """Yield one Read/Write per address."""
-    from repro.mp.ops import Read, Write
-
-    for addr in addrs:
-        yield Write(addr) if write else Read(addr)

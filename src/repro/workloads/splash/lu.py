@@ -7,8 +7,8 @@ column block (local work), a barrier publishes it, and every processor
 updates its own trailing column blocks — reading the pivot column
 remotely, writing its own columns locally.
 
-The factorization is real: the kernel computes L and U in a numpy
-matrix, and ``verify`` checks ``L @ U`` against the original.
+The factorization is real: the kernel computes L and U in place, and
+``verify`` checks ``L @ U`` against the original.
 """
 
 from __future__ import annotations
@@ -37,8 +37,19 @@ class LUKernel(SplashKernel):
         self.block = block
         self.compute_cycles = compute_cycles
         self.seed = seed
-        self.matrix: np.ndarray | None = None
         self.original: np.ndarray | None = None
+        # The working matrix, one Python float list per column: the inner
+        # loops read and write single elements, which numpy serves far
+        # slower than a list and with the same IEEE arithmetic.
+        self._cols: list[list[float]] | None = None
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """The working matrix (L below the diagonal, U on and above it
+        once the kernel has run)."""
+        if self._cols is None:
+            return None
+        return np.array(self._cols).T.copy()
 
     # -- layout -------------------------------------------------------------
 
@@ -51,45 +62,48 @@ class LUKernel(SplashKernel):
         rng = make_rng(self.seed)
         # Diagonally dominant so no pivoting is needed.
         matrix = rng.random((n, n)) + np.eye(n) * n
-        self.original = matrix.copy()
-        self.matrix = matrix
+        self.original = matrix
+        cols = matrix.T.tolist()
+        self._cols = cols
         # Column block j lives in its owner's region, column-major.
         col_base = [
             layout.alloc(self._owner(jb, num_procs), n * block * WORD)
             for jb in range(num_blocks)
         ]
 
-        def addr(i: int, j: int) -> int:
+        def column_addr(j: int) -> int:
+            """Address of element (0, j); element (i, j) is i words on."""
             jb, j_in = divmod(j, block)
-            return col_base[jb] + (j_in * n + i) * WORD
+            return col_base[jb] + j_in * n * WORD
 
         def kernel(pid: int, nprocs: int) -> Iterator[Op]:
             barrier_id = 0
             for k in range(n):
-                kb = k // block
-                if self._owner(kb, nprocs) == pid:
+                col_k, base_k = cols[k], column_addr(k)
+                if self._owner(k // block, nprocs) == pid:
                     # Factorize column k: divide the sub-column by the pivot.
-                    yield Read(addr(k, k))
-                    pivot = matrix[k, k]
+                    yield Read(base_k + k * WORD)
+                    pivot = col_k[k]
                     for i in range(k + 1, n):
-                        yield Read(addr(i, k))
-                        matrix[i, k] = matrix[i, k] / pivot
+                        yield Read(base_k + i * WORD)
+                        col_k[i] = col_k[i] / pivot
                         yield Compute(self.compute_cycles)
-                        yield Write(addr(i, k))
+                        yield Write(base_k + i * WORD)
                 yield Barrier(barrier_id)
                 barrier_id += 1
                 # Update trailing columns this processor owns.
                 for j in range(k + 1, n):
                     if self._owner(j // block, nprocs) != pid:
                         continue
-                    yield Read(addr(k, j))
-                    ukj = matrix[k, j]
+                    col_j, base_j = cols[j], column_addr(j)
+                    yield Read(base_j + k * WORD)
+                    ukj = col_j[k]
                     for i in range(k + 1, n):
-                        yield Read(addr(i, k))
-                        yield Read(addr(i, j))
-                        matrix[i, j] = matrix[i, j] - matrix[i, k] * ukj
+                        yield Read(base_k + i * WORD)
+                        yield Read(base_j + i * WORD)
+                        col_j[i] = col_j[i] - col_k[i] * ukj
                         yield Compute(self.compute_cycles)
-                        yield Write(addr(i, j))
+                        yield Write(base_j + i * WORD)
 
         return kernel
 
@@ -97,8 +111,9 @@ class LUKernel(SplashKernel):
 
     def verify(self, tolerance: float = 1e-8) -> bool:
         """Check L @ U reproduces the original matrix."""
-        if self.matrix is None or self.original is None:
+        matrix = self.matrix
+        if matrix is None or self.original is None:
             raise RuntimeError("run the kernel before verifying")
-        lower = np.tril(self.matrix, -1) + np.eye(self.n)
-        upper = np.triu(self.matrix)
+        lower = np.tril(matrix, -1) + np.eye(self.n)
+        upper = np.triu(matrix)
         return bool(np.allclose(lower @ upper, self.original, atol=tolerance))

@@ -38,8 +38,21 @@ class MP3DKernel(SplashKernel):
         self.steps = steps
         self.compute_cycles = compute_cycles
         self.seed = seed
-        self.positions: np.ndarray | None = None
-        self.velocities: np.ndarray | None = None
+        # Particle state, one [x, y, z] float list per particle: the
+        # move reads and writes single components, which numpy serves
+        # far slower than a list and with the same IEEE arithmetic.
+        self._positions: list[list[float]] | None = None
+        self._velocities: list[list[float]] | None = None
+
+    @property
+    def positions(self) -> np.ndarray | None:
+        """Particle positions, one (x, y, z) row per particle."""
+        return None if self._positions is None else np.array(self._positions)
+
+    @property
+    def velocities(self) -> np.ndarray | None:
+        """Particle velocities, one row per particle."""
+        return None if self._velocities is None else np.array(self._velocities)
 
     def build(self, num_procs: int, layout: Layout):
         rng = make_rng(self.seed)
@@ -51,10 +64,10 @@ class MP3DKernel(SplashKernel):
         # mostly local; drift across slab boundaries creates the remote
         # cell traffic MP3D is known for.
         order = np.argsort(positions[:, 0], kind="stable")
-        positions = positions[order]
-        velocities = velocities[order]
-        self.positions = positions
-        self.velocities = velocities
+        positions = positions[order].tolist()
+        velocities = velocities[order].tolist()
+        self._positions = positions
+        self._velocities = velocities
         dim = self.cells_per_dim
         num_cells = dim**3
 
@@ -80,9 +93,14 @@ class MP3DKernel(SplashKernel):
             node, local = divmod(cell, cells_per_node)
             return cell_base[node] + local * WORD
 
-        def cell_of(pos: np.ndarray) -> int:
-            scaled = np.clip((pos * dim).astype(int), 0, dim - 1)
-            return int(scaled[0] * dim * dim + scaled[1] * dim + scaled[2])
+        top = dim - 1
+
+        def cell_of(pos: list[float]) -> int:
+            x, y, z = pos
+            x = min(max(int(x * dim), 0), top)
+            y = min(max(int(y * dim), 0), top)
+            z = min(max(int(z * dim), 0), top)
+            return x * dim * dim + y * dim + z
 
         def kernel(pid: int, nprocs: int) -> Iterator[Op]:
             mine = range(pid * share, min((pid + 1) * share, total))
@@ -92,13 +110,14 @@ class MP3DKernel(SplashKernel):
                     # Read the full particle record.
                     for w in range(PARTICLE_WORDS):
                         yield Read(base + w * WORD)
-                    pos = positions[index] + velocities[index]
-                    # Reflecting walls keep particles in the unit box.
+                    pos, vel = positions[index], velocities[index]
                     for axis in range(3):
-                        if pos[axis] < 0.0 or pos[axis] > 1.0:
-                            velocities[index, axis] = -velocities[index, axis]
-                            pos[axis] = float(np.clip(pos[axis], 0.0, 1.0))
-                    positions[index] = pos
+                        moved = pos[axis] + vel[axis]
+                        # Reflecting walls keep particles in the unit box.
+                        if moved < 0.0 or moved > 1.0:
+                            vel[axis] = -vel[axis]
+                            moved = min(max(moved, 0.0), 1.0)
+                        pos[axis] = moved
                     yield Compute(self.compute_cycles)
                     # Write back position (3 words).
                     for w in range(3):
@@ -112,6 +131,7 @@ class MP3DKernel(SplashKernel):
         return kernel
 
     def verify(self) -> bool:
-        if self.positions is None:
+        positions = self.positions
+        if positions is None:
             raise RuntimeError("run the kernel before verifying")
-        return bool(((self.positions >= 0.0) & (self.positions <= 1.0)).all())
+        return bool(((positions >= 0.0) & (positions <= 1.0)).all())

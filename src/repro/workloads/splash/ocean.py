@@ -36,7 +36,15 @@ class OceanKernel(SplashKernel):
         self.iterations = iterations
         self.compute_cycles = compute_cycles
         self.seed = seed
-        self.grid: np.ndarray | None = None
+        # The working grid, one Python float list per row: the sweep
+        # reads and writes single points, which numpy serves far slower
+        # than a list and with the same IEEE arithmetic.
+        self._rows: list[list[float]] | None = None
+
+    @property
+    def grid(self) -> np.ndarray | None:
+        """The working grid (relaxed once the kernel has run)."""
+        return None if self._rows is None else np.array(self._rows)
 
     def build(self, num_procs: int, layout: Layout):
         n = self.n
@@ -44,16 +52,14 @@ class OceanKernel(SplashKernel):
         grid = rng.random((n, n))
         # Fixed boundary: zero at all edges (Dirichlet).
         grid[0, :] = grid[-1, :] = grid[:, 0] = grid[:, -1] = 0.0
-        self.grid = grid
+        rows = grid.tolist()
+        self._rows = rows
 
         rows_per = -(-n // num_procs)
         row_base: list[int] = []
         for row in range(n):
             owner = min(row // rows_per, num_procs - 1)
             row_base.append(layout.alloc(owner, n * WORD))
-
-        def addr(i: int, j: int) -> int:
-            return row_base[i] + j * WORD
 
         def kernel(pid: int, nprocs: int) -> Iterator[Op]:
             lo = pid * rows_per
@@ -62,19 +68,19 @@ class OceanKernel(SplashKernel):
             for _ in range(self.iterations):
                 for colour in (0, 1):
                     for i in range(max(1, lo), min(hi, n - 1)):
+                        up, row, down = rows[i - 1], rows[i], rows[i + 1]
+                        up_base, base, down_base = row_base[i - 1 : i + 2]
                         for j in range(1 + (i + colour) % 2, n - 1, 2):
-                            yield Read(addr(i - 1, j))
-                            yield Read(addr(i + 1, j))
-                            yield Read(addr(i, j - 1))
-                            yield Read(addr(i, j + 1))
-                            grid[i, j] = 0.25 * (
-                                grid[i - 1, j]
-                                + grid[i + 1, j]
-                                + grid[i, j - 1]
-                                + grid[i, j + 1]
+                            offset = j * WORD
+                            yield Read(up_base + offset)
+                            yield Read(down_base + offset)
+                            yield Read(base + offset - WORD)
+                            yield Read(base + offset + WORD)
+                            row[j] = 0.25 * (
+                                up[j] + down[j] + row[j - 1] + row[j + 1]
                             )
                             yield Compute(self.compute_cycles)
-                            yield Write(addr(i, j))
+                            yield Write(base + offset)
                     yield Barrier(barrier_id)
                     barrier_id += 1
 
@@ -82,8 +88,8 @@ class OceanKernel(SplashKernel):
 
     def residual(self) -> float:
         """Max |Laplace residual| over interior points."""
-        if self.grid is None:
-            raise RuntimeError("run the kernel before computing the residual")
         g = self.grid
+        if g is None:
+            raise RuntimeError("run the kernel before computing the residual")
         interior = 0.25 * (g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:])
         return float(np.abs(g[1:-1, 1:-1] - interior).max())

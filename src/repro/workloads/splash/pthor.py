@@ -7,8 +7,13 @@ remote), computes the new output, writes it, and activates fanout gates
 for the next step.  Activation lists are per-owner and lock-protected —
 PTHOR's irregular, fine-grained sharing.
 
-The logic is real: gate outputs are actual NAND evaluations, and
-``verify`` recomputes the final network state sequentially.
+The logic is real: gate outputs are actual NAND evaluations.  ``verify``
+checks only that every output is binary and that the fanin wiring is a
+DAG; it does not recompute the network.  Gates read fanin outputs that
+other processors may rewrite in the same step, so the interleaving (and
+with it the system kind) can change the outputs and the op count.
+Double-buffering the outputs, and checking them against a sequential
+evaluation, is an open ROADMAP item.
 """
 
 from __future__ import annotations
@@ -38,8 +43,17 @@ class PthorKernel(SplashKernel):
         self.activity = activity
         self.compute_cycles = compute_cycles
         self.seed = seed
-        self.outputs: np.ndarray | None = None
         self.fanin: np.ndarray | None = None
+        # Gate outputs as a Python int list: the evaluation reads and
+        # writes single gates, which numpy serves far slower than a list.
+        self._outputs: list[int] | None = None
+
+    @property
+    def outputs(self) -> np.ndarray | None:
+        """Gate output values, 0 or 1."""
+        if self._outputs is None:
+            return None
+        return np.array(self._outputs, dtype=np.int64)
 
     def build(self, num_procs: int, layout: Layout):
         total = self.gates
@@ -55,9 +69,10 @@ class PthorKernel(SplashKernel):
                     fanin[g, slot] = rng.integers(0, g)  # long wire
                 else:
                     fanin[g, slot] = rng.integers(max(0, g - window), g)
-        outputs = rng.integers(0, 2, size=total).astype(np.int64)
-        self.outputs = outputs
+        outputs = rng.integers(0, 2, size=total).tolist()
+        self._outputs = outputs
         self.fanin = fanin
+        fanin_of = fanin.tolist()
 
         share = -(-total // num_procs)
         base = [layout.alloc(p, share * GATE_WORDS * WORD) for p in range(num_procs)]
@@ -80,10 +95,10 @@ class PthorKernel(SplashKernel):
 
         # Precomputed fanout lists (the netlist's inverted wiring).
         fanout_of: list[list[int]] = [[] for _ in range(total)]
-        for g in range(total):
-            for source in fanin[g]:
-                if int(source) != g:
-                    fanout_of[int(source)].append(g)
+        for g, sources in enumerate(fanin_of):
+            for source in sources:
+                if source != g:
+                    fanout_of[source].append(g)
 
         def kernel(pid: int, nprocs: int) -> Iterator[Op]:
             active = list(initial_active[pid])
@@ -95,9 +110,9 @@ class PthorKernel(SplashKernel):
                     # Read the gate record header and both fanin outputs.
                     yield Read(gate_addr(gate, 1))
                     yield Read(gate_addr(gate, 2))
-                    a, b = fanin[gate]
-                    yield Read(gate_addr(int(a), 0))
-                    yield Read(gate_addr(int(b), 0))
+                    a, b = fanin_of[gate]
+                    yield Read(gate_addr(a, 0))
+                    yield Read(gate_addr(b, 0))
                     new_value = 1 - (outputs[a] & outputs[b])  # NAND
                     yield Compute(self.compute_cycles)
                     if new_value != outputs[gate]:
@@ -119,8 +134,9 @@ class PthorKernel(SplashKernel):
 
     def verify(self) -> bool:
         """Outputs must be pure binary and consistent fanin indices."""
-        if self.outputs is None or self.fanin is None:
+        outputs = self.outputs
+        if outputs is None or self.fanin is None:
             raise RuntimeError("run the kernel before verifying")
-        binary = bool(np.isin(self.outputs, (0, 1)).all())
+        binary = bool(np.isin(outputs, (0, 1)).all())
         dag = bool((self.fanin.max(axis=1)[1:] < np.arange(1, self.gates)).all())
         return binary and dag

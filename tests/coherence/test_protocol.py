@@ -189,6 +189,29 @@ class TestConfiguredNodeCount:
         with pytest.raises(ProtocolError, match=r"negative node id"):
             BlockEntry(state=BlockState.SHARED, sharers={-2}).check()
 
+    @pytest.mark.parametrize(("entry", "num_nodes", "message"), [
+        (BlockEntry(state=BlockState.SHARED, sharers={2, -3, -1}), 2,
+         "negative node id(s) [-3, -1] at block 0x40"),
+        (BlockEntry(state=BlockState.EXCLUSIVE, owner=-1), None,
+         "negative node id(s) [-1] at block 0x40"),
+        (BlockEntry(state=BlockState.SHARED, sharers={7, 0, 4}), 4,
+         "node id(s) [4, 7] out of range for a 4-node system at block 0x40"),
+        (BlockEntry(state=BlockState.EXCLUSIVE, owner=4), 4,
+         "node id(s) [4] out of range for a 4-node system at block 0x40"),
+    ])
+    def test_entry_check_messages(self, entry, num_nodes, message):
+        """Negative ids are reported before out-of-range ones, each
+        sorted, with the block named."""
+        with pytest.raises(ProtocolError) as raised:
+            entry.check(num_nodes=num_nodes, addr=0x40)
+        assert str(raised.value) == message
+
+    def test_entry_check_passes_in_range_ids(self):
+        BlockEntry(state=BlockState.SHARED, sharers={0, 3}).check(num_nodes=4)
+        BlockEntry(state=BlockState.EXCLUSIVE, owner=3).check(num_nodes=4)
+        BlockEntry(state=BlockState.EXCLUSIVE, owner=99).check()
+        BlockEntry().check(num_nodes=1)
+
     def test_in_range_ids_accepted(self):
         directory = Directory(num_nodes=4)
         directory.record_read(0x100, requester=3, home=0)

@@ -1,11 +1,13 @@
 """SPLASH kernel tests: architectural correctness (the kernels really
 compute) and the Section 6.2 performance claims at small scale."""
 
+import numpy as np
 import pytest
 
 from repro.mp.system import SystemKind
 from repro.workloads.splash import (
     KERNELS,
+    CholeskyKernel,
     LUKernel,
     MP3DKernel,
     OceanKernel,
@@ -20,6 +22,15 @@ SMALL = {
     "ocean": lambda: OceanKernel(n=18, iterations=3),
     "water": lambda: WaterKernel(molecules=16, steps=2),
     "pthor": lambda: PthorKernel(gates=200, steps=8),
+    "cholesky": lambda: CholeskyKernel(n=16, block=4),
+}
+# Each kernel's final numeric state, bit-identical across system kinds.
+KIND_INDEPENDENT_STATE = {
+    "cholesky": ("matrix",),
+    "lu": ("matrix",),
+    "mp3d": ("positions", "velocities"),
+    "ocean": ("grid",),
+    "water": ("positions",),
 }
 
 
@@ -70,14 +81,51 @@ class TestComputationalCorrectness:
         assert kernel.verify()
 
     def test_results_independent_of_system_kind(self):
-        """The architecture model changes timing, never results."""
-        results = []
+        """The architecture model changes timing, never results: each
+        kernel runs the same ops per processor and ends in the same state
+        on all four kinds.  Water's velocities agree only to rounding
+        (see the xfail below); pthor's race is its own xfail."""
+        for name, attrs in KIND_INDEPENDENT_STATE.items():
+            runs = []
+            for kind in SystemKind:
+                kernel = SMALL[name]()
+                result, _ = kernel.run_on(kind, 4)
+                runs.append((kind, result.ops_executed, kernel))
+            _, ops, first = runs[0]
+            for kind, got_ops, kernel in runs:
+                assert got_ops == ops, (name, kind)
+                for attr in attrs:
+                    assert np.array_equal(getattr(kernel, attr),
+                                          getattr(first, attr)), (name, kind)
+            if name == "water":
+                for _, _, kernel in runs:
+                    assert np.allclose(kernel.velocities, first.velocities,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "water race (ROADMAP): processors add their partial forces into "
+        "shared molecules in arrival order, so the float sums round "
+        "differently per kind; at p=4 the velocities differ in the last "
+        "bits on integrated-no-victim and reference"))
+    def test_water_velocities_bit_identical_across_system_kinds(self):
+        velocities = []
         for kind in SystemKind:
-            kernel = SMALL["lu"]()
-            kernel.run_on(kind, 2)
-            results.append(kernel.matrix.copy())
-        assert (results[0] == results[1]).all()
-        assert (results[0] == results[2]).all()
+            kernel = SMALL["water"]()
+            kernel.run_on(kind, 4)
+            velocities.append(kernel.velocities)
+        assert all(np.array_equal(v, velocities[0]) for v in velocities)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "pthor race (ROADMAP): gates read fanin outputs other processors "
+        "rewrite in the same step, so at p=8 the outputs differ and scoma "
+        "runs 410 ops to the other kinds' 413"))
+    def test_pthor_results_independent_of_system_kind(self):
+        outcomes = []
+        for kind in SystemKind:
+            kernel = PthorKernel(gates=64, steps=4)
+            result, _ = kernel.run_on(kind, 8)
+            outcomes.append((result.total_ops, kernel.outputs.tolist()))
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 class TestDeterminism:

@@ -135,3 +135,15 @@ class TestDeadlockDetection:
 
         with pytest.raises(SimulationError):
             _engine(2).run(kernel)
+
+
+class TestOpRecords:
+    def test_records_compare_by_class_and_field(self):
+        """Ops are records, not tuples: equal fields in different op
+        classes are different ops."""
+        assert Read(5) == Read(5)
+        assert Read(5) != Write(5)
+        assert Lock(1) != Unlock(1)
+        assert Compute(3) != Read(3)
+        assert repr(Write(0x40)) == "Write(addr=64)"
+        assert repr(Barrier(2)) == "Barrier(barrier_id=2)"

@@ -7,18 +7,23 @@ remain the differential-test oracle (see ``tests/caches``).
 
 Three layers:
 
-- Per-reference miss flags for conventional LRU caches:
-  fully vectorized for direct-mapped (:func:`direct_mapped_miss_flags`),
-  per-set chunked numpy + tight scalar inner loop for 2-way
-  (:func:`two_way_lru_miss_flags`) and general associativities
+- Per-reference miss flags for conventional LRU caches: one
+  closed-form numpy rule for direct-mapped and 2-way
+  (:func:`direct_mapped_miss_flags`, :func:`two_way_lru_miss_flags`;
+  see :func:`_lru_compact`) — sort by set, drop repeats, and a line
+  hits iff it equals the distinct line ``ways`` places back — and a
+  per-set chunked scalar replay for higher associativities
   (:func:`set_assoc_miss_flags`).
 - The column-buffer cache with its victim coupling
   (:func:`column_buffer_fast`): references are run-length collapsed on
-  the 512 B column index (sequential traces collapse 5-70x), resident
-  runs resolve in O(1) per run with numpy-precomputed write prefix sums
-  and last-touched sub-blocks, and only the rare non-resident prefixes
-  — where victim state feeds back into main-cache contents — replay
-  scalar-side, probe by probe.
+  the 512 B column index (sequential traces collapse 5-70x).  Without a
+  victim buffer, a 1- or 2-way cache applies the same closed-form rule
+  to the runs, and evictions and writebacks follow vectorized.  With a
+  victim buffer (or above 2 ways), resident runs resolve in O(1) per
+  run with numpy-precomputed write prefix sums and last-touched
+  sub-blocks, and only the rare non-resident prefixes — where victim
+  state feeds back into main-cache contents — replay scalar-side,
+  probe by probe.
 - Two-level hierarchies (:func:`two_level_fast`): L1 miss flags select
   the L2 reference stream, so each level runs one vectorized pass.
 
@@ -48,32 +53,65 @@ from repro.common.units import is_power_of_two, log2_int
 from repro.caches.base import CacheStats, TraceLike
 
 
+def _lru_compact(
+    lines: np.ndarray, num_sets: int, ways: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact 1- or 2-way LRU over a time-ordered array of line indices.
+
+    Returns ``(order, keep, compact, hit)``:
+
+    - ``order`` stable-sorts the lines by set, so each set's lines stay
+      in time order (a ``uint16`` key lets numpy radix-sort it);
+    - ``keep`` indexes, within that sorted order, every line that is not
+      a repeat of the line before it in its set — a repeat is always an
+      MRU hit — and ``compact`` holds those lines;
+    - ``hit[k]`` is True iff ``compact[k] == compact[k - ways]``.
+
+    After the repeats are dropped, consecutive lines of a set differ,
+    so a set holds exactly its last ``ways`` distinct lines and
+    ``compact[k - 1]`` is its MRU line: for ``ways <= 2`` a line hits
+    iff it is ``compact[k - ways]``.  Equal lines always share a set,
+    so no comparison needs a set-boundary check.
+    """
+    key = lines & (num_sets - 1)
+    if num_sets <= 1 << 16:
+        key = key.astype(np.uint16)
+    order = np.argsort(key, kind="stable")
+    del key
+    sorted_lines = lines[order]
+    fresh = np.empty(sorted_lines.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=fresh[1:])
+    keep = np.flatnonzero(fresh)
+    compact = sorted_lines[keep]
+    hit = np.zeros(compact.size, dtype=bool)
+    np.equal(compact[ways:], compact[:-ways], out=hit[ways:])
+    return order, keep, compact, hit
+
+
+def _lru_miss_flags(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
+    """Per-reference miss flags of a 1- or 2-way LRU cache."""
+    addrs = np.asarray(addrs, dtype=np.int64)
+    misses = np.zeros(addrs.size, dtype=bool)
+    if addrs.size:
+        order, keep, _, hit = _lru_compact(
+            addrs >> log2_int(geometry.line_bytes), geometry.num_sets,
+            geometry.ways,
+        )
+        misses[order[keep[~hit]]] = True
+    return misses
+
+
 def direct_mapped_miss_flags(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
     """Exact per-reference miss flags for a direct-mapped cache.
 
     A reference misses iff it is the first access to its set or the
-    previous access to the same set had a different tag — which is the
-    complete direct-mapped replacement behaviour.
+    previous access to the same set was to a different line — which is
+    the complete direct-mapped replacement behaviour.
     """
     if geometry.ways != 1:
         raise ValueError("direct_mapped_miss_flags requires a 1-way geometry")
-    addrs = np.asarray(addrs, dtype=np.int64)
-    n = addrs.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    sets = vector_set_index(addrs, geometry.line_bytes, geometry.num_sets)
-    tags = vector_tag(addrs, geometry.line_bytes, geometry.num_sets)
-    order = np.argsort(sets, kind="stable")  # groups each set, preserves time
-    sorted_sets = sets[order]
-    sorted_tags = tags[order]
-    miss_sorted = np.empty(n, dtype=bool)
-    miss_sorted[0] = True
-    miss_sorted[1:] = (sorted_tags[1:] != sorted_tags[:-1]) | (
-        sorted_sets[1:] != sorted_sets[:-1]
-    )
-    misses = np.empty(n, dtype=bool)
-    misses[order] = miss_sorted
-    return misses
+    return _lru_miss_flags(addrs, geometry)
 
 
 def direct_mapped_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float:
@@ -87,41 +125,12 @@ def direct_mapped_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float
 def two_way_lru_miss_flags(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarray:
     """Exact per-reference miss flags for a 2-way LRU cache.
 
-    Processes references grouped by set (order within a set is preserved by
-    the stable sort), tracking the two resident tags per set with a scalar
-    loop over each group.  Exact 2-way LRU: a reference hits iff its tag is
-    one of the set's two most recent distinct tags.
+    A reference hits iff its line is the previous distinct line of its
+    set or the one before that (see :func:`_lru_compact`).
     """
     if geometry.ways != 2:
         raise ValueError("two_way_lru_miss_flags requires a 2-way geometry")
-    addrs = np.asarray(addrs, dtype=np.int64)
-    n = addrs.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    sets = vector_set_index(addrs, geometry.line_bytes, geometry.num_sets)
-    tags = vector_tag(addrs, geometry.line_bytes, geometry.num_sets)
-    order = np.argsort(sets, kind="stable")
-    sorted_sets = sets[order]
-    sorted_tags = tags[order]
-    boundaries = np.flatnonzero(np.diff(sorted_sets)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    miss_sorted = np.empty(n, dtype=bool)
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        group = sorted_tags[start:end].tolist()
-        mru = lru = -1  # tags are non-negative
-        for offset, tag in enumerate(group):
-            if tag == mru:
-                miss_sorted[start + offset] = False
-            elif tag == lru:
-                miss_sorted[start + offset] = False
-                mru, lru = tag, mru
-            else:
-                miss_sorted[start + offset] = True
-                mru, lru = tag, mru
-    misses = np.empty(n, dtype=bool)
-    misses[order] = miss_sorted
-    return misses
+    return _lru_miss_flags(addrs, geometry)
 
 
 def set_assoc_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float:
@@ -252,14 +261,16 @@ def column_buffer_fast(
 ) -> FastCacheResult:
     """Exact column-buffer (+victim) simulation via run-length collapse.
 
-    Consecutive references to the same column are one *run*: when the
-    column is resident the whole run is a batch of main hits (write
-    prefix sums give the dirty update and load/store split in O(1)),
-    and the run's last-touched sub-block — precomputed vectorized — is
-    the only sub-block state that survives.  Only runs that open on a
-    non-resident column replay reference by reference, because each
-    such reference probes the victim buffer (whose hits suppress the
-    column refill and therefore feed back into main-cache contents).
+    Consecutive references to the same column are one *run*: once the
+    column is resident the rest of the run is a batch of main hits
+    (write prefix sums give the dirty update and load/store split in
+    O(1)).  Without a victim buffer a 1- or 2-way cache resolves all
+    runs at once (:func:`_plain_column_runs`).  With a victim buffer,
+    or above 2 ways, the runs replay scalar-side
+    (:func:`_replay_column_runs`): each reference of a run that opens
+    on a non-resident column probes the victim buffer, whose hits
+    suppress the column refill and so feed back into main-cache
+    contents.
     """
     addrs = np.ascontiguousarray(addrs, dtype=np.int64)
     writes = np.ascontiguousarray(writes, dtype=bool)
@@ -270,24 +281,124 @@ def column_buffer_fast(
     if n == 0:
         return result
 
-    line_shift = log2_int(geometry.line_bytes)
-    set_mask = geometry.num_sets - 1
-    ways = geometry.ways
-    sub_shift = log2_int(sub_block_bytes)
-
-    line_idx = addrs >> line_shift
+    line_idx = addrs >> log2_int(geometry.line_bytes)
     # Run boundaries: first reference of each maximal same-column run.
     first = np.empty(n, dtype=bool)
     first[0] = True
     np.not_equal(line_idx[1:], line_idx[:-1], out=first[1:])
     starts = np.flatnonzero(first)
+    del first
     ends = np.append(starts[1:], n)
     run_lines = line_idx[starts]
+    del line_idx
     # prefix[i] = number of writes among refs [0, i): per-run write
     # counts and store/load splits become one subtraction; the scalar
     # replay reads it (rarely) at miss positions.
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(writes, out=prefix[1:])
+    run_writes = prefix[ends] - prefix[starts]
+
+    if victim is None and geometry.ways <= 2:
+        miss_runs, evictions, writebacks = _plain_column_runs(
+            run_lines, run_writes, geometry
+        )
+        miss_idx = starts[miss_runs]
+        vhit_idx = np.zeros(0, dtype=np.int64)
+    else:
+        miss_at, vhit_at, evictions, writebacks, vinserts, vwritebacks = (
+            _replay_column_runs(addrs, writes, prefix, starts, ends, run_lines,
+                                run_writes, geometry, victim, sub_block_bytes)
+        )
+        miss_idx = np.asarray(miss_at, dtype=np.int64)
+        vhit_idx = np.asarray(vhit_at, dtype=np.int64)
+    miss[miss_idx] = True
+    vflags[vhit_idx] = True
+    # Aggregate statistics, recovered from the event indices: every
+    # reference is exactly one of {main hit, victim hit, miss}, and the
+    # load/store split follows from the write flags at the miss sites.
+    total_writes = int(prefix[n])
+    n_misses = int(miss_idx.size)
+    n_vhits = int(vhit_idx.size)
+    store_misses = int(np.count_nonzero(writes[miss_idx]))
+    load_misses = n_misses - store_misses
+    result.stats = CacheStats(
+        loads=RatioStat(hits=(n - total_writes) - load_misses,
+                        total=n - total_writes),
+        stores=RatioStat(hits=total_writes - store_misses,
+                         total=total_writes),
+        evictions=evictions,
+        writebacks=writebacks,
+    )
+    result.main_hits = n - n_misses - n_vhits
+    result.victim_hits = n_vhits
+    if victim is not None:
+        # Every victim-served reference probed once (hit); every full
+        # miss probed once (the failing probe that ended its run).
+        result.victim_probes = n_vhits + n_misses
+        result.victim_inserts = vinserts
+        result.victim_writebacks = vwritebacks
+    return result
+
+
+def _plain_column_runs(
+    run_lines: np.ndarray, run_writes: np.ndarray, geometry: CacheGeometry
+) -> tuple[np.ndarray, int, int]:
+    """Misses, evictions and writebacks of a victimless 1- or 2-way
+    column buffer, resolved over its runs without a per-run loop.
+
+    Returns ``(miss_runs, evictions, writebacks)``, where ``miss_runs``
+    indexes the runs that miss (each at its first reference).  With
+    :func:`_lru_compact` over the run lines, compact element ``k``
+    misses iff it differs from element ``k - ways``; the miss evicts
+    iff element ``k - ways`` is in the same set, and it then evicts
+    that element's residency.  A residency opens at a miss and runs on
+    through the hits that chain back to it in steps of ``ways``; it is
+    dirty iff any of its runs (repeats included) wrote, and evicting a
+    dirty residency counts one writeback.
+    """
+    ways = geometry.ways
+    order, keep, compact, hit = _lru_compact(run_lines, geometry.num_sets, ways)
+    miss = ~hit
+    sets = compact & (geometry.num_sets - 1)
+    full = np.zeros(compact.size, dtype=bool)
+    np.equal(sets[ways:], sets[:-ways], out=full[ways:])
+    evict_at = np.flatnonzero(miss & full)
+    # residency[k]: the compact index of the miss that filled element
+    # k's line.  Elements below ``ways`` always miss, so each strided
+    # running maximum starts on a miss.
+    residency = np.where(miss, np.arange(compact.size), 0)
+    for lane in range(ways):
+        residency[lane::ways] = np.maximum.accumulate(residency[lane::ways])
+    wrote = np.add.reduceat(run_writes[order], keep) > 0
+    dirty = np.zeros(compact.size, dtype=bool)
+    dirty[residency[wrote]] = True
+    writebacks = int(np.count_nonzero(dirty[residency[evict_at - ways]]))
+    return order[keep[miss]], int(evict_at.size), writebacks
+
+
+def _replay_column_runs(
+    addrs: np.ndarray,
+    writes: np.ndarray,
+    prefix: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    run_lines: np.ndarray,
+    run_writes: np.ndarray,
+    geometry: CacheGeometry,
+    victim: VictimCacheParams | None,
+    sub_block_bytes: int,
+) -> tuple[list[int], list[int], int, int, int, int]:
+    """Scalar run replay for victim configurations and > 2 ways.
+
+    Returns ``(miss_at, vhit_at, evictions, writebacks, victim_inserts,
+    victim_writebacks)``: the reference indices of the full misses and
+    of the victim hits, then the counters.  A run whose column is
+    resident resolves in O(1); only runs that open on a non-resident
+    column replay reference by reference through the victim buffer.
+    """
+    set_mask = geometry.num_sets - 1
+    ways = geometry.ways
+    sub_shift = log2_int(sub_block_bytes)
 
     # Per-run attributes as plain lists: the hot loop below is pure
     # Python, and list iteration via zip beats per-index numpy access
@@ -299,9 +410,10 @@ def column_buffer_fast(
     run_line_l = run_lines.tolist()
     run_set_l = (run_lines & set_mask).tolist()
     run_last_sub_l = ((addrs[ends - 1] >> sub_shift) << sub_shift).tolist()
-    run_nw_l = (prefix[ends] - prefix[starts]).tolist()
+    run_nw_l = run_writes.tolist()
 
     evictions = writebacks = 0
+    vinserts = vwritebacks = 0
 
     have_victim = victim is not None
     if have_victim:
@@ -311,7 +423,6 @@ def column_buffer_fast(
         vlist: list[int] = []  # victim block keys, MRU last
         vset: set[int] = set()
         vdirty: set[int] = set()
-        vinserts = vwritebacks = 0
     miss_at: list[int] = []
     vhit_at: list[int] = []
 
@@ -319,11 +430,12 @@ def column_buffer_fast(
     # lists; every aggregate statistic (hit splits, probe counts) is
     # recovered vectorized afterwards from ``miss_at`` / ``vhit_at``.
     #
-    # The 2-way geometry (the proposed D-cache, swept by Figure 8 and
-    # dialed by Tables 3/4) gets a dedicated loop over flat per-set
-    # slot lists — no nested list objects, no positional scans, just
-    # indexed loads/stores — which is measurably faster than the
-    # generic MRU-last list replay on low-collapse vector traces.
+    # The 2-way geometry, which reaches this replay only with a victim
+    # buffer (the proposed D-cache, swept by Figure 8 and dialed by
+    # Tables 3/4), gets a dedicated loop over flat per-set slot lists —
+    # no nested list objects, no positional scans, just indexed
+    # loads/stores — which is measurably faster than the generic
+    # MRU-last list replay on low-collapse vector traces.
     if ways == 2:
         nsets = geometry.num_sets
         m_line = [-1] * nsets  # MRU slot per set (-1 = empty)
@@ -351,21 +463,20 @@ def column_buffer_fast(
             # Column not resident: replay the run's prefix through the
             # victim buffer until a reference misses it outright.
             j = s
-            if have_victim:
-                while j < e:
-                    key = int(vkeys[j])
-                    if key in vset:
-                        if vlist[-1] != key:
-                            vlist.remove(key)
-                            vlist.append(key)
-                        if writes[j]:
-                            vdirty.add(key)
-                        vhit_at.append(j)
-                        j += 1
-                    else:
-                        break
-                if j == e:
-                    continue  # whole run served victim-side, no refill
+            while j < e:
+                key = int(vkeys[j])
+                if key in vset:
+                    if vlist[-1] != key:
+                        vlist.remove(key)
+                        vlist.append(key)
+                    if writes[j]:
+                        vdirty.add(key)
+                    vhit_at.append(j)
+                    j += 1
+                else:
+                    break
+            if j == e:
+                continue  # whole run served victim-side, no refill
             # Full miss at j: evict the set's LRU column (if the set
             # is full), slide MRU down, fill the MRU slot.
             miss_at.append(j)
@@ -373,22 +484,21 @@ def column_buffer_fast(
                 evictions += 1
                 if l_dirty[si]:
                     writebacks += 1
-                if have_victim:
-                    vinserts += 1
-                    key = l_sub[si] >> v_shift
-                    if key in vset:
-                        vlist.remove(key)
-                        if key in vdirty:
-                            vdirty.discard(key)
-                            vwritebacks += 1
-                    elif len(vlist) >= v_entries:
-                        old = vlist.pop(0)
-                        vset.discard(old)
-                        if old in vdirty:
-                            vdirty.discard(old)
-                            vwritebacks += 1
-                    vlist.append(key)
-                    vset.add(key)
+                vinserts += 1
+                key = l_sub[si] >> v_shift
+                if key in vset:
+                    vlist.remove(key)
+                    if key in vdirty:
+                        vdirty.discard(key)
+                        vwritebacks += 1
+                elif len(vlist) >= v_entries:
+                    old = vlist.pop(0)
+                    vset.discard(old)
+                    if old in vdirty:
+                        vdirty.discard(old)
+                        vwritebacks += 1
+                vlist.append(key)
+                vset.add(key)
                 l_line[si] = m_line[si]
                 l_sub[si] = m_sub[si]
                 l_dirty[si] = m_dirty[si]
@@ -476,37 +586,7 @@ def column_buffer_fast(
             # run writes (the OO model ORs per reference).
             lines.append([li, sub, int(prefix[e] - prefix[j]) > 0])
 
-    miss_idx = np.asarray(miss_at, dtype=np.int64)
-    vhit_idx = np.asarray(vhit_at, dtype=np.int64)
-    if miss_idx.size:
-        miss[miss_idx] = True
-    if vhit_idx.size:
-        vflags[vhit_idx] = True
-    # Aggregate statistics, recovered from the event indices: every
-    # reference is exactly one of {main hit, victim hit, miss}, and the
-    # load/store split follows from the write flags at the miss sites.
-    total_writes = int(prefix[n])
-    n_misses = int(miss_idx.size)
-    n_vhits = int(vhit_idx.size)
-    store_misses = int(np.count_nonzero(writes[miss_idx])) if n_misses else 0
-    load_misses = n_misses - store_misses
-    result.stats = CacheStats(
-        loads=RatioStat(hits=(n - total_writes) - load_misses,
-                        total=n - total_writes),
-        stores=RatioStat(hits=total_writes - store_misses,
-                         total=total_writes),
-        evictions=evictions,
-        writebacks=writebacks,
-    )
-    result.main_hits = n - n_misses - n_vhits
-    result.victim_hits = n_vhits
-    if have_victim:
-        # Every victim-served reference probed once (hit); every full
-        # miss probed once (the failing probe that ended its run).
-        result.victim_probes = n_vhits + n_misses
-        result.victim_inserts = vinserts
-        result.victim_writebacks = vwritebacks
-    return result
+    return miss_at, vhit_at, evictions, writebacks, vinserts, vwritebacks
 
 
 def _column_buffer_exact(

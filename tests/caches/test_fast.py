@@ -19,7 +19,7 @@ from repro.caches.fast import (
 from repro.caches.hierarchy import TwoLevelHierarchy
 from repro.caches.set_assoc import FullyAssociativeCache, SetAssociativeCache
 from repro.common.params import CacheGeometry, VictimCacheParams
-from repro.common.units import KB
+from repro.common.units import KB, MB
 from repro.trace.stream import ReferenceTrace
 
 
@@ -78,6 +78,92 @@ class TestTwoWayFast:
         arr = np.asarray(addrs, dtype=np.int64)
         fast = two_way_lru_miss_flags(arr, geom).tolist()
         assert fast == _reference_flags(addrs, geom)
+
+
+# Geometries with more than 65,536 sets take the int64-key sort.  Draw
+# addresses that alias in sets on both sides of that boundary, plus
+# arbitrary ones up to 1 << 28.
+_WIDE_SETS = (0, 1, 65_535, 65_536, 100_000, 131_071)
+
+
+def _wide_addrs(geometry):
+    way_bytes = geometry.num_sets * geometry.line_bytes
+    aliasing = st.builds(
+        lambda tag, index, offset: tag * way_bytes + index * 32 + offset,
+        st.integers(0, 5), st.sampled_from(_WIDE_SETS), st.integers(0, 31),
+    )
+    return st.lists(st.one_of(aliasing, st.integers(0, (1 << 28) - 1)),
+                    min_size=1, max_size=200)
+
+
+class TestMoreThan65536Sets:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_direct_mapped_matches_reference(self, data):
+        geom = CacheGeometry(4 * MB, 32, 1)
+        assert geom.num_sets > 1 << 16
+        addrs = data.draw(_wide_addrs(geom))
+        flags = direct_mapped_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
+        assert flags.tolist() == _reference_flags(addrs, geom)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_two_way_matches_reference(self, data):
+        geom = CacheGeometry(8 * MB, 32, 2)
+        assert geom.num_sets > 1 << 16
+        addrs = data.draw(_wide_addrs(geom))
+        flags = two_way_lru_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
+        assert flags.tolist() == _reference_flags(addrs, geom)
+
+
+class TestOneReference:
+    """A one-reference trace through every engine: a single compulsory
+    miss, and no eviction, writeback or victim activity."""
+
+    ADDR = 4_160
+
+    @pytest.mark.parametrize("geometry", [
+        CacheGeometry(8 * KB, 32, 1),
+        CacheGeometry(16 * KB, 32, 2),
+        CacheGeometry(4 * KB, 32, 4),
+        CacheGeometry(512, 32, 0),
+    ], ids=["1-way", "2-way", "4-way", "full"])
+    def test_set_assoc_engines(self, geometry):
+        addrs = np.array([self.ADDR], dtype=np.int64)
+        assert set_assoc_miss_flags(addrs, geometry).tolist() == [True]
+        assert set_assoc_miss_rate(addrs, geometry) == 1.0
+        if geometry.ways == 1:
+            assert direct_mapped_miss_flags(addrs, geometry).tolist() == [True]
+            assert direct_mapped_miss_rate(addrs, geometry) == 1.0
+        if geometry.ways == 2:
+            assert two_way_lru_miss_flags(addrs, geometry).tolist() == [True]
+
+    @pytest.mark.parametrize("write", [False, True])
+    @pytest.mark.parametrize("victim", [None, VictimCacheParams()],
+                             ids=["plain", "victim"])
+    @pytest.mark.parametrize("geometry", [
+        CacheGeometry(8 * 512, 512, 1),
+        CacheGeometry(16 * 512, 512, 2),
+        CacheGeometry(16 * 512, 512, 4),
+    ], ids=["1-way", "2-way", "4-way"])
+    def test_column_buffer(self, geometry, victim, write):
+        addrs = np.array([self.ADDR], dtype=np.int64)
+        writes = np.array([write])
+        fast = column_buffer_fast(addrs, writes, geometry, victim)
+        exact = _column_buffer_exact(addrs, writes, geometry, victim, 32)
+        _assert_results_identical(fast, exact)
+        assert fast.miss_flags.tolist() == [True]
+
+    def test_two_level(self):
+        l1 = CacheGeometry(2 * KB, 32, 2)
+        l2 = CacheGeometry(8 * KB, 64, 1)
+        trace = ReferenceTrace.reads([self.ADDR])
+        assert simulate_two_level(trace, l1, l2) == simulate_two_level(
+            trace, l1, l2, engine="exact"
+        )
+        result = two_level_fast(trace.addresses, l1, l2)
+        assert result.l1_miss_flags.tolist() == [True]
+        assert result.l2_miss_flags.tolist() == [True]
 
 
 class TestDispatch:
@@ -194,6 +280,36 @@ class TestColumnBufferDifferential:
         fast = column_buffer_fast(addrs, writes, geom, None)
         exact = _column_buffer_exact(addrs, writes, geom, None, 32)
         _assert_results_identical(fast, exact)
+
+
+    def test_plain_two_way_writes_back_a_promoted_dirty_column(self):
+        # Four 512 B columns of set 0 in a 4-set 2-way buffer.  A is
+        # written, slides to the LRU slot under B, is promoted back to
+        # MRU by a read (keeping its dirt), slides down again under C,
+        # and D then evicts it: one writeback, of the promoted column.
+        geom = CacheGeometry(8 * 512, 512, 2)
+        a, b, c, d = (i * 4 * 512 for i in range(4))
+        refs = [(a, True), (b, False), (a, False), (c, False), (d, False)]
+        addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
+        writes = np.asarray([r[1] for r in refs], dtype=bool)
+        fast = column_buffer_fast(addrs, writes, geom, None)
+        exact = _column_buffer_exact(addrs, writes, geom, None, 32)
+        _assert_results_identical(fast, exact)
+        assert fast.miss_flags.tolist() == [True, True, False, True, True]
+        assert (fast.stats.evictions, fast.stats.writebacks) == (2, 1)
+
+    def test_plain_two_way_promoting_write_dirties_the_column(self):
+        # The promoting hit itself writes: C evicts the clean B, then D
+        # evicts A, dirtied by the write that promoted it.
+        geom = CacheGeometry(8 * 512, 512, 2)
+        a, b, c, d = (i * 4 * 512 for i in range(4))
+        refs = [(a, False), (b, False), (a + 64, True), (c, False), (d, False)]
+        addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
+        writes = np.asarray([r[1] for r in refs], dtype=bool)
+        fast = column_buffer_fast(addrs, writes, geom, None)
+        exact = _column_buffer_exact(addrs, writes, geom, None, 32)
+        _assert_results_identical(fast, exact)
+        assert (fast.stats.evictions, fast.stats.writebacks) == (2, 1)
 
 
 class TestSimulateColumnBuffer:

@@ -103,6 +103,15 @@ def interleave_blocks(
     weights), consuming that trace sequentially and cycling when a source
     runs out.  This models phase-interleaved access patterns without
     destroying each pattern's internal locality.
+
+    The blocks are computed in closed form from one ``rng.choice`` draw
+    of every block's source: the i-th block drawn from a source of
+    length ``L`` spans ``(i mod ceil(L / block)) * block`` up to
+    ``block`` references further, clipped to ``L`` (an empty source
+    contributes nothing).  The mix stops at the first block where the
+    running total reaches ``length``, is gathered with one
+    :func:`expand_runs` over the concatenated sources, and cycles if it
+    falls short.
     """
     if len(traces) != len(weights):
         raise ValueError("need one weight per trace")
@@ -110,24 +119,30 @@ def interleave_blocks(
     if weights_arr.sum() <= 0:
         raise ValueError("weights must sum to a positive value")
     probs = weights_arr / weights_arr.sum()
-    positions = [0] * len(traces)
-    pieces: list[ReferenceTrace] = []
-    produced = 0
     num_blocks = -(-length // block)
     choices = rng.choice(len(traces), size=num_blocks, p=probs)
-    for choice in choices:
-        source = traces[choice]
-        if len(source) == 0:
-            continue
-        start = positions[choice] % len(source)
-        end = min(start + block, len(source))
-        pieces.append(source[start:end])
-        positions[choice] = end % len(source)
-        produced += end - start
-        if produced >= length:
-            break
-    mixed = ReferenceTrace.concat(pieces)
-    return mixed.take(length) if len(mixed) >= 1 else ReferenceTrace.empty()
+    sizes = np.array([len(t) for t in traces], dtype=np.int64)
+    # The rank of each block among the blocks drawn from its source.
+    rank = np.empty(num_blocks, dtype=np.int64)
+    for source in range(len(traces)):
+        drawn = choices == source
+        rank[drawn] = np.arange(np.count_nonzero(drawn))
+    size = sizes[choices]
+    cycle = np.maximum(-(-size // block), 1)
+    start = rank % cycle * block
+    lengths = np.minimum(start + block, size) - start
+    total = np.cumsum(lengths)
+    cut = int(np.searchsorted(total, length)) + 1  # blocks through the cut
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    index = expand_runs(offsets[choices[:cut]] + start[:cut], lengths[:cut],
+                        step=1)
+    if index.size == 0:
+        return ReferenceTrace.empty()
+    mixed = ReferenceTrace(
+        np.concatenate([t.addresses for t in traces])[index],
+        np.concatenate([t.is_write for t in traces])[index],
+    )
+    return mixed.take(length)
 
 
 def interleave_round_robin(traces: Sequence[ReferenceTrace]) -> ReferenceTrace:

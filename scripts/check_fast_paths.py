@@ -7,7 +7,11 @@ Two properties of the vectorized cache engines, both hard requirements:
   the fast engines must produce results identical to the
   object-oriented simulators, field by field: per-reference miss
   flags, victim-hit flags, load/store hit splits, evictions,
-  writebacks, and every victim counter.  This is the same differential
+  writebacks, and every victim counter.  The column buffer is checked
+  in all three Figure 7/8 configurations (the I-cache, and the D-cache
+  with and without its victim buffer), and the conventional
+  direct-mapped and 2-way caches of Figures 7/8 against
+  ``SetAssociativeCache``.  This is the same differential
   contract the hypothesis suites in ``tests/caches`` pin on random
   traces, re-checked here on the traces the figures actually use.
 - **Engagement** — the fast engines must beat the object-oriented
@@ -100,6 +104,7 @@ def check_column_buffer(trace_len: int) -> dict:
         itrace, dtrace = _trace_for(name, trace_len)
         for trace, geometry, victim in (
             (itrace, device.icache_geometry, None),
+            (dtrace, device.dcache_geometry, None),
             (dtrace, device.dcache_geometry, device.victim),
         ):
             t0 = time.perf_counter()
@@ -111,6 +116,47 @@ def check_column_buffer(trace_len: int) -> dict:
             exact_s += time.perf_counter() - t0
             refs += len(trace)
             failures += [f"{name}: {p}" for p in _identical(fast, exact)]
+    return {
+        "refs": refs,
+        "fast_s": fast_s,
+        "exact_s": exact_s,
+        "speedup": exact_s / fast_s if fast_s else float("inf"),
+        "failures": failures,
+    }
+
+
+def check_set_assoc(trace_len: int) -> dict:
+    """Figure 7/8's conventional caches against ``SetAssociativeCache``."""
+    from repro.caches.fast import (
+        direct_mapped_miss_flags,
+        two_way_lru_miss_flags,
+    )
+    from repro.caches.set_assoc import SetAssociativeCache
+    from repro.common.params import CacheGeometry
+    from repro.common.units import KB
+
+    refs = 0
+    fast_s = exact_s = 0.0
+    failures: list[str] = []
+    for name in PROXIES:
+        _, dtrace = _trace_for(name, trace_len)
+        addrs = dtrace.addresses
+        for engine, geometry in (
+            (direct_mapped_miss_flags, CacheGeometry(8 * KB, 32, 1)),
+            (direct_mapped_miss_flags, CacheGeometry(16 * KB, 32, 1)),
+            (two_way_lru_miss_flags, CacheGeometry(16 * KB, 32, 2)),
+        ):
+            t0 = time.perf_counter()
+            fast = engine(addrs, geometry).tolist()
+            fast_s += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            cache = SetAssociativeCache(geometry)
+            exact = [not cache.access(addr) for addr in addrs.tolist()]
+            exact_s += time.perf_counter() - t0
+            refs += len(addrs)
+            if fast != exact:
+                failures.append(f"{name}/{engine.__name__}/"
+                                f"{geometry.size_bytes // KB}K: miss flags differ")
     return {
         "refs": refs,
         "fast_s": fast_s,
@@ -227,13 +273,15 @@ def main() -> int:
         "min_inprocess_speedup": MIN_INPROCESS_SPEEDUP,
         "trace_len": args.trace_len,
         "column_buffer": check_column_buffer(args.trace_len),
+        "set_assoc": check_set_assoc(args.trace_len),
         "two_level": check_two_level(args.trace_len),
         "measurement": check_measurement(args.trace_len),
         "mp": check_mp(),
     }
 
     status = 0
-    for stage in ("column_buffer", "two_level", "measurement", "mp"):
+    for stage in ("column_buffer", "set_assoc", "two_level", "measurement",
+                  "mp"):
         entry = report[stage]
         for failure in entry["failures"]:
             print(f"FAIL {stage}: {failure}")

@@ -14,10 +14,11 @@ Rendered tables go to **stdout** and are byte-identical for any
 progress, timing and the metrics summary go to stderr.  Results are
 cached under ``.repro-cache/`` keyed by (experiment, parameters, code
 fingerprint) — a source change in an experiment's dependency slice
-invalidates its entries.
+invalidates its entries.  Rerunning an interrupted command serves what
+it finished from the cache and computes only the rest.
 
 The run flags (``--jobs``, ``--no-cache``, ``--metrics-out``,
-``--resume``, ``--inject``, ``--trace``, ...) and
+``--task-timeout``, ``--fail-fast``, ``--trace``, ...) and
 their setup come from :mod:`repro.runner.session`, shared with
 ``python -m repro sweep run``.  This module adds only the experiment
 selection (``--only``, ``--skip``), the per-experiment knobs
@@ -40,6 +41,7 @@ from repro.analysis.docs import (
     render_result,
     write_artifacts,
 )
+from repro.runner.metrics import STATUS_QUARANTINED
 from repro.runner.session import add_run_flags, open_session, positive_int
 
 
@@ -191,8 +193,8 @@ def main(argv: list[str] | None = None) -> int:
             print(render_result(results[name]))
         tasks = [t for t in metrics.tasks if t.experiment == name]
         wall = sum(t.wall_s for t in tasks)
-        hits = sum(1 for t in tasks if t.cache in ("hit", "resumed"))
-        bad = sum(1 for t in tasks if t.status == "quarantined")
+        hits = sum(1 for t in tasks if t.cache == "hit")
+        bad = sum(1 for t in tasks if t.status == STATUS_QUARANTINED)
         summary = f"{hits}/{len(tasks)} cached" if session.cache \
             else "cache off"
         if bad:

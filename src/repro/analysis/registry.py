@@ -324,9 +324,6 @@ def run_experiments(
     jobs: int = 1,
     cache: ResultCache | None = None,
     policy: Any = None,
-    faults: Any = None,
-    journal: Any = None,
-    resume: bool = False,
     on_partial: Any = None,
 ) -> tuple[dict[str, Any], RunMetrics]:
     """Run experiments by name through the supervised parallel runner.
@@ -334,7 +331,7 @@ def run_experiments(
     Returns ``(results, metrics)``: ``results[name]`` is exactly what
     calling the experiment function directly would return (shards are
     merged), regardless of ``jobs`` or cache state.  Shards quarantined
-    by the supervisor (see ``policy``/``faults`` on
+    by the supervisor (see ``policy`` on
     :func:`repro.runner.run_tasks`) are left out of the merge — the
     healthy shards still produce a partial result — and
     ``results[name]`` is ``None`` when *every* shard of an experiment
@@ -349,8 +346,8 @@ def run_experiments(
         per_spec[name] = tasks
         all_tasks.extend(tasks)
     raw, metrics = run_tasks(
-        all_tasks, jobs=jobs, cache=cache, policy=policy, faults=faults,
-        journal=journal, resume=resume, on_partial=on_partial,
+        all_tasks, jobs=jobs, cache=cache, policy=policy,
+        on_partial=on_partial,
     )
     results: dict[str, Any] = {}
     for name in names:

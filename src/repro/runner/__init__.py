@@ -13,22 +13,19 @@ The pieces, each usable on its own:
 - :mod:`repro.runner.resilience` — the supervised executor: one
   attempt per task, per-task timeouts with a watchdog, crash detection,
   failure quarantine, ``fail_fast``.
-- :mod:`repro.runner.journal` — per-fingerprint completion journal
-  under the cache root; powers ``--resume``.
 - :mod:`repro.runner.core` — :class:`Task` and :func:`run_tasks`, the
   supervised executor (``jobs=1`` runs inline, deterministically
-  identical).
+  identical); every cached task is served as a hit, so rerunning an
+  interrupted run recomputes only what it did not finish.
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
   quarantine records, exported as JSON and a rendered summary.
 - :mod:`repro.runner.session` — the run flags and their setup and
   teardown, shared by ``python -m repro <experiment>`` and
-  ``python -m repro sweep run``.  Not re-exported here: it imports the
-  :mod:`repro.obs.export` file writers.
+  ``python -m repro sweep run``, and the SIGTERM-to-Ctrl-C bridge.  Not
+  re-exported here: it imports the :mod:`repro.obs.export` file writers.
 
-Fault injection for testing all of the above lives in
-:mod:`repro.faults`.  The experiment-level API (sharding Table 3 into
-its 18 benchmarks and so on) lives in :mod:`repro.analysis.registry`,
-which builds on these.
+The experiment-level API (sharding Table 3 into its 18 benchmarks and
+so on) lives in :mod:`repro.analysis.registry`, which builds on these.
 """
 
 from repro.runner.cache import (
@@ -47,7 +44,6 @@ from repro.runner.fingerprint import (
     invalidate,
     slice_fingerprint,
 )
-from repro.runner.journal import RunJournal, sigterm_interrupts
 from repro.runner.metrics import METRICS_SCHEMA_VERSION, RunMetrics, TaskMetrics
 from repro.runner.resilience import (
     FailFastError,
@@ -63,7 +59,6 @@ __all__ = [
     "CacheEntry",
     "FailFastError",
     "ResultCache",
-    "RunJournal",
     "RunMetrics",
     "SliceFingerprint",
     "SupervisionPolicy",
@@ -78,7 +73,6 @@ __all__ = [
     "default_cache_dir",
     "invalidate",
     "run_tasks",
-    "sigterm_interrupts",
     "slice_fingerprint",
     "supervised_map",
 ]

@@ -21,9 +21,9 @@ task that crashes, hangs past the :class:`SupervisionPolicy` timeout or
 raises is *quarantined* after its one attempt — recorded in
 :class:`RunMetrics` with its failure kind, exception type, traceback
 and worker pid — while every other task still completes and caches.
-Completed tasks are journaled under the cache root (see
-:mod:`repro.runner.journal`) so an interrupted sweep resumes instead of
-recomputing.
+Every task whose key is already in the cache is served from it, so
+rerunning an interrupted run recomputes only the tasks it did not
+finish.
 """
 
 from __future__ import annotations
@@ -35,14 +35,8 @@ from typing import Any, Callable
 
 from repro import obs
 from repro.common import tally
-from repro.faults import FaultPlan
 from repro.runner.cache import ResultCache, canonical_kwargs
-from repro.runner.journal import (
-    STATUS_DONE,
-    STATUS_QUARANTINED,
-    RunJournal,
-)
-from repro.runner.metrics import RunMetrics, TaskMetrics
+from repro.runner.metrics import STATUS_QUARANTINED, RunMetrics, TaskMetrics
 from repro.runner.resilience import (
     FailFastError,
     SupervisionPolicy,
@@ -97,9 +91,6 @@ def run_tasks(
     jobs: int = 1,
     cache: ResultCache | None = None,
     policy: SupervisionPolicy | None = None,
-    faults: FaultPlan | None = None,
-    journal: RunJournal | None = None,
-    resume: bool = False,
     on_partial: Callable[[RunMetrics], None] | None = None,
 ) -> tuple[dict[tuple[str, str], Any], RunMetrics]:
     """Run tasks, via the cache where possible, across ``jobs`` workers.
@@ -110,15 +101,11 @@ def run_tasks(
     (one that failed under ``policy``) has **no** entry in ``results``;
     its failure is recorded in ``metrics`` instead.
 
-    ``journal``/``resume``: completed tasks are journaled as they
-    settle; with ``resume=True`` tasks the journal marks done are
-    served from the cache without re-execution (the journal is keyed by
-    code fingerprint and cache key, so stale journals never match).
-
-    On ``KeyboardInterrupt`` the workers are terminated, the journal
-    stays flushed, and ``on_partial`` (if given) receives the metrics
-    for everything that settled before the interrupt — then the
-    interrupt re-raises, leaving the sweep cleanly resumable.
+    Each task is stored in the cache the moment it settles.  On
+    ``KeyboardInterrupt`` the workers are terminated and ``on_partial``
+    (if given) receives the metrics for everything that settled before
+    the interrupt — then the interrupt re-raises.  Calling again with
+    the same tasks and cache serves the settled ones as hits.
     """
     started = time.perf_counter()  # repro: allow(wall-clock)
     spans_before = obs.mark()
@@ -131,10 +118,6 @@ def run_tasks(
     records: dict[tuple[str, str], TaskMetrics] = {}
     pending: list[Task] = []
 
-    if journal is not None:
-        journal.begin(resume=resume)
-    journaled = journal.completed() if (journal is not None and resume) else {}
-
     for task in tasks:
         slot = (task.experiment, task.shard)
         if cache is not None:
@@ -144,20 +127,17 @@ def run_tasks(
             t0 = time.perf_counter()  # repro: allow(wall-clock)
             entry = cache.load(key)
             if entry is not None:
-                resumed = journaled.get(task.label) == key
                 results[slot] = entry.result
                 records[slot] = TaskMetrics(
                     experiment=task.experiment,
                     shard=task.shard,
-                    cache="resumed" if resumed else "hit",
+                    cache="hit",
                     wall_s=time.perf_counter() - t0,  # repro: allow(wall-clock)
                     worker=os.getpid(),
                     tallies=dict(entry.meta.get("tallies", {})),
                     key=key,
                     fingerprint_kind=kind,
                 )
-                if journal is not None and not resumed:
-                    journal.record(task.label, status=STATUS_DONE, key=key)
                 continue
         pending.append(task)
 
@@ -189,8 +169,6 @@ def run_tasks(
             key=key,
             fingerprint_kind=kind,
         )
-        if journal is not None:
-            journal.record(task.label, status=STATUS_DONE, key=key)
 
     def record_quarantine(task: Task, outcome: TaskOutcome) -> None:
         slot = (task.experiment, task.shard)
@@ -208,8 +186,6 @@ def run_tasks(
             status=STATUS_QUARANTINED,
             failure=failure.to_json(),
         )
-        if journal is not None:
-            journal.record(task.label, status=STATUS_QUARANTINED, key=key)
 
     def on_done(index: int, outcome: TaskOutcome) -> None:
         task = pending[index]
@@ -238,13 +214,12 @@ def run_tasks(
                 labels=[task.label for task in pending],
                 jobs=jobs,
                 policy=policy,
-                faults=faults,
                 on_done=on_done,
             )
     except (KeyboardInterrupt, FailFastError):
         # Workers are already terminated and every settled task is
-        # journaled/cached; hand the partial metrics out and re-raise
-        # so the caller can report and the user can `--resume`.
+        # cached; hand the partial metrics out and re-raise so the
+        # caller can report and a rerun can pick up the rest.
         finalize()
         if on_partial is not None:
             on_partial(metrics)

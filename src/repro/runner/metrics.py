@@ -34,7 +34,7 @@ STATUS_QUARANTINED = "quarantined"
 class TaskMetrics:
     experiment: str
     shard: str
-    cache: str  # "hit" | "miss" | "off" | "resumed"
+    cache: str  # "hit" | "miss" | "off"
     wall_s: float
     worker: int  # pid of the executing process (parent pid for hits)
     tallies: dict[str, int] = field(default_factory=dict)
@@ -72,7 +72,7 @@ class RunMetrics:
 
     @property
     def hits(self) -> int:
-        return sum(1 for t in self.tasks if t.cache in ("hit", "resumed"))
+        return sum(1 for t in self.tasks if t.cache == "hit")
 
     @property
     def misses(self) -> int:
@@ -90,8 +90,7 @@ class RunMetrics:
     @property
     def busy_s(self) -> float:
         """Total worker-occupied seconds (cache hits cost ~nothing)."""
-        return sum(t.wall_s for t in self.tasks
-                   if t.cache not in ("hit", "resumed"))
+        return sum(t.wall_s for t in self.tasks if t.cache != "hit")
 
     @property
     def utilization(self) -> float:

@@ -20,9 +20,9 @@ retry.  A result that the parent cannot unpickle is an ``exception``
 failure that names its task, like any other.
 
 With ``jobs <= 1`` tasks run inline in the calling process (same code
-path the cache and tallies rely on); supervision still applies, except
-a hung task cannot be killed, so an injected ``hang`` fails immediately
-with a timeout-kind failure.
+path the cache and tallies rely on).  Only an exception is quarantined
+there: a crash takes the calling process with it, and no watchdog can
+end a hung task.
 
 Observability spans (:mod:`repro.obs`) ride the result pipe: a pooled
 worker ships the span records its task produced alongside the result,
@@ -44,10 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro import obs
-from repro.faults import FaultPlan, InjectedCrash, InjectedFault
 
-_CRASH_EXIT_CODE = 73  # what an injected crash exits with
-_HANG_SLEEP_S = 3600.0  # far beyond any sane task timeout
 _KILL_GRACE_S = 2.0  # SIGTERM -> SIGKILL escalation window
 
 
@@ -123,8 +120,7 @@ class FailFastError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _run_in_worker(fn: Callable, item: Any, fault: str | None,
-                   conn) -> None:
+def _run_in_worker(fn: Callable, item: Any, conn) -> None:
     """Child-process entry point: run one task, report over the pipe.
 
     The message is either ``("ok", result, spans)`` — where
@@ -134,12 +130,6 @@ def _run_in_worker(fn: Callable, item: Any, fault: str | None,
     """
     pid = os.getpid()
     try:
-        if fault == "crash":
-            os._exit(_CRASH_EXIT_CODE)
-        if fault == "hang":
-            time.sleep(_HANG_SLEEP_S)  # the watchdog kills us first
-        if fault == "raise":
-            raise InjectedFault(f"injected fault in worker {pid}")
         spans_before = obs.mark()
         result = fn(item)
         conn.send(("ok", result, obs.since(spans_before)))
@@ -157,41 +147,18 @@ def _run_in_worker(fn: Callable, item: Any, fault: str | None,
         os._exit(0)
 
 
-def _run_inline(fn: Callable, item: Any, label: str,
-                fault: str | None) -> tuple[Any, TaskFailure | None]:
-    """Run one task in this process: ``(result, failure)``.
-
-    Kinds that need a real worker process to express (crash, hang) are
-    reported without running the task.
-    """
-    pid = os.getpid()
-    if fault == "crash":
-        try:
-            raise InjectedCrash(f"injected crash in worker {pid}")
-        except InjectedCrash:
-            tb = traceback.format_exc()
-        return None, TaskFailure(
-            label=label, kind="crash", error_type=InjectedCrash.__name__,
-            message="injected crash (inline execution)", traceback=tb,
-            worker=pid,
-        )
-    if fault == "hang":
-        return None, TaskFailure(
-            label=label, kind="timeout", error_type="Timeout",
-            message="injected hang (inline execution fails immediately: "
-                    "no watchdog can kill the calling process)",
-            worker=pid,
-        )
+def _run_inline(fn: Callable, item: Any,
+                label: str) -> tuple[Any, TaskFailure | None]:
+    """Run one task in this process: ``(result, failure)``."""
     try:
-        if fault == "raise":
-            raise InjectedFault(f"injected fault in worker {pid}")
         return fn(item), None
     except KeyboardInterrupt:
-        raise  # the caller flushes its journal and re-raises
+        raise  # the caller hands out partial metrics and re-raises
     except BaseException as exc:  # converted to a TaskFailure for quarantine
         return None, TaskFailure(
             label=label, kind="exception", error_type=type(exc).__name__,
-            message=str(exc), traceback=traceback.format_exc(), worker=pid,
+            message=str(exc), traceback=traceback.format_exc(),
+            worker=os.getpid(),
         )
 
 
@@ -228,14 +195,13 @@ def supervised_map(
     labels: Sequence[str],
     jobs: int = 1,
     policy: SupervisionPolicy | None = None,
-    faults: FaultPlan | None = None,
     on_done: Callable[[int, TaskOutcome], None] | None = None,
 ) -> list[TaskOutcome]:
     """Run ``fn(item)`` for every item under supervision.
 
     Outcomes come back in ``items`` order; ``on_done(index, outcome)``
     fires in completion order as each task settles, so callers can
-    journal/cache incrementally (and keep that state if the run is
+    cache incrementally (and keep that state if the run is
     interrupted — a ``KeyboardInterrupt`` terminates every live worker,
     drops the queue, and re-raises).
     """
@@ -243,9 +209,6 @@ def supervised_map(
         raise ValueError("items and labels must have the same length")
     policy = policy or SupervisionPolicy()
     outcomes: list[TaskOutcome | None] = [None] * len(items)
-
-    def fault_for(index: int) -> str | None:
-        return faults.fault_for(labels[index]) if faults else None
 
     def settle(index: int, started: float, result: Any,
                failure: TaskFailure | None) -> None:
@@ -263,21 +226,20 @@ def supervised_map(
         for index, item in enumerate(items):
             started = time.monotonic()  # repro: allow(wall-clock) — supervision bookkeeping
             spans_before = obs.mark()
-            result, failure = _run_inline(fn, item, labels[index],
-                                          fault_for(index))
+            result, failure = _run_inline(fn, item, labels[index])
             if failure is not None:
                 # A failed pooled task's spans die with its worker;
                 # erase the inline ones so jobs=1 reports the same.
                 obs.rollback(spans_before)
             settle(index, started, result, failure)
     else:
-        _run_pooled(fn, items, labels, jobs, policy, fault_for, settle)
+        _run_pooled(fn, items, labels, jobs, policy, settle)
     # Every task settles before this point (an abort raises past it
     # instead), so the list is fully populated.
     return outcomes  # type: ignore[return-value]
 
 
-def _run_pooled(fn, items, labels, jobs, policy, fault_for, settle) -> None:
+def _run_pooled(fn, items, labels, jobs, policy, settle) -> None:
     from multiprocessing.connection import wait as wait_connections
 
     ctx = multiprocessing.get_context()
@@ -289,7 +251,7 @@ def _run_pooled(fn, items, labels, jobs, policy, fault_for, settle) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_run_in_worker,
-            args=(fn, items[index], fault_for(index), child_conn),
+            args=(fn, items[index], child_conn),
             daemon=True,
         )
         process.start()

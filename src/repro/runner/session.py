@@ -4,16 +4,17 @@
 runs the same way, and this module is the one place that way is spelled
 out:
 
-- :func:`add_run_flags` declares the nine run flags (``--jobs``,
+- :func:`add_run_flags` declares the seven run flags (``--jobs``,
   ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--task-timeout``,
-  ``--resume``, ``--fail-fast``, ``--inject``, ``--trace``) on a parser.
+  ``--fail-fast``, ``--trace``) on a parser.
 - :func:`open_session` turns the parsed flags into a :class:`RunSession`:
-  the result cache, the fault plan (``--inject`` plus ``$REPRO_INJECT``),
-  the supervision policy and the resume journal, with tracing enabled
+  the result cache and the supervision policy, with tracing enabled
   before any worker spawns.  Bad flags come back as exit status 2.
 - :meth:`RunSession.run` calls :func:`repro.analysis.run_experiments` or
   :func:`repro.sweep.engine.run_sweep` with those pieces, with SIGTERM
-  taking the Ctrl-C path so the journal stays flushed either way.
+  taking the Ctrl-C path (:func:`sigterm_interrupts`).  Every task that
+  settled before an interrupt is in the cache, so rerunning the same
+  command recomputes only the rest.
 - :meth:`RunSession.finish` prints the metrics summary and writes
   ``--metrics-out`` and the Chrome trace.  With ``--trace`` on, the
   metrics also carry the per-stage ``stages`` rollup of the spans.
@@ -26,15 +27,16 @@ experiment's fingerprint slice.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from typing import Any, Callable
 
 from repro import obs
-from repro.faults import FaultPlan, FaultPlanError
 from repro.obs import export as obs_export
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.fingerprint import code_fingerprint
-from repro.runner.journal import RunJournal, sigterm_interrupts
 from repro.runner.metrics import RunMetrics
 from repro.runner.resilience import FailFastError, SupervisionPolicy
 
@@ -85,27 +87,10 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
              "the task quarantined (default: no limit)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip tasks journaled as completed by an interrupted run "
-             "(requires the cache; journal lives under the cache root)",
-    )
-    parser.add_argument(
         "--fail-fast",
         action="store_true",
         help="abort the run on the first quarantined task instead of "
              "completing the healthy ones",
-    )
-    parser.add_argument(
-        "--inject",
-        action="append",
-        default=None,
-        metavar="LABEL=KIND",
-        help="deterministic fault injection for testing: fault tasks "
-             "matching LABEL (fnmatch over task labels, e.g. 'figure7/*' "
-             "or 'sweep:figure7/*') with KIND (crash, hang, raise; "
-             "hang needs --task-timeout); repeatable, also read from "
-             "$REPRO_INJECT",
     )
     parser.add_argument(
         "--trace",
@@ -117,17 +102,42 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@contextmanager
+def sigterm_interrupts():
+    """Raise ``KeyboardInterrupt`` on SIGTERM while the context is open.
+
+    Installed by ``repro all`` and ``repro sweep`` around a run, so
+    SIGTERM takes the same terminate-workers-and-unwind path as Ctrl-C
+    instead of the default handler's instant death.  A no-op off the
+    main thread or on platforms without SIGTERM (only the main thread
+    may set signal handlers).
+    """
+    if threading.current_thread() is not threading.main_thread() or \
+            not hasattr(signal, "SIGTERM"):
+        yield
+        return
+
+    def _raise_interrupt(signum, frame):
+        # The handler body is the reentrant-safe minimum — a bare
+        # raise, no locks, no I/O buffers.  The teardown runs in the
+        # unwound frame, outside handler context.
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 class RunSession:
-    """The cache, fault plan, policy and journal of one run."""
+    """The cache and policy of one run."""
 
     def __init__(self, args: argparse.Namespace, cache: ResultCache | None,
-                 faults: FaultPlan, policy: SupervisionPolicy) -> None:
+                 policy: SupervisionPolicy) -> None:
         self.args = args
         self.cache = cache
-        self.faults = faults
         self.policy = policy
-        self.journal = RunJournal(cache.root, cache.fingerprint) \
-            if cache else None
         self.tracing = args.trace is not None
         self.spans_before = 0
         if self.tracing:
@@ -149,24 +159,21 @@ class RunSession:
         """
         try:
             # SIGTERM takes the KeyboardInterrupt path: live workers are
-            # terminated and the journal stays flushed, so a `kill` is as
-            # resumable as a Ctrl-C.
+            # terminated and the partial metrics written, as for Ctrl-C.
             with sigterm_interrupts():
                 return fn(
                     *args, jobs=self.args.jobs, cache=self.cache,
-                    policy=self.policy, faults=self.faults or None,
-                    journal=self.journal, resume=self.args.resume,
-                    on_partial=self._write_metrics,
+                    policy=self.policy, on_partial=self._write_metrics,
                 )
         except KeyboardInterrupt:
-            print("\ninterrupted — completed tasks are journaled and cached; "
-                  "rerun with --resume to pick up where this run stopped",
+            print("\ninterrupted — completed tasks are cached; rerun the "
+                  "same command to pick up where this run stopped",
                   file=sys.stderr)
             return 130
         except FailFastError as exc:
             print(f"fail-fast: {exc}", file=sys.stderr)
-            print("completed tasks are journaled and cached; rerun with "
-                  "--resume after fixing the failure", file=sys.stderr)
+            print("completed tasks are cached; rerun the same command "
+                  "after fixing the failure", file=sys.stderr)
             return 1
 
     def _write_metrics(self, metrics: RunMetrics) -> None:
@@ -200,21 +207,6 @@ def open_session(args: argparse.Namespace) -> RunSession | int:
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    if args.resume and cache is None:
-        print("--resume needs the result cache (drop --no-cache)",
-              file=sys.stderr)
-        return 2
-    try:
-        faults = FaultPlan.parse(args.inject or [])
-        faults = FaultPlan(faults.specs + FaultPlan.from_env().specs)
-    except FaultPlanError as exc:
-        print(f"bad --inject / $REPRO_INJECT: {exc}", file=sys.stderr)
-        return 2
-    if args.task_timeout is None and \
-            any(spec.kind == "hang" for spec in faults.specs):
-        print("a hang injection needs --task-timeout; nothing else ends "
-              "the hung task", file=sys.stderr)
-        return 2
     try:
         policy = SupervisionPolicy(
             task_timeout=args.task_timeout,
@@ -223,4 +215,4 @@ def open_session(args: argparse.Namespace) -> RunSession | int:
     except ValueError as exc:
         print(f"bad supervision flags: {exc}", file=sys.stderr)
         return 2
-    return RunSession(args, cache, faults, policy)
+    return RunSession(args, cache, policy)

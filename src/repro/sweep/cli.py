@@ -10,8 +10,8 @@
 is a named ``SweepSpecError`` rule), executes the expanded grid through
 the same supervised pool as ``python -m repro <experiment>`` and writes
 the deterministic report artifact next to the spec.  Its run flags
-(``--jobs``, ``--resume``, ``--inject``, ``--trace``,
-``--task-timeout``, ...) and their setup come from
+(``--jobs``, ``--cache-dir``, ``--trace``, ``--task-timeout``, ...)
+and their setup come from
 :mod:`repro.runner.session`, shared with the experiment CLI; only
 ``--report-out`` and ``--no-report`` are its own.  ``report`` only
 rereads checked-in artifacts; it never recomputes.
@@ -136,9 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return ran
     outcome, metrics = ran
 
-    hits = sum(1 for t in metrics.tasks if t.cache in ("hit", "resumed"))
     print(f"[{spec.name}: {metrics.wall_s:.1f}s, "
-          f"{hits}/{len(metrics.tasks)} cached]", file=sys.stderr)
+          f"{metrics.hits}/{len(metrics.tasks)} cached]", file=sys.stderr)
     status = session.finish(metrics)
 
     # The human-readable reduction goes to stdout, like rendered tables.

@@ -12,7 +12,7 @@
    outside the base's dependency slice invalidates nothing.
 2. **fan out** — the tasks go through :func:`repro.runner.run_tasks`
    unchanged, inheriting the supervised pool: timeouts, quarantine,
-   fault injection, the fingerprint-keyed journal behind ``--resume``,
+   the result cache that lets a rerun skip finished configurations,
    and span transport back from workers.
 3. **reduce** — surviving metric dicts are Pareto-classified
    (:mod:`repro.sweep.pareto`) in the parent process and assembled into
@@ -83,9 +83,6 @@ def run_sweep(
     jobs: int = 1,
     cache: ResultCache | None = None,
     policy: Any = None,
-    faults: Any = None,
-    journal: Any = None,
-    resume: bool = False,
     on_partial: Any = None,
 ) -> tuple[SweepOutcome, RunMetrics]:
     """Run every configuration of ``spec`` and reduce the results.
@@ -102,8 +99,8 @@ def run_sweep(
         sp.add("configs", len(configs))
     with obs.span("sweep/run"):
         raw, metrics = run_tasks(
-            tasks, jobs=jobs, cache=cache, policy=policy, faults=faults,
-            journal=journal, resume=resume, on_partial=on_partial,
+            tasks, jobs=jobs, cache=cache, policy=policy,
+            on_partial=on_partial,
         )
     with obs.span("sweep/reduce") as sp:
         settled: list[tuple[SweepConfig, dict[str, float]]] = []

@@ -9,9 +9,8 @@ knobs (benchmark, trace length, seed), and whose return value is a flat
 (:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
 per expanded configuration over these functions, so every configuration
 
-- runs through the supervised process pool (quarantine, fault injection,
-  ``--resume``, span transport) exactly like a registered experiment,
-  and
+- runs through the supervised process pool (timeouts, quarantine,
+  span transport) exactly like a registered experiment, and
 - caches under a :func:`repro.runner.fingerprint.slice_fingerprint`
   keyed entry — the functions here are module-level precisely so
   ``Task.entry_point()`` resolves and the dependency slicer can hash

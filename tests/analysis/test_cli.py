@@ -7,6 +7,7 @@ from repro import obs
 from repro.__main__ import main
 from repro.runner import METRICS_SCHEMA_VERSION, RunMetrics
 from repro.sweep.cli import main as sweep_main
+from tests.failing_tasks import boom, crash
 
 MICRO_SWEEP = Path(__file__).resolve().parents[2] / "artifacts" / "sweeps" \
     / "micro.toml"
@@ -242,11 +243,11 @@ class TestCLIObservability:
 
 class TestCLIFaultTolerance:
     def test_injected_crash_is_quarantined_with_nonzero_exit(
-            self, capsys, cache_dir, tmp_path):
+            self, capsys, cache_dir, tmp_path, fail_tasks):
+        fail_tasks("table1", crash)
         out = tmp_path / "metrics.json"
         assert main([
-            "table1", "--inject", "table1=crash",
-            "--metrics-out", str(out),
+            "table1", "--jobs", "2", "--metrics-out", str(out),
         ]) == 1
         err = capsys.readouterr().err
         assert "quarantined" in err
@@ -255,45 +256,12 @@ class TestCLIFaultTolerance:
         [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
         assert task["failure"]["kind"] == "crash"
 
-    def test_resume_serves_journaled_shards(self, capsys, cache_dir, tmp_path):
-        assert main(["table1"]) == 0
-        first = capsys.readouterr()
-        out = tmp_path / "metrics.json"
-        assert main(["table1", "--resume", "--metrics-out", str(out)]) == 0
-        second = capsys.readouterr()
-        assert second.out == first.out  # byte-identical rendered tables
-        data = json.loads(out.read_text())
-        assert [t["cache"] for t in data["tasks"]] == ["resumed"]
-
-    def test_resume_requires_the_cache(self, capsys):
-        assert main(["table1", "--resume", "--no-cache"]) == 2
-        assert "--resume" in capsys.readouterr().err
-
-    def test_bad_inject_rejected(self, capsys, cache_dir, entry):
-        assert entry("--inject", f"{entry.label}=explode") == 2
-        assert "inject" in capsys.readouterr().err.lower()
-
     def test_bad_timeout_rejected(self, capsys, cache_dir, entry):
         # inf would overflow selectors.select; nan would never expire.
         for timeout in ("0", "inf", "nan"):
             assert entry("--task-timeout", timeout) == 2
             assert "task_timeout must be finite and > 0" \
                 in capsys.readouterr().err
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_hang_needs_a_task_timeout(
-            self, capsys, cache_dir, monkeypatch, entry, source):
-        # Without a watchdog nothing ends a hung worker.  ("*" because
-        # $REPRO_INJECT splits on the commas sweep labels contain.)
-        inject = "*=hang"
-        if source == "env":
-            monkeypatch.setenv("REPRO_INJECT", inject)
-            status = entry()
-        else:
-            status = entry("--inject", inject)
-        assert status == 2
-        assert "hang injection needs --task-timeout" \
-            in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_rejected(self, capsys, entry, jobs):
@@ -303,11 +271,30 @@ class TestCLIFaultTolerance:
         assert "argument --jobs/-j: expected a positive integer" \
             in capsys.readouterr().err
 
-    def test_fail_fast_aborts(self, capsys, cache_dir, entry):
-        assert entry("--inject", f"{entry.label}=raise",
-                     "--fail-fast") == 1
+    def test_fail_fast_aborts(self, capsys, cache_dir, entry, fail_tasks):
+        fail_tasks(entry.label, boom)
+        assert entry("--fail-fast") == 1
         err = capsys.readouterr().err
-        assert "fail-fast" in err and "--resume" in err
+        assert "fail-fast" in err and "rerun the same command" in err
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--resume"], id="resume"),
+        pytest.param(["--inject", "x=raise"], id="inject"),
+    ])
+    def test_resume_and_inject_flags_removed(self, capsys, entry, flags):
+        # A plain rerun serves every finished task from the cache, and
+        # the tests make tasks fail for real, so both flags are gone.
+        with pytest.raises(SystemExit) as exc:
+            entry(*flags)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" \
+            in capsys.readouterr().err
+
+    def test_inject_env_var_is_ignored(self, capsys, cache_dir, monkeypatch,
+                                       entry):
+        monkeypatch.setenv("REPRO_INJECT", "*=raise")
+        assert entry() == 0
+        assert "quarantined" not in capsys.readouterr().err
 
     def test_interrupt_exits_130_with_partial_metrics(
             self, capsys, cache_dir, tmp_path, monkeypatch, entry):
@@ -319,7 +306,7 @@ class TestCLIFaultTolerance:
         monkeypatch.setattr("repro.sweep.engine.run_tasks", interrupted)
         out = tmp_path / "metrics.json"
         assert entry("--metrics-out", str(out)) == 130
-        assert "rerun with --resume" in capsys.readouterr().err
+        assert "rerun the same command" in capsys.readouterr().err
         data = json.loads(out.read_text())
         assert data["schema"] == METRICS_SCHEMA_VERSION
         assert data["fingerprint"] == "partial"

@@ -85,7 +85,7 @@ class TestMetricsJSON:
                 "experiment", "shard", "cache", "wall_s", "worker",
                 "tallies", "key", "status", "fingerprint_kind",
             }
-            assert task["cache"] in ("hit", "miss", "off", "resumed")
+            assert task["cache"] in ("hit", "miss", "off")
             assert task["fingerprint_kind"] in ("slice", "tree")
             assert task["status"] == "ok"
             assert task["tallies"] == {"gspn_firings": 10 * int(task["shard"])}

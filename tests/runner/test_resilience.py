@@ -1,27 +1,27 @@
-"""Supervised executor: timeouts, quarantine, resume, faults.
+"""Supervised executor: timeouts, crash detection, quarantine, interrupts.
 
-Every fault here is injected through :mod:`repro.faults`, so the
-failure scenarios are deterministic — no flaky sleeps or real
-segfaults, and the healthy shards must stay byte-identical to a
-fault-free run.
+Every failure here is real: the failing shard's task calls
+``os._exit``, sleeps past the timeout or raises (see
+:mod:`tests.failing_tasks`), and the healthy shards must stay
+byte-identical to a run where nothing fails.
 """
 
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.faults import FaultPlan
 from repro.runner import (
     FailFastError,
     ResultCache,
-    RunJournal,
     SupervisionPolicy,
     Task,
     run_tasks,
     supervised_map,
 )
+from tests.failing_tasks import boom, crash, hang
 
 
 def _work(n=1, seed=0):
@@ -32,6 +32,12 @@ def _tasks():
     return [
         Task("demo", str(n), _work, {"n": n, "seed": n}) for n in (1, 2, 3, 4)
     ]
+
+
+def _failing(fns):
+    """``_tasks()`` with each shard named in ``fns`` running ``fns[shard]``."""
+    return [replace(task, fn=fns.get(task.shard, task.fn))
+            for task in _tasks()]
 
 
 def _interrupt(n=0):
@@ -61,9 +67,11 @@ def _unloadable():
 class TestQuarantine:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_retries_quarantine_only_that_shard(self, jobs):
+        # A crash needs a worker process to die in; inline, shard 2
+        # raises instead.
+        fail, kind = (crash, "crash") if jobs > 1 else (boom, "exception")
         clean, _ = run_tasks(_tasks(), jobs=1)
-        faults = FaultPlan.parse(["demo/2=crash"])
-        results, metrics = run_tasks(_tasks(), jobs=jobs, faults=faults)
+        results, metrics = run_tasks(_failing({"2": fail}), jobs=jobs)
         # The healthy shards are byte-identical to the fault-free run.
         assert ("demo", "2") not in results
         assert results == {k: v for k, v in clean.items() if k[1] != "2"}
@@ -71,22 +79,24 @@ class TestQuarantine:
         [failed] = metrics.failures
         assert failed.shard == "2"
         assert failed.status == "quarantined"
-        assert failed.failure["kind"] == "crash"
+        assert failed.failure["kind"] == kind
 
     def test_k_injected_faults_give_exactly_k_quarantines(self):
         clean, _ = run_tasks(_tasks(), jobs=1)
-        faults = FaultPlan.parse(["demo/1=raise", "demo/4=crash"])
-        results, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
+        results, metrics = run_tasks(_failing({"1": boom, "4": crash}), jobs=2)
         assert metrics.quarantined == 2
         assert sorted(results) == [("demo", "2"), ("demo", "3")]
         assert all(results[k] == clean[k] for k in results)
+        kinds = {t.shard: t.failure["kind"] for t in metrics.failures}
+        assert kinds == {"1": "exception", "4": "crash"}
 
     def test_exception_fault_records_type_and_traceback(self):
-        faults = FaultPlan.parse(["demo/1=raise"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
+        _, metrics = run_tasks(_failing({"1": boom}), jobs=2)
         [failed] = metrics.failures
-        assert failed.failure["error_type"] == "InjectedFault"
-        assert "InjectedFault" in failed.failure["traceback"]
+        assert failed.failure["kind"] == "exception"
+        assert failed.failure["error_type"] == "Boom"
+        assert failed.failure["message"] == "task failed on purpose"
+        assert "Boom" in failed.failure["traceback"]
         assert failed.failure["worker"] > 0
 
     def test_result_that_fails_to_unpickle_is_quarantined(self):
@@ -106,8 +116,7 @@ class TestQuarantine:
         assert "demo/bad cannot be rebuilt here" in failed.failure["message"]
 
     def test_metrics_json_carries_the_failure(self, tmp_path):
-        faults = FaultPlan.parse(["demo/2=crash"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
+        _, metrics = run_tasks(_failing({"2": crash}), jobs=2)
         out = tmp_path / "metrics.json"
         metrics.write(out)
         data = json.loads(out.read_text())
@@ -115,22 +124,32 @@ class TestQuarantine:
         [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
         assert task["failure"]["kind"] == "crash"
         assert task["failure"]["label"] == "demo/2"
+        assert "exited with code 73" in task["failure"]["message"]
 
     def test_render_lists_quarantined_shards(self):
-        faults = FaultPlan.parse(["demo/2=crash"])
-        _, metrics = run_tasks(_tasks(), jobs=2, faults=faults)
+        _, metrics = run_tasks(_failing({"2": crash}), jobs=2)
         lines = metrics.render().splitlines()
         assert "quarantined shards:" in lines
         assert lines[-1].startswith("  demo/2: crash — WorkerCrash: ")
 
     def test_fail_fast_aborts_the_sweep(self):
-        faults = FaultPlan.parse(["demo/1=raise"])
         with pytest.raises(FailFastError) as err:
             run_tasks(
-                _tasks(), jobs=1, faults=faults,
+                _failing({"1": boom}), jobs=1,
                 policy=SupervisionPolicy(fail_fast=True),
             )
         assert err.value.failure.label == "demo/1"
+
+    def test_plain_rerun_recomputes_only_the_quarantined_shard(
+            self, tmp_path):
+        cache = ResultCache(tmp_path, fingerprint="a" * 64)
+        _, metrics = run_tasks(_failing({"2": boom}), jobs=1, cache=cache)
+        assert metrics.quarantined == 1
+        # A quarantined shard stores nothing, so the same call with
+        # the shard fixed runs it and serves the rest from the cache.
+        results, rerun = run_tasks(_tasks(), jobs=1, cache=cache)
+        assert rerun.quarantined == 0 and len(results) == 4
+        assert [t.cache for t in rerun.tasks] == ["hit", "miss", "hit", "hit"]
 
 
 class TestTimeout:
@@ -138,9 +157,8 @@ class TestTimeout:
         # demo/2 hangs (sleeps far beyond the timeout); the watchdog
         # must kill it and the other shards must still complete.
         clean, _ = run_tasks(_tasks(), jobs=1)
-        faults = FaultPlan.parse(["demo/2=hang"])
         results, metrics = run_tasks(
-            _tasks(), jobs=2, faults=faults,
+            _failing({"2": hang}), jobs=2,
             policy=SupervisionPolicy(task_timeout=0.5),
         )
         [failed] = metrics.failures
@@ -160,93 +178,22 @@ class TestTimeout:
         assert results[("slow", "2")] == _work(n=2)
 
 
-class TestJournalResume:
-    def test_resume_skips_journaled_shards(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        journal = RunJournal(tmp_path, "a" * 64)
-        # "Interrupted" run: only the first two shards completed.
-        run_tasks(_tasks()[:2], jobs=1, cache=cache, journal=journal)
-        assert len(journal.completed()) == 2
-        # Resume executes none of the journaled shards.
-        results, metrics = run_tasks(
-            _tasks(), jobs=1, cache=cache, journal=journal, resume=True
-        )
-        assert [t.cache for t in metrics.tasks] == \
-            ["resumed", "resumed", "miss", "miss"]
-        assert len(results) == 4
-
-    def test_fresh_run_truncates_the_journal(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        journal = RunJournal(tmp_path, "a" * 64)
-        run_tasks(_tasks(), jobs=1, cache=cache, journal=journal)
-        assert len(journal.completed()) == 4
-        run_tasks(_tasks()[:1], jobs=1, cache=cache, journal=journal)
-        assert set(journal.completed()) == {"demo/1"}
-
-    def test_stale_journal_from_old_code_never_matches(self, tmp_path):
-        old_cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        old_journal = RunJournal(tmp_path, "a" * 64)
-        run_tasks(_tasks(), jobs=1, cache=old_cache, journal=old_journal)
-        # New code fingerprint: its journal is a different file, and the
-        # old keys can never validate, so everything re-executes.
-        new_cache = ResultCache(tmp_path, fingerprint="b" * 64)
-        new_journal = RunJournal(tmp_path, "b" * 64)
-        _, metrics = run_tasks(
-            _tasks(), jobs=1, cache=new_cache, journal=new_journal,
-            resume=True,
-        )
-        assert all(t.cache == "miss" for t in metrics.tasks)
-
-    def test_quarantined_shard_is_journaled_and_retried_on_resume(self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        journal = RunJournal(tmp_path, "a" * 64)
-        faults = FaultPlan.parse(["demo/2=crash"])
-        _, metrics = run_tasks(
-            _tasks(), jobs=1, cache=cache, journal=journal, faults=faults,
-        )
-        assert metrics.quarantined == 1
-        assert "demo/2" not in journal.completed()
-        # Resume without the fault: only the quarantined shard runs.
-        results, metrics2 = run_tasks(
-            _tasks(), jobs=1, cache=cache, journal=journal, resume=True
-        )
-        assert metrics2.quarantined == 0 and len(results) == 4
-        by_shard = {t.shard: t.cache for t in metrics2.tasks}
-        assert by_shard["2"] == "miss"
-        assert by_shard["1"] == by_shard["3"] == by_shard["4"] == "resumed"
-
-    def test_torn_journal_line_is_skipped(self, tmp_path):
-        journal = RunJournal(tmp_path, "a" * 64)
-        journal.begin(resume=False)
-        journal.record("demo/1", status="done", key="k1")
-        with journal.path.open("a") as fh:
-            fh.write('{"label": "demo/2", "status"')  # killed mid-write
-        assert journal.completed() == {"demo/1": "k1"}
-
-
 class TestKeyboardInterrupt:
-    def test_interrupt_flushes_journal_and_partial_metrics(self, tmp_path):
+    def test_interrupt_partial_metrics_then_rerun_hits(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        journal = RunJournal(tmp_path, "a" * 64)
         tasks = _tasks()[:2] + [Task("demo", "boom", _interrupt, {})]
         seen = []
         with pytest.raises(KeyboardInterrupt):
-            run_tasks(
-                tasks, jobs=1, cache=cache, journal=journal,
-                on_partial=seen.append,
-            )
-        # Both completed shards are journaled, cached, and in the
-        # partial metrics handed to on_partial before the re-raise.
-        assert set(journal.completed()) == {"demo/1", "demo/2"}
+            run_tasks(tasks, jobs=1, cache=cache, on_partial=seen.append)
+        # Both completed shards are in the partial metrics handed to
+        # on_partial before the re-raise.
         [partial] = seen
         assert [t.shard for t in partial.tasks] == ["1", "2"]
-        # And the interrupted run resumes cleanly.
-        results, metrics = run_tasks(
-            _tasks(), jobs=1, cache=cache, journal=journal, resume=True
-        )
+        # A plain rerun serves them from the cache and runs the rest.
+        results, metrics = run_tasks(_tasks(), jobs=1, cache=cache)
         assert len(results) == 4
         assert [t.cache for t in metrics.tasks] == \
-            ["resumed", "resumed", "miss", "miss"]
+            ["hit", "hit", "miss", "miss"]
 
 
 class TestSupervisedMap:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.sweep.cli import main as sweep_main
+from tests.failing_tasks import boom
 
 SPEC = """\
 name = "clidemo"
@@ -71,19 +72,14 @@ class TestRun:
     def test_missing_spec_is_usage_error(self, capsys):
         assert sweep_main(["run", "no-such-sweep", "--no-cache"]) == 2
 
-    def test_quarantine_exits_nonzero(self, spec_path, capsys):
+    def test_quarantine_exits_nonzero(self, spec_path, capsys, fail_tasks):
+        fail_tasks("sweep:figure7/line_bytes=256*", boom)
         status = sweep_main([
             "run", str(spec_path), "--no-cache", "--no-report",
-            "--inject", "sweep:figure7/line_bytes=256*=raise",
         ])
         assert status == 1
         out = capsys.readouterr().out
         assert "quarantined" in out
-
-    def test_resume_without_cache_is_usage_error(self, spec_path, capsys):
-        assert sweep_main([
-            "run", str(spec_path), "--no-cache", "--resume",
-        ]) == 2
 
 
 class TestReportAndList:

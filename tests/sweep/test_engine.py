@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.faults import FaultPlan
 from repro.runner import ResultCache
 from repro.sweep.engine import compile_tasks, run_sweep
 from repro.sweep.spec import parse_spec
+from tests.failing_tasks import boom
 
 TINY = {
     "name": "tiny",
@@ -81,11 +81,9 @@ class TestRun:
         assert by_shard["line_bytes=512,num_banks=4"] == "hit"
         assert by_shard["line_bytes=1024,num_banks=4"] == "miss"
 
-    def test_quarantined_config_is_excluded_from_pareto(self):
-        faults = FaultPlan.parse(
-            ["sweep:figure7/line_bytes=256*=raise"]
-        )
-        outcome, metrics = run_sweep(tiny_spec(), faults=faults)
+    def test_quarantined_config_is_excluded_from_pareto(self, fail_tasks):
+        fail_tasks("sweep:figure7/line_bytes=256*", boom)
+        outcome, metrics = run_sweep(tiny_spec())
         assert outcome.failed == ["line_bytes=256,num_banks=4"]
         assert [c.label for c in outcome.configs] == [
             "line_bytes=512,num_banks=4"]

@@ -32,6 +32,16 @@ the ``mp_fast_hits`` tally of local hits served by the fast path must
 reach ``MIN_MP_FAST_HITS``, so a silent fall-back to the protocol path
 fails.
 
+The GSPN section holds the memoizing Monte-Carlo evaluator to its
+oracle: the Figure 10 nets perfbench's ``uniproc-cpi`` workload runs, at
+its ``full`` sizes and seed 0 — a Table 4 integrated point, a Figure 11
+conventional point, and Section 5.6 at 2, 4, 8 and 16 banks with the
+bank places tracked — must give ``SimResult`` fields and generator
+states identical to the interpreter in ``tests/gspn/reference_sim.py``.
+Each simulator must also have stored some steps in its marking memo, and
+no more than ``MAX_GSPN_LEARNED_FRACTION`` of its firings, so a memo
+that is off or never hits fails.
+
 Run directly::
 
     python scripts/check_fast_paths.py [--out report.json]
@@ -49,7 +59,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT))  # the MP oracle lives under tests/
+sys.path.insert(0, str(REPO_ROOT))  # the oracles live under tests/
 
 TRACE_LEN = 120_000
 PROXIES = ("126.gcc", "101.tomcatv", "134.perl")
@@ -63,6 +73,17 @@ SPLASH_FULL = {
 SPLASH_PROCS = 8
 # Measured once over that pass: 365,723 fast hits of 465,984 accesses.
 MIN_MP_FAST_HITS = 330_000
+
+# perfbench's ``full`` uniproc-cpi sizes and the points checked.
+GSPN_TRACE_LEN = 12_000
+GSPN_INSTRUCTIONS = 2_000
+GSPN_BENCHMARK = "126.gcc"
+GSPN_MEM_LATENCY = 30
+GSPN_BANKS = (2, 4, 8, 16)
+# Stored steps per firing.  Measured at seed 0: 0.109 on the integrated
+# point and 0.108 at 16 banks, the highest of these nets; a memo that
+# never hit would store about one step per firing.
+MAX_GSPN_LEARNED_FRACTION = 0.15
 
 
 def _trace_for(name: str, trace_len: int):
@@ -260,6 +281,66 @@ def check_mp() -> dict:
     }
 
 
+def check_gspn() -> dict:
+    """The GSPN nets of ``uniproc-cpi`` against the interpreter."""
+    import copy
+    import dataclasses
+
+    from repro.analysis import experiments
+    from repro.gspn.sim import GSPNSimulator
+    from repro.uniproc import pipeline
+    from repro.workloads.spec import get_proxy
+    from tests.gspn.reference_sim import ReferenceGSPNSimulator
+
+    failures: list[str] = []
+    timings = {"fast_s": 0.0, "exact_s": 0.0}
+    nets: list[dict] = []
+
+    class Checked(GSPNSimulator):
+        """Replays each run through the oracle from the same start."""
+
+        def __init__(self, net, rng, track_places=()):
+            self.oracle_args = (net, copy.deepcopy(rng), tuple(track_places))
+            t0 = time.perf_counter()
+            super().__init__(net, rng, track_places)
+            timings["fast_s"] += time.perf_counter() - t0
+
+        def run(self, **kwargs):
+            t0 = time.perf_counter()
+            result = super().run(**kwargs)
+            timings["fast_s"] += time.perf_counter() - t0
+            net, ref_rng, track = self.oracle_args
+            t0 = time.perf_counter()
+            expected = ReferenceGSPNSimulator(net, ref_rng, track).run(**kwargs)
+            timings["exact_s"] += time.perf_counter() - t0
+            label = f"{net.name}/{len(nets)}"
+            if dataclasses.asdict(result) != dataclasses.asdict(expected):
+                failures.append(f"{label}: SimResult differs")
+            if self.rng.bit_generator.state != ref_rng.bit_generator.state:
+                failures.append(f"{label}: generator state differs")
+            learned = self.learned_steps / result.events
+            if not 0 < learned <= MAX_GSPN_LEARNED_FRACTION:
+                failures.append(f"{label}: {self.learned_steps} steps learned "
+                                f"over {result.events} firings")
+            nets.append({"net": label, "firings": result.events,
+                         "learned_steps": self.learned_steps})
+            return result
+
+    proxy = get_proxy(GSPN_BENCHMARK)
+    sizes = {"trace_len": GSPN_TRACE_LEN, "instructions": GSPN_INSTRUCTIONS,
+             "seed": 0}
+    saved = pipeline.GSPNSimulator, experiments.GSPNSimulator
+    pipeline.GSPNSimulator = experiments.GSPNSimulator = Checked
+    try:
+        pipeline.integrated_cpi(proxy, **sizes)
+        pipeline.conventional_cpi(proxy, mem_latency=GSPN_MEM_LATENCY, **sizes)
+        experiments.section56(GSPN_BENCHMARK, bank_counts=GSPN_BANKS, **sizes)
+    finally:
+        pipeline.GSPNSimulator, experiments.GSPNSimulator = saved
+    return {"nets": nets, "max_learned_fraction": MAX_GSPN_LEARNED_FRACTION,
+            **timings, "failures": failures}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=Path, default=None,
@@ -277,11 +358,12 @@ def main() -> int:
         "two_level": check_two_level(args.trace_len),
         "measurement": check_measurement(args.trace_len),
         "mp": check_mp(),
+        "gspn": check_gspn(),
     }
 
     status = 0
     for stage in ("column_buffer", "set_assoc", "two_level", "measurement",
-                  "mp"):
+                  "mp", "gspn"):
         entry = report[stage]
         for failure in entry["failures"]:
             print(f"FAIL {stage}: {failure}")
@@ -299,6 +381,12 @@ def main() -> int:
             print(f"ok   mp: {entry['runs']} runs identical,"
                   f" {entry['fast_hits']} fast hits"
                   f" (floor {entry['min_fast_hits']}),"
+                  f" {entry['fast_s']:.2f}s vs oracle {entry['exact_s']:.2f}s")
+        elif stage == "gspn" and not entry["failures"]:
+            worst = max(n["learned_steps"] / n["firings"] for n in entry["nets"])
+            print(f"ok   gspn: {len(entry['nets'])} nets identical,"
+                  f" at most {worst:.3f} steps learned per firing"
+                  f" (ceiling {entry['max_learned_fraction']}),"
                   f" {entry['fast_s']:.2f}s vs oracle {entry['exact_s']:.2f}s")
         elif not entry["failures"]:
             print(f"ok   {stage}: engines identical")

@@ -21,7 +21,8 @@ class InterNodeCache:
     ``install`` allocates after a remote fill, ``invalidate`` drops a
     block on a coherence invalidation, and ``on_evict`` (if given) is
     called with the address of every block displaced by ``install`` so
-    the directory can retire the copy.
+    the directory can retire the copy.  A set's tag list is allocated by
+    the first ``install`` into it; lookups allocate nothing.
     """
 
     def __init__(self, reserved_bytes: int = 1 * MB, on_evict=None) -> None:
@@ -36,7 +37,7 @@ class InterNodeCache:
             self.line_bytes, sets
         )
         self._on_evict = on_evict
-        self._sets: list[list[int]] = [[] for _ in range(sets)]  # tags, MRU last
+        self._sets: dict[int, list[int]] = {}  # set index -> tags, MRU last
         self.probes = 0
         self.hits = 0
         self.installs = 0
@@ -47,7 +48,8 @@ class InterNodeCache:
         return self.num_sets * self.ways * self.line_bytes
 
     def _locate(self, addr: int) -> tuple[list[int], int]:
-        return (self._sets[(addr >> self._line_shift) & self._set_mask],
+        """The tags of ``addr``'s set (``()`` if never installed into)."""
+        return (self._sets.get((addr >> self._line_shift) & self._set_mask, ()),
                 addr >> self._tag_shift)
 
     def probe(self, addr: int) -> bool:
@@ -62,7 +64,11 @@ class InterNodeCache:
         return False
 
     def install(self, addr: int) -> None:
-        tags, tag = self._locate(addr)
+        index = (addr >> self._line_shift) & self._set_mask
+        tags = self._sets.get(index)
+        if tags is None:
+            tags = self._sets[index] = []
+        tag = addr >> self._tag_shift
         if tag in tags:
             tags.remove(tag)
             tags.append(tag)
@@ -91,7 +97,7 @@ class InterNodeCache:
         return self.hits / self.probes if self.probes else 0.0
 
     def reset(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = {}
         self.probes = 0
         self.hits = 0
         self.installs = 0

@@ -19,9 +19,29 @@ every transition with an input or inhibitor arc on a place the firing
 touched, in the order of the touched places (inputs, then outputs) and
 then of each place's arcs, de-duplicated, followed by the transition
 itself if absent.  One loop in :meth:`GSPNSimulator.run` picks the next
-transition, fires it, and walks its refresh list, testing enabling and
-arming or disarming timers inline.  Weighted conflicts are resolved from
-cumulative weights cached per distinct set of enabled immediates.
+transition, fires it, and applies the changes a walk of its refresh
+list makes: enabled immediates added or discarded, timers armed or
+disarmed.  Weighted conflicts are resolved from cumulative weights
+cached per distinct set of enabled immediates.
+
+**Marking memo.**  Each simulator remembers the part of the net's
+reachability graph it has visited.  A marking is interned as an
+immutable key (``bytes`` while every count is below 256, else a tuple)
+with an integer id, and each *step* — transition ``tid`` fired from
+marking ``M`` — is stored the first time it is taken, as the successor
+marking and the walk's *effective* changes in walk order.  Examinations
+that change nothing (adding a member, discarding a non-member, re-testing
+an armed timer) are dropped.  Every later firing of ``tid`` from ``M`` is
+one dict lookup followed by applying those changes.  This is exact as
+long as only the simulator edits the marking: then every timed
+transition other than the one that just fired is armed exactly when it
+is enabled, and the enabled-immediates set holds exactly the enabled
+immediates, so the changes depend on ``(M, tid)`` alone.  A simulator
+whose caller edited :attr:`~GSPNSimulator.marking` between runs stops
+reading and storing steps for the rest of its life.  At most
+``_MAX_MEMO_MARKINGS`` markings are interned per simulator, so a net
+with a place that grows without bound cannot exhaust memory; past the
+cap, steps are computed and applied but not stored.
 
 **RNG-order contract.**  The perfbench references and the committed
 experiment results pin the exact random stream, so the evaluator draws
@@ -37,7 +57,9 @@ does, and nothing else:
   ``Generator.choice(p=...)`` computes it, so the same double picks the
   same transition.  The candidates are taken in the iteration order of
   the enabled-immediates set, whose add/discard sequence follows the
-  refresh lists.
+  refresh lists.  A stored step replays that sequence in order, one
+  discard at a time: ``difference_update`` would compact the set's
+  table afterwards and so reorder its iteration.
 
 Draws are never batched: exponential and uniform draws interleave, so
 blocking either would reorder the stream.
@@ -58,6 +80,9 @@ from repro.common.errors import SimulationError
 from repro.gspn.net import PetriNet, TransitionKind
 
 _MAX_IMMEDIATE_CHAIN = 1_000_000
+# Markings one simulator interns at most.  The shipped experiments reach
+# 2,296 (a Table 3 point at 15,000 instructions).
+_MAX_MEMO_MARKINGS = 1 << 16
 
 
 @dataclass
@@ -94,6 +119,14 @@ class SimResult:
         return self.firings.get(transition, 0) / self.time
 
 
+def _marking_key(counts) -> bytes | tuple:
+    """A marking as a memo key: bytes when every count is below 256."""
+    try:
+        return bytes(counts)
+    except ValueError:
+        return tuple(counts)
+
+
 class GSPNSimulator:
     """Single-run Monte-Carlo simulator for a :class:`PetriNet`.
 
@@ -117,16 +150,13 @@ class GSPNSimulator:
         trans = list(net.transitions.values())
         self._priority = [t.priority for t in trans]
         self._param = [t.param for t in trans]  # weight, delay or rate
-        self._inputs = [
-            tuple((place_ids[p], m) for p, m in t.inputs.items()) for t in trans
-        ]
-        self._outputs = [
-            tuple((place_ids[p], m) for p, m in t.outputs.items()) for t in trans
-        ]
-        inhibitors = [
-            tuple((place_ids[p], th) for p, th in t.inhibitors.items())
-            for t in trans
-        ]
+
+        def arcs(table: dict[str, int]) -> tuple[tuple[int, int], ...]:
+            return tuple(zip(map(place_ids.__getitem__, table), table.values()))
+
+        self._inputs = [arcs(t.inputs) for t in trans]
+        self._outputs = [arcs(t.outputs) for t in trans]
+        inhibitors = [arcs(t.inhibitors) for t in trans]
         # Transitions whose enabling depends on each place.
         affected: list[list[int]] = [[] for _ in self._place_names]
         for tid, tran in enumerate(trans):
@@ -160,9 +190,27 @@ class GSPNSimulator:
             )
             for tid, tran in enumerate(trans)
         ]
+        # Arming a timer: the fixed delay of a deterministic transition,
+        # or None and the scale of an exponential one's draw.
+        self._fixed_delay = [
+            t.param if t.kind is TransitionKind.DETERMINISTIC else None
+            for t in trans
+        ]
+        self._scale = [
+            1.0 / t.param if t.kind is TransitionKind.EXPONENTIAL else None
+            for t in trans
+        ]
         # tuple(enabled immediates) -> (top-priority candidates, their
         # cumulative weights or None when there is only one).
         self._conflicts: dict[tuple[int, ...], tuple] = {}
+        # The marking memo: marking key -> (step base, key), and
+        # step base + tid -> the step firing tid from that marking.  A
+        # marking without an id gets the base _no_base, which no step
+        # key reaches.
+        self._memo = True
+        self._markings: dict[bytes | tuple, tuple[int, bytes | tuple]] = {}
+        self._steps: dict[int, tuple] = {}
+        self._no_base = -len(trans)
         self.reset()
 
     # -- state ------------------------------------------------------------
@@ -174,9 +222,9 @@ class GSPNSimulator:
         self.clock = 0.0
         self.firing_counts = [0] * len(self._tran_names)
         self.events = 0
-        self._armed = [False] * len(self._tran_names)
         # A heap entry (time, tid, epoch) is live while epoch[tid] still
-        # equals its epoch: arming and disarming both bump the epoch.
+        # equals its epoch.  Arming and disarming both bump the epoch, so
+        # a transition's timer is armed while its epoch is odd.
         self._epoch = [0] * len(self._tran_names)
         self._heap: list[tuple[float, int, int]] = []
         self._enabled_imm: set[int] = set()
@@ -184,7 +232,115 @@ class GSPNSimulator:
         self._busy_area = [0.0] * len(self._track)
         # Running timers of consumers of each tracked slot.
         self._running = [0] * len(self._track)
-        self._simulate(self._examine_all, examine_only=True)
+        step = self._learn(self._no_base, _marking_key(self.marking), -1)
+        self._simulate(step, examine_only=True)
+
+    def _learn(self, base: int, key: bytes | tuple, tid: int) -> tuple:
+        """Fire ``tid`` from marking ``key`` and walk its refresh list.
+
+        Returns the step ``(base, key, drops, adds, more, disarms, arms,
+        busy)``: the successor marking's base and key, then the changes
+        the walk makes, for :meth:`_simulate` to apply.  It is stored in
+        the memo when both markings have ids.  ``tid`` -1 fires nothing
+        and examines every transition, which :meth:`reset` uses.
+        """
+        if tid < 0:
+            examine = self._examine_all
+        else:
+            counts = bytearray(key) if key.__class__ is bytes else list(key)
+            for place, mult in self._inputs[tid]:
+                left = counts[place] - mult
+                if left < 0:
+                    raise SimulationError(
+                        f"net {self.net.name}: firing "
+                        f"{self._tran_names[tid]} left place "
+                        f"{self._place_names[place]} with negative "
+                        f"marking {left}"
+                    )
+                counts[place] = left
+            for place, mult in self._outputs[tid]:
+                try:
+                    counts[place] += mult
+                except ValueError:  # a count past 255
+                    counts = list(counts)
+                    counts[place] += mult
+            if counts.__class__ is bytearray:
+                key = bytes(counts)
+            else:
+                key = _marking_key(counts)
+            examine = self._refresh_lists[tid]
+        markings = self._markings
+        state = markings.get(key) if self._memo else None
+        if state is None:
+            if self._memo and len(markings) < _MAX_MEMO_MARKINGS:
+                state = markings[key] = (
+                    len(markings) * len(self._tran_names), key
+                )
+            else:
+                state = (self._no_base, key)
+        marking = state[1]
+
+        # The walk, kept as the effective changes only.  Set changes go
+        # in rounds of discards then adds; timer changes as disarms and
+        # arms, the fired transition's own disarm first.
+        epoch = self._epoch
+        enabled_imm = self._enabled_imm
+        immediate = TransitionKind.IMMEDIATE
+        rounds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        drops: list[int] = []
+        adds: list[int] = []
+        disarms = [tid] if tid >= 0 and epoch[tid] & 1 else []
+        arms = []
+        for t, kind, need, inhibit in examine:
+            for place, mult in need:
+                if marking[place] < mult:
+                    enabled = False
+                    break
+            else:
+                enabled = True
+                for place, threshold in inhibit:
+                    if marking[place] >= threshold:
+                        enabled = False
+                        break
+            if kind is immediate:
+                if enabled:
+                    if t not in enabled_imm:
+                        adds.append(t)
+                elif t in enabled_imm:
+                    if adds:
+                        rounds.append((tuple(drops), tuple(adds)))
+                        drops, adds = [], []
+                    drops.append(t)
+            elif enabled:
+                if t == tid or not epoch[t] & 1:
+                    arms.append(t)
+            elif t != tid and epoch[t] & 1:
+                disarms.append(t)
+        rounds.append((tuple(drops), tuple(adds)))
+        busy: tuple[tuple[int, int], ...] = ()
+        if self._track:
+            running = [0] * len(self._track)
+            for ts, sign in ((disarms, -1), (arms, 1)):
+                for t in ts:
+                    for slot in self._busy_slots[t]:
+                        running[slot] += sign
+            busy = tuple((slot, n) for slot, n in enumerate(running) if n)
+        step = (
+            *state,
+            *rounds[0],
+            tuple(rounds[1:]),
+            tuple(disarms),
+            tuple(arms),
+            busy,
+        )
+        if base >= 0 and state[0] >= 0:
+            self._steps[base + tid] = step
+        return step
+
+    @property
+    def learned_steps(self) -> int:
+        """Steps in the marking memo: distinct (marking, transition) firings."""
+        return len(self._steps)
 
     def _resolve(self, enabled: tuple[int, ...]) -> tuple:
         """Top-priority candidates among ``enabled`` and their CDF.
@@ -204,82 +360,68 @@ class GSPNSimulator:
 
     def _simulate(
         self,
-        examine: tuple,
+        step: tuple,
         max_time: float = math.inf,
         stop_tid: int | None = None,
         stop_count: int = 0,
         max_events: int = 0,
         examine_only: bool = False,
     ) -> str | None:
-        """Examine the ``examine`` records, then fire until a bound.
+        """Apply ``step``, then fire until a bound.
 
-        Each firing is followed by a walk of the fired transition's
-        refresh list.  Returns why the run ended: ``"deadlock"`` when no
-        timer is left, ``"max_events"`` when the event budget ran out,
-        else ``None``.
+        Each firing applies the step the memo holds for it, or the one
+        :meth:`_learn` computes.  Returns why the run ended:
+        ``"deadlock"`` when no timer is left, ``"max_events"`` when the
+        event budget ran out, else ``None``.
         """
-        marking = self.marking
         counts = self.firing_counts
-        armed = self._armed
         epoch = self._epoch
         heap = self._heap
         enabled_imm = self._enabled_imm
-        inputs = self._inputs
-        outputs = self._outputs
-        refresh = self._refresh_lists
-        param = self._param
-        busy_slots = self._busy_slots
+        discard = enabled_imm.discard
+        update = enabled_imm.update
+        fixed_delay = self._fixed_delay
+        scale = self._scale
         running = self._running
         track = tuple(enumerate(self._track))
         marking_area = self._marking_area
         busy_area = self._busy_area
         conflicts = self._conflicts
+        steps = self._steps
+        learn = self._learn
         exponential = self.rng.exponential
         uniform = self.rng.random
         heappush = heapq.heappush
         heappop = heapq.heappop
-        immediate = TransitionKind.IMMEDIATE
-        deterministic = TransitionKind.DETERMINISTIC
         clock = self.clock
         events = self.events
         chain = 0
         tid = -1
         ended = None
+        base, key, drops, adds, more, disarms, arms, busy = step
         try:
             while True:
-                for t, kind, need, inhibit in examine:
-                    for place, mult in need:
-                        if marking[place] < mult:
-                            enabled = False
-                            break
-                    else:
-                        enabled = True
-                        for place, threshold in inhibit:
-                            if marking[place] >= threshold:
-                                enabled = False
-                                break
-                    if kind is immediate:
-                        if enabled:
-                            enabled_imm.add(t)
-                        else:
-                            enabled_imm.discard(t)
-                    elif enabled:
-                        if not armed[t]:
-                            armed[t] = True
-                            stamp = epoch[t] + 1
-                            epoch[t] = stamp
-                            if kind is deterministic:
-                                delay = param[t]
-                            else:
-                                delay = exponential(1.0 / param[t])
-                            heappush(heap, (clock + delay, t, stamp))
-                            for slot in busy_slots[t]:
-                                running[slot] += 1
-                    elif armed[t]:
-                        armed[t] = False
-                        epoch[t] += 1
-                        for slot in busy_slots[t]:
-                            running[slot] -= 1
+                for t in drops:
+                    discard(t)
+                if adds:
+                    update(adds)
+                if more:
+                    for later_drops, later_adds in more:
+                        for t in later_drops:
+                            discard(t)
+                        update(later_adds)
+                for t in disarms:
+                    epoch[t] += 1
+                for t in arms:
+                    stamp = epoch[t] + 1
+                    epoch[t] = stamp
+                    delay = fixed_delay[t]
+                    if delay is None:
+                        delay = exponential(scale[t])
+                    heappush(heap, (clock + delay, t, stamp))
+                if busy:
+                    for slot, n in busy:
+                        running[slot] += n
                 if examine_only:
                     return None
 
@@ -297,10 +439,10 @@ class GSPNSimulator:
                     if len(enabled_imm) == 1:
                         (tid,) = enabled_imm
                     else:
-                        key = tuple(enabled_imm)
-                        choice = conflicts.get(key)
+                        conflict = tuple(enabled_imm)
+                        choice = conflicts.get(conflict)
                         if choice is None:
-                            choice = conflicts[key] = self._resolve(key)
+                            choice = conflicts[conflict] = self._resolve(conflict)
                         ready, cdf = choice
                         if cdf is None:
                             tid = ready[0]
@@ -324,35 +466,23 @@ class GSPNSimulator:
                         break
                     dt = when - clock
                     for slot, place in track:
-                        marking_area[slot] += marking[place] * dt
-                        if marking[place] == 0 or running[slot]:
+                        marking_area[slot] += key[place] * dt
+                        if key[place] == 0 or running[slot]:
                             busy_area[slot] += dt
                     clock = when
 
                 # Fire it.
-                for place, mult in inputs[tid]:
-                    left = marking[place] - mult
-                    if left < 0:
-                        raise SimulationError(
-                            f"net {self.net.name}: firing "
-                            f"{self._tran_names[tid]} left place "
-                            f"{self._place_names[place]} with negative "
-                            f"marking {left}"
-                        )
-                    marking[place] = left
-                for place, mult in outputs[tid]:
-                    marking[place] += mult
-                if armed[tid]:
-                    armed[tid] = False
-                    epoch[tid] += 1
-                    for slot in busy_slots[tid]:
-                        running[slot] -= 1
+                step = steps.get(base + tid)
+                if step is None:
+                    step = learn(base, key, tid)
+                base, key, drops, adds, more, disarms, arms, busy = step
                 counts[tid] += 1
                 events += 1
-                examine = refresh[tid]
         finally:
             self.clock = clock
             self.events = events
+            self.marking[:] = key
+            self._at = (base, key)
         return ended
 
     # -- driving ----------------------------------------------------------
@@ -394,9 +524,17 @@ class GSPNSimulator:
         clock_before = self.clock
         marking_area_before = list(self._marking_area)
         busy_area_before = list(self._busy_area)
+        base, key = self._at
+        if self._memo and list(key) != self.marking:
+            # The caller edited the marking: the timers and the enabled
+            # set no longer follow from it, so no step may be reused.
+            self._memo = False
+        if not self._memo:
+            base, key = self._no_base, _marking_key(self.marking)
         with obs.span(f"gspn/run/{self.net.name}"):
             ended = self._simulate(
-                (), max_time, stop_tid, stop_count, max_events
+                (base, key, (), (), (), (), (), ()),
+                max_time, stop_tid, stop_count, max_events,
             )
             tally.add("gspn_firings", self.events - events_before)
         if (

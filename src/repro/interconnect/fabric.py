@@ -24,6 +24,10 @@ class MessageType(Enum):
     ACK = "ack"
     WRITEBACK = "writeback"  # carries a 32 B block
 
+    # Members are singletons, so identity hashing is exact, and unlike
+    # Enum.__hash__ it runs in C: the fabric counts a message per send.
+    __hash__ = object.__hash__
+
     @property
     def payload_bytes(self) -> int:
         if self in (MessageType.READ_REPLY, MessageType.WRITEBACK):

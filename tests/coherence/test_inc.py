@@ -12,6 +12,16 @@ class TestGeometry:
         assert inc.num_sets == 4096
         assert inc.data_capacity_bytes == 4096 * 7 * 32
 
+    def test_fresh_cache_holds_no_set_lists(self):
+        inc = InterNodeCache(1 * MB)
+        assert not inc._sets
+        assert not inc.probe(0x1000)
+        assert not inc.contains(0x2000)
+        inc.invalidate(0x3000)
+        assert not inc._sets
+        inc.install(0x1000)
+        assert len(inc._sets) == 1
+
     def test_rejects_bad_reservation(self):
         with pytest.raises(ConfigError):
             InterNodeCache(100)

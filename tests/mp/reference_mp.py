@@ -499,7 +499,8 @@ def _node_state(node) -> dict:
                            sorted(victim._dirty))
     inc = node.inc
     state["inc"] = (inc.probes, inc.hits, inc.installs, inc.evictions,
-                    [list(tags) for tags in inc._sets if tags])
+                    [list(inc._sets[index]) for index in sorted(inc._sets)
+                     if inc._sets[index]])
     if hasattr(node, "_pages"):
         state["scoma"] = (node.page_faults, sorted(node._pages),
                           sorted(node._valid_blocks))

@@ -9,11 +9,15 @@ Two properties of the vectorized cache engines, both hard requirements:
   flags, victim-hit flags, load/store hit splits, evictions,
   writebacks, and every victim counter.  The column buffer is checked
   in all three Figure 7/8 configurations (the I-cache, and the D-cache
-  with and without its victim buffer), and the conventional
-  direct-mapped and 2-way caches of Figures 7/8 against
-  ``SetAssociativeCache``.  This is the same differential
-  contract the hypothesis suites in ``tests/caches`` pin on random
-  traces, re-checked here on the traces the figures actually use.
+  with and without its victim buffer) against ``ColumnBufferCache``
+  through ``tests/caches/reference_column_buffer.py``, and the
+  conventional direct-mapped and 2-way caches of Figures 7/8 against
+  ``SetAssociativeCache``.  The measurement stage compares both
+  ``measure_*`` functions, the shared-L2 merge included, with the
+  block-by-block replay in ``tests/uniproc/reference_measurement.py``.
+  This is the same differential contract the hypothesis suites in
+  ``tests/caches`` pin on random traces, re-checked here on the traces
+  the figures actually use.
 - **Engagement** — the fast engines must beat the object-oriented
   oracle in-process by at least ``MIN_INPROCESS_SPEEDUP``, so a
   regression that silently falls back to the scalar path fails the
@@ -116,6 +120,7 @@ def _identical(fast, exact) -> list[str]:
 def check_column_buffer(trace_len: int) -> dict:
     from repro.caches.fast import simulate_column_buffer
     from repro.common.params import IntegratedDeviceParams
+    from tests.caches.reference_column_buffer import column_buffer_exact
 
     device = IntegratedDeviceParams()
     refs = 0
@@ -132,8 +137,8 @@ def check_column_buffer(trace_len: int) -> dict:
             fast = simulate_column_buffer(trace, geometry, victim)
             fast_s += time.perf_counter() - t0
             t0 = time.perf_counter()
-            exact = simulate_column_buffer(trace, geometry, victim,
-                                           engine="exact")
+            exact = column_buffer_exact(trace.addresses, trace.is_write,
+                                        geometry, victim)
             exact_s += time.perf_counter() - t0
             refs += len(trace)
             failures += [f"{name}: {p}" for p in _identical(fast, exact)]
@@ -148,10 +153,7 @@ def check_column_buffer(trace_len: int) -> dict:
 
 def check_set_assoc(trace_len: int) -> dict:
     """Figure 7/8's conventional caches against ``SetAssociativeCache``."""
-    from repro.caches.fast import (
-        direct_mapped_miss_flags,
-        two_way_lru_miss_flags,
-    )
+    from repro.caches.fast import set_assoc_miss_flags
     from repro.caches.set_assoc import SetAssociativeCache
     from repro.common.params import CacheGeometry
     from repro.common.units import KB
@@ -162,13 +164,13 @@ def check_set_assoc(trace_len: int) -> dict:
     for name in PROXIES:
         _, dtrace = _trace_for(name, trace_len)
         addrs = dtrace.addresses
-        for engine, geometry in (
-            (direct_mapped_miss_flags, CacheGeometry(8 * KB, 32, 1)),
-            (direct_mapped_miss_flags, CacheGeometry(16 * KB, 32, 1)),
-            (two_way_lru_miss_flags, CacheGeometry(16 * KB, 32, 2)),
+        for geometry in (
+            CacheGeometry(8 * KB, 32, 1),
+            CacheGeometry(16 * KB, 32, 1),
+            CacheGeometry(16 * KB, 32, 2),
         ):
             t0 = time.perf_counter()
-            fast = engine(addrs, geometry).tolist()
+            fast = set_assoc_miss_flags(addrs, geometry).tolist()
             fast_s += time.perf_counter() - t0
             t0 = time.perf_counter()
             cache = SetAssociativeCache(geometry)
@@ -176,37 +178,8 @@ def check_set_assoc(trace_len: int) -> dict:
             exact_s += time.perf_counter() - t0
             refs += len(addrs)
             if fast != exact:
-                failures.append(f"{name}/{engine.__name__}/"
+                failures.append(f"{name}/{geometry.ways}-way/"
                                 f"{geometry.size_bytes // KB}K: miss flags differ")
-    return {
-        "refs": refs,
-        "fast_s": fast_s,
-        "exact_s": exact_s,
-        "speedup": exact_s / fast_s if fast_s else float("inf"),
-        "failures": failures,
-    }
-
-
-def check_two_level(trace_len: int) -> dict:
-    from repro.caches.fast import simulate_two_level
-    from repro.common.params import ConventionalSystemParams
-
-    params = ConventionalSystemParams()
-    refs = 0
-    fast_s = exact_s = 0.0
-    failures: list[str] = []
-    for name in PROXIES:
-        itrace, dtrace = _trace_for(name, trace_len)
-        for trace, l1 in ((itrace, params.l1i), (dtrace, params.l1d)):
-            t0 = time.perf_counter()
-            fast = simulate_two_level(trace, l1, params.l2)
-            fast_s += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            exact = simulate_two_level(trace, l1, params.l2, engine="exact")
-            exact_s += time.perf_counter() - t0
-            refs += len(trace)
-            if fast != exact:
-                failures.append(f"{name}: HierarchyStats differ")
     return {
         "refs": refs,
         "fast_s": fast_s,
@@ -223,14 +196,17 @@ def check_measurement(trace_len: int) -> dict:
         measure_integrated,
     )
     from repro.workloads.spec import get_proxy
+    from tests.uniproc.reference_measurement import (
+        reference_conventional,
+        reference_integrated,
+    )
 
     failures: list[str] = []
     for name in PROXIES:
         proxy = get_proxy(name)
-        for fn in (measure_integrated, measure_conventional):
-            fast = fn(proxy, trace_len)
-            exact = fn(proxy, trace_len, engine="exact")
-            if fast != exact:
+        for fn, oracle in ((measure_integrated, reference_integrated),
+                           (measure_conventional, reference_conventional)):
+            if fn(proxy, trace_len) != oracle(proxy, trace_len):
                 failures.append(f"{name}/{fn.__name__}: MissRates differ")
     return {"failures": failures}
 
@@ -329,14 +305,15 @@ def check_gspn() -> dict:
     proxy = get_proxy(GSPN_BENCHMARK)
     sizes = {"trace_len": GSPN_TRACE_LEN, "instructions": GSPN_INSTRUCTIONS,
              "seed": 0}
-    saved = pipeline.GSPNSimulator, experiments.GSPNSimulator
-    pipeline.GSPNSimulator = experiments.GSPNSimulator = Checked
+    # Every CPI point runs its net through pipeline.processor_net_cpi.
+    saved = pipeline.GSPNSimulator
+    pipeline.GSPNSimulator = Checked
     try:
         pipeline.integrated_cpi(proxy, **sizes)
         pipeline.conventional_cpi(proxy, mem_latency=GSPN_MEM_LATENCY, **sizes)
         experiments.section56(GSPN_BENCHMARK, bank_counts=GSPN_BANKS, **sizes)
     finally:
-        pipeline.GSPNSimulator, experiments.GSPNSimulator = saved
+        pipeline.GSPNSimulator = saved
     return {"nets": nets, "max_learned_fraction": MAX_GSPN_LEARNED_FRACTION,
             **timings, "failures": failures}
 
@@ -355,15 +332,13 @@ def main() -> int:
         "trace_len": args.trace_len,
         "column_buffer": check_column_buffer(args.trace_len),
         "set_assoc": check_set_assoc(args.trace_len),
-        "two_level": check_two_level(args.trace_len),
         "measurement": check_measurement(args.trace_len),
         "mp": check_mp(),
         "gspn": check_gspn(),
     }
 
     status = 0
-    for stage in ("column_buffer", "set_assoc", "two_level", "measurement",
-                  "mp", "gspn"):
+    for stage in ("column_buffer", "set_assoc", "measurement", "mp", "gspn"):
         entry = report[stage]
         for failure in entry["failures"]:
             print(f"FAIL {stage}: {failure}")

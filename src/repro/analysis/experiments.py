@@ -29,15 +29,16 @@ from repro.caches import (
 from repro.common.params import CacheGeometry, IntegratedDeviceParams
 from repro.common.rng import make_rng, split_rng
 from repro.common.units import KB
-from repro.gspn.models import ISSUE_TRANSITION, ProcessorNetParams, bank_ready_place
-from repro.gspn.models import build_processor_net
-from repro.gspn.sim import GSPNSimulator
 from repro.machines.models import sparcstation_5, sparcstation_10
 from repro.machines.stridewalk import stride_walk_curve
 from repro.machines.table1 import table1_model
 from repro.mp.system import SystemKind
 from repro.uniproc.measurement import measure_integrated
-from repro.uniproc.pipeline import conventional_cpi, integrated_cpi
+from repro.uniproc.pipeline import (
+    conventional_cpi,
+    integrated_cpi,
+    processor_net_cpi,
+)
 from repro.workloads.spec import ALL_NAMES, get_proxy
 from repro.workloads.splash import KERNELS
 
@@ -412,27 +413,10 @@ def section56(
     cpi: dict[int, float] = {}
     utilization: dict[int, float] = {}
     for banks in bank_counts:
-        params = ProcessorNetParams(
-            p_load=proxy.mix.p_load,
-            p_store=proxy.mix.p_store,
-            ifetch=rates.ifetch,
-            load=rates.load,
-            store=rates.store,
-            num_banks=banks,
-        )
-        net = build_processor_net(params)
-        track = tuple(bank_ready_place(b) for b in range(banks))
-        sim = GSPNSimulator(
-            net, split_rng(make_rng(seed), benchmark, f"banks{banks}"),
-            track_places=track,
-        )
-        result = sim.run(stop_transition=ISSUE_TRANSITION, stop_count=instructions)
-        cpi[banks] = result.time / result.firings[ISSUE_TRANSITION]
-        # Time-averaged busy fraction of each bank's ready place, straight
-        # from the simulator (busy = token absent, in precharge, or held by
-        # a running access timer), averaged across banks.
-        utilization[banks] = (
-            sum(result.busy_fraction[place] for place in track) / banks
+        cpi[banks], utilization[banks] = processor_net_cpi(
+            proxy, rates, instructions,
+            split_rng(make_rng(seed), benchmark, f"banks{banks}"),
+            track_banks=True, num_banks=banks,
         )
     return BankSweepExperiment(list(bank_counts), cpi, utilization, benchmark)
 

@@ -13,17 +13,11 @@ from repro.caches.column_buffer import (
 )
 from repro.caches.fast import (
     FastCacheResult,
-    TwoLevelFastResult,
     column_buffer_fast,
-    column_buffer_fast_supported,
-    direct_mapped_miss_flags,
     direct_mapped_miss_rate,
     set_assoc_miss_flags,
     set_assoc_miss_rate,
     simulate_column_buffer,
-    simulate_two_level,
-    two_level_fast,
-    two_way_lru_miss_flags,
 )
 from repro.caches.hierarchy import (
     HierarchyStats,
@@ -48,13 +42,10 @@ __all__ = [
     "HierarchyStats",
     "ServiceLevel",
     "SetAssociativeCache",
-    "TwoLevelFastResult",
     "TwoLevelHierarchy",
     "VictimCache",
     "column_buffer_fast",
-    "column_buffer_fast_supported",
     "conventional_hierarchies",
-    "direct_mapped_miss_flags",
     "direct_mapped_miss_rate",
     "iter_trace",
     "proposed_dcache",
@@ -62,7 +53,4 @@ __all__ = [
     "set_assoc_miss_flags",
     "set_assoc_miss_rate",
     "simulate_column_buffer",
-    "simulate_two_level",
-    "two_level_fast",
-    "two_way_lru_miss_flags",
 ]

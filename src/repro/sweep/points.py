@@ -34,16 +34,14 @@ from repro.common.params import (
     VictimCacheParams,
 )
 from repro.common.rng import make_rng, split_rng
-from repro.gspn.models import (
-    ISSUE_TRANSITION,
-    ProcessorNetParams,
-    bank_ready_place,
-    build_processor_net,
-)
-from repro.gspn.sim import GSPNSimulator
 from repro.mp.system import SystemKind
-from repro.uniproc.measurement import measure_conventional, measure_integrated
-from repro.workloads.spec import get_proxy
+from repro.uniproc.measurement import (
+    MissRates,
+    measure_conventional,
+    measure_integrated,
+)
+from repro.uniproc.pipeline import processor_net_cpi
+from repro.workloads.spec import SpecProxy, get_proxy
 from repro.workloads.splash import KERNELS
 
 # ---------------------------------------------------------------------------
@@ -88,49 +86,24 @@ AXES: dict[str, tuple[str, Callable[[Any], bool]]] = {
 
 
 def _gspn_point(
-    rates_probs: tuple,
-    benchmark: str,
+    proxy: SpecProxy,
+    rates: MissRates,
     num_banks: int,
     timing: DRAMTiming,
     instructions: int,
     seed: int,
-    *,
-    has_l2: bool = False,
-    l2_latency: float = 6.0,  # repro: unit(cycles)
+    **net_overrides,
 ) -> tuple[float, float]:
     """``(cpi, mean bank utilization)`` from the Figure 10 processor net."""
-    ifetch, load, store, p_load, p_store = rates_probs
-    params = ProcessorNetParams(
-        p_load=p_load,
-        p_store=p_store,
-        ifetch=ifetch,
-        load=load,
-        store=store,
+    return processor_net_cpi(
+        proxy, rates, instructions,
+        split_rng(make_rng(seed), proxy.name, f"sweep-banks{num_banks}"),
+        track_banks=True,
         mem_access=timing.access_cycles,
         precharge=timing.precharge_cycles,
         num_banks=num_banks,
-        has_l2=has_l2,
-        l2_latency=l2_latency,
+        **net_overrides,
     )
-    net = build_processor_net(params)
-    track = tuple(bank_ready_place(b) for b in range(num_banks))
-    sim = GSPNSimulator(
-        net,
-        split_rng(make_rng(seed), benchmark, f"sweep-banks{num_banks}"),
-        track_places=track,
-    )
-    result = sim.run(stop_transition=ISSUE_TRANSITION, stop_count=instructions)
-    cpi = result.time / result.firings[ISSUE_TRANSITION]
-    utilization = sum(result.busy_fraction[p] for p in track) / num_banks
-    return cpi, utilization
-
-
-def _integrated_rates(proxy, params: IntegratedDeviceParams, trace_len: int,
-                      seed: int, with_victim: bool):
-    rates = measure_integrated(proxy, trace_len, seed, with_victim, params)
-    probs = (rates.ifetch, rates.load, rates.store,
-             proxy.mix.p_load, proxy.mix.p_store)
-    return rates, probs
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +133,9 @@ def icache_point(
         num_banks=num_banks, column_bytes=line_bytes, dram=timing,
     )
     proxy = get_proxy(benchmark)
-    rates, probs = _integrated_rates(proxy, params, trace_len, seed, True)
+    rates = measure_integrated(proxy, trace_len, seed, True, params)
     cpi, utilization = _gspn_point(
-        probs, benchmark, num_banks, timing, instructions, seed,
+        proxy, rates, num_banks, timing, instructions, seed,
     )
     return {
         "miss_rate": rates.icache_miss_rate,
@@ -195,9 +168,9 @@ def dcache_point(
         victim=VictimCacheParams(entries=victim_entries),
     )
     proxy = get_proxy(benchmark)
-    rates, probs = _integrated_rates(proxy, params, trace_len, seed, True)
+    rates = measure_integrated(proxy, trace_len, seed, True, params)
     cpi, utilization = _gspn_point(
-        probs, benchmark, num_banks, timing, instructions, seed,
+        proxy, rates, num_banks, timing, instructions, seed,
     )
     return {
         "miss_rate": rates.dcache_miss_rate,
@@ -223,12 +196,10 @@ def conventional_point(
     """
     proxy = get_proxy(benchmark)
     rates = measure_conventional(proxy, trace_len, seed)
-    probs = (rates.ifetch, rates.load, rates.store,
-             proxy.mix.p_load, proxy.mix.p_store)
     timing = DRAMTiming(access_cycles=max(1, round(mem_latency)),
                        precharge_cycles=4)
     cpi, utilization = _gspn_point(
-        probs, benchmark, num_banks, timing, instructions, seed,
+        proxy, rates, num_banks, timing, instructions, seed,
         has_l2=True, l2_latency=l2_latency,
     )
     return {
@@ -355,3 +326,18 @@ def validate_axis_value(axis: str, value: Any) -> str | None:
         return (f"expected one of {', '.join(sorted(LATENCY_PROFILES))}, "
                 f"got {value!r}")
     return f"expected a positive number for {description}, got {value!r}"
+
+
+#: Fixed knobs that count work (trace references, issued instructions);
+#: below 1 a point would simulate nothing and still report numbers.
+COUNT_KNOBS = ("trace_len", "instructions")
+
+
+def validate_fixed_value(knob: str, value: Any) -> str | None:
+    """None if ``value`` is legal for the fixed knob ``knob``, else a
+    short reason."""
+    if knob in AXES:
+        return validate_axis_value(knob, value)
+    if knob in COUNT_KNOBS and not _positive_int(value):
+        return f"expected a positive integer, got {value!r}"
+    return None

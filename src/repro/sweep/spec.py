@@ -43,7 +43,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.errors import ReproError
-from repro.sweep.points import AXES, BASES, validate_axis_value
+from repro.sweep.points import (
+    AXES,
+    BASES,
+    validate_axis_value,
+    validate_fixed_value,
+)
 
 SPEC_SUFFIXES = (".toml", ".json")
 DEFAULT_SWEEPS_DIR = Path("artifacts") / "sweeps"
@@ -239,10 +244,9 @@ def parse_spec(table: dict[str, Any]) -> SweepSpec:
                 f"base {base.name!r} accepts no knob {knob!r} "
                 f"(fixed knobs: {', '.join(base.fixed)}; "
                 f"axes: {', '.join(base.axes)})")
-        if knob in base.axes:
-            reason = validate_axis_value(knob, fixed[knob])
-            if reason is not None:
-                raise SweepSpecError("bad-value", f"fixed {knob!r}: {reason}")
+        reason = validate_fixed_value(knob, fixed[knob])
+        if reason is not None:
+            raise SweepSpecError("bad-value", f"fixed {knob!r}: {reason}")
 
     objectives = _parse_objectives(table.get("objectives"), base)
 

@@ -10,20 +10,19 @@ Instruction and data references interleave in blocks sized by the
 proxy's instruction mix, so a shared second-level cache sees a realistic
 mixed stream.
 
-Both measurements dispatch onto the vectorized fast paths of
-:mod:`repro.caches.fast` when the cache configuration qualifies (every
-default configuration does): the integrated device's I- and D-caches
-are private, so each runs its full (wrap-reconstructed) stream through
-:func:`~repro.caches.fast.simulate_column_buffer` in one shot, and the
+Both measurements run on the vectorized engines of
+:mod:`repro.caches.fast`.  The integrated device's I- and D-caches are
+private, so each runs its full (wrap-reconstructed) stream through
+:func:`~repro.caches.fast.column_buffer_fast` in one shot; the
 conventional system computes both L1 miss-flag vectors first, then
 merges the two miss streams *in interleave order* into the single
 shared-L2 reference stream.  Block-by-block interleaving and whole-
 stream simulation are equivalent for the private caches because each
 cache simply sees its own references in time order; the shared L2 is
 the only point where the interleave matters, and the merge preserves
-it exactly.  ``engine="exact"`` forces the object-oriented simulators —
-the differential tests assert both engines produce identical
-:class:`MissRates`.
+it exactly.  ``tests/uniproc/reference_measurement.py`` keeps the
+block-by-block replay through the object-oriented simulators as the
+oracle, and the tests require identical :class:`MissRates`.
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ import numpy as np
 
 from repro import obs
 from repro.common import tally
-from repro.caches.column_buffer import proposed_dcache, proposed_icache
 from repro.caches.fast import (
-    ratio_from_flags,
     column_buffer_fast,
-    column_buffer_fast_supported,
+    ratio_from_flags,
     set_assoc_miss_flags,
 )
-from repro.caches.hierarchy import HierarchyStats, conventional_hierarchies
+from repro.caches.hierarchy import HierarchyStats
+from repro.common.errors import ConfigError
 from repro.common.params import ConventionalSystemParams, IntegratedDeviceParams
 from repro.gspn.models import MemoryPathProbs
 from repro.workloads.spec.model import SpecProxy
@@ -60,23 +58,27 @@ class MissRates:
     dcache_miss_rate: float
 
 
-def _interleaved(proxy: SpecProxy, trace_len: int, seed: int):
+def _interleaved(proxy: SpecProxy, trace_len: int, seed: int) -> list:
     """Pairs of (instruction block, data block) in mix proportion."""
+    if trace_len < 1:
+        raise ConfigError(f"trace_len must be at least 1, got {trace_len}")
     mix = proxy.mix
     data_per_instr = mix.p_load + mix.p_store
     itrace = proxy.instruction_trace(trace_len, seed)
     dtrace = proxy.data_trace(max(1, int(trace_len * data_per_instr)), seed)
     d_block = max(1, int(_INTERLEAVE_BLOCK * data_per_instr))
+    blocks = []
     i_pos = d_pos = 0
     while i_pos < len(itrace):
-        yield (
+        blocks.append((
             itrace[i_pos : i_pos + _INTERLEAVE_BLOCK],
             dtrace[d_pos : d_pos + d_block],
-        )
+        ))
         i_pos += _INTERLEAVE_BLOCK
         d_pos += d_block
         if d_pos >= len(dtrace):
             d_pos = 0
+    return blocks
 
 
 def _concat_blocks(blocks):
@@ -84,8 +86,8 @@ def _concat_blocks(blocks):
 
     Returns ``(i_addrs, i_writes, d_addrs, d_writes)``.  The instruction
     stream is the original trace; the data stream reproduces the
-    wrap-around replay of :func:`_interleaved` exactly (the generator
-    restarts the data trace whenever it runs dry), so a private cache
+    wrap-around replay of :func:`_interleaved` exactly (it restarts the
+    data trace whenever it runs dry), so a private cache
     consuming the concatenation sees the same references in the same
     order as one consuming the blocks one by one.
     """
@@ -102,33 +104,19 @@ def measure_integrated(
     seed: int = 0,
     with_victim: bool = True,
     params: IntegratedDeviceParams | None = None,
-    engine: str = "auto",
 ) -> MissRates:
     """Miss rates on the proposed device's column-buffer caches."""
     params = params or IntegratedDeviceParams()
     victim = params.victim if with_victim else None
-    blocks = list(_interleaved(proxy, trace_len, seed))
-    fast_ok = (
-        blocks
-        and column_buffer_fast_supported(params.icache_geometry)
-        and column_buffer_fast_supported(params.dcache_geometry, victim)
+    i_addrs, i_writes, d_addrs, d_writes = _concat_blocks(
+        _interleaved(proxy, trace_len, seed)
     )
-    if engine != "exact" and fast_ok:
-        i_addrs, i_writes, d_addrs, d_writes = _concat_blocks(blocks)
-        with obs.span("cache/fast/column-buffer"):
-            ires = column_buffer_fast(i_addrs, i_writes, params.icache_geometry)
-            dres = column_buffer_fast(
-                d_addrs, d_writes, params.dcache_geometry, victim
-            )
-            tally.add("cache_refs", int(i_addrs.size + d_addrs.size))
-        istats, dstats = ires.stats, dres.stats
-    else:
-        icache = proposed_icache(params)
-        dcache = proposed_dcache(params, with_victim=with_victim)
-        for i_block, d_block in blocks:
-            icache.run(i_block)
-            dcache.run(d_block)
-        istats, dstats = icache.stats, dcache.stats
+    with obs.span("cache/fast/column-buffer"):
+        istats = column_buffer_fast(i_addrs, i_writes, params.icache_geometry).stats
+        dstats = column_buffer_fast(
+            d_addrs, d_writes, params.dcache_geometry, victim
+        ).stats
+        tally.add("cache_refs", int(i_addrs.size + d_addrs.size))
     return MissRates(
         ifetch=MemoryPathProbs(hit=istats.loads.hit_rate),
         load=MemoryPathProbs(hit=dstats.loads.hit_rate),
@@ -139,7 +127,7 @@ def measure_integrated(
     )
 
 
-def _conventional_fast(
+def _conventional_stats(
     blocks, params: ConventionalSystemParams
 ) -> tuple[HierarchyStats, HierarchyStats]:
     """Both hierarchies' stats via one vectorized pass per cache.
@@ -193,19 +181,12 @@ def measure_conventional(
     trace_len: int = 150_000,
     seed: int = 0,
     params: ConventionalSystemParams | None = None,
-    engine: str = "auto",
 ) -> MissRates:
     """Miss rates on the conventional split-L1 + shared-L2 reference."""
     params = params or ConventionalSystemParams()
-    blocks = list(_interleaved(proxy, trace_len, seed))
-    if engine != "exact" and blocks:
-        istats, dstats = _conventional_fast(blocks, params)
-    else:
-        ihier, dhier = conventional_hierarchies(params)
-        for i_block, d_block in blocks:
-            ihier.run(i_block)
-            dhier.run(d_block)
-        istats, dstats = ihier.stats, dhier.stats
+    istats, dstats = _conventional_stats(
+        _interleaved(proxy, trace_len, seed), params
+    )
 
     def probs(l1_hit: float, l2_among_misses: float) -> MemoryPathProbs:
         l2 = (1.0 - l1_hit) * l2_among_misses

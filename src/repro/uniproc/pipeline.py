@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.paperdata import PAPER_TABLE4, spec_ratio_constant
 from repro.common.rng import make_rng, split_rng
 from repro.gspn.models import (
     ISSUE_TRANSITION,
     ProcessorNetParams,
+    bank_ready_place,
     build_processor_net,
 )
 from repro.gspn.sim import GSPNSimulator
@@ -45,13 +48,25 @@ class CPIEstimate:
         return spec_ratio_constant(self.name) / self.total_cpi
 
 
-def _gspn_memory_cpi(
+def processor_net_cpi(
     proxy: SpecProxy,
     rates: MissRates,
     instructions: int,
-    seed: int,
+    rng: np.random.Generator,
+    track_banks: bool = False,
     **net_overrides,
-) -> float:
+) -> tuple[float, float | None]:
+    """``(cpi, bank utilization)`` of one Figure 10 processor-net run.
+
+    The net takes the proxy's load/store mix, the memory-path
+    probabilities of ``rates`` and any :class:`ProcessorNetParams`
+    overrides, and runs on ``rng`` until ``instructions`` issues.  The
+    CPI is the net's whole CPI (ideal 1 plus the memory stalls).  With
+    ``track_banks`` the second value is the time-averaged busy fraction
+    of the bank ready places (busy = token absent, in precharge, or held
+    by a running access timer), averaged across banks; otherwise the
+    banks are not tracked, which keeps the run cheaper, and it is None.
+    """
     params = ProcessorNetParams(
         p_load=proxy.mix.p_load,
         p_store=proxy.mix.p_store,
@@ -61,10 +76,23 @@ def _gspn_memory_cpi(
         **net_overrides,
     )
     net = build_processor_net(params)
-    rng = split_rng(make_rng(seed), proxy.name, "gspn")
-    sim = GSPNSimulator(net, rng)
+    track = (tuple(bank_ready_place(b) for b in range(params.num_banks))
+             if track_banks else ())
+    sim = GSPNSimulator(net, rng, track_places=track)
     result = sim.run(stop_transition=ISSUE_TRANSITION, stop_count=instructions)
     cpi = result.time / result.firings[ISSUE_TRANSITION]
+    if not track_banks:
+        return cpi, None
+    return cpi, sum(result.busy_fraction[p] for p in track) / params.num_banks
+
+
+def _gspn_memory_cpi(proxy: SpecProxy, rates: MissRates, instructions: int,
+                     seed: int, **net_overrides) -> float:
+    """The memory component: the net's CPI above its ideal of 1."""
+    cpi, _ = processor_net_cpi(
+        proxy, rates, instructions,
+        split_rng(make_rng(seed), proxy.name, "gspn"), **net_overrides,
+    )
     return max(0.0, cpi - 1.0)
 
 

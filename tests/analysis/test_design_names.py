@@ -2,7 +2,11 @@
 
 Every backticked ``repro.…`` name in DESIGN.md, with brace lists such
 as ``repro.caches.{column_buffer,victim}`` expanded, must resolve to a
-module or to an attribute reachable from one.
+module or to an attribute reachable from one.  Every backticked bare
+identifier (``column_buffer_fast``, ``MissRates``, ``REPRO_SCALE``)
+must occur as a word in the program's code — ``src/``, ``scripts/``,
+``perfbench/`` and ``benchmarks/`` — so a function that was deleted
+cannot stay documented.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 NAME = re.compile(r"`(repro(?:\.[\w{},]+)+)`")
+BARE = re.compile(r"`([A-Za-z_]\w*)`")
+CODE_DIRS = ("src", "scripts", "perfbench", "benchmarks")
 
 
 def design_names() -> list[str]:
@@ -54,3 +60,18 @@ def test_design_names_are_found():
 @pytest.mark.parametrize("name", design_names())
 def test_design_name_resolves(name):
     assert resolves(name), f"DESIGN.md names {name}, which does not exist"
+
+
+def code_words() -> set[str]:
+    words: set[str] = set()
+    for top in CODE_DIRS:
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def test_design_bare_names_occur_in_code():
+    bare = set(BARE.findall((REPO_ROOT / "DESIGN.md").read_text()))
+    assert "column_buffer_fast" in bare
+    missing = sorted(bare - code_words())
+    assert not missing, f"DESIGN.md names {missing}, found nowhere in the code"

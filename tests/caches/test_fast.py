@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caches.fast import (
-    _column_buffer_exact,
     column_buffer_fast,
-    column_buffer_fast_supported,
-    direct_mapped_miss_flags,
     direct_mapped_miss_rate,
     set_assoc_miss_flags,
     set_assoc_miss_rate,
     simulate_column_buffer,
-    simulate_two_level,
-    two_level_fast,
-    two_way_lru_miss_flags,
 )
-from repro.caches.hierarchy import TwoLevelHierarchy
-from repro.caches.set_assoc import FullyAssociativeCache, SetAssociativeCache
-from repro.common.params import CacheGeometry, VictimCacheParams
+from repro.caches.hierarchy import conventional_hierarchies
+from repro.caches.set_assoc import SetAssociativeCache
+from repro.common.params import (
+    CacheGeometry,
+    ConventionalSystemParams,
+    VictimCacheParams,
+)
 from repro.common.units import KB, MB
 from repro.trace.stream import ReferenceTrace
+from repro.uniproc.measurement import _conventional_stats, measure_conventional
+from repro.workloads.spec import get_proxy
+from tests.caches.reference_column_buffer import column_buffer_exact
+from tests.uniproc.reference_measurement import reference_conventional
 
 
 def _reference_flags(addresses, geometry):
@@ -31,17 +33,17 @@ def _reference_flags(addresses, geometry):
 class TestDirectMappedFast:
     def test_empty_trace(self):
         geom = CacheGeometry(8 * KB, 32, 1)
-        assert direct_mapped_miss_flags(np.zeros(0, dtype=np.int64), geom).size == 0
+        assert set_assoc_miss_flags(np.zeros(0, dtype=np.int64), geom).size == 0
         assert direct_mapped_miss_rate(np.zeros(0, dtype=np.int64), geom) == 0.0
 
     def test_simple_conflict(self):
         geom = CacheGeometry(8 * KB, 32, 1)
         addrs = np.array([0, 8 * KB, 0], dtype=np.int64)
-        assert direct_mapped_miss_flags(addrs, geom).tolist() == [True, True, True]
+        assert set_assoc_miss_flags(addrs, geom).tolist() == [True, True, True]
 
     def test_rejects_wrong_associativity(self):
-        with pytest.raises(ValueError):
-            direct_mapped_miss_flags(
+        with pytest.raises(ValueError, match="2-way"):
+            direct_mapped_miss_rate(
                 np.array([0], dtype=np.int64), CacheGeometry(8 * KB, 32, 2)
             )
 
@@ -50,7 +52,7 @@ class TestDirectMappedFast:
     def test_matches_reference_simulator(self, addrs):
         geom = CacheGeometry(2 * KB, 32, 1)
         arr = np.asarray(addrs, dtype=np.int64)
-        fast = direct_mapped_miss_flags(arr, geom).tolist()
+        fast = set_assoc_miss_flags(arr, geom).tolist()
         assert fast == _reference_flags(addrs, geom)
 
 
@@ -58,7 +60,7 @@ class TestTwoWayFast:
     def test_two_aliases_coexist(self):
         geom = CacheGeometry(16 * KB, 512, 2)
         addrs = np.array([0, 8 * KB, 0, 8 * KB], dtype=np.int64)
-        assert two_way_lru_miss_flags(addrs, geom).tolist() == [
+        assert set_assoc_miss_flags(addrs, geom).tolist() == [
             True,
             True,
             False,
@@ -66,9 +68,9 @@ class TestTwoWayFast:
         ]
 
     def test_rejects_wrong_associativity(self):
-        with pytest.raises(ValueError):
-            two_way_lru_miss_flags(
-                np.array([0], dtype=np.int64), CacheGeometry(8 * KB, 32, 1)
+        with pytest.raises(ValueError, match="4-way"):
+            set_assoc_miss_rate(
+                np.array([0], dtype=np.int64), CacheGeometry(8 * KB, 32, 4)
             )
 
     @settings(max_examples=60, deadline=None)
@@ -76,7 +78,7 @@ class TestTwoWayFast:
     def test_matches_reference_simulator(self, addrs):
         geom = CacheGeometry(4 * KB, 32, 2)
         arr = np.asarray(addrs, dtype=np.int64)
-        fast = two_way_lru_miss_flags(arr, geom).tolist()
+        fast = set_assoc_miss_flags(arr, geom).tolist()
         assert fast == _reference_flags(addrs, geom)
 
 
@@ -103,7 +105,7 @@ class TestMoreThan65536Sets:
         geom = CacheGeometry(4 * MB, 32, 1)
         assert geom.num_sets > 1 << 16
         addrs = data.draw(_wide_addrs(geom))
-        flags = direct_mapped_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
+        flags = set_assoc_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
         assert flags.tolist() == _reference_flags(addrs, geom)
 
     @settings(max_examples=25, deadline=None)
@@ -112,13 +114,26 @@ class TestMoreThan65536Sets:
         geom = CacheGeometry(8 * MB, 32, 2)
         assert geom.num_sets > 1 << 16
         addrs = data.draw(_wide_addrs(geom))
-        flags = two_way_lru_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
+        flags = set_assoc_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
         assert flags.tolist() == _reference_flags(addrs, geom)
+
+
+class TestSetAssocFlags:
+    def test_empty_trace(self):
+        geom = CacheGeometry(16 * KB, 32, 2)
+        assert set_assoc_miss_flags(np.zeros(0, dtype=np.int64), geom).size == 0
+        assert set_assoc_miss_rate(np.zeros(0, dtype=np.int64), geom) == 0.0
+
+
+def _served(geometry, victim):
+    """The configurations :func:`column_buffer_fast` serves."""
+    return geometry.ways <= 2 if victim is None else geometry.ways == 2
 
 
 class TestOneReference:
     """A one-reference trace through every engine: a single compulsory
-    miss, and no eviction, writeback or victim activity."""
+    miss, and no eviction, writeback or victim activity — or, for a
+    configuration the engine does not serve, a ``ValueError``."""
 
     ADDR = 4_160
 
@@ -130,13 +145,16 @@ class TestOneReference:
     ], ids=["1-way", "2-way", "4-way", "full"])
     def test_set_assoc_engines(self, geometry):
         addrs = np.array([self.ADDR], dtype=np.int64)
+        if geometry.ways > 2:
+            with pytest.raises(ValueError, match="SetAssociativeCache"):
+                set_assoc_miss_flags(addrs, geometry)
+            with pytest.raises(ValueError, match="SetAssociativeCache"):
+                set_assoc_miss_rate(addrs, geometry)
+            return
         assert set_assoc_miss_flags(addrs, geometry).tolist() == [True]
         assert set_assoc_miss_rate(addrs, geometry) == 1.0
         if geometry.ways == 1:
-            assert direct_mapped_miss_flags(addrs, geometry).tolist() == [True]
             assert direct_mapped_miss_rate(addrs, geometry) == 1.0
-        if geometry.ways == 2:
-            assert two_way_lru_miss_flags(addrs, geometry).tolist() == [True]
 
     @pytest.mark.parametrize("write", [False, True])
     @pytest.mark.parametrize("victim", [None, VictimCacheParams()],
@@ -149,77 +167,84 @@ class TestOneReference:
     def test_column_buffer(self, geometry, victim, write):
         addrs = np.array([self.ADDR], dtype=np.int64)
         writes = np.array([write])
+        if not _served(geometry, victim):
+            with pytest.raises(ValueError, match="ColumnBufferCache"):
+                column_buffer_fast(addrs, writes, geometry, victim)
+            return
         fast = column_buffer_fast(addrs, writes, geometry, victim)
-        exact = _column_buffer_exact(addrs, writes, geometry, victim, 32)
+        exact = column_buffer_exact(addrs, writes, geometry, victim)
         _assert_results_identical(fast, exact)
         assert fast.miss_flags.tolist() == [True]
 
     def test_two_level(self):
-        l1 = CacheGeometry(2 * KB, 32, 2)
-        l2 = CacheGeometry(8 * KB, 64, 1)
-        trace = ReferenceTrace.reads([self.ADDR])
-        assert simulate_two_level(trace, l1, l2) == simulate_two_level(
-            trace, l1, l2, engine="exact"
-        )
-        result = two_level_fast(trace.addresses, l1, l2)
-        assert result.l1_miss_flags.tolist() == [True]
-        assert result.l2_miss_flags.tolist() == [True]
+        # A one-instruction trace gives one instruction and one data
+        # reference through the split L1s and their shared L2.
+        proxy = get_proxy("126.gcc")
+        rates = measure_conventional(proxy, 1)
+        assert rates == reference_conventional(proxy, 1)
+        assert (rates.icache_miss_rate, rates.dcache_miss_rate) == (1.0, 1.0)
 
 
-class TestDispatch:
-    @settings(max_examples=20, deadline=None)
-    @given(addrs=st.lists(st.integers(0, 1 << 14), min_size=1, max_size=200))
-    def test_four_way_fallback_matches_reference(self, addrs):
-        geom = CacheGeometry(4 * KB, 32, 4)
-        rate = set_assoc_miss_rate(np.asarray(addrs, dtype=np.int64), geom)
-        flags = _reference_flags(addrs, geom)
-        assert rate == pytest.approx(sum(flags) / len(flags))
+class TestUnservedConfigurations:
+    """Configurations outside the fast engines raise ``ValueError``,
+    naming the geometry and the object-oriented model that serves it."""
 
+    ADDRS = np.array([0, 4_096, 0], dtype=np.int64)
 
-class TestSetAssocFlags:
-    def test_empty_trace(self):
-        geom = CacheGeometry(4 * KB, 32, 4)
-        assert set_assoc_miss_flags(np.zeros(0, dtype=np.int64), geom).size == 0
+    @pytest.mark.parametrize("geometry, named", [
+        (CacheGeometry(4 * KB, 32, 4), "4-way 4096 B cache with 32 B lines"),
+        (CacheGeometry(512, 32, 0),
+         "fully associative 512 B cache with 32 B lines"),
+    ], ids=["4-way", "full"])
+    def test_set_assoc_rejects(self, geometry, named):
+        with pytest.raises(ValueError, match=named) as info:
+            set_assoc_miss_flags(self.ADDRS, geometry)
+        assert "SetAssociativeCache" in str(info.value)
 
-    @settings(max_examples=40, deadline=None)
-    @given(addrs=st.lists(st.integers(0, 1 << 15), min_size=1, max_size=300))
-    def test_four_way_matches_reference(self, addrs):
-        geom = CacheGeometry(2 * KB, 32, 4)
-        flags = set_assoc_miss_flags(np.asarray(addrs, dtype=np.int64), geom)
-        assert flags.tolist() == _reference_flags(addrs, geom)
-
-    @settings(max_examples=40, deadline=None)
-    @given(addrs=st.lists(st.integers(0, 1 << 13), min_size=1, max_size=300))
-    def test_fully_associative_matches_reference(self, addrs):
-        geom = CacheGeometry(512, 32, 0)  # 16-entry fully associative
-        arr = np.asarray(addrs, dtype=np.int64)
-        flags = set_assoc_miss_flags(arr, geom)
-        cache = FullyAssociativeCache(512, 32)
-        assert flags.tolist() == [not cache.access(a) for a in addrs]
+    @pytest.mark.parametrize("geometry, victim, named", [
+        (CacheGeometry(16 * 512, 512, 4), None,
+         "4-way 8192 B cache with 512 B lines"),
+        (CacheGeometry(4 * 512, 512, 0), None,
+         "fully associative 2048 B cache with 512 B lines"),
+        (CacheGeometry(8 * 512, 512, 1), VictimCacheParams(),
+         "1-way 4096 B cache with 512 B lines and a 16-entry victim buffer"),
+    ], ids=["4-way", "full", "1-way-victim"])
+    def test_column_buffer_rejects(self, geometry, victim, named):
+        writes = np.zeros(self.ADDRS.size, dtype=bool)
+        with pytest.raises(ValueError, match=named) as info:
+            column_buffer_fast(self.ADDRS, writes, geometry, victim)
+        assert "ColumnBufferCache" in str(info.value)
 
 
 # Strategies for the column-buffer differential: mixes of sequential
-# bursts (runs collapse) and aliasing hot spots (victim feedback).
+# bursts (runs collapse) and aliasing hot spots (victim feedback), over
+# the configurations the fast engine serves.
 _cb_refs = st.lists(
     st.tuples(st.integers(0, 1 << 15), st.booleans()), min_size=1, max_size=250
 )
-_cb_geoms = st.sampled_from(
-    [
-        CacheGeometry(2 * 512, 512, 1),
-        CacheGeometry(8 * 512, 512, 1),
-        CacheGeometry(8 * 512, 512, 2),
-        CacheGeometry(16 * 512, 512, 4),
-        CacheGeometry(4 * 128, 128, 2),
-    ]
-)
-_cb_victims = st.sampled_from(
-    [
-        None,
-        VictimCacheParams(entries=1),
-        VictimCacheParams(entries=2),
-        VictimCacheParams(entries=16),
-        VictimCacheParams(entries=4, line_bytes=64),
-    ]
+_cb_configs = st.one_of(
+    st.tuples(
+        st.sampled_from([
+            CacheGeometry(2 * 512, 512, 1),
+            CacheGeometry(8 * 512, 512, 1),
+            CacheGeometry(8 * 512, 512, 2),
+            CacheGeometry(4 * 128, 128, 2),
+        ]),
+        st.none(),
+    ),
+    st.tuples(
+        st.sampled_from([
+            CacheGeometry(4 * 512, 512, 2),
+            CacheGeometry(8 * 512, 512, 2),
+            CacheGeometry(4 * 128, 128, 2),
+        ]),
+        st.sampled_from([
+            VictimCacheParams(entries=1),
+            VictimCacheParams(entries=2),
+            VictimCacheParams(entries=16),
+            VictimCacheParams(entries=4, line_bytes=64),
+        ]),
+    ),
 )
 
 
@@ -240,12 +265,13 @@ class TestColumnBufferDifferential:
     main/victim hit split and all victim counters."""
 
     @settings(max_examples=60, deadline=None)
-    @given(refs=_cb_refs, geometry=_cb_geoms, victim=_cb_victims)
-    def test_matches_oracle(self, refs, geometry, victim):
+    @given(refs=_cb_refs, config=_cb_configs)
+    def test_matches_oracle(self, refs, config):
+        geometry, victim = config
         addrs = np.asarray([a for a, _ in refs], dtype=np.int64)
         writes = np.asarray([w for _, w in refs], dtype=bool)
         fast = column_buffer_fast(addrs, writes, geometry, victim)
-        exact = _column_buffer_exact(addrs, writes, geometry, victim, 32)
+        exact = column_buffer_exact(addrs, writes, geometry, victim)
         _assert_results_identical(fast, exact)
 
     def test_empty_trace(self):
@@ -257,18 +283,20 @@ class TestColumnBufferDifferential:
         assert result.stats.accesses == 0
 
     def test_thrash_with_victim_feedback(self):
-        # The canonical feedback case: aliasing hot words are absorbed
-        # by the victim buffer, so the column is never refilled and the
-        # main cache's contents depend on victim state.
-        geom = CacheGeometry(8 * 512, 512, 1)
-        addrs = np.asarray([0, 4096, 0, 4096] * 25, dtype=np.int64)
+        # The canonical feedback case: three hot words alias in one set
+        # of a 2-way buffer.  Once the victim buffer holds the displaced
+        # word it is served victim-side, so its column is never refilled
+        # and the main cache's contents depend on victim state.
+        geom = CacheGeometry(8 * 512, 512, 2)
+        addrs = np.asarray([0, 2048, 4096] * 25, dtype=np.int64)
         writes = np.zeros(addrs.size, dtype=bool)
         victim = VictimCacheParams()
         fast = column_buffer_fast(addrs, writes, geom, victim)
-        exact = _column_buffer_exact(addrs, writes, geom, victim, 32)
+        exact = column_buffer_exact(addrs, writes, geom, victim)
         _assert_results_identical(fast, exact)
         # Every repeat of the displaced hot word is served victim-side.
-        assert fast.victim_hits == 49
+        assert fast.victim_hits == 24
+        assert fast.miss_flags.sum() == 3
 
     @settings(max_examples=30, deadline=None)
     @given(refs=_cb_refs)
@@ -278,9 +306,8 @@ class TestColumnBufferDifferential:
         addrs = np.asarray([a % 2048 for a, _ in refs], dtype=np.int64)
         writes = np.asarray([w for _, w in refs], dtype=bool)
         fast = column_buffer_fast(addrs, writes, geom, None)
-        exact = _column_buffer_exact(addrs, writes, geom, None, 32)
+        exact = column_buffer_exact(addrs, writes, geom, None)
         _assert_results_identical(fast, exact)
-
 
     def test_plain_two_way_writes_back_a_promoted_dirty_column(self):
         # Four 512 B columns of set 0 in a 4-set 2-way buffer.  A is
@@ -293,7 +320,7 @@ class TestColumnBufferDifferential:
         addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
         writes = np.asarray([r[1] for r in refs], dtype=bool)
         fast = column_buffer_fast(addrs, writes, geom, None)
-        exact = _column_buffer_exact(addrs, writes, geom, None, 32)
+        exact = column_buffer_exact(addrs, writes, geom, None)
         _assert_results_identical(fast, exact)
         assert fast.miss_flags.tolist() == [True, True, False, True, True]
         assert (fast.stats.evictions, fast.stats.writebacks) == (2, 1)
@@ -307,74 +334,69 @@ class TestColumnBufferDifferential:
         addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
         writes = np.asarray([r[1] for r in refs], dtype=bool)
         fast = column_buffer_fast(addrs, writes, geom, None)
-        exact = _column_buffer_exact(addrs, writes, geom, None, 32)
+        exact = column_buffer_exact(addrs, writes, geom, None)
         _assert_results_identical(fast, exact)
         assert (fast.stats.evictions, fast.stats.writebacks) == (2, 1)
 
 
 class TestSimulateColumnBuffer:
     def _trace(self):
-        return ReferenceTrace.reads([0, 4096, 0, 512, 4096])
+        return ReferenceTrace.reads([0, 4096, 0, 512, 4096, 8192, 0])
 
     def test_engines_agree(self):
-        geom = CacheGeometry(8 * 512, 512, 1)
+        geom = CacheGeometry(8 * 512, 512, 2)
         victim = VictimCacheParams()
-        auto = simulate_column_buffer(self._trace(), geom, victim)
-        exact = simulate_column_buffer(self._trace(), geom, victim, engine="exact")
-        _assert_results_identical(auto, exact)
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            simulate_column_buffer(
-                self._trace(), CacheGeometry(8 * 512, 512, 1), engine="turbo"
-            )
+        trace = self._trace()
+        fast = simulate_column_buffer(trace, geom, victim)
+        exact = column_buffer_exact(trace.addresses, trace.is_write, geom,
+                                    victim)
+        _assert_results_identical(fast, exact)
 
     def test_fast_engine_rejects_unsupported_config(self):
-        with pytest.raises(ValueError):
-            simulate_column_buffer(
-                self._trace(),
-                CacheGeometry(8 * 512, 512, 1),
-                sub_block_bytes=48,
-                engine="fast",
-            )
+        for sub_block_bytes in (48, 1024):
+            with pytest.raises(ValueError, match=f"{sub_block_bytes} B sub-blocks"):
+                simulate_column_buffer(
+                    self._trace(),
+                    CacheGeometry(8 * 512, 512, 1),
+                    sub_block_bytes=sub_block_bytes,
+                )
 
-    def test_supported_predicate(self):
-        geom = CacheGeometry(8 * 512, 512, 1)
-        assert column_buffer_fast_supported(geom)
-        assert column_buffer_fast_supported(geom, VictimCacheParams())
-        assert not column_buffer_fast_supported(geom, sub_block_bytes=48)
-        assert not column_buffer_fast_supported(geom, sub_block_bytes=1024)
+
+# Interleaved (instruction block, data block) pairs, as the measurement
+# layer cuts them, over small L1s and a shared L2 with longer lines.
+_block_refs = st.lists(
+    st.tuples(st.integers(0, 1 << 14), st.booleans()), max_size=40
+)
+_SMALL_SYSTEM = ConventionalSystemParams(
+    l1i=CacheGeometry(1 * KB, 32, 1),
+    l1d=CacheGeometry(1 * KB, 32, 2),
+    l2=CacheGeometry(4 * KB, 64, 2),
+)
 
 
 class TestTwoLevelDifferential:
+    """The shared-L2 merge of ``measure_conventional`` against the two
+    object-oriented hierarchies fed block by block."""
+
     @settings(max_examples=40, deadline=None)
-    @given(
-        refs=st.lists(
-            st.tuples(st.integers(0, 1 << 16), st.booleans()),
-            min_size=1,
-            max_size=300,
-        )
-    )
-    def test_matches_hierarchy(self, refs):
-        l1 = CacheGeometry(2 * KB, 32, 2)
-        l2 = CacheGeometry(8 * KB, 64, 4)
-        trace = ReferenceTrace.from_pairs(refs)
-        fast_stats = simulate_two_level(trace, l1, l2)
-        exact_stats = simulate_two_level(trace, l1, l2, engine="exact")
-        assert fast_stats == exact_stats
+    @given(pairs=st.lists(st.tuples(_block_refs, _block_refs),
+                          min_size=1, max_size=8))
+    def test_matches_hierarchy(self, pairs):
+        blocks = [(ReferenceTrace.from_pairs(i), ReferenceTrace.from_pairs(d))
+                  for i, d in pairs]
+        ihier, dhier = conventional_hierarchies(_SMALL_SYSTEM)
+        for i_block, d_block in blocks:
+            ihier.run(i_block)
+            dhier.run(d_block)
+        assert _conventional_stats(blocks, _SMALL_SYSTEM) == \
+            (ihier.stats, dhier.stats)
 
     def test_l2_stream_is_l1_miss_stream(self):
-        l1 = CacheGeometry(1 * KB, 32, 1)
-        l2 = CacheGeometry(4 * KB, 32, 2)
-        addrs = np.asarray([0, 32, 0, 1024, 0, 1024], dtype=np.int64)
-        result = two_level_fast(addrs, l1, l2)
-        assert result.l2_miss_flags.size == int(result.l1_miss_flags.sum())
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            simulate_two_level(
-                ReferenceTrace.reads([0]),
-                CacheGeometry(1 * KB, 32, 1),
-                CacheGeometry(4 * KB, 32, 2),
-                engine="turbo",
-            )
+        blocks = [(ReferenceTrace.reads([0, 32, 0, 1024, 0, 1024]),
+                   ReferenceTrace.reads([4096, 4096, 8192]))]
+        istats, dstats = _conventional_stats(blocks, _SMALL_SYSTEM)
+        # 0, 32 and 1024 miss the direct-mapped L1i; 0 misses again
+        # after 1024 evicted it, and so does 1024.  4096 and 8192 miss
+        # the 2-way L1d once each.
+        assert istats.l2.total == 5
+        assert dstats.l2.total == 2

@@ -130,6 +130,19 @@ class TestValidation:
             fixed={"num_banks": 3},
         )) == "bad-value"
 
+    @pytest.mark.parametrize("knob, value", [
+        ("trace_len", 0), ("trace_len", -1), ("trace_len", 2.5),
+        ("trace_len", True), ("instructions", 0), ("instructions", "8000"),
+    ])
+    def test_fixed_count_knob_must_be_positive_int(self, knob, value):
+        # A point with no references or no issued instructions would
+        # still report a miss rate and a CPI.
+        table = good_table()
+        table["fixed"] = {**table["fixed"], knob: value}
+        with pytest.raises(SweepSpecError, match=knob) as excinfo:
+            parse_spec(table)
+        assert excinfo.value.rule == "bad-value"
+
     def test_unknown_objective_metric(self):
         assert rule_of(good_table(
             objectives=[{"metric": "latency_p99"}]

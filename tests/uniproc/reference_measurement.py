@@ -1,0 +1,81 @@
+"""The block-by-block miss-rate measurement, kept as the fast one's oracle.
+
+:func:`reference_integrated` and :func:`reference_conventional` are the
+object-oriented paths :mod:`repro.uniproc.measurement` shipped before
+both measurements ran only on the vectorized engines: the interleaved
+instruction and data blocks replay one by one through
+:func:`~repro.caches.column_buffer.proposed_icache` /
+:func:`~repro.caches.column_buffer.proposed_dcache`, or through the two
+:func:`~repro.caches.hierarchy.conventional_hierarchies` that share one
+L2, so the shared L2 sees both miss streams in true issue order.  The
+tests and ``scripts/check_fast_paths.py`` require the shipped functions
+to return identical :class:`~repro.uniproc.measurement.MissRates`.
+"""
+
+from __future__ import annotations
+
+from repro.caches.column_buffer import proposed_dcache, proposed_icache
+from repro.caches.hierarchy import conventional_hierarchies
+from repro.common.params import ConventionalSystemParams, IntegratedDeviceParams
+from repro.gspn.models import MemoryPathProbs
+from repro.uniproc.measurement import MissRates, _interleaved
+from repro.workloads.spec.model import SpecProxy
+
+
+def reference_integrated(
+    proxy: SpecProxy,
+    trace_len: int = 150_000,
+    seed: int = 0,
+    with_victim: bool = True,
+    params: IntegratedDeviceParams | None = None,
+) -> MissRates:
+    """Miss rates on the proposed device's column-buffer caches."""
+    params = params or IntegratedDeviceParams()
+    icache = proposed_icache(params)
+    dcache = proposed_dcache(params, with_victim=with_victim)
+    for i_block, d_block in _interleaved(proxy, trace_len, seed):
+        icache.run(i_block)
+        dcache.run(d_block)
+    istats, dstats = icache.stats, dcache.stats
+    return MissRates(
+        ifetch=MemoryPathProbs(hit=istats.loads.hit_rate),
+        load=MemoryPathProbs(hit=dstats.loads.hit_rate),
+        store=MemoryPathProbs(hit=dstats.stores.hit_rate if dstats.stores.total
+                              else dstats.loads.hit_rate),
+        icache_miss_rate=istats.miss_rate,
+        dcache_miss_rate=dstats.miss_rate,
+    )
+
+
+def reference_conventional(
+    proxy: SpecProxy,
+    trace_len: int = 150_000,
+    seed: int = 0,
+    params: ConventionalSystemParams | None = None,
+) -> MissRates:
+    """Miss rates on the conventional split-L1 + shared-L2 reference."""
+    ihier, dhier = conventional_hierarchies(params)
+    for i_block, d_block in _interleaved(proxy, trace_len, seed):
+        ihier.run(i_block)
+        dhier.run(d_block)
+    istats, dstats = ihier.stats, dhier.stats
+
+    def probs(l1_hit: float, l2_among_misses: float) -> MemoryPathProbs:
+        l2 = (1.0 - l1_hit) * l2_among_misses
+        return MemoryPathProbs(hit=l1_hit, l2=min(l2, 1.0 - l1_hit))
+
+    i_l2 = istats.l2_local_hit_rate
+    d_l2 = dstats.l2_local_hit_rate
+    return MissRates(
+        ifetch=probs(istats.l1_hit_rate, i_l2),
+        load=probs(
+            dstats.l1_loads.hit_rate if dstats.l1_loads.total else 1.0,
+            d_l2,
+        ),
+        store=probs(
+            dstats.l1_stores.hit_rate if dstats.l1_stores.total else 1.0,
+            d_l2,
+        ),
+        icache_miss_rate=istats.l1_miss_rate,
+        dcache_miss_rate=dstats.l1_miss_rate,
+    )

@@ -1,7 +1,12 @@
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.uniproc.measurement import measure_conventional, measure_integrated
 from repro.workloads.spec import get_proxy
+from tests.uniproc.reference_measurement import (
+    reference_conventional,
+    reference_integrated,
+)
 
 TRACE_LEN = 40_000
 
@@ -50,22 +55,21 @@ class TestMeasureConventional:
 
 class TestEngineEquivalence:
     """The vectorized measurement path must be bit-identical to the
-    object-oriented simulators — same MissRates, not just close ones.
-    (The default engine="auto" takes the fast path for every default
-    configuration, so these comparisons exercise it.)"""
+    block-by-block object-oriented replay in
+    ``tests/uniproc/reference_measurement.py`` — same MissRates, not
+    just close ones."""
 
     @pytest.mark.parametrize("name", ["126.gcc", "101.tomcatv"])
     def test_integrated_engines_identical(self, name):
         proxy = get_proxy(name)
         fast = measure_integrated(proxy, TRACE_LEN, seed=3)
-        exact = measure_integrated(proxy, TRACE_LEN, seed=3, engine="exact")
+        exact = reference_integrated(proxy, TRACE_LEN, seed=3)
         assert fast == exact
 
     def test_integrated_without_victim_identical(self):
         proxy = get_proxy("129.compress")
         fast = measure_integrated(proxy, TRACE_LEN, with_victim=False)
-        exact = measure_integrated(proxy, TRACE_LEN, with_victim=False,
-                                   engine="exact")
+        exact = reference_integrated(proxy, TRACE_LEN, with_victim=False)
         assert fast == exact
 
     @pytest.mark.parametrize("name", ["134.perl", "107.mgrid"])
@@ -75,5 +79,24 @@ class TestEngineEquivalence:
         up here."""
         proxy = get_proxy(name)
         fast = measure_conventional(proxy, TRACE_LEN, seed=7)
-        exact = measure_conventional(proxy, TRACE_LEN, seed=7, engine="exact")
+        exact = reference_conventional(proxy, TRACE_LEN, seed=7)
         assert fast == exact
+
+    @pytest.mark.parametrize("trace_len", [1, 63, 65])
+    def test_short_traces_identical(self, trace_len):
+        """One reference, and a trace that ends inside or just past its
+        first interleave block."""
+        proxy = get_proxy("126.gcc")
+        assert measure_integrated(proxy, trace_len) == \
+            reference_integrated(proxy, trace_len)
+        assert measure_conventional(proxy, trace_len) == \
+            reference_conventional(proxy, trace_len)
+
+
+class TestTraceLen:
+    @pytest.mark.parametrize("measure", [measure_integrated,
+                                         measure_conventional])
+    @pytest.mark.parametrize("trace_len", [0, -5])
+    def test_non_positive_trace_len_rejected(self, measure, trace_len):
+        with pytest.raises(ConfigError, match="trace_len"):
+            measure(get_proxy("126.gcc"), trace_len)

@@ -8,7 +8,7 @@ from repro.caches import (
     direct_mapped_miss_rate,
     proposed_dcache,
     proposed_icache,
-    two_way_lru_miss_flags,
+    set_assoc_miss_flags,
 )
 from repro.common.params import CacheGeometry
 from repro.common.units import KB
@@ -42,7 +42,7 @@ def _dcache_rates(name):
     vict.run(trace)
     dm16 = direct_mapped_miss_rate(trace.addresses, CacheGeometry(16 * KB, 32, 1))
     w16 = float(
-        two_way_lru_miss_flags(trace.addresses, CacheGeometry(16 * KB, 32, 2)).mean()
+        set_assoc_miss_flags(trace.addresses, CacheGeometry(16 * KB, 32, 2)).mean()
     )
     dm64 = direct_mapped_miss_rate(trace.addresses, CacheGeometry(64 * KB, 32, 1))
     return plain.stats.miss_rate, vict.stats.miss_rate, dm16, w16, dm64

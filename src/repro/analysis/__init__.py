@@ -6,27 +6,6 @@ rows/series; :mod:`repro.analysis.registry` wraps them in
 :class:`~repro.analysis.registry.ExperimentSpec` records that the
 parallel runner (:mod:`repro.runner`) shards across a process pool, and
 :mod:`repro.analysis.docs` regenerates EXPERIMENTS.md from the results.
-
-Experiment-to-paper mapping (kept in sync with
-``repro.analysis.registry.SPECS``; regenerate with
-``python -c "from repro.analysis import docs_table; print(docs_table())"``):
-
-=============  ===========================  =======================================
-experiment     paper reference              modules exercised
-=============  ===========================  =======================================
-table1         Table 1 / Section 2          machines
-crossover      derived (Sections 5.5-5.6)   uniproc, gspn, workloads.spec
-figure2        Figure 2 / Section 2         machines
-figure7        Figure 7 / Section 5.2       caches, workloads.spec, trace
-figure8        Figure 8 / Sections 5.3-5.4  caches, workloads.spec, trace
-figure11       Figure 11 / Section 5.5      uniproc, gspn, caches
-figure12       Figure 12 / Section 5.5      uniproc, gspn, caches
-table3         Table 3 / Section 5.5        uniproc, gspn, caches, workloads.spec
-table4         Table 4 / Section 5.5        uniproc, gspn, caches, workloads.spec
-section5.6     Section 5.6                  gspn, dram, uniproc
-figures13-17   Figures 13-17 / Section 6.2  mp, workloads.splash, coherence,
-                                            interconnect
-=============  ===========================  =======================================
 """
 
 from repro.analysis.experiments import (
@@ -36,7 +15,6 @@ from repro.analysis.experiments import (
     figure8,
     figure11,
     figure12,
-    figures13_17,
     section56,
     splash_figure,
     table1,
@@ -55,7 +33,6 @@ from repro.analysis.registry import (
     CLI_KNOBS,
     SPECS,
     ExperimentSpec,
-    docs_table,
     run_experiments,
 )
 from repro.analysis.vision import (
@@ -65,23 +42,8 @@ from repro.analysis.vision import (
     motherboard_budget,
 )
 
-EXPERIMENTS = {
-    "table1": table1,
-    "crossover": crossover,
-    "figure2": figure2,
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure11": figure11,
-    "figure12": figure12,
-    "table3": table3,
-    "table4": table4,
-    "section5.6": section56,
-    "figures13-17": figures13_17,
-}
-
 __all__ = [
     "CLI_KNOBS",
-    "EXPERIMENTS",
     "PAPER_BANK_UTILIZATION",
     "PAPER_TABLE1",
     "PAPER_TABLE3",
@@ -91,7 +53,6 @@ __all__ = [
     "FramebufferBudget",
     "MotherboardBudget",
     "ascii_table",
-    "docs_table",
     "framebuffer_budget",
     "motherboard_budget",
     "crossover",
@@ -100,7 +61,6 @@ __all__ = [
     "figure8",
     "figure11",
     "figure12",
-    "figures13_17",
     "percent",
     "run_experiments",
     "section56",

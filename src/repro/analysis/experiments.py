@@ -431,10 +431,7 @@ SPLASH_FIGURES = {
     "ocean": "Figure 15",
     "water": "Figure 16",
     "pthor": "Figure 17",
-    "cholesky": "Extension",  # not in the paper; see DESIGN.md
 }
-
-PAPER_SPLASH_KERNELS = ("lu", "mp3d", "ocean", "water", "pthor")
 
 
 @dataclass
@@ -478,13 +475,3 @@ def splash_figure(
             times[kind.value].append(result.execution_time)
             data_set = kernel.description
     return SplashExperiment(kernel_name, list(proc_counts), times, data_set)
-
-
-def figures13_17(
-    proc_counts: tuple[int, ...] = (1, 2, 4, 8, 16), **kernel_kwargs
-) -> list[SplashExperiment]:
-    """SPLASH execution times on all three systems (Figures 13-17)."""
-    return [
-        splash_figure(name, proc_counts, **kernel_kwargs)
-        for name in PAPER_SPLASH_KERNELS
-    ]

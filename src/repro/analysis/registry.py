@@ -4,8 +4,7 @@ Each :class:`ExperimentSpec` ties a CLI experiment name to
 
 - the function that computes it,
 - the paper table/figure it reproduces and the modules it exercises
-  (this drives the docs table in :mod:`repro.analysis` and the
-  auto-generated EXPERIMENTS.md),
+  (this drives the auto-generated EXPERIMENTS.md),
 - the CLI knobs it accepts (``--trace-len``, ``--procs``) so the CLI
   can warn instead of silently ignoring a flag, and
 - an optional sharding: how to split the experiment into independent
@@ -28,7 +27,6 @@ from repro.analysis.experiments import (
     CPICurveExperiment,
     CrossoverExperiment,
     MissRateExperiment,
-    PAPER_SPLASH_KERNELS,
     SpecTableExperiment,
     crossover,
     figure2,
@@ -45,6 +43,7 @@ from repro.analysis.experiments import (
 from repro.paperdata import PAPER_TABLE3, PAPER_TABLE4
 from repro.runner import ResultCache, RunMetrics, Task, run_tasks
 from repro.workloads.spec import ALL_NAMES
+from repro.workloads.splash import KERNELS
 
 # -- shard merges (module-level, keep results identical to unsharded runs) --
 
@@ -277,7 +276,7 @@ _register(ExperimentSpec(
     merge=_merge_banksweep,
 ))
 # figures13-17 always shards: each task runs splash_figure(kernel_name=k),
-# and the merged list is exactly what figures13_17() returns.
+# and the merged list holds one SplashExperiment per kernel, in order.
 _register(ExperimentSpec(
     name="figures13-17",
     fn=splash_figure,
@@ -287,7 +286,7 @@ _register(ExperimentSpec(
              "repro.interconnect"),
     accepts=frozenset({"procs"}),
     shard_param="kernel_name",
-    shard_values=tuple(PAPER_SPLASH_KERNELS),
+    shard_values=tuple(KERNELS),
     shard_wrap=_splash_shard,
     merge=_merge_splash_list,
 ))
@@ -303,18 +302,6 @@ def entry_points() -> dict[str, str]:
     The ``deps`` and ``units`` passes walk the call graph from these
     roots, one per registered experiment."""
     return {name: spec.entry_point for name, spec in SPECS.items()}
-
-
-def docs_table() -> str:
-    """The experiment-to-paper mapping as a markdown table."""
-    lines = [
-        "| experiment | paper reference | modules exercised |",
-        "|---|---|---|",
-    ]
-    for spec in SPECS.values():
-        modules = ", ".join(f"`{m}`" for m in spec.modules)
-        lines.append(f"| `{spec.name}` | {spec.paper_ref} | {modules} |")
-    return "\n".join(lines)
 
 
 def run_experiments(

@@ -2,7 +2,7 @@
 
 Conventional direct-mapped / set-associative caches, the DRAM
 column-buffer caches of the proposed device, the victim cache, and the
-two-level hierarchy of the conventional reference system.
+per-level statistics of the conventional reference system's hierarchy.
 """
 
 from repro.caches.base import Cache, CacheStats, iter_trace
@@ -22,30 +22,20 @@ from repro.caches.fast import (
 from repro.caches.hierarchy import (
     HierarchyStats,
     ServiceLevel,
-    TwoLevelHierarchy,
-    conventional_hierarchies,
 )
-from repro.caches.set_assoc import (
-    DirectMappedCache,
-    FullyAssociativeCache,
-    SetAssociativeCache,
-)
+from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.victim import VictimCache
 
 __all__ = [
     "Cache",
     "CacheStats",
     "ColumnBufferCache",
-    "DirectMappedCache",
     "FastCacheResult",
-    "FullyAssociativeCache",
     "HierarchyStats",
     "ServiceLevel",
     "SetAssociativeCache",
-    "TwoLevelHierarchy",
     "VictimCache",
     "column_buffer_fast",
-    "conventional_hierarchies",
     "direct_mapped_miss_rate",
     "iter_trace",
     "proposed_dcache",

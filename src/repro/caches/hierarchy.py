@@ -1,9 +1,10 @@
-"""Two-level cache hierarchy for the conventional reference system.
+"""Per-level statistics of the conventional reference system's hierarchy.
 
 Section 5.5 models a conventional CPU with split 16 KB first-level caches
 in front of a unified 256 KB second-level cache and dual-banked memory.
-The hierarchy reports which level served each reference so the GSPN
-processor model can be dialed with per-level hit probabilities.
+:class:`HierarchyStats` records which level served the references so the
+GSPN processor model can be dialed with per-level hit probabilities;
+:func:`repro.uniproc.measurement.measure_conventional` fills it.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from repro import obs
-from repro.common import tally
-from repro.common.params import CacheGeometry, ConventionalSystemParams
 from repro.common.stats import RatioStat
-from repro.caches.base import TraceLike, iter_trace
-from repro.caches.set_assoc import SetAssociativeCache
 
 
 class ServiceLevel(IntEnum):
@@ -66,56 +62,3 @@ class HierarchyStats:
             ServiceLevel.MEMORY: self.l2.misses / total,
         }
 
-
-class TwoLevelHierarchy:
-    """An L1 in front of a (possibly shared) unified L2.
-
-    For the split-cache conventional system, build two hierarchies sharing
-    one L2 via the ``l2`` argument.
-    """
-
-    def __init__(
-        self,
-        l1_geometry: CacheGeometry,
-        l2_geometry: CacheGeometry | None = None,
-        l2: SetAssociativeCache | None = None,
-    ) -> None:
-        if (l2 is None) == (l2_geometry is None):
-            raise ValueError("provide exactly one of l2_geometry or l2")
-        self.l1 = SetAssociativeCache(l1_geometry)
-        self.l2 = l2 if l2 is not None else SetAssociativeCache(l2_geometry)
-        self.stats = HierarchyStats()
-
-    def access(self, addr: int, write: bool = False) -> ServiceLevel:
-        l1_hit = self.l1.access(addr, write)
-        (self.stats.l1_stores if write else self.stats.l1_loads).record(l1_hit)
-        if l1_hit:
-            return ServiceLevel.L1
-        l2_hit = self.l2.access(addr, write)
-        self.stats.l2.record(l2_hit)
-        return ServiceLevel.L2 if l2_hit else ServiceLevel.MEMORY
-
-    def run(self, trace: TraceLike) -> HierarchyStats:
-        with obs.span("cache/run/TwoLevelHierarchy"):
-            refs = 0
-            for addr, write in iter_trace(trace):
-                self.access(addr, write)
-                refs += 1
-            tally.add("cache_refs", refs)
-        return self.stats
-
-    def reset(self) -> None:
-        self.l1.reset()
-        self.l2.reset()
-        self.stats = HierarchyStats()
-
-
-def conventional_hierarchies(
-    params: ConventionalSystemParams | None = None,
-) -> tuple[TwoLevelHierarchy, TwoLevelHierarchy]:
-    """(instruction, data) hierarchies sharing one unified L2."""
-    params = params or ConventionalSystemParams()
-    shared_l2 = SetAssociativeCache(params.l2)
-    ihier = TwoLevelHierarchy(params.l1i, l2=shared_l2)
-    dhier = TwoLevelHierarchy(params.l1d, l2=shared_l2)
-    return ihier, dhier

@@ -116,16 +116,3 @@ class SetAssociativeCache(Cache):
         self._sets = [[] for _ in range(self._num_sets)]
         self._dirty = set()
 
-
-class DirectMappedCache(SetAssociativeCache):
-    """Convenience wrapper for 1-way caches (Figure 7's conventional bars)."""
-
-    def __init__(self, size_bytes: int, line_bytes: int, on_evict=None) -> None:
-        super().__init__(CacheGeometry(size_bytes, line_bytes, 1), on_evict)
-
-
-class FullyAssociativeCache(SetAssociativeCache):
-    """Convenience wrapper for fully-associative LRU caches."""
-
-    def __init__(self, size_bytes: int, line_bytes: int, on_evict=None) -> None:
-        super().__init__(CacheGeometry(size_bytes, line_bytes, 0), on_evict)

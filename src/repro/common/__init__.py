@@ -17,13 +17,12 @@ from repro.common.params import (
     VictimCacheParams,
 )
 from repro.common.rng import make_rng, split_rng
-from repro.common.stats import Counter, RatioStat, RunningStats
+from repro.common.stats import RatioStat
 from repro.common.units import GB, GHZ, KB, MB, MHZ, NS
 
 __all__ = [
     "CacheGeometry",
     "ConventionalSystemParams",
-    "Counter",
     "ConfigError",
     "DRAMTiming",
     "GB",
@@ -37,7 +36,6 @@ __all__ = [
     "PipelineParams",
     "RatioStat",
     "ReproError",
-    "RunningStats",
     "SimulationError",
     "VictimCacheParams",
     "make_rng",

@@ -2,68 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-
-class RunningStats:
-    """Streaming mean/variance (Welford's algorithm)."""
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def stderr(self) -> float:
-        if self._count == 0:
-            return 0.0
-        return self.stddev / math.sqrt(self._count)
-
-    def __repr__(self) -> str:
-        return f"RunningStats(n={self._count}, mean={self._mean:.6g}, sd={self.stddev:.6g})"
-
-
-@dataclass
-class Counter:
-    """A named event counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, by: int = 1) -> None:
-        self.value += by
-
-    def reset(self) -> None:
-        self.value = 0
+from dataclasses import dataclass
 
 
 @dataclass
@@ -92,38 +31,3 @@ class RatioStat:
 
     def merge(self, other: "RatioStat") -> "RatioStat":
         return RatioStat(self.hits + other.hits, self.total + other.total)
-
-
-@dataclass
-class Histogram:
-    """Integer-valued histogram with lazily created bins."""
-
-    bins: dict[int, int] = field(default_factory=dict)
-
-    def add(self, value: int, count: int = 1) -> None:
-        self.bins[value] = self.bins.get(value, 0) + count
-
-    @property
-    def total(self) -> int:
-        return sum(self.bins.values())
-
-    def mean(self) -> float:
-        total = self.total
-        if not total:
-            return 0.0
-        return sum(v * c for v, c in self.bins.items()) / total
-
-    def percentile(self, q: float) -> int:
-        """Smallest bin value whose cumulative mass reaches ``q`` (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        total = self.total
-        if not total:
-            return 0
-        target = q * total
-        cumulative = 0
-        for value in sorted(self.bins):
-            cumulative += self.bins[value]
-            if cumulative >= target:
-                return value
-        return max(self.bins)

@@ -6,13 +6,10 @@ from repro.dram.directory import (
     BROADCAST_POINTER,
     MAX_NODE_ID,
     DirectoryEntry,
-    DirectoryStore,
     DirState,
 )
 from repro.dram.writeback import WritebackStudyResult, writeback_study
 from repro.dram.ecc import (
-    SECDED,
-    DecodeResult,
     check_bits_for,
     directory_bits_per_block,
     ecc_overhead_fraction,
@@ -23,13 +20,10 @@ __all__ = [
     "BankAccessResult",
     "DRAMBank",
     "DRAMDevice",
-    "DecodeResult",
     "DeviceStats",
     "DirState",
     "DirectoryEntry",
-    "DirectoryStore",
     "MAX_NODE_ID",
-    "SECDED",
     "WritebackStudyResult",
     "writeback_study",
     "check_bits_for",

@@ -57,35 +57,3 @@ class DirectoryEntry:
             pointer=bits & BROADCAST_POINTER,
         )
 
-
-class DirectoryStore:
-    """All directory entries of one node's local memory.
-
-    Entries are lazily materialized — an absent block is UNOWNED, exactly
-    as uninitialized spare ECC bits would read after memory is scrubbed to
-    zero.
-    """
-
-    def __init__(self, block_bytes: int = 32) -> None:
-        self.block_bytes = block_bytes
-        self._entries: dict[int, DirectoryEntry] = {}
-
-    def _key(self, addr: int) -> int:
-        return addr // self.block_bytes
-
-    def lookup(self, addr: int) -> DirectoryEntry:
-        return self._entries.get(self._key(addr), DirectoryEntry())
-
-    def update(self, addr: int, entry: DirectoryEntry) -> None:
-        key = self._key(addr)
-        if entry.state is DirState.UNOWNED and entry.pointer == 0:
-            self._entries.pop(key, None)
-        else:
-            self._entries[key] = entry
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def storage_overhead_bits(self) -> int:
-        """Extra storage the directory consumes beyond ECC: zero, by design."""
-        return 0

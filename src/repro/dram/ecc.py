@@ -1,4 +1,4 @@
-"""SEC-DED error-correcting codes over DRAM words.
+"""SEC-DED check-bit arithmetic over DRAM words.
 
 Section 4.1/4.2: the device protects memory with single-error-correct /
 double-error-detect (SEC-DED) Hamming codes.  Standard practice computes
@@ -6,14 +6,12 @@ ECC over 64-bit words (8 check bits, 12.5 % overhead); the directory trick
 of Figure 5 widens the code word to 128 bits (9 check bits), freeing
 ``32 - 18 = 14`` bits per 32-byte coherence block for directory state.
 
-This module implements a real extended Hamming code: ``encode`` produces
-a codeword, ``decode`` corrects any single-bit error and detects (without
-miscorrecting) any double-bit error.
+This module computes the check-bit cost of an extended Hamming code
+(Hamming check bits plus one overall parity bit) at a given word width,
+and from it the directory bits and the memory-size overhead.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 from repro.common.units import bits_for_bytes
@@ -29,94 +27,6 @@ def check_bits_for(data_bits: int) -> int:
     return r + 1  # +1 for the overall (DED) parity bit
 
 
-@dataclass(frozen=True)
-class DecodeResult:
-    data: int
-    corrected: bool  # a single-bit error was corrected
-    uncorrectable: bool  # a double-bit error was detected
-
-
-class SECDED:
-    """Extended Hamming SEC-DED code over a fixed data width.
-
-    Codeword layout is the classic one: positions 1..n with check bits at
-    the power-of-two positions, plus an overall parity bit at position 0.
-    """
-
-    def __init__(self, data_bits: int) -> None:
-        self.data_bits = data_bits
-        self.hamming_bits = check_bits_for(data_bits) - 1
-        self.codeword_bits = data_bits + self.hamming_bits + 1
-        # Positions 1..m excluding powers of two carry data bits.
-        self._data_positions = [
-            pos
-            for pos in range(1, data_bits + self.hamming_bits + 1)
-            if pos & (pos - 1)
-        ]
-        if len(self._data_positions) != data_bits:
-            raise ConfigError("internal: data position count mismatch")
-
-    @property
-    def check_bits(self) -> int:
-        return self.hamming_bits + 1
-
-    @property
-    def overhead(self) -> float:
-        """Check bits as a fraction of data bits."""
-        return self.check_bits / self.data_bits
-
-    def encode(self, data: int) -> int:
-        if data < 0 or data >> self.data_bits:
-            raise ValueError(f"data does not fit in {self.data_bits} bits")
-        word = 0
-        for i, pos in enumerate(self._data_positions):
-            if (data >> i) & 1:
-                word |= 1 << pos
-        for r in range(self.hamming_bits):
-            parity_pos = 1 << r
-            parity = 0
-            pos = 1
-            while pos < self.codeword_bits:
-                if pos & parity_pos and (word >> pos) & 1:
-                    parity ^= 1
-                pos += 1
-            if parity:
-                word |= 1 << parity_pos
-        if bin(word).count("1") & 1:
-            word |= 1  # overall parity at position 0
-        return word
-
-    def decode(self, word: int) -> DecodeResult:
-        syndrome = 0
-        for r in range(self.hamming_bits):
-            parity_pos = 1 << r
-            parity = 0
-            pos = 1
-            while pos < self.codeword_bits:
-                if pos & parity_pos and (word >> pos) & 1:
-                    parity ^= 1
-                pos += 1
-            if parity:
-                syndrome |= parity_pos
-        overall = bin(word).count("1") & 1
-        corrected = False
-        uncorrectable = False
-        if syndrome and overall:
-            # Single-bit error at codeword position `syndrome`.
-            word ^= 1 << syndrome
-            corrected = True
-        elif syndrome and not overall:
-            uncorrectable = True  # double-bit error
-        elif not syndrome and overall:
-            word ^= 1  # error in the overall parity bit itself
-            corrected = True
-        data = 0
-        for i, pos in enumerate(self._data_positions):
-            if (word >> pos) & 1:
-                data |= 1 << i
-        return DecodeResult(data=data, corrected=corrected, uncorrectable=uncorrectable)
-
-
 def directory_bits_per_block(block_bytes: int = 32) -> int:
     """Directory bits freed by widening ECC words from 64 to 128 bits.
 
@@ -125,8 +35,8 @@ def directory_bits_per_block(block_bytes: int = 32) -> int:
     the directory state and pointer (Figure 5).
     """
     block_bits = bits_for_bytes(block_bytes)
-    narrow = (block_bits // 64) * SECDED(64).check_bits
-    wide = (block_bits // 128) * SECDED(128).check_bits
+    narrow = (block_bits // 64) * check_bits_for(64)
+    wide = (block_bits // 128) * check_bits_for(128)
     return narrow - wide
 
 
@@ -136,4 +46,4 @@ def ecc_overhead_fraction(word_bits: int = 64) -> float:
     64-bit words cost 8/64 = 12.5 %, the paper's "12 % memory-size
     increase"; 128-bit words cost 9/128 = 7 %.
     """
-    return SECDED(word_bits).overhead
+    return check_bits_for(word_bits) / word_bits

@@ -8,12 +8,6 @@ from repro.machines.models import (
     sparcstation_5,
     sparcstation_10,
 )
-from repro.machines.simulated_walk import (
-    SimulatedPoint,
-    simulate_integrated_walk,
-    simulate_machine_walk,
-    simulate_walk,
-)
 from repro.machines.stridewalk import (
     DEFAULT_SIZES,
     DEFAULT_STRIDES,
@@ -35,10 +29,6 @@ __all__ = [
     "DEFAULT_STRIDES",
     "MachineModel",
     "SPEC92_CLASS",
-    "SimulatedPoint",
-    "simulate_integrated_walk",
-    "simulate_machine_walk",
-    "simulate_walk",
     "SYNOPSYS_CLASS",
     "StrideWalkPoint",
     "Table1Result",

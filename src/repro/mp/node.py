@@ -24,7 +24,7 @@ and recalls remotely-owned blocks.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 from enum import Enum
 
 from repro.caches.column_buffer import ColumnBufferCache
@@ -53,21 +53,6 @@ class HitLevel(Enum):
     # Members are singletons, so identity hashing is exact, and unlike
     # Enum.__hash__ it runs in C: the MP system counts a level per access.
     __hash__ = object.__hash__
-
-
-class NodeMemory(Protocol):
-    node_id: int
-    # A local read hitting its set's MRU line: does what ``lookup(addr,
-    # True)`` does on that CACHE hit and returns True; else changes nothing.
-    hit_local_mru: Callable[[int], bool]
-
-    def lookup(self, addr: int, is_local: bool) -> HitLevel: ...
-
-    def fill_remote(self, addr: int) -> None: ...
-
-    def invalidate(self, addr: int) -> None: ...
-
-    def holds_remote(self, addr: int) -> bool: ...
 
 
 class IntegratedNode:

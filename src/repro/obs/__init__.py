@@ -30,7 +30,6 @@ from repro.obs.spans import (
     ENV_FLAG,
     SpanRecord,
     absorb,
-    add,
     aggregate_stages,
     disable,
     enable,
@@ -47,7 +46,6 @@ __all__ = [
     "ENV_FLAG",
     "SpanRecord",
     "absorb",
-    "add",
     "aggregate_stages",
     "disable",
     "enable",

@@ -138,12 +138,6 @@ def span(name: str, **counters: float):
     return _LiveSpan(name, dict(counters))
 
 
-def add(name: str, value: float) -> None:
-    """Attach a counter to the innermost open span (no-op otherwise)."""
-    if _enabled and _stack:
-        _stack[-1].add(name, value)
-
-
 def enabled() -> bool:
     return _enabled
 

@@ -16,7 +16,6 @@ from repro.sweep.engine import ConfigResult, SweepOutcome, compile_tasks, run_sw
 from repro.sweep.pareto import (
     ParetoError,
     ParetoVerdict,
-    frontier_labels,
     pareto_classify,
 )
 from repro.sweep.points import AXES, BASES, LATENCY_PROFILES, base_entry_points
@@ -60,7 +59,6 @@ __all__ = [
     "check_sweeps_drift",
     "compile_tasks",
     "discover_specs",
-    "frontier_labels",
     "generate_sweeps_md",
     "load_spec",
     "load_sweep_artifact",

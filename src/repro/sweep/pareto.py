@@ -94,8 +94,3 @@ def pareto_classify(
             dominated_by=dominated_by,
         ))
     return verdicts
-
-
-def frontier_labels(verdicts: Sequence[ParetoVerdict]) -> list[str]:
-    """Labels of the non-dominated points, in input order."""
-    return [v.label for v in verdicts if not v.dominated]

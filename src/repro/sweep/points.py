@@ -2,9 +2,9 @@
 
 A *base* is a registry-style entry point built for parameter sweeps:
 a module-level function whose keyword arguments are exactly the
-sweepable **axes** (line size, bank count, victim entries, memory
-latency, node count, emerging-memory latency profile) plus a few fixed
-knobs (benchmark, trace length, seed), and whose return value is a flat
+sweepable **axes** (line size, bank count, emerging-memory latency
+profile) plus a few fixed knobs (benchmark, trace length, seed), and
+whose return value is a flat
 ``{metric: float}`` dict.  The sweep compiler
 (:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
 per expanded configuration over these functions, so every configuration
@@ -28,21 +28,11 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.errors import ConfigError
-from repro.common.params import (
-    DRAMTiming,
-    IntegratedDeviceParams,
-    VictimCacheParams,
-)
+from repro.common.params import DRAMTiming, IntegratedDeviceParams
 from repro.common.rng import make_rng, split_rng
-from repro.mp.system import SystemKind
-from repro.uniproc.measurement import (
-    MissRates,
-    measure_conventional,
-    measure_integrated,
-)
+from repro.uniproc.measurement import measure_integrated
 from repro.uniproc.pipeline import processor_net_cpi
-from repro.workloads.spec import SpecProxy, get_proxy
-from repro.workloads.splash import KERNELS
+from repro.workloads.spec import get_proxy
 
 # ---------------------------------------------------------------------------
 # Axes and latency profiles
@@ -64,46 +54,17 @@ def _positive_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value > 0
 
 
-def _positive_number(value: Any) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value > 0)
-
-
 #: Axis name -> (human description, value validator).  Axis *names* are
 #: the keyword arguments of the base functions below; a sweep spec may
 #: only sweep axes its base declares (see :class:`SweepBase.axes`).
 AXES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "line_bytes": ("cache line (DRAM column) size in bytes", _positive_int),
     "num_banks": ("DRAM bank count", _positive_int),
-    "victim_entries": ("victim-cache entry count", _positive_int),
-    "mem_latency": ("main-memory access latency in cycles", _positive_number),
-    "node_count": ("processor/node count", _positive_int),
     "latency_profile": (
         "memory-technology timing profile",
         lambda value: isinstance(value, str) and value in LATENCY_PROFILES,
     ),
 }
-
-
-def _gspn_point(
-    proxy: SpecProxy,
-    rates: MissRates,
-    num_banks: int,
-    timing: DRAMTiming,
-    instructions: int,
-    seed: int,
-    **net_overrides,
-) -> tuple[float, float]:
-    """``(cpi, mean bank utilization)`` from the Figure 10 processor net."""
-    return processor_net_cpi(
-        proxy, rates, instructions,
-        split_rng(make_rng(seed), proxy.name, f"sweep-banks{num_banks}"),
-        track_banks=True,
-        mem_access=timing.access_cycles,
-        precharge=timing.precharge_cycles,
-        num_banks=num_banks,
-        **net_overrides,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,99 +95,18 @@ def icache_point(
     )
     proxy = get_proxy(benchmark)
     rates = measure_integrated(proxy, trace_len, seed, True, params)
-    cpi, utilization = _gspn_point(
-        proxy, rates, num_banks, timing, instructions, seed,
+    cpi, utilization = processor_net_cpi(
+        proxy, rates, instructions,
+        split_rng(make_rng(seed), proxy.name, f"sweep-banks{num_banks}"),
+        track_banks=True,
+        mem_access=timing.access_cycles,
+        precharge=timing.precharge_cycles,
+        num_banks=num_banks,
     )
     return {
         "miss_rate": rates.icache_miss_rate,
         "cpi": proxy.base_cpi() + max(0.0, cpi - 1.0),
         "bank_utilization": utilization,
-    }
-
-
-def dcache_point(
-    benchmark: str = "126.gcc",
-    line_bytes: int = 512,
-    num_banks: int = 16,
-    victim_entries: int = 16,
-    latency_profile: str = "dram-30ns",
-    trace_len: int = 60_000,
-    instructions: int = 8_000,
-    seed: int = 0,
-) -> dict[str, float]:
-    """One Figure 8 pipeline point: D-cache miss rate, CPI, utilization.
-
-    Like :func:`icache_point` but reporting the data side, with the
-    victim-cache entry count as an extra axis (Section 5.4's 16-entry
-    default is one grid point among many).
-    """
-    timing = LATENCY_PROFILES[latency_profile]
-    params = IntegratedDeviceParams(
-        num_banks=num_banks,
-        column_bytes=line_bytes,
-        dram=timing,
-        victim=VictimCacheParams(entries=victim_entries),
-    )
-    proxy = get_proxy(benchmark)
-    rates = measure_integrated(proxy, trace_len, seed, True, params)
-    cpi, utilization = _gspn_point(
-        proxy, rates, num_banks, timing, instructions, seed,
-    )
-    return {
-        "miss_rate": rates.dcache_miss_rate,
-        "cpi": proxy.base_cpi() + max(0.0, cpi - 1.0),
-        "bank_utilization": utilization,
-    }
-
-
-def conventional_point(
-    benchmark: str = "126.gcc",
-    mem_latency: float = 24.0,  # repro: unit(cycles)
-    num_banks: int = 2,
-    l2_latency: float = 6.0,  # repro: unit(cycles)
-    trace_len: int = 60_000,
-    instructions: int = 8_000,
-    seed: int = 0,
-) -> dict[str, float]:
-    """One conventional-system point (the Figure 11 pipeline).
-
-    Miss rates come from the split-L1 + shared-L2 hierarchy; the swept
-    main-memory latency and bank count feed the has-L2 variant of the
-    processor net.
-    """
-    proxy = get_proxy(benchmark)
-    rates = measure_conventional(proxy, trace_len, seed)
-    timing = DRAMTiming(access_cycles=max(1, round(mem_latency)),
-                       precharge_cycles=4)
-    cpi, utilization = _gspn_point(
-        proxy, rates, num_banks, timing, instructions, seed,
-        has_l2=True, l2_latency=l2_latency,
-    )
-    return {
-        "miss_rate": rates.dcache_miss_rate,
-        "cpi": proxy.base_cpi() + max(0.0, cpi - 1.0),
-        "bank_utilization": utilization,
-    }
-
-
-def splash_point(
-    kernel: str = "lu",
-    node_count: int = 4,
-    system: str = "integrated",
-) -> dict[str, float]:
-    """One SPLASH multiprocessor point (the Figures 13-17 pipeline).
-
-    ``execution_time`` is the kernel's simulated cycle count on
-    ``node_count`` processors; ``cycles_per_proc`` normalizes it so a
-    node-count axis can still expose the scaling knee as a Pareto
-    trade-off (fewer nodes = less hardware, more cycles).
-    """
-    kind = SystemKind(system)
-    kernel_obj = KERNELS[kernel]()
-    result, _ = kernel_obj.run_on(kind, node_count)
-    return {
-        "execution_time": float(result.execution_time),
-        "cycles_per_proc": float(result.execution_time) * node_count,
     }
 
 
@@ -271,33 +151,6 @@ BASES: dict[str, SweepBase] = {  # repro: allow(mutable-global)
         fixed=("benchmark", "trace_len", "instructions", "seed"),
         metrics=_UNIPROC_METRICS,
         objectives=_UNIPROC_OBJECTIVES,
-    ),
-    "figure8": SweepBase(
-        name="figure8",
-        fn=dcache_point,
-        summary="integrated D-cache pipeline with victim cache",
-        axes=("line_bytes", "num_banks", "victim_entries", "latency_profile"),
-        fixed=("benchmark", "trace_len", "instructions", "seed"),
-        metrics=_UNIPROC_METRICS,
-        objectives=_UNIPROC_OBJECTIVES,
-    ),
-    "figure11": SweepBase(
-        name="figure11",
-        fn=conventional_point,
-        summary="conventional reference system (split L1 + L2 hierarchy)",
-        axes=("mem_latency", "num_banks"),
-        fixed=("benchmark", "l2_latency", "trace_len", "instructions", "seed"),
-        metrics=_UNIPROC_METRICS,
-        objectives=_UNIPROC_OBJECTIVES,
-    ),
-    "figures13-17": SweepBase(
-        name="figures13-17",
-        fn=splash_point,
-        summary="SPLASH kernels on the multiprocessor systems",
-        axes=("node_count",),
-        fixed=("kernel", "system"),
-        metrics=("execution_time", "cycles_per_proc"),
-        objectives=(("execution_time", "min"), ("cycles_per_proc", "min")),
     ),
 }
 

@@ -44,7 +44,6 @@ from typing import Any
 
 from repro.common.errors import ReproError
 from repro.sweep.points import (
-    AXES,
     BASES,
     validate_axis_value,
     validate_fixed_value,
@@ -191,15 +190,10 @@ def parse_spec(table: dict[str, Any]) -> SweepSpec:
         raise SweepSpecError("empty-grid", "spec declares no axes")
     axes: list[tuple[str, tuple[Any, ...]]] = []
     for axis_name, values in axes_table.items():
-        if axis_name not in AXES:
-            raise SweepSpecError(
-                "unknown-axis",
-                f"axis {axis_name!r} is not a known axis "
-                f"(known: {', '.join(sorted(AXES))})")
         if axis_name not in base.axes:
             raise SweepSpecError(
                 "unknown-axis",
-                f"axis {axis_name!r} does not apply to base {base.name!r} "
+                f"axis {axis_name!r} is not an axis of base {base.name!r} "
                 f"(its axes: {', '.join(base.axes)})")
         if not isinstance(values, (list, tuple)):
             raise SweepSpecError(

@@ -1,14 +1,12 @@
 """Memory-reference traces and synthetic access-pattern generators."""
 
 from repro.trace.code import AliasedCallPair, CodeProfile, CodeWalker
-from repro.trace.phases import Phase, PhaseSchedule, phased_trace
 from repro.trace.generators import (
     blocked_sweep,
     scattered_blocks,
     stencil_sweep,
     hot_cold_mix,
     pointer_chase,
-    random_refs,
     record_walk,
     strided_sweep,
 )
@@ -23,9 +21,6 @@ __all__ = [
     "AliasedCallPair",
     "CodeProfile",
     "CodeWalker",
-    "Phase",
-    "PhaseSchedule",
-    "phased_trace",
     "ReferenceTrace",
     "blocked_sweep",
     "expand_runs",
@@ -33,7 +28,6 @@ __all__ = [
     "interleave_blocks",
     "interleave_round_robin",
     "pointer_chase",
-    "random_refs",
     "record_walk",
     "scattered_blocks",
     "stencil_sweep",

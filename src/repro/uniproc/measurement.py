@@ -194,16 +194,15 @@ def measure_conventional(
 
     i_l2 = istats.l2_local_hit_rate
     d_l2 = dstats.l2_local_hit_rate
+    load_hit = dstats.l1_loads.hit_rate if dstats.l1_loads.total else 1.0
+    # With no stores in the data stream, stores take the load hit rate,
+    # as in measure_integrated.
+    store_hit = (dstats.l1_stores.hit_rate if dstats.l1_stores.total
+                 else load_hit)
     return MissRates(
         ifetch=probs(istats.l1_hit_rate, i_l2),
-        load=probs(
-            dstats.l1_loads.hit_rate if dstats.l1_loads.total else 1.0,
-            d_l2,
-        ),
-        store=probs(
-            dstats.l1_stores.hit_rate if dstats.l1_stores.total else 1.0,
-            d_l2,
-        ),
+        load=probs(load_hit, d_l2),
+        store=probs(store_hit, d_l2),
         icache_miss_rate=istats.l1_miss_rate,
         dcache_miss_rate=dstats.l1_miss_rate,
     )

@@ -2,7 +2,6 @@
 Python simulation."""
 
 from repro.workloads.splash.base import SplashKernel
-from repro.workloads.splash.cholesky import CholeskyKernel
 from repro.workloads.splash.lu import LUKernel
 from repro.workloads.splash.mp3d import MP3DKernel
 from repro.workloads.splash.ocean import OceanKernel
@@ -11,7 +10,6 @@ from repro.workloads.splash.water import WaterKernel
 
 KERNELS = {
     "lu": LUKernel,
-    "cholesky": CholeskyKernel,
     "mp3d": MP3DKernel,
     "ocean": OceanKernel,
     "water": WaterKernel,
@@ -19,7 +17,6 @@ KERNELS = {
 }
 
 __all__ = [
-    "CholeskyKernel",
     "KERNELS",
     "LUKernel",
     "MP3DKernel",

@@ -16,7 +16,6 @@ used for each figure.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
 
 from repro.mp.engine import KernelFactory, MPEngine, MPResult
 from repro.mp.layout import Layout
@@ -34,14 +33,10 @@ class SplashKernel(ABC):
         """Allocate shared data and return the per-processor kernel."""
 
     def run_on(
-        self,
-        kind: SystemKind,
-        num_procs: int,
-        engine_factory: Callable[[MPSystem], MPEngine] | None = None,
+        self, kind: SystemKind, num_procs: int,
     ) -> tuple[MPResult, MPSystem]:
         """Convenience: build a system of ``kind`` and execute."""
         system = MPSystem(num_procs, kind)
         factory = self.build(num_procs, system.layout)
-        engine = engine_factory(system) if engine_factory else MPEngine(system)
-        return engine.run(factory), system
+        return MPEngine(system).run(factory), system
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from repro.caches.base import Cache, CacheStats, iter_trace
-from repro.caches.set_assoc import DirectMappedCache
+from repro.caches.set_assoc import SetAssociativeCache
+from repro.common.params import CacheGeometry
 from repro.common.stats import RatioStat
 from repro.trace.stream import ReferenceTrace
 
@@ -60,8 +61,8 @@ class TestIterTrace:
         assert list(iter_trace(pairs)) == pairs
 
     def test_run_consumes_either_form(self):
-        cache_a = DirectMappedCache(1024, 32)
-        cache_b = DirectMappedCache(1024, 32)
+        cache_a = SetAssociativeCache(CacheGeometry(1024, 32, 1))
+        cache_b = SetAssociativeCache(CacheGeometry(1024, 32, 1))
         trace = ReferenceTrace.reads([0, 32, 0])
         cache_a.run(trace)
         cache_b.run(list(trace))

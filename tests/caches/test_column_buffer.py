@@ -8,7 +8,7 @@ from repro.caches.column_buffer import (
     proposed_icache,
 )
 from repro.caches.victim import VictimCache
-from repro.common.address import set_index, tag_of
+from repro.common.address import index_fields
 from repro.common.errors import ConfigError
 from repro.common.params import CacheGeometry
 from repro.common.units import KB
@@ -197,12 +197,13 @@ class TestVictimWriteDirtiness:
     num_sets=st.sampled_from([1, 2, 4, 16]),
 )
 def test_resident_lines_roundtrip(addrs, ways, line, num_sets):
-    """resident_lines() reconstructs byte addresses by inverting
-    set_index/tag_of with bit shifts — exact because CacheGeometry
+    """resident_lines() reconstructs byte addresses by inverting the
+    set-index/tag split with bit shifts — exact because CacheGeometry
     rejects non-power-of-two line sizes and set counts."""
     geometry = CacheGeometry(line * num_sets * ways, line, ways)
     assert geometry.num_sets == num_sets
     cache = ColumnBufferCache(geometry)
+    line_shift, set_mask, tag_shift = index_fields(line, num_sets)
     for addr in addrs:
         cache.access(addr)
     accessed_lines = {addr // line * line for addr in addrs}
@@ -210,8 +211,8 @@ def test_resident_lines_roundtrip(addrs, ways, line, num_sets):
         assert resident % line == 0
         assert resident in accessed_lines
         # Reconstructed address decomposes back to the slot it came from.
-        index = set_index(resident, line, num_sets)
-        tag = tag_of(resident, line, num_sets)
+        index = (resident >> line_shift) & set_mask
+        tag = resident >> tag_shift
         assert any(
             entry.tag == tag for entry in cache._sets[index]
         ), "reconstructed address must map back to its own set"

@@ -10,7 +10,6 @@ from repro.caches.fast import (
     set_assoc_miss_rate,
     simulate_column_buffer,
 )
-from repro.caches.hierarchy import conventional_hierarchies
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.common.params import (
     CacheGeometry,
@@ -22,6 +21,7 @@ from repro.trace.stream import ReferenceTrace
 from repro.uniproc.measurement import _conventional_stats, measure_conventional
 from repro.workloads.spec import get_proxy
 from tests.caches.reference_column_buffer import column_buffer_exact
+from tests.uniproc.reference_hierarchy import conventional_hierarchies
 from tests.uniproc.reference_measurement import reference_conventional
 
 

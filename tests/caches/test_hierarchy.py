@@ -1,13 +1,13 @@
 import pytest
 
-from repro.caches.hierarchy import (
-    ServiceLevel,
-    TwoLevelHierarchy,
-    conventional_hierarchies,
-)
+from repro.caches.hierarchy import ServiceLevel
 from repro.common.params import CacheGeometry, ConventionalSystemParams
 from repro.common.units import KB
 from repro.trace.stream import ReferenceTrace
+from tests.uniproc.reference_hierarchy import (
+    TwoLevelHierarchy,
+    conventional_hierarchies,
+)
 
 
 class TestTwoLevel:

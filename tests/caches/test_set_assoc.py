@@ -2,37 +2,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.set_assoc import (
-    DirectMappedCache,
-    FullyAssociativeCache,
-    SetAssociativeCache,
-)
+from repro.caches.set_assoc import SetAssociativeCache
 from repro.common.params import CacheGeometry
 from repro.common.units import KB
 
 
 class TestDirectMapped:
     def test_cold_miss_then_hit(self):
-        cache = DirectMappedCache(8 * KB, 32)
+        cache = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1))
         assert not cache.access(0x100)
         assert cache.access(0x100)
         assert cache.access(0x11C)  # same 32 B line
 
     def test_conflict_eviction(self):
-        cache = DirectMappedCache(8 * KB, 32)
+        cache = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1))
         cache.access(0)
         cache.access(8 * KB)  # aliases to set 0, evicts
         assert not cache.access(0)
 
     def test_distinct_sets_do_not_conflict(self):
-        cache = DirectMappedCache(8 * KB, 32)
+        cache = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1))
         cache.access(0)
         cache.access(32)
         assert cache.access(0)
         assert cache.access(32)
 
     def test_stats_split_loads_and_stores(self):
-        cache = DirectMappedCache(8 * KB, 32)
+        cache = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1))
         cache.access(0, write=False)  # load miss
         cache.access(0, write=True)  # store hit
         cache.access(64, write=True)  # store miss
@@ -43,7 +39,8 @@ class TestDirectMapped:
 
     def test_eviction_callback_receives_line_address(self):
         evicted = []
-        cache = DirectMappedCache(8 * KB, 32, on_evict=evicted.append)
+        cache = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1),
+                                    on_evict=evicted.append)
         cache.access(0x123)
         cache.access(0x123 + 8 * KB)
         assert evicted == [0x120]
@@ -76,7 +73,7 @@ class TestTwoWay:
 
 class TestFullyAssociative:
     def test_capacity_lru(self):
-        cache = FullyAssociativeCache(4 * 32, 32)  # 4 lines
+        cache = SetAssociativeCache(CacheGeometry(4 * 32, 32, 0))  # 4 lines
         for addr in (0, 32, 64, 96):
             cache.access(addr)
         cache.access(0)  # refresh line 0

@@ -4,13 +4,39 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.check.callgraph import build_callgraph, canonicalize
+import pytest
+
+from repro.check.callgraph import _dotted, build_callgraph, canonicalize
 from repro.runner.fingerprint import shared_callgraph
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-# Directories whose scripts use the package; tests and examples do not
-# count, so a package only they import shows up as unreached.
-CONSUMER_DIRS = ("scripts", "perfbench", "benchmarks")
+# Directories whose scripts use the package (the README advertises every
+# example and CI runs them); tests do not count, so code only they use
+# shows up as unreached.
+CONSUMER_DIRS = ("scripts", "perfbench", "benchmarks", "examples")
+
+# Module-level functions and classes that no consumer reaches but that
+# stay on purpose, each with its reason.
+UNREACHED_ALLOWED = {
+    "repro.gspn.analytic.MD1Prediction":
+        "closed-form M/D/1 oracle the GSPN simulator tests compare against",
+    "repro.gspn.analytic.membank_prediction":
+        "closed-form oracle of the Figure 9 memory-bank net's tests",
+    "repro.gspn.analytic.bank_contention_estimate":
+        "closed-form oracle of the bank-contention tests",
+    "repro.common.units.cycles_for_time":
+        "the conversion the units pass names as the fix for a "
+        "seconds-vs-cycles finding",
+    "repro.common.tally.reset":
+        "test isolation hook: clears the process's counters",
+    "repro.obs.spans.reset":
+        "test isolation hook: clears span records and open spans",
+    "repro.obs.spans.disable":
+        "test isolation hook: turns tracing back off after enable()",
+    "repro.runner.fingerprint.invalidate":
+        "drops memoized digests and call graphs; perfbench's pipeline "
+        "workload calls it through an attribute the walk cannot follow",
+}
 
 
 def _pkg(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -244,3 +270,125 @@ class TestShippedTreeReachability:
         unreached = sorted(set(graph.modules) - reached)
         assert not unreached, (
             f"modules no real consumer imports: {', '.join(unreached)}")
+
+
+class _NameClosure:
+    """Which module-level ``def``/``class`` of the package does any
+    consumer reach by name?
+
+    A node is one module-level function or class, methods and nested
+    code included, so a reached class reaches all its methods.  Every
+    ``Name``/``Attribute`` load inside a node (decorators, defaults,
+    call arguments, registry entries, annotations) is a reference,
+    resolved through the module's imports and then through package
+    ``__init__`` re-exports by :func:`canonicalize`.  The roots are every
+    module body (the statements outside its defs and classes; import
+    lines and ``__all__`` strings hold no loads) and every package name
+    a consumer script imports or uses.
+    """
+
+    def __init__(self) -> None:
+        self.graph = shared_callgraph()
+        self.nodes: dict[str, tuple[str, ast.stmt]] = {}
+        bodies: dict[str, list[ast.stmt]] = {}
+        for name, info in self.graph.modules.items():
+            bodies[name] = []
+            for stmt in ast.parse(info.path.read_text()).body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    self.nodes[f"{name}.{stmt.name}"] = (name, stmt)
+                else:
+                    bodies[name].append(stmt)
+        roots: set[str] = set()
+        for name, stmts in bodies.items():
+            roots |= self._refs(stmts, self.graph.modules[name].reexports, name)
+        for directory in CONSUMER_DIRS:
+            for path in sorted((REPO_ROOT / directory).glob("*.py")):
+                roots |= self._consumer_refs(path)
+        self.reached: set[str] = set()
+        todo = sorted(roots)
+        while todo:
+            key = todo.pop()
+            if key not in self.reached:
+                self.reached.add(key)
+                module, node = self.nodes[key]
+                table = self.graph.modules[module].reexports
+                todo.extend(self._refs([node], table, module) - self.reached)
+
+    def _resolve(self, table: dict[str, str], module: str | None,
+                 dotted: str) -> str | None:
+        head, _, rest = dotted.partition(".")
+        if head in table:
+            base = table[head]
+        elif module is not None and f"{module}.{head}" in self.nodes:
+            base = f"{module}.{head}"
+        else:
+            return None
+        parts = canonicalize(self.graph,
+                             f"{base}.{rest}" if rest else base).split(".")
+        for cut in range(len(parts), 0, -1):
+            key = ".".join(parts[:cut])
+            if key in self.nodes:
+                return key
+        return None
+
+    def _refs(self, nodes, table: dict[str, str],
+              module: str | None) -> set[str]:
+        found = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)) \
+                        and isinstance(sub.ctx, ast.Load):
+                    dotted = _dotted(sub)
+                    key = dotted and self._resolve(table, module, dotted)
+                    if key:
+                        found.add(key)
+        return found
+
+    def _consumer_refs(self, path: Path) -> set[str]:
+        tree = ast.parse(path.read_text(), str(path))
+        package = self.graph.package
+        table: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    head = alias.name.split(".")[0]
+                    if head == package:
+                        table[alias.asname or head] = \
+                            alias.name if alias.asname else head
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and not node.level \
+                    and node.module.split(".")[0] == package:
+                for alias in node.names:
+                    table[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
+        imported = {self._resolve(table, None, local) for local in table}
+        return (imported - {None}) | self._refs([tree], table, None)
+
+    def where(self, key: str) -> str:
+        module, node = self.nodes[key]
+        path = self.graph.modules[module].path.relative_to(
+            self.graph.root.parent)
+        return f"{key} ({path}:{node.lineno})"
+
+
+@pytest.fixture(scope="module")
+def closure() -> _NameClosure:
+    return _NameClosure()
+
+
+class TestShippedTreeNameClosure:
+    def test_every_definition_reached_by_a_real_consumer(self, closure):
+        unreached = sorted(set(closure.nodes) - closure.reached
+                           - set(UNREACHED_ALLOWED))
+        assert not unreached, (
+            "module-level definitions no consumer reaches (delete them, "
+            "or allowlist them with a reason):\n  "
+            + "\n  ".join(closure.where(key) for key in unreached))
+
+    def test_allowlist_names_only_unreached_definitions(self, closure):
+        stale = sorted(key for key in UNREACHED_ALLOWED
+                       if key not in closure.nodes or key in closure.reached)
+        assert not stale, (
+            f"allowlisted but missing or reached: {', '.join(stale)}")
+        assert all(UNREACHED_ALLOWED.values())

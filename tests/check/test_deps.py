@@ -255,8 +255,8 @@ class TestRealPackage:
         assert result.errors == [], [f.render() for f in result.errors]
         resolution = float(result.info["import_resolution"].rstrip("%")) / 100
         assert resolution >= 0.95
-        # 11 registered experiments + 4 sweep base points.
-        assert result.info["entry_points"] == 15
+        # 11 registered experiments + the one sweep base point.
+        assert result.info["entry_points"] == 12
         assert [f for f in result.findings if f.rule == "entry-point"] == []
 
     def test_sweep_bases_join_the_entry_points(self):

@@ -1,47 +1,8 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.stats import Counter, Histogram, RatioStat, RunningStats
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.stddev == 0.0
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-
-    def test_known_values(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.variance == pytest.approx(32.0 / 7.0)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
-    def test_matches_numpy(self, values):
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.mean == pytest.approx(float(np.mean(values)), rel=1e-9, abs=1e-9)
-        assert stats.variance == pytest.approx(
-            float(np.var(values, ddof=1)), rel=1e-6, abs=1e-6
-        )
-
-    def test_stderr_shrinks_with_count(self):
-        stats = RunningStats()
-        stats.extend([1.0, 2.0] * 10)
-        wide = stats.stderr
-        stats.extend([1.0, 2.0] * 90)
-        assert stats.stderr < wide
+from repro.common.stats import RatioStat
 
 
 class TestRatioStat:
@@ -72,37 +33,3 @@ class TestRatioStat:
         assert ratio.hits + ratio.misses == ratio.total
         if flags:
             assert ratio.hit_rate + ratio.miss_rate == pytest.approx(1.0)
-
-
-class TestCounter:
-    def test_increment_and_reset(self):
-        counter = Counter("misses")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
-        counter.reset()
-        assert counter.value == 0
-
-
-class TestHistogram:
-    def test_mean(self):
-        hist = Histogram()
-        hist.add(1, 2)
-        hist.add(3, 2)
-        assert hist.mean() == pytest.approx(2.0)
-        assert hist.total == 4
-
-    def test_percentile(self):
-        hist = Histogram()
-        for value in range(1, 11):
-            hist.add(value)
-        assert hist.percentile(0.5) == 5
-        assert hist.percentile(1.0) == 10
-
-    def test_percentile_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Histogram().percentile(1.5)
-
-    def test_empty(self):
-        assert Histogram().mean() == 0.0
-        assert Histogram().percentile(0.5) == 0

@@ -7,7 +7,6 @@ from repro.dram.directory import (
     BROADCAST_POINTER,
     MAX_NODE_ID,
     DirectoryEntry,
-    DirectoryStore,
     DirState,
 )
 
@@ -37,26 +36,3 @@ class TestEncoding:
     def test_node_id_space_supports_thousands_of_nodes(self):
         # 12 pointer bits address 4094 nodes plus the broadcast marker.
         assert MAX_NODE_ID == 4094
-
-
-class TestDirectoryStore:
-    def test_default_is_unowned(self):
-        store = DirectoryStore()
-        assert store.lookup(0x1000).state is DirState.UNOWNED
-
-    def test_update_and_lookup_by_block(self):
-        store = DirectoryStore(block_bytes=32)
-        store.update(0x100, DirectoryEntry(DirState.EXCLUSIVE, 5))
-        # Any address in the same 32 B block sees the same entry.
-        assert store.lookup(0x11F).pointer == 5
-        assert store.lookup(0x120).state is DirState.UNOWNED
-
-    def test_reset_to_unowned_frees_entry(self):
-        store = DirectoryStore()
-        store.update(0, DirectoryEntry(DirState.SHARED, 1))
-        assert len(store) == 1
-        store.update(0, DirectoryEntry())
-        assert len(store) == 0
-
-    def test_zero_storage_overhead(self):
-        assert DirectoryStore().storage_overhead_bits() == 0

@@ -1,9 +1,6 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dram.ecc import (
-    SECDED,
     check_bits_for,
     directory_bits_per_block,
     ecc_overhead_fraction,
@@ -32,52 +29,3 @@ class TestPaperStorageClaims:
         # Figure 5: widening from 1-in-64 to 1-in-128 correction frees
         # exactly the 14 bits the directory needs.
         assert directory_bits_per_block(32) == 14
-
-
-class TestSECDEDRoundtrip:
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.integers(0, (1 << 64) - 1))
-    def test_clean_roundtrip_64(self, data):
-        code = SECDED(64)
-        result = code.decode(code.encode(data))
-        assert result.data == data
-        assert not result.corrected
-        assert not result.uncorrectable
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.integers(0, (1 << 64) - 1),
-        bit=st.integers(0, 71),  # codeword positions 0..71 (64 data + 8 check)
-    )
-    def test_single_bit_error_corrected(self, data, bit):
-        code = SECDED(64)
-        word = code.encode(data) ^ (1 << bit)
-        result = code.decode(word)
-        assert result.data == data
-        assert result.corrected
-        assert not result.uncorrectable
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.integers(0, (1 << 64) - 1),
-        bits=st.sets(st.integers(0, 71), min_size=2, max_size=2),
-    )
-    def test_double_bit_error_detected_not_miscorrected(self, data, bits):
-        code = SECDED(64)
-        word = code.encode(data)
-        for bit in bits:
-            word ^= 1 << bit
-        result = code.decode(word)
-        assert result.uncorrectable
-        assert not result.corrected
-
-    @settings(max_examples=20, deadline=None)
-    @given(data=st.integers(0, (1 << 128) - 1))
-    def test_clean_roundtrip_128(self, data):
-        code = SECDED(128)
-        result = code.decode(code.encode(data))
-        assert result.data == data
-
-    def test_encode_rejects_oversized_data(self):
-        with pytest.raises(ValueError):
-            SECDED(64).encode(1 << 64)

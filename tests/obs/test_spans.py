@@ -28,7 +28,6 @@ class TestDisabledPath:
     def test_disabled_span_records_nothing(self):
         with obs.span("quiet", refs=1) as sp:
             sp.add("more", 2)
-            obs.add("ambient", 3)
         assert obs.records() == []
 
     def test_disabled_overhead_is_negligible(self):
@@ -75,11 +74,11 @@ class TestRecording:
         assert inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
         assert inner.dur_ns >= 0 and outer.dur_ns >= 0
 
-    def test_counters_from_kwargs_add_and_ambient(self):
+    def test_counters_from_kwargs_and_add(self):
         obs.enable()
         with obs.span("work", refs=10) as sp:
             sp.add("refs", 5)
-            obs.add("extra", 2)  # lands on the innermost open span
+            sp.add("extra", 2)
         (record,) = obs.records()
         assert record.counters == {"refs": 15, "extra": 2}
 

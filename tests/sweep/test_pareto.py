@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.sweep.pareto import (
-    ParetoError,
-    frontier_labels,
-    pareto_classify,
-)
+from repro.sweep.pareto import ParetoError, pareto_classify
 from repro.sweep.spec import Objective
 
 MIN_BOTH = (Objective("cost", "min"), Objective("delay", "min"))
@@ -14,6 +10,11 @@ MIN_BOTH = (Objective("cost", "min"), Objective("delay", "min"))
 
 def classify(points, objectives=MIN_BOTH):
     return pareto_classify(points, objectives)
+
+
+def frontier_labels(verdicts):
+    """Labels of the non-dominated points, in input order."""
+    return [v.label for v in verdicts if not v.dominated]
 
 
 class TestClassification:

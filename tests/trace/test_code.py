@@ -1,8 +1,9 @@
 import pytest
 
 from repro.caches.column_buffer import proposed_icache
-from repro.caches.set_assoc import DirectMappedCache
+from repro.caches.set_assoc import SetAssociativeCache
 from repro.common.errors import ConfigError
+from repro.common.params import CacheGeometry
 from repro.common.rng import make_rng
 from repro.common.units import KB
 from repro.trace.code import AliasedCallPair, CodeProfile, CodeWalker
@@ -77,9 +78,9 @@ class TestEmergentCacheBehaviour:
         )
         trace = CodeWalker(profile).generate(150_000, make_rng(3))
         long_line = proposed_icache()
-        short_line = DirectMappedCache(8 * KB, 32)
+        short_line = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1))
         long_stats = long_line.run(trace)
-        short_stats = DirectMappedCache(8 * KB, 32).run(trace)
+        short_stats = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1)).run(trace)
         assert long_stats.miss_rate < short_stats.miss_rate / 4
 
     def test_aliased_call_pair_hurts_long_lines(self):
@@ -97,5 +98,5 @@ class TestEmergentCacheBehaviour:
         trace = CodeWalker(profile).generate(120_000, make_rng(4))
         long_line = proposed_icache()
         long_stats = long_line.run(trace)
-        short_stats = DirectMappedCache(8 * KB, 32).run(trace)
+        short_stats = SetAssociativeCache(CacheGeometry(8 * KB, 32, 1)).run(trace)
         assert long_stats.miss_rate > short_stats.miss_rate * 2

@@ -6,7 +6,6 @@ from repro.trace.generators import (
     blocked_sweep,
     hot_cold_mix,
     pointer_chase,
-    random_refs,
     record_walk,
     strided_sweep,
 )
@@ -43,18 +42,6 @@ class TestBlockedSweep:
 
     def test_empty(self):
         assert len(blocked_sweep(0, 0, 4, 8, 2)) == 0
-
-
-class TestRandomRefs:
-    def test_within_working_set(self):
-        trace = random_refs(make_rng(0), 0x1000, 4096, 500)
-        assert trace.addresses.min() >= 0x1000
-        assert trace.addresses.max() < 0x1000 + 4096
-
-    def test_reproducible(self):
-        a = random_refs(make_rng(5), 0, 4096, 100)
-        b = random_refs(make_rng(5), 0, 4096, 100)
-        assert a.addresses.tolist() == b.addresses.tolist()
 
 
 class TestPointerChase:

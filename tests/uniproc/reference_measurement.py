@@ -6,7 +6,7 @@ both measurements ran only on the vectorized engines: the interleaved
 instruction and data blocks replay one by one through
 :func:`~repro.caches.column_buffer.proposed_icache` /
 :func:`~repro.caches.column_buffer.proposed_dcache`, or through the two
-:func:`~repro.caches.hierarchy.conventional_hierarchies` that share one
+:func:`~tests.uniproc.reference_hierarchy.conventional_hierarchies` that share one
 L2, so the shared L2 sees both miss streams in true issue order.  The
 tests and ``scripts/check_fast_paths.py`` require the shipped functions
 to return identical :class:`~repro.uniproc.measurement.MissRates`.
@@ -15,11 +15,11 @@ to return identical :class:`~repro.uniproc.measurement.MissRates`.
 from __future__ import annotations
 
 from repro.caches.column_buffer import proposed_dcache, proposed_icache
-from repro.caches.hierarchy import conventional_hierarchies
 from repro.common.params import ConventionalSystemParams, IntegratedDeviceParams
 from repro.gspn.models import MemoryPathProbs
 from repro.uniproc.measurement import MissRates, _interleaved
 from repro.workloads.spec.model import SpecProxy
+from tests.uniproc.reference_hierarchy import conventional_hierarchies
 
 
 def reference_integrated(
@@ -66,16 +66,15 @@ def reference_conventional(
 
     i_l2 = istats.l2_local_hit_rate
     d_l2 = dstats.l2_local_hit_rate
+    load_hit = dstats.l1_loads.hit_rate if dstats.l1_loads.total else 1.0
+    # With no stores in the data stream, stores take the load hit rate,
+    # as in measure_integrated.
+    store_hit = (dstats.l1_stores.hit_rate if dstats.l1_stores.total
+                 else load_hit)
     return MissRates(
         ifetch=probs(istats.l1_hit_rate, i_l2),
-        load=probs(
-            dstats.l1_loads.hit_rate if dstats.l1_loads.total else 1.0,
-            d_l2,
-        ),
-        store=probs(
-            dstats.l1_stores.hit_rate if dstats.l1_stores.total else 1.0,
-            d_l2,
-        ),
+        load=probs(load_hit, d_l2),
+        store=probs(store_hit, d_l2),
         icache_miss_rate=istats.l1_miss_rate,
         dcache_miss_rate=dstats.l1_miss_rate,
     )

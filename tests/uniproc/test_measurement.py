@@ -93,6 +93,16 @@ class TestEngineEquivalence:
             reference_conventional(proxy, trace_len)
 
 
+class TestStoreFreeDataStream:
+    @pytest.mark.parametrize("measure", [measure_integrated,
+                                         measure_conventional])
+    def test_stores_take_the_load_hit_rate(self, measure):
+        """At one reference the data stream holds no store, so both
+        measurements give stores the load path's probabilities."""
+        rates = measure(get_proxy("126.gcc"), 1)
+        assert rates.store == rates.load
+
+
 class TestTraceLen:
     @pytest.mark.parametrize("measure", [measure_integrated,
                                          measure_conventional])

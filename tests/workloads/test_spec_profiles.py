@@ -4,7 +4,6 @@ claims — these are the load-bearing calibration checks for Figures 7/8."""
 import pytest
 
 from repro.caches import (
-    DirectMappedCache,
     direct_mapped_miss_rate,
     proposed_dcache,
     proposed_icache,

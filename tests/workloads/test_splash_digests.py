@@ -10,12 +10,12 @@ produces: one SHA-256 per kernel x processor count x system kind over
 - the final numeric state of the kernel (dtype, shape and raw bytes of
   each array).
 
-Sizes are perfbench's ``tiny`` splash sizes, plus ``cholesky`` at n=8.
+Sizes are perfbench's ``tiny`` splash sizes.
 A kernel rewrite that is meant to be exact must leave every digest
 unchanged; one that changes results must re-pin them here and say why.
-Two inputs go through BLAS: cholesky's ``base @ base.T`` and water's
-``delta @ delta``.  A BLAS build that sums in another order changes
-those two kernels' bits, and their digests would need re-pinning on it.
+One input goes through BLAS: water's ``delta @ delta``.  A BLAS build
+that sums in another order changes that kernel's bits, and its digests
+would need re-pinning on it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.mp.system import AccessStats, SystemKind
 from repro.workloads.splash import KERNELS
 
 SIZES = {
-    "cholesky": {"n": 8},
     "lu": {"n": 8},
     "mp3d": {"particles": 64, "steps": 2},
     "ocean": {"n": 12, "iterations": 2},
@@ -39,7 +38,6 @@ SIZES = {
 }
 # The arrays that hold each kernel's final numeric state.
 STATE = {
-    "cholesky": ("matrix", "original"),
     "lu": ("matrix", "original"),
     "mp3d": ("positions", "velocities"),
     "ocean": ("grid",),
@@ -81,46 +79,6 @@ def run_digest(name: str, kind: SystemKind, procs: int) -> str:
 
 
 PINNED = {
-    "cholesky/integrated/1":
-        "da88ed303d9e66d3488394d7ed83d8d392cc14944d2af8c757b0450f15ab982b",
-    "cholesky/integrated/2":
-        "f77dc2e8901494f22df8d9136dcaba05175606b04a52171c20f7d837a47b63fd",
-    "cholesky/integrated/4":
-        "71d4330e261a1cfb579c4364da2666a604f45e46714892c8ea8808dba7e4b765",
-    "cholesky/integrated/8":
-        "ca3ad2a51f8045e1845438565c5d17441b1b2fb339934bdd971f66572f17074e",
-    "cholesky/integrated/16":
-        "59a8f55fc27e046ec0720b9c550013b611c782623e82dbc25ccf140191a55d3b",
-    "cholesky/integrated-no-victim/1":
-        "da88ed303d9e66d3488394d7ed83d8d392cc14944d2af8c757b0450f15ab982b",
-    "cholesky/integrated-no-victim/2":
-        "634eb8bb0fc7fe27401476cf7e19c27c8c4ebac88e7516f32dd065deadfb01a4",
-    "cholesky/integrated-no-victim/4":
-        "f20d3ef9726f97e922ed768f5d63b009973c6dde0f60672a06d0f92f390bb501",
-    "cholesky/integrated-no-victim/8":
-        "ae6661072b87ddf6969728a0635a3c34d47d47f14f945aabd27aceb94d70a2a1",
-    "cholesky/integrated-no-victim/16":
-        "7374ac6fb2199f79ac1de6bb0f0c54416c86e5a2c6d4f990866e840392c490c6",
-    "cholesky/reference/1":
-        "e94fff6c422e666c17abab4908f7524b0156385424d90d0bdf116f8bbbfb0fe8",
-    "cholesky/reference/2":
-        "3ebcae92f4088c57daa78d550357510f6948351d14a782fbccb998d1c2d3db1b",
-    "cholesky/reference/4":
-        "39ce062baf819c4a5d98d9b34fcc2ce0a7126a93d3babd498dbcacf10bf70c4d",
-    "cholesky/reference/8":
-        "109a3fb2cf64ce32d9496718535afbab13a16374e6691c3a22b3a0c0e70a3496",
-    "cholesky/reference/16":
-        "9e15e5005a5e5f4fe0fec9d65b1fad8ffd0d8dfc2c56ea5fdfc2bd8cca15d7b8",
-    "cholesky/scoma/1":
-        "da88ed303d9e66d3488394d7ed83d8d392cc14944d2af8c757b0450f15ab982b",
-    "cholesky/scoma/2":
-        "330175215efdc195a186b1677d18cf507d6c57de5208a18a8524f72130d5b3da",
-    "cholesky/scoma/4":
-        "dc4a7b48e3527c8adad003fbde3a88072f9a1c68d955c12fc2f9bd170b61a050",
-    "cholesky/scoma/8":
-        "d166add96f314c6f3feff094f180382be180e9941002d87dfdda3f19f18e9e09",
-    "cholesky/scoma/16":
-        "1d633b85bee30d3877d8d96981b65fef82fbb61570a3cc6b56b03e52cff3a376",
     "lu/integrated/1":
         "5b62e26bfbf411d5a49f2ae6ffb8338ce22b85bfa009a0bcc74b37964415f765",
     "lu/integrated/2":

@@ -19,10 +19,7 @@ from repro.caches.fast import (
     set_assoc_miss_rate,
     simulate_column_buffer,
 )
-from repro.caches.hierarchy import (
-    HierarchyStats,
-    ServiceLevel,
-)
+from repro.caches.hierarchy import HierarchyStats
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.victim import VictimCache
 
@@ -32,7 +29,6 @@ __all__ = [
     "ColumnBufferCache",
     "FastCacheResult",
     "HierarchyStats",
-    "ServiceLevel",
     "SetAssociativeCache",
     "VictimCache",
     "column_buffer_fast",

@@ -10,17 +10,8 @@ GSPN processor model can be dialed with per-level hit probabilities;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 from repro.common.stats import RatioStat
-
-
-class ServiceLevel(IntEnum):
-    """Which level of the hierarchy satisfied a reference."""
-
-    L1 = 1
-    L2 = 2
-    MEMORY = 3
 
 
 @dataclass
@@ -49,16 +40,4 @@ class HierarchyStats:
     def l2_local_hit_rate(self) -> float:
         """Hit rate of the L2 among references that missed L1."""
         return self.l2.hit_rate
-
-    def service_fractions(self) -> dict[ServiceLevel, float]:
-        """Fraction of all references served by each level."""
-        total = self.accesses
-        if not total:
-            return {level: 0.0 for level in ServiceLevel}
-        l1_hits = self.l1_loads.hits + self.l1_stores.hits
-        return {
-            ServiceLevel.L1: l1_hits / total,
-            ServiceLevel.L2: self.l2.hits / total,
-            ServiceLevel.MEMORY: self.l2.misses / total,
-        }
 

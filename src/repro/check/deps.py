@@ -361,20 +361,18 @@ class _DepsAnalysis:
 
 def registry_entry_points() -> dict[str, str]:
     """All analysis roots, as static names: the registered experiments
-    plus the sweep base-point builders.
+    plus the sweep point function.
 
     Sweeps construct design points through :mod:`repro.sweep.points`
-    without going through the experiment registry, so without these
-    roots a stochastic call or unit mix on a sweep-only path would sit
-    in unreachable code and never earn a witness.  Sweep names are
-    prefixed ``sweep:`` — the bases reuse experiment names (``figure7``
-    both names an experiment and a base point)."""
+    without going through the experiment registry, so without this
+    root a stochastic call or unit mix on a sweep-only path would sit
+    in unreachable code and never earn a witness.  The root is named
+    ``sweep:figure7``, like the sweep tasks, because ``figure7`` also
+    names an experiment."""
     from repro.analysis.registry import entry_points
-    from repro.sweep.points import base_entry_points
 
     roots = entry_points()
-    for name, target in base_entry_points().items():
-        roots[f"sweep:{name}"] = target
+    roots["sweep:figure7"] = "repro.sweep.points.icache_point"
     return roots
 
 

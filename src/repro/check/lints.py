@@ -26,7 +26,7 @@ reject the ways that assumption quietly breaks:
   ``allow`` annotations.
 - ``doc-coverage`` — a public module (no path component starting with
   ``_``) without a module docstring, or a registry-registered entry
-  point (experiment registry + sweep bases) without a function
+  point (experiment registry + sweep point) without a function
   docstring.  Entry points are the repo's public API surface — the
   sweep compiler, the docs generator and the CLI all advertise them —
   so they carry their contract in-source.  This rule only runs in the
@@ -339,18 +339,14 @@ def lint_source(
 def _entry_point_docs() -> dict[str, frozenset[str]]:
     """Dotted module -> entry-point function names that must be documented.
 
-    The union of the experiment registry's entry points and the sweep
-    bases' — everything a registry-style subsystem advertises by dotted
-    name.
+    The same roots as the ``deps`` pass — the experiment registry's
+    entry points plus the sweep point function — everything a
+    registry-style subsystem advertises by dotted name.
     """
-    from repro.analysis.registry import entry_points
-    from repro.sweep.points import base_entry_points
+    from repro.check.deps import registry_entry_points
 
-    # Sweep bases reuse registry names (a base "figure7" rides the same
-    # pipeline as the experiment), so chain the dotted names rather than
-    # merging the dicts — a key collision must not drop an entry point.
     required: dict[str, set[str]] = {}
-    for dotted in (*entry_points().values(), *base_entry_points().values()):
+    for dotted in registry_entry_points().values():
         module, _, fn = dotted.rpartition(".")
         required.setdefault(module, set()).add(fn)
     return {module: frozenset(names) for module, names in required.items()}

@@ -21,7 +21,7 @@ through the code and reports where they collide:
   arguments against the callee's declared parameter dims (including
   dataclass constructor fields) and picks up the callee's return dim;
 - **call-chain witnesses** — errors inside functions reachable from a
-  registered entry point (experiment registry + sweep bases, the same
+  registered entry point (experiment registry + sweep point, the same
   roots as the ``deps`` pass) carry the path from the entry point, the
   same counterexample discipline as the protocol model checker.
 
@@ -767,7 +767,7 @@ class _FunctionFlow:
 
 def default_entry_points() -> dict[str, str]:
     """The same roots as the ``deps`` pass: registered experiments plus
-    the sweep bases."""
+    the sweep point."""
     from repro.check.deps import registry_entry_points
 
     return registry_entry_points()

@@ -43,10 +43,6 @@ class InterNodeCache:
         self.installs = 0
         self.evictions = 0
 
-    @property
-    def data_capacity_bytes(self) -> int:
-        return self.num_sets * self.ways * self.line_bytes
-
     def _locate(self, addr: int) -> tuple[list[int], int]:
         """The tags of ``addr``'s set (``()`` if never installed into)."""
         return (self._sets.get((addr >> self._line_shift) & self._set_mask, ()),

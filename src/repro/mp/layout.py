@@ -47,7 +47,3 @@ class Layout:
         if self._cursors[home] > self.region_bytes:
             raise ConfigError(f"node {home} region exhausted")
         return base
-
-    def alloc_striped(self, nbytes_per_node: int, align: int = 64) -> list[int]:
-        """One allocation of the same size on every node."""
-        return [self.alloc(n, nbytes_per_node, align) for n in range(self.num_nodes)]

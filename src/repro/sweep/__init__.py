@@ -1,8 +1,8 @@
 """Declarative design-space exploration over the experiment registry.
 
-A *sweep* is a checked-in TOML/JSON spec (``artifacts/sweeps/``) that
-names a base pipeline (:mod:`repro.sweep.points`), the axes to vary,
-and the objectives to optimise.  :mod:`repro.sweep.spec` validates and
+A *sweep* is a checked-in TOML spec (``artifacts/sweeps/``) that names
+the axes of the Figure 7 point function (:mod:`repro.sweep.points`) to
+vary and the knobs to pin.  :mod:`repro.sweep.spec` validates and
 expands the spec, :mod:`repro.sweep.engine` compiles each configuration
 onto the supervised experiment runner (inheriting caching, quarantine
 and span tracing), :mod:`repro.sweep.pareto` reduces the results to a
@@ -18,7 +18,7 @@ from repro.sweep.pareto import (
     ParetoVerdict,
     pareto_classify,
 )
-from repro.sweep.points import AXES, BASES, LATENCY_PROFILES, base_entry_points
+from repro.sweep.points import AXES, LATENCY_PROFILES
 from repro.sweep.report import (
     SWEEP_SCHEMA_VERSION,
     build_sweep_artifact,
@@ -30,7 +30,6 @@ from repro.sweep.report import (
 )
 from repro.sweep.spec import (
     SPEC_RULES,
-    Objective,
     SweepConfig,
     SweepSpec,
     SweepSpecError,
@@ -42,19 +41,16 @@ from repro.sweep.spec import (
 
 __all__ = [
     "AXES",
-    "BASES",
     "LATENCY_PROFILES",
     "SPEC_RULES",
     "SWEEP_SCHEMA_VERSION",
     "ConfigResult",
-    "Objective",
     "ParetoError",
     "ParetoVerdict",
     "SweepConfig",
     "SweepOutcome",
     "SweepSpec",
     "SweepSpecError",
-    "base_entry_points",
     "build_sweep_artifact",
     "check_sweeps_drift",
     "compile_tasks",

@@ -6,12 +6,13 @@
     python -m repro sweep report                # regenerate SWEEPS.md
 
 ``run`` resolves its argument as a checked-in spec name under
-``artifacts/sweeps/`` or a direct path, validates it (every violation
-is a named ``SweepSpecError`` rule), executes the expanded grid through
-the same supervised pool as ``python -m repro <experiment>`` and writes
-the deterministic report artifact next to the spec.  Its run flags
-(``--jobs``, ``--cache-dir``, ``--trace``, ``--task-timeout``, ...)
-and their setup come from
+``artifacts/sweeps/`` or a path to a TOML spec, validates it (every
+violation is a named ``SweepSpecError`` rule), executes the expanded
+grid through the same supervised pool as ``python -m repro
+<experiment>`` and writes the deterministic report artifact next to
+the spec (``<spec>.json``) unless ``--report-out`` names another
+path.  Its run flags (``--jobs``, ``--cache-dir``, ``--trace``,
+``--task-timeout``, ...) and their setup come from
 :mod:`repro.runner.session`, shared with the experiment CLI; only
 ``--report-out`` and ``--no-report`` are its own.  ``report`` only
 rereads checked-in artifacts; it never recomputes.
@@ -25,11 +26,11 @@ from pathlib import Path
 
 from repro.runner.session import add_run_flags, open_session
 from repro.sweep.engine import run_sweep
+from repro.sweep.points import OBJECTIVES
 from repro.sweep.report import (
     DEFAULT_SWEEPS_DOC,
     build_sweep_artifact,
     regenerate_doc,
-    report_path,
     write_sweep_artifact,
 )
 from repro.sweep.spec import (
@@ -68,15 +69,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "spec",
         help="checked-in sweep name (see 'list') or a path to a "
-             "TOML/JSON spec file",
+             "TOML spec file",
     )
     add_run_flags(run)
     run.add_argument(
         "--report-out",
         default=None,
         metavar="PATH",
-        help="sweep report artifact path "
-             "(default artifacts/sweeps/<name>.json)",
+        help="sweep report artifact path (default: next to the spec, "
+             "with a .json suffix)",
     )
     run.add_argument(
         "--no-report",
@@ -98,8 +99,8 @@ def _cmd_list() -> int:
             print(f"{path.stem:18s} INVALID [{exc.rule}]: {exc}")
             continue
         axes = "×".join(str(len(values)) for _, values in spec.axes)
-        print(f"{spec.name:18s} base={spec.base:12s} "
-              f"{len(spec.configs()):3d} configs ({axes})  {spec.description}")
+        print(f"{spec.name:18s} {len(spec.configs()):3d} configs ({axes})  "
+              f"{spec.description}")
     return 0
 
 
@@ -114,11 +115,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec_path = resolve_spec(args.spec)
         spec = load_spec(spec_path)
-    except FileNotFoundError as exc:
-        print(f"sweep spec not found: {exc}", file=sys.stderr)
-        known = ", ".join(p.stem for p in discover_specs()) or "none"
-        print(f"checked-in specs: {known}", file=sys.stderr)
-        return 2
     except SweepSpecError as exc:
         print(f"invalid sweep spec [{exc.rule}]: {exc}", file=sys.stderr)
         return 2
@@ -128,8 +124,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return session
 
     configs = spec.configs()
-    print(f"sweep {spec.name}: {len(configs)} configurations of "
-          f"{spec.base} ({'×'.join(str(len(v)) for _, v in spec.axes)})",
+    print(f"sweep {spec.name}: {len(configs)} configurations "
+          f"({'×'.join(str(len(v)) for _, v in spec.axes)})",
           file=sys.stderr)
     ran = session.run(run_sweep, spec)
     if isinstance(ran, int):
@@ -145,8 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"{len(outcome.configs)} configurations")
     for result in outcome.configs:
         shown = ", ".join(
-            f"{o.metric}={result.metrics[o.metric]:.4f}"
-            for o in spec.objectives
+            f"{metric}={result.metrics[metric]:.4f}" for metric in OBJECTIVES
         )
         verdict = (f"dominated by {result.dominated_by}"
                    if result.dominated else "frontier")
@@ -157,7 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.no_report:
         artifact = build_sweep_artifact(outcome)
         out = Path(args.report_out) if args.report_out \
-            else report_path(spec.name)
+            else spec_path.with_suffix(".json")
         write_sweep_artifact(out, artifact)
         print(f"report written to {out}", file=sys.stderr)
 

@@ -3,13 +3,14 @@
 ``run_sweep`` is the whole lifecycle of one sweep:
 
 1. **compile** — every expanded :class:`~repro.sweep.spec.SweepConfig`
-   becomes one :class:`repro.runner.Task` over the base's module-level
-   point function.  The task's experiment name is ``sweep:<base>`` (not
-   the sweep's own name) and its shard is the configuration label, so
-   the cache key depends only on *(base entry point, parameters, slice
-   fingerprint)*: two sweeps — or two runs of one sweep — sharing a
-   configuration collapse onto a single cached result, and editing code
-   outside the base's dependency slice invalidates nothing.
+   becomes one :class:`repro.runner.Task` over the module-level point
+   function :func:`~repro.sweep.points.icache_point`.  The task's
+   experiment name is ``sweep:figure7`` (not the sweep's own name) and
+   its shard is the configuration label, so the cache key depends only
+   on *(entry point, parameters, slice fingerprint)*: two sweeps — or
+   two runs of one sweep — sharing a configuration collapse onto a
+   single cached result, and editing code outside the point's
+   dependency slice invalidates nothing.
 2. **fan out** — the tasks go through :func:`repro.runner.run_tasks`
    unchanged, inheriting the supervised pool: timeouts, quarantine,
    the result cache that lets a rerun skip finished configurations,
@@ -31,7 +32,7 @@ from typing import Any
 from repro import obs
 from repro.runner import ResultCache, RunMetrics, Task, run_tasks
 from repro.sweep.pareto import pareto_classify
-from repro.sweep.points import BASES
+from repro.sweep.points import OBJECTIVES, icache_point
 from repro.sweep.spec import SweepConfig, SweepSpec
 
 
@@ -63,14 +64,18 @@ class SweepOutcome:
         return [c for c in self.configs if c.dominated]
 
 
+#: Experiment name of every sweep task: named after the Figure 7
+#: pipeline the point function runs, never after the sweep.
+EXPERIMENT = "sweep:figure7"
+
+
 def compile_tasks(spec: SweepSpec) -> list[Task]:
     """Registry-style tasks, one per expanded configuration."""
-    base = BASES[spec.base]
     return [
         Task(
-            experiment=f"sweep:{spec.base}",
+            experiment=EXPERIMENT,
             shard=config.label,
-            fn=base.fn,
+            fn=icache_point,
             kwargs=dict(config.params),
         )
         for config in spec.configs()
@@ -106,7 +111,7 @@ def run_sweep(
         settled: list[tuple[SweepConfig, dict[str, float]]] = []
         failed: list[str] = []
         for config in configs:
-            slot = (f"sweep:{spec.base}", config.label)
+            slot = (EXPERIMENT, config.label)
             if slot in raw:
                 settled.append((config, dict(raw[slot])))
             else:
@@ -115,7 +120,7 @@ def run_sweep(
             v.label: v
             for v in pareto_classify(
                 [(config.label, metrics_) for config, metrics_ in settled],
-                spec.objectives,
+                OBJECTIVES,
             )
         } if settled else {}
         results = [

@@ -1,9 +1,9 @@
 """Pareto-frontier reduction over sweep results.
 
-Given every configuration's metric dict and the sweep's objectives,
-classify each point as *frontier* (no other point is at least as good
-on every objective and strictly better on one) or *dominated* (some
-point is).  Runs in the parent process after the fan-out — workers
+Given every configuration's metric dict and the objective metrics
+(each minimised), classify each point as *frontier* (no other point is
+at least as good on every objective and strictly better on one) or
+*dominated* (some point is).  Runs in the parent process after the fan-out — workers
 only compute metrics; see DESIGN.md §7 for why the reduction never
 crosses the worker boundary.
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.common.errors import ReproError
-from repro.sweep.spec import Objective
 
 
 class ParetoError(ReproError):
@@ -36,21 +35,21 @@ class ParetoVerdict:
     dominated_by: str | None = None  # first dominator in expansion order
 
 
-def _oriented(metrics: Mapping[str, float], label: str,
-              objectives: Sequence[Objective]) -> tuple[float, ...]:
-    """The objective vector, sign-flipped so lower is always better."""
+def _vector(metrics: Mapping[str, float], label: str,
+            objectives: Sequence[str]) -> tuple[float, ...]:
+    """The objective vector; lower is better on every entry."""
     vector = []
-    for objective in objectives:
-        if objective.metric not in metrics:
+    for metric in objectives:
+        if metric not in metrics:
             raise ParetoError(
-                f"point {label!r} has no metric {objective.metric!r} "
+                f"point {label!r} has no metric {metric!r} "
                 f"(has: {', '.join(sorted(metrics))})")
-        value = metrics[objective.metric]
+        value = metrics[metric]
         if not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ParetoError(
-                f"point {label!r} metric {objective.metric!r} is not a "
+                f"point {label!r} metric {metric!r} is not a "
                 f"finite number: {value!r}")
-        vector.append(-value if objective.goal == "max" else float(value))
+        vector.append(float(value))
     return tuple(vector)
 
 
@@ -63,9 +62,10 @@ def _dominates(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
 
 def pareto_classify(
     points: Sequence[tuple[str, Mapping[str, float]]],
-    objectives: Sequence[Objective],
+    objectives: Sequence[str],
 ) -> list[ParetoVerdict]:
-    """Classify ``(label, metrics)`` points against the objectives.
+    """Classify ``(label, metrics)`` points against the objective
+    metrics, each minimised.
 
     Returns one verdict per point, in input order.  With a single
     objective this degenerates to "is it the minimum" (the frontier is
@@ -76,7 +76,7 @@ def pareto_classify(
     if not objectives:
         raise ParetoError("no objectives to reduce over")
     vectors = [
-        _oriented(metrics, label, objectives) for label, metrics in points
+        _vector(metrics, label, objectives) for label, metrics in points
     ]
     verdicts = []
     for i, (label, _) in enumerate(points):

@@ -1,32 +1,31 @@
-"""Sweepable entry points: one function call per design-space point.
+"""The sweepable entry point: one function call per design-space point.
 
-A *base* is a registry-style entry point built for parameter sweeps:
-a module-level function whose keyword arguments are exactly the
-sweepable **axes** (line size, bank count, emerging-memory latency
-profile) plus a few fixed knobs (benchmark, trace length, seed), and
-whose return value is a flat
-``{metric: float}`` dict.  The sweep compiler
+:func:`icache_point` is the Figure 7 pipeline built for parameter
+sweeps: a module-level function whose keyword arguments are the
+sweepable **axes** (:data:`AXES`: line size, bank count,
+emerging-memory latency profile) plus a few fixed knobs (benchmark,
+trace length, instruction count, seed), and whose return value is a
+flat ``{metric: float}`` dict.  The sweep compiler
 (:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
-per expanded configuration over these functions, so every configuration
+per expanded configuration over it, so every configuration
 
 - runs through the supervised process pool (timeouts, quarantine,
   span transport) exactly like a registered experiment, and
 - caches under a :func:`repro.runner.fingerprint.slice_fingerprint`
-  keyed entry — the functions here are module-level precisely so
+  keyed entry — the function is module-level precisely so
   ``Task.entry_point()`` resolves and the dependency slicer can hash
-  only the modules each base actually reaches.  Two sweeps sharing a
+  only the modules it actually reaches.  Two sweeps sharing a
   configuration therefore collapse onto one cached result.
 
 Returning plain dicts (not experiment result objects) keeps the worker
 boundary thin: Pareto reduction and rendering happen in the parent
 process (see DESIGN.md §7), workers only ever compute numbers.
 """
-
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.caches.column_buffer import ColumnBufferCache
 from repro.common.errors import ConfigError
 from repro.common.params import DRAMTiming, IntegratedDeviceParams
 from repro.common.rng import make_rng, split_rng
@@ -55,8 +54,8 @@ def _positive_int(value: Any) -> bool:
 
 
 #: Axis name -> (human description, value validator).  Axis *names* are
-#: the keyword arguments of the base functions below; a sweep spec may
-#: only sweep axes its base declares (see :class:`SweepBase.axes`).
+#: keyword arguments of :func:`icache_point`; a sweep spec may sweep
+#: only these.
 AXES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     "line_bytes": ("cache line (DRAM column) size in bytes", _positive_int),
     "num_banks": ("DRAM bank count", _positive_int),
@@ -68,7 +67,7 @@ AXES: dict[str, tuple[str, Callable[[Any], bool]]] = {
 
 
 # ---------------------------------------------------------------------------
-# Base point functions (module-level: picklable, sliceable, cacheable)
+# The point function (module-level: picklable, sliceable, cacheable)
 # ---------------------------------------------------------------------------
 
 
@@ -110,54 +109,10 @@ def icache_point(
     }
 
 
-# ---------------------------------------------------------------------------
-# Base registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepBase:
-    """One sweepable pipeline: entry point, axes, metrics, defaults."""
-
-    name: str
-    fn: Callable[..., dict[str, float]]
-    summary: str
-    axes: tuple[str, ...]  # axis names the base accepts (sweepable)
-    fixed: tuple[str, ...]  # non-axis kwargs a spec may pin
-    metrics: tuple[str, ...]  # keys of the returned dict
-    #: default Pareto objectives as ``(metric, goal)`` pairs; a spec may
-    #: override with its own ``[[objectives]]`` table.
-    objectives: tuple[tuple[str, str], ...]
-
-    @property
-    def entry_point(self) -> str:
-        """Dotted function name, mirroring ``ExperimentSpec.entry_point``."""
-        return f"{self.fn.__module__}.{self.fn.__qualname__}"
-
-
-_UNIPROC_METRICS = ("miss_rate", "cpi", "bank_utilization")
-# Lower is better on every default objective: misses and CPI are cost,
-# and low bank utilization means the banks retain headroom for refresh,
-# speculative writebacks and I/O traffic (Section 5.6 reads it this way).
-_UNIPROC_OBJECTIVES = (("miss_rate", "min"), ("cpi", "min"),
-                       ("bank_utilization", "min"))
-
-BASES: dict[str, SweepBase] = {  # repro: allow(mutable-global)
-    "figure7": SweepBase(
-        name="figure7",
-        fn=icache_point,
-        summary="integrated I-cache pipeline (trace-driven miss rate -> GSPN)",
-        axes=("line_bytes", "num_banks", "latency_profile"),
-        fixed=("benchmark", "trace_len", "instructions", "seed"),
-        metrics=_UNIPROC_METRICS,
-        objectives=_UNIPROC_OBJECTIVES,
-    ),
-}
-
-
-def base_entry_points() -> dict[str, str]:
-    """Sweep base name -> dotted entry-point name (doc-coverage, deps)."""
-    return {name: base.entry_point for name, base in BASES.items()}
+#: The Pareto objectives, all minimised: misses and CPI are cost, and
+#: low bank utilization means the banks retain headroom for refresh,
+#: speculative writebacks and I/O traffic (Section 5.6 reads it this way).
+OBJECTIVES = ("miss_rate", "cpi", "bank_utilization")
 
 
 def validate_axis_value(axis: str, value: Any) -> str | None:
@@ -165,13 +120,16 @@ def validate_axis_value(axis: str, value: Any) -> str | None:
     description, validator = AXES[axis]
     if validator(value):
         # Geometry constraints surface early, with the axis named,
-        # instead of as a worker-side ConfigError mid-sweep.
+        # instead of as a worker-side error mid-sweep; the column
+        # buffer's own sub-block rule rejects a line shorter than one
+        # sub-block.
         if axis in ("line_bytes", "num_banks"):
             try:
-                IntegratedDeviceParams(
+                params = IntegratedDeviceParams(
                     num_banks=value if axis == "num_banks" else 16,
                     column_bytes=value if axis == "line_bytes" else 512,
                 )
+                ColumnBufferCache(params.icache_geometry)
             except ConfigError as exc:
                 return str(exc)
         return None

@@ -28,10 +28,18 @@ import json
 from pathlib import Path
 
 from repro.sweep.engine import SweepOutcome
+from repro.sweep.points import OBJECTIVES
 from repro.sweep.spec import DEFAULT_SWEEPS_DIR, SweepSpec, load_spec
 
 SWEEP_SCHEMA_VERSION = 1
 DEFAULT_SWEEPS_DOC = Path("SWEEPS.md")
+
+# Schema-1 fields that are the same for every sweep: the one pipeline,
+# its grid expansion and its minimised objectives.  They stay in the
+# digest payload and the artifact so both keep their checked-in bytes.
+_BASE = "figure7"
+_MODE = "grid"
+_GOAL = "min"
 
 PREAMBLE = """\
 Design-space exploration reports over the paper's pipelines: each sweep
@@ -52,15 +60,15 @@ checked-in sweep artifacts.\
 
 
 def spec_digest(spec: SweepSpec) -> str:
-    """Content hash of a validated spec (axes, fixed knobs, objectives)."""
+    """Content hash of a validated spec (axes, fixed knobs)."""
     payload = json.dumps(
         {
             "name": spec.name,
-            "base": spec.base,
-            "mode": spec.mode,
+            "base": _BASE,
+            "mode": _MODE,
             "axes": [[name, list(values)] for name, values in spec.axes],
             "fixed": spec.fixed,
-            "objectives": [[o.metric, o.goal] for o in spec.objectives],
+            "objectives": [[metric, _GOAL] for metric in OBJECTIVES],
         },
         sort_keys=True,
         default=repr,
@@ -79,9 +87,9 @@ def build_sweep_artifact(outcome: SweepOutcome) -> dict:
         "schema": SWEEP_SCHEMA_VERSION,
         "kind": "sweep",
         "name": spec.name,
-        "base": spec.base,
+        "base": _BASE,
         "description": spec.description,
-        "mode": spec.mode,
+        "mode": _MODE,
         "spec_digest": spec_digest(spec),
         "axes": [
             {"name": name, "values": list(values)}
@@ -89,7 +97,7 @@ def build_sweep_artifact(outcome: SweepOutcome) -> dict:
         ],
         "fixed": dict(spec.fixed),
         "objectives": [
-            {"metric": o.metric, "goal": o.goal} for o in spec.objectives
+            {"metric": metric, "goal": _GOAL} for metric in OBJECTIVES
         ],
         "configs": [
             {
@@ -104,11 +112,6 @@ def build_sweep_artifact(outcome: SweepOutcome) -> dict:
         "frontier": outcome.frontier,
         "failed": list(outcome.failed),
     }
-
-
-def report_path(name: str,
-                sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR) -> Path:
-    return Path(sweeps_dir) / f"{name}.json"
 
 
 def write_sweep_artifact(path: Path | str, artifact: dict) -> None:
@@ -252,16 +255,21 @@ def regenerate_doc(
 
 def check_sweeps_drift(repo_root: Path | str = ".") -> list[str]:
     """Diff the checked-in SWEEPS.md against a regeneration from the
-    checked-in sweep artifacts; also flag reports whose paired spec was
-    edited after the sweep ran.  Empty list = in sync."""
+    checked-in sweep artifacts; also flag reports with no paired spec
+    and reports whose spec was edited after the sweep ran.  Empty
+    list = in sync."""
     root = Path(repo_root)
     reports = discover_reports(root / DEFAULT_SWEEPS_DIR)
     artifacts = [load_sweep_artifact(path) for path in reports]
     problems: list[str] = []
-    for artifact in artifacts:
+    for path, artifact in zip(reports, artifacts):
         spec_path = root / DEFAULT_SWEEPS_DIR / f"{artifact['name']}.toml"
         if not spec_path.exists():
-            continue  # spec may legitimately live elsewhere (JSON, ad hoc)
+            problems.append(
+                f"{path} has no paired spec {spec_path.name}; delete the "
+                f"report or restore its spec"
+            )
+            continue
         digest = spec_digest(load_spec(spec_path))
         if digest != artifact["spec_digest"]:
             problems.append(

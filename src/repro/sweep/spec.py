@@ -1,55 +1,48 @@
 """Declarative sweep specifications: parse, validate, expand.
 
-A sweep spec is a checked-in TOML (or JSON) document under
-``artifacts/sweeps/`` declaring a *base* pipeline
-(:data:`repro.sweep.points.BASES`), the axes to sweep, how to expand
-them, and what to optimize::
+A sweep spec is a checked-in TOML document under ``artifacts/sweeps/``
+naming the axes of :func:`repro.sweep.points.icache_point` to sweep
+and the knobs to pin; every configuration is a point of the grid::
 
     name = "fig7-line-bank"
-    base = "figure7"
     description = "line size x bank count on the Figure 7 pipeline"
-    mode = "grid"                  # cartesian product (default); "list"
-                                   # zips equal-length value rows instead
 
-    [axes]
+    [axes]                         # cartesian product, row-major
     line_bytes = [256, 512, 1024]
     num_banks = [4, 8, 16]
 
-    [fixed]                        # pinned non-axis knobs of the base
+    [fixed]                        # pinned non-axis knobs of the point
     benchmark = "126.gcc"
     trace_len = 40000
-
-    [[objectives]]                 # optional; defaults come from the base
-    metric = "miss_rate"
-    goal = "min"
 
 Validation is exhaustive and every failure carries a stable kebab-case
 rule name (:class:`SweepSpecError.rule`) so tests and callers can match
 on *what* is wrong, not on message prose — the same discipline as the
 ``repro check`` finding rules.  Expansion is deterministic: grid order
 is row-major in axis declaration order, labels are the
-``axis=value`` pairs joined with commas, and duplicate configurations
-are a spec error rather than silent recomputation (across sweeps and
+``axis=value`` pairs joined with commas, and a repeated axis value is
+a spec error rather than silent recomputation (across sweeps and
 reruns, identical configurations collapse in the result cache instead
 — see :mod:`repro.sweep.engine`).
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
-import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.common.errors import ReproError
 from repro.sweep.points import (
-    BASES,
+    AXES,
+    icache_point,
     validate_axis_value,
     validate_fixed_value,
 )
 
-SPEC_SUFFIXES = (".toml", ".json")
 DEFAULT_SWEEPS_DIR = Path("artifacts") / "sweeps"
 
 #: Every rule a :class:`SweepSpecError` may carry.
@@ -58,18 +51,18 @@ SPEC_RULES: tuple[str, ...] = (
     "missing-field",
     "unknown-field",
     "bad-name",
-    "unknown-base",
-    "bad-mode",
     "unknown-axis",
     "empty-axis",
     "bad-value",
     "empty-grid",
-    "length-mismatch",
     "duplicate-configuration",
     "unknown-fixed",
-    "unknown-metric",
-    "bad-goal",
-    "duplicate-objective",
+)
+
+#: Non-axis keyword arguments of the point function a spec may pin.
+_FIXED_KNOBS = tuple(
+    name for name in inspect.signature(icache_point).parameters
+    if name not in AXES
 )
 
 
@@ -83,16 +76,8 @@ class SweepSpecError(ReproError):
 
 
 @dataclass(frozen=True)
-class Objective:
-    """One Pareto objective: a metric and the direction that improves it."""
-
-    metric: str
-    goal: str  # "min" | "max"
-
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """One expanded configuration: label plus full kwargs for the base."""
+    """One expanded configuration: label plus full point kwargs."""
 
     label: str
     params: dict[str, Any] = field(hash=False)
@@ -100,14 +85,11 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated sweep: base, axes, expansion mode, objectives."""
+    """A validated sweep: axes and fixed knobs of the point function."""
 
     name: str
-    base: str
     axes: tuple[tuple[str, tuple[Any, ...]], ...]
-    mode: str = "grid"
     fixed: dict[str, Any] = field(default_factory=dict, hash=False)
-    objectives: tuple[Objective, ...] = ()
     description: str = ""
 
     @property
@@ -115,14 +97,9 @@ class SweepSpec:
         return tuple(name for name, _ in self.axes)
 
     def configs(self) -> list[SweepConfig]:
-        """Expanded configurations, deterministic order, unique labels."""
-        rows: list[tuple[Any, ...]]
-        if self.mode == "grid":
-            rows = list(itertools.product(*(values for _, values in self.axes)))
-        else:  # "list": parallel rows, validated equal-length
-            rows = list(zip(*(values for _, values in self.axes)))
+        """The grid's configurations, row-major, unique labels."""
         configs = []
-        for row in rows:
+        for row in itertools.product(*(values for _, values in self.axes)):
             label = ",".join(
                 f"{name}={value}" for name, value in zip(self.axis_names, row)
             )
@@ -132,9 +109,10 @@ class SweepSpec:
         return configs
 
 
-def _require(table: dict, key: str, kind: type, rule: str = "missing-field"):
+def _require(table: dict, key: str, kind: type):
     if key not in table:
-        raise SweepSpecError(rule, f"spec is missing required field {key!r}")
+        raise SweepSpecError(
+            "missing-field", f"spec is missing required field {key!r}")
     value = table[key]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SweepSpecError(
@@ -143,18 +121,17 @@ def _require(table: dict, key: str, kind: type, rule: str = "missing-field"):
     return value
 
 
-_KNOWN_FIELDS = frozenset(
-    {"name", "base", "description", "mode", "axes", "fixed", "objectives"}
-)
+_KNOWN_FIELDS = frozenset({"name", "description", "axes", "fixed"})
 
 
 def parse_spec(table: dict[str, Any]) -> SweepSpec:
     """Validate a raw spec table into a :class:`SweepSpec`.
 
     Raises :class:`SweepSpecError` with a named rule on the first
-    violation; validation order is stable (identity, base, axes,
-    expansion, fixed knobs, objectives) so error output is
-    deterministic.
+    violation; validation order is stable (identity, axes, fixed
+    knobs) so error output is deterministic.  Every axis value is
+    legal and unique, so the grid is non-empty and free of duplicate
+    configurations by construction.
     """
     if not isinstance(table, dict):
         raise SweepSpecError("bad-spec", "spec must be a table/object")
@@ -172,29 +149,16 @@ def parse_spec(table: dict[str, Any]) -> SweepSpec:
             f"sweep name {name!r} must be non-empty and use only "
             f"alphanumerics, '-', '_', '.' (it names files and labels)")
 
-    base_name = _require(table, "base", str)
-    if base_name not in BASES:
-        raise SweepSpecError(
-            "unknown-base",
-            f"base {base_name!r} is not sweepable "
-            f"(known bases: {', '.join(sorted(BASES))})")
-    base = BASES[base_name]
-
-    mode = table.get("mode", "grid")
-    if mode not in ("grid", "list"):
-        raise SweepSpecError(
-            "bad-mode", f"mode must be 'grid' or 'list', got {mode!r}")
-
     axes_table = _require(table, "axes", dict)
     if not axes_table:
         raise SweepSpecError("empty-grid", "spec declares no axes")
     axes: list[tuple[str, tuple[Any, ...]]] = []
     for axis_name, values in axes_table.items():
-        if axis_name not in base.axes:
+        if axis_name not in AXES:
             raise SweepSpecError(
                 "unknown-axis",
-                f"axis {axis_name!r} is not an axis of base {base.name!r} "
-                f"(its axes: {', '.join(base.axes)})")
+                f"axis {axis_name!r} is not a sweep axis "
+                f"(axes: {', '.join(AXES)})")
         if not isinstance(values, (list, tuple)):
             raise SweepSpecError(
                 "bad-value",
@@ -215,15 +179,6 @@ def parse_spec(table: dict[str, Any]) -> SweepSpec:
                 f"must be unique")
         axes.append((axis_name, tuple(values)))
 
-    if mode == "list":
-        lengths = {name: len(values) for name, values in axes}
-        if len(set(lengths.values())) > 1:
-            detail = ", ".join(f"{n}={c}" for n, c in lengths.items())
-            raise SweepSpecError(
-                "length-mismatch",
-                f"list mode zips axes row-by-row, so every axis needs "
-                f"the same number of values (got {detail})")
-
     fixed = table.get("fixed", {})
     if not isinstance(fixed, dict):
         raise SweepSpecError("bad-spec", "fixed must be a table of knobs")
@@ -232,110 +187,45 @@ def parse_spec(table: dict[str, Any]) -> SweepSpec:
             raise SweepSpecError(
                 "unknown-fixed",
                 f"{knob!r} is both a swept axis and a fixed knob")
-        if knob not in base.fixed and knob not in base.axes:
+        if knob not in _FIXED_KNOBS and knob not in AXES:
             raise SweepSpecError(
                 "unknown-fixed",
-                f"base {base.name!r} accepts no knob {knob!r} "
-                f"(fixed knobs: {', '.join(base.fixed)}; "
-                f"axes: {', '.join(base.axes)})")
+                f"the sweep point accepts no knob {knob!r} "
+                f"(fixed knobs: {', '.join(_FIXED_KNOBS)}; "
+                f"axes: {', '.join(AXES)})")
         reason = validate_fixed_value(knob, fixed[knob])
         if reason is not None:
             raise SweepSpecError("bad-value", f"fixed {knob!r}: {reason}")
 
-    objectives = _parse_objectives(table.get("objectives"), base)
-
-    spec = SweepSpec(
+    return SweepSpec(
         name=name,
-        base=base_name,
         axes=tuple(axes),
-        mode=mode,
         fixed=dict(fixed),
-        objectives=objectives,
         description=str(table.get("description", "")),
     )
 
-    configs = spec.configs()
-    if not configs:
-        raise SweepSpecError("empty-grid", "expansion produced no "
-                                           "configurations")
-    seen: dict[str, str] = {}
-    for config in configs:
-        key = json.dumps(config.params, sort_keys=True, default=repr)
-        if key in seen:
-            raise SweepSpecError(
-                "duplicate-configuration",
-                f"configurations {seen[key]!r} and {config.label!r} are "
-                f"identical; deduplicate the spec (identical points "
-                f"across sweeps already collapse in the result cache)")
-        seen[key] = config.label
-    return spec
-
-
-def _parse_objectives(raw: Any, base) -> tuple[Objective, ...]:
-    if raw is None:
-        return tuple(Objective(metric, goal) for metric, goal in base.objectives)
-    if not isinstance(raw, list) or not raw:
-        raise SweepSpecError(
-            "bad-spec", "objectives must be a non-empty array of tables")
-    objectives = []
-    seen = set()
-    for entry in raw:
-        if not isinstance(entry, dict):
-            raise SweepSpecError(
-                "bad-spec", "each objective must be a table with "
-                            "'metric' and optional 'goal'")
-        metric = _require(entry, "metric", str)
-        if metric not in base.metrics:
-            raise SweepSpecError(
-                "unknown-metric",
-                f"objective metric {metric!r} is not produced by base "
-                f"{base.name!r} (metrics: {', '.join(base.metrics)})")
-        goal = entry.get("goal", "min")
-        if goal not in ("min", "max"):
-            raise SweepSpecError(
-                "bad-goal", f"objective goal must be 'min' or 'max', "
-                            f"got {goal!r}")
-        if metric in seen:
-            raise SweepSpecError(
-                "duplicate-objective",
-                f"metric {metric!r} appears in two objectives")
-        seen.add(metric)
-        objectives.append(Objective(metric, goal))
-    return tuple(objectives)
-
 
 def load_spec(path: Path | str) -> SweepSpec:
-    """Parse and validate a spec file (TOML by default, JSON by suffix)."""
+    """Parse and validate a TOML spec file."""
     path = Path(path)
+    if path.suffix != ".toml":
+        raise SweepSpecError(
+            "bad-spec", f"{path.name}: spec files use .toml")
     try:
         text = path.read_text()
     except OSError as exc:
         raise SweepSpecError("bad-spec", f"cannot read {path}: {exc}") from exc
-    if path.suffix == ".json":
-        try:
-            table = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepSpecError(
-                "bad-spec", f"{path} is not valid JSON: {exc}") from exc
-    elif path.suffix == ".toml":
-        import tomllib
-
-        try:
-            table = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise SweepSpecError(
-                "bad-spec", f"{path} is not valid TOML: {exc}") from exc
-    else:
+    try:
+        table = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
         raise SweepSpecError(
-            "bad-spec",
-            f"{path.name}: spec files use {' or '.join(SPEC_SUFFIXES)}")
+            "bad-spec", f"{path} is not valid TOML: {exc}") from exc
     spec = parse_spec(table)
-    stem = path.name[: -len(path.suffix)]
-    if stem != spec.name:
+    if path.stem != spec.name:
         raise SweepSpecError(
             "bad-name",
             f"spec file {path.name!r} must be named after the sweep "
-            f"({spec.name}{path.suffix}) so reports and specs pair up")
+            f"({spec.name}.toml) so reports and specs pair up")
     return spec
 
 
@@ -350,7 +240,7 @@ def discover_specs(sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR) -> list[Path]:
 def resolve_spec(ref: str, sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR) -> Path:
     """A spec path from a CLI reference: literal path, or checked-in name."""
     candidate = Path(ref)
-    if candidate.suffix in SPEC_SUFFIXES or candidate.exists():
+    if candidate.suffix == ".toml" or candidate.exists():
         return candidate
     named = Path(sweeps_dir) / f"{ref}.toml"
     if named.exists():

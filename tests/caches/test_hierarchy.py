@@ -1,10 +1,9 @@
 import pytest
 
-from repro.caches.hierarchy import ServiceLevel
 from repro.common.params import CacheGeometry, ConventionalSystemParams
 from repro.common.units import KB
-from repro.trace.stream import ReferenceTrace
 from tests.uniproc.reference_hierarchy import (
+    ServiceLevel,
     TwoLevelHierarchy,
     conventional_hierarchies,
 )
@@ -36,15 +35,6 @@ class TestTwoLevel:
         hier.access(0)
         hier.access(8 * KB)  # L1 conflict, fills L2
         assert hier.access(0) == ServiceLevel.L2
-
-    def test_service_fractions_sum_to_one(self):
-        hier = TwoLevelHierarchy(
-            CacheGeometry(8 * KB, 32, 1), CacheGeometry(256 * KB, 32, 1)
-        )
-        trace = ReferenceTrace.reads([i * 32 for i in range(100)] * 3)
-        hier.run(trace)
-        fractions = hier.stats.service_fractions()
-        assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_reset(self):
         hier = TwoLevelHierarchy(

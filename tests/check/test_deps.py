@@ -255,17 +255,19 @@ class TestRealPackage:
         assert result.errors == [], [f.render() for f in result.errors]
         resolution = float(result.info["import_resolution"].rstrip("%")) / 100
         assert resolution >= 0.95
-        # 11 registered experiments + the one sweep base point.
+        # 11 registered experiments + the sweep point function.
         assert result.info["entry_points"] == 12
         assert [f for f in result.findings if f.rule == "entry-point"] == []
 
     def test_sweep_bases_join_the_entry_points(self):
         from repro.check.deps import registry_entry_points
-        from repro.sweep.points import base_entry_points
+        from repro.sweep.engine import compile_tasks
+        from repro.sweep.spec import parse_spec
 
+        spec = parse_spec({"name": "one", "axes": {"num_banks": [16]}})
+        (task,) = compile_tasks(spec)
         roots = registry_entry_points()
-        for name, target in base_entry_points().items():
-            assert roots[f"sweep:{name}"] == target
+        assert roots[task.experiment] == task.entry_point()
 
     def test_rule_namespace_is_stable(self):
         assert DEPS_RULES == (

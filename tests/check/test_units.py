@@ -360,7 +360,7 @@ class TestRealPackage:
         # reviewed annotations.
         result = check_units()
         assert result.errors == [], [f.render() for f in result.errors]
-        # 11 registered experiments + the one sweep base point.
+        # 11 registered experiments + the sweep point function.
         assert result.info["entry_points"] == 12
         assert result.info["reachable_functions"] > 0
         assert result.info["seeded_names"] > 100

@@ -10,7 +10,6 @@ class TestGeometry:
         inc = InterNodeCache(1 * MB)
         assert inc.ways == 7
         assert inc.num_sets == 4096
-        assert inc.data_capacity_bytes == 4096 * 7 * 32
 
     def test_fresh_cache_holds_no_set_lists(self):
         inc = InterNodeCache(1 * MB)

@@ -28,11 +28,6 @@ class TestLayout:
         assert a % 64 == 0 and b % 64 == 0
         assert b >= a + 100
 
-    def test_alloc_striped(self):
-        layout = Layout(3)
-        bases = layout.alloc_striped(4096)
-        assert [layout.home_of(b) for b in bases] == [0, 1, 2]
-
     def test_region_exhaustion(self):
         layout = Layout(1, region_bytes=4096)
         layout.alloc(0, 4000)

@@ -222,13 +222,12 @@ class TestGraphMemo:
 
 class TestShippedSliceEquivalence:
     def test_memoized_slices_equal_fresh_ones(self, callgraph_builds):
-        # Every registry entry point and sweep base slices from one
+        # Every registry entry point and the sweep point slice from one
         # graph to exactly what an uncached computation gives.
         from repro.analysis.registry import entry_points
-        from repro.sweep.points import base_entry_points
 
         entries = sorted({*entry_points().values(),
-                          *base_entry_points().values()})
+                          "repro.sweep.points.icache_point"})
         invalidate()
         memoized = {entry: slice_fingerprint(entry) for entry in entries}
         assert len(callgraph_builds) == 1

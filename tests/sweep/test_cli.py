@@ -9,7 +9,6 @@ from tests.failing_tasks import boom
 
 SPEC = """\
 name = "clidemo"
-base = "figure7"
 description = "CLI test sweep"
 
 [axes]
@@ -50,6 +49,20 @@ class TestRun:
         out = capsys.readouterr().out
         assert "frontier" in out
 
+    def test_default_report_lands_next_to_spec(self, spec_path, tmp_path,
+                                               monkeypatch):
+        # Run from another directory: the report must not land under
+        # that directory's artifacts/sweeps/.
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert sweep_main([
+            "run", str(spec_path), "--cache-dir", str(tmp_path / "cache"),
+        ]) == 0
+        report = spec_path.with_suffix(".json")
+        assert json.loads(report.read_text())["name"] == "clidemo"
+        assert not any(elsewhere.rglob("*.json"))
+
     def test_second_run_hits_cache(self, spec_path, tmp_path):
         cache = tmp_path / "cache"
         args = ["run", str(spec_path), "--cache-dir", str(cache),
@@ -67,7 +80,7 @@ class TestRun:
                        '[axes]\nline_bytes = [256]\n')
         assert sweep_main(["run", str(bad), "--no-cache"]) == 2
         err = capsys.readouterr().err
-        assert "unknown-base" in err
+        assert "unknown-field" in err
 
     def test_missing_spec_is_usage_error(self, capsys):
         assert sweep_main(["run", "no-such-sweep", "--no-cache"]) == 2

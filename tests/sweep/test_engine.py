@@ -9,7 +9,6 @@ from tests.failing_tasks import boom
 
 TINY = {
     "name": "tiny",
-    "base": "figure7",
     "axes": {"line_bytes": [256, 512], "num_banks": [4]},
     "fixed": {"benchmark": "126.gcc", "trace_len": 1500,
               "instructions": 400},
@@ -38,8 +37,8 @@ class TestCompile:
         assert all(t.experiment == "sweep:figure7" for t in tasks)
 
     def test_entry_point_resolves_for_slicing(self):
-        # Module-level base functions give every task a dotted entry
-        # point, which is what keys the dependency-slice fingerprint.
+        # The module-level point function gives every task a dotted
+        # entry point, which is what keys the dependency-slice fingerprint.
         for task in compile_tasks(tiny_spec()):
             assert task.entry_point() == "repro.sweep.points.icache_point"
 

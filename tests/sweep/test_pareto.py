@@ -3,9 +3,8 @@
 import pytest
 
 from repro.sweep.pareto import ParetoError, pareto_classify
-from repro.sweep.spec import Objective
 
-MIN_BOTH = (Objective("cost", "min"), Objective("delay", "min"))
+MIN_BOTH = ("cost", "delay")
 
 
 def classify(points, objectives=MIN_BOTH):
@@ -57,32 +56,10 @@ class TestClassification:
         ])
         assert verdicts[2].dominated_by == "d1"
 
-    def test_max_goal_flips_orientation(self):
-        verdicts = pareto_classify(
-            [
-                ("small", {"throughput": 10.0}),
-                ("big", {"throughput": 20.0}),
-            ],
-            [Objective("throughput", "max")],
-        )
-        assert frontier_labels(verdicts) == ["big"]
-        assert verdicts[0].dominated_by == "big"
-
-    def test_mixed_goals(self):
-        # Minimize cost, maximize throughput: b strictly better.
-        verdicts = pareto_classify(
-            [
-                ("a", {"cost": 2.0, "throughput": 10.0}),
-                ("b", {"cost": 1.0, "throughput": 20.0}),
-            ],
-            [Objective("cost", "min"), Objective("throughput", "max")],
-        )
-        assert frontier_labels(verdicts) == ["b"]
-
     def test_single_objective_degenerates_to_minimum(self):
         verdicts = pareto_classify(
             [("x", {"cost": 3.0}), ("y", {"cost": 1.0}), ("z", {"cost": 2.0})],
-            [Objective("cost", "min")],
+            ["cost"],
         )
         assert frontier_labels(verdicts) == ["y"]
 

@@ -18,11 +18,16 @@ from repro.sweep.spec import parse_spec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
+DEMO_TOML = (
+    'name = "demo"\n'
+    '[axes]\nline_bytes = [256, 512]\n'
+    '[fixed]\nbenchmark = "126.gcc"\n'
+)
+
 
 def _spec(**overrides):
     table = {
         "name": "demo",
-        "base": "figure7",
         "axes": {"line_bytes": [256, 512]},
         "fixed": {"benchmark": "126.gcc"},
     }
@@ -129,6 +134,7 @@ class TestDrift:
     def _write_tree(self, root, artifact, doc_text):
         sweeps = root / "artifacts" / "sweeps"
         sweeps.mkdir(parents=True)
+        (sweeps / "demo.toml").write_text(DEMO_TOML)
         write_sweep_artifact(sweeps / "demo.json", artifact)
         (root / "SWEEPS.md").write_text(doc_text)
 
@@ -152,12 +158,18 @@ class TestDrift:
         artifact = build_sweep_artifact(_outcome())
         self._write_tree(tmp_path, artifact, generate_sweeps_md([artifact]))
         (tmp_path / "artifacts" / "sweeps" / "demo.toml").write_text(
-            'name = "demo"\nbase = "figure7"\n'
-            '[axes]\nline_bytes = [256, 1024]\n'
-            '[fixed]\nbenchmark = "126.gcc"\n'
+            DEMO_TOML.replace("512", "1024")
         )
         drift = check_sweeps_drift(tmp_path)
         assert drift and any("edited after" in line for line in drift)
+
+    def test_orphan_artifact_is_detected(self, tmp_path):
+        # A report whose spec is gone cannot be rerun or digest-checked.
+        artifact = build_sweep_artifact(_outcome())
+        self._write_tree(tmp_path, artifact, generate_sweeps_md([artifact]))
+        (tmp_path / "artifacts" / "sweeps" / "demo.toml").unlink()
+        drift = check_sweeps_drift(tmp_path)
+        assert drift and any("no paired spec" in line for line in drift)
 
     def test_missing_doc_is_drift(self, tmp_path):
         sweeps = tmp_path / "artifacts" / "sweeps"

@@ -1,11 +1,9 @@
 """Sweep-spec validation: every named rule, plus expansion semantics."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.sweep.points import BASES
 from repro.sweep.spec import (
     SPEC_RULES,
     SweepSpecError,
@@ -15,13 +13,10 @@ from repro.sweep.spec import (
     resolve_spec,
 )
 
-SWEEPS_DIR = Path(__file__).resolve().parents[2] / "artifacts" / "sweeps"
-
 
 def good_table(**overrides):
     table = {
         "name": "demo",
-        "base": "figure7",
         "axes": {"line_bytes": [256, 512], "num_banks": [4, 8]},
         "fixed": {"benchmark": "126.gcc", "trace_len": 4000},
     }
@@ -40,7 +35,6 @@ class TestValidation:
     def test_good_spec_parses(self):
         spec = parse_spec(good_table())
         assert spec.name == "demo"
-        assert spec.base == "figure7"
         assert spec.axis_names == ("line_bytes", "num_banks")
 
     def test_missing_name(self):
@@ -55,15 +49,21 @@ class TestValidation:
 
     def test_unknown_field(self):
         assert rule_of(good_table(extra=1)) == "unknown-field"
+        # Every sweep minimises the same objectives; a spec sets none.
+        assert rule_of(
+            good_table(objectives=[{"metric": "cpi"}])
+        ) == "unknown-field"
 
     def test_bad_name_characters(self):
         assert rule_of(good_table(name="no spaces!")) == "bad-name"
 
     def test_unknown_base(self):
-        assert rule_of(good_table(base="figure99")) == "unknown-base"
+        # There is one point function, so a spec names no base.
+        assert rule_of(good_table(base="figure7")) == "unknown-field"
 
     def test_bad_mode(self):
-        assert rule_of(good_table(mode="zipper")) == "bad-mode"
+        # Every spec is a grid; there is no mode to choose.
+        assert rule_of(good_table(mode="list")) == "unknown-field"
 
     def test_unknown_axis_name(self):
         assert rule_of(
@@ -87,28 +87,23 @@ class TestValidation:
         # would have crashed mid-sweep.
         assert rule_of(good_table(axes={"line_bytes": [384]})) == "bad-value"
 
+    def test_line_shorter_than_a_sub_block(self):
+        # A 16-byte line is a power of two but cannot hold one column
+        # buffer sub-block, so every such point would fail in a worker.
+        with pytest.raises(SweepSpecError, match="line_bytes") as excinfo:
+            parse_spec(good_table(axes={"line_bytes": [16]}))
+        assert excinfo.value.rule == "bad-value"
+
     def test_bad_latency_profile(self):
         assert rule_of(
             good_table(axes={"line_bytes": [256],
                              "latency_profile": ["sram-0ns"]})
         ) == "bad-value"
 
-    def test_list_mode_length_mismatch(self):
-        assert rule_of(good_table(
-            mode="list",
-            axes={"line_bytes": [256, 512], "num_banks": [4, 8, 16]},
-        )) == "length-mismatch"
-
     def test_repeated_axis_value_is_duplicate(self):
         assert rule_of(
             good_table(axes={"line_bytes": [256, 256]})
         ) == "duplicate-configuration"
-
-    def test_list_mode_duplicate_rows(self):
-        assert rule_of(good_table(
-            mode="list",
-            axes={"line_bytes": [256, 256], "num_banks": [4, 4]},
-        )) == "duplicate-configuration"
 
     def test_fixed_knob_unknown(self):
         assert rule_of(
@@ -141,27 +136,6 @@ class TestValidation:
             parse_spec(table)
         assert excinfo.value.rule == "bad-value"
 
-    def test_unknown_objective_metric(self):
-        assert rule_of(good_table(
-            objectives=[{"metric": "latency_p99"}]
-        )) == "unknown-metric"
-
-    def test_bad_objective_goal(self):
-        assert rule_of(good_table(
-            objectives=[{"metric": "cpi", "goal": "minimise"}]
-        )) == "bad-goal"
-
-    def test_duplicate_objective(self):
-        assert rule_of(good_table(objectives=[
-            {"metric": "cpi"}, {"metric": "cpi", "goal": "max"},
-        ])) == "duplicate-objective"
-
-    def test_objectives_default_from_base(self):
-        spec = parse_spec(good_table())
-        assert [(o.metric, o.goal) for o in spec.objectives] == [
-            ("miss_rate", "min"), ("cpi", "min"), ("bank_utilization", "min"),
-        ]
-
 
 class TestExpansion:
     def test_grid_is_row_major_in_declaration_order(self):
@@ -171,16 +145,6 @@ class TestExpansion:
             "line_bytes=256,num_banks=4",
             "line_bytes=256,num_banks=8",
             "line_bytes=512,num_banks=4",
-            "line_bytes=512,num_banks=8",
-        ]
-
-    def test_list_mode_zips_rows(self):
-        spec = parse_spec(good_table(
-            mode="list",
-            axes={"line_bytes": [256, 512], "num_banks": [4, 8]},
-        ))
-        assert [c.label for c in spec.configs()] == [
-            "line_bytes=256,num_banks=4",
             "line_bytes=512,num_banks=8",
         ]
 
@@ -201,21 +165,23 @@ class TestFiles:
     def test_load_toml(self, tmp_path):
         path = tmp_path / "demo.toml"
         path.write_text(
-            'name = "demo"\nbase = "figure7"\n'
-            '[axes]\nline_bytes = [256, 512]\n'
+            'name = "demo"\n[axes]\nline_bytes = [256, 512]\n'
         )
         spec = load_spec(path)
         assert spec.name == "demo"
 
     def test_load_json(self, tmp_path):
+        # Specs are TOML only; a JSON file is refused, not guessed at.
         path = tmp_path / "demo.json"
         path.write_text(json.dumps(good_table()))
-        assert load_spec(path).base == "figure7"
+        with pytest.raises(SweepSpecError) as excinfo:
+            load_spec(path)
+        assert excinfo.value.rule == "bad-spec"
 
     def test_filename_must_match_sweep_name(self, tmp_path):
         path = tmp_path / "other.toml"
         path.write_text(
-            'name = "demo"\nbase = "figure7"\n[axes]\nline_bytes = [256]\n'
+            'name = "demo"\n[axes]\nline_bytes = [256]\n'
         )
         with pytest.raises(SweepSpecError) as excinfo:
             load_spec(path)
@@ -244,12 +210,3 @@ class TestFiles:
         for path in specs:
             spec = load_spec(path)
             assert spec.configs()
-
-    def test_every_base_has_a_checked_in_spec(self):
-        # A base no checked-in sweep selects is code nothing runs: keep
-        # a base only while a spec under artifacts/sweeps/ uses it.
-        specs = [load_spec(path) for path in discover_specs(SWEEPS_DIR)]
-        used = {spec.base for spec in specs}
-        assert specs and set(BASES) <= used, (
-            f"bases no checked-in spec uses: "
-            f"{', '.join(sorted(set(BASES) - used))}")

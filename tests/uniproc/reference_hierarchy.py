@@ -11,10 +11,20 @@ conventional measurement through them, and the fast shared-L2 merge of
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 from repro.caches.base import TraceLike, iter_trace
-from repro.caches.hierarchy import HierarchyStats, ServiceLevel
+from repro.caches.hierarchy import HierarchyStats
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.common.params import CacheGeometry, ConventionalSystemParams
+
+
+class ServiceLevel(IntEnum):
+    """Which level of the hierarchy satisfied a reference."""
+
+    L1 = 1
+    L2 = 2
+    MEMORY = 3
 
 
 class TwoLevelHierarchy:

@@ -12,6 +12,16 @@ the package answering two questions the per-module lints cannot —
   :meth:`CallGraph.witness` — the counterexample chains of the seed-flow
   analysis in :mod:`repro.check.deps`).
 
+Two builders fill the same :class:`CallGraph` and :class:`ModuleInfo`
+records.  :func:`build_callgraph` parses every module, walks every
+expression and resolves calls; it serves ``repro check`` alone.
+:func:`import_graph` answers only the first question, for the slicer: it
+parses a module the first time a lookup reaches it and walks statement
+lists only, which suffices for imports, defs, classes and re-exports,
+so a slice parses just its import closure.  Its one expression walk is
+the full visitor, run on a module whose text names ``importlib`` or
+``__import__`` to find the dynamic-import sites.
+
 The import closure is deliberately an **over-approximation of Python's
 import semantics**: an import statement anywhere in a module — module
 body or function body — counts as an edge, and importing ``a.b.c``
@@ -32,6 +42,8 @@ runner can load it without pulling in the verification passes.
 from __future__ import annotations
 
 import ast
+import unicodedata
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -184,8 +196,10 @@ def _discover_modules(root: Path, package: str) -> dict[str, Path]:
     return modules
 
 
-class _ModuleVisitor(ast.NodeVisitor):
-    """Single pass over one module: imports, scopes, calls, assignments."""
+class _ImportRecorder:
+    """Import-statement bookkeeping for one module, shared by the full
+    visitor and the statement-level scan: intra-package edges and holes
+    on the :class:`ModuleInfo`, and the local-name table."""
 
     def __init__(self, info: ModuleInfo, package: str,
                  known_modules: dict[str, Path]) -> None:
@@ -193,28 +207,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.package = package
         self.known = known_modules
         self.table = _ImportTable()
-        self.scope_stack: list[FunctionInfo] = []
-        self.class_stack: list[str] = []
-        body = FunctionInfo(info.name, MODULE_BODY, 1)
-        info.functions[MODULE_BODY] = body
-        self._body = body
-
-    # -- scope helpers -----------------------------------------------------
-
-    @property
-    def scope(self) -> FunctionInfo:
-        return self.scope_stack[-1] if self.scope_stack else self._body
-
-    def _qualname(self, name: str) -> str:
-        parts = [*self.class_stack]
-        for fn in self.scope_stack:
-            parts.append(fn.qualname.rsplit(".", 1)[-1])
-        parts.append(name)
-        # Class names already embedded in enclosing function qualnames are
-        # handled by building from the stacks in order of nesting.
-        return ".".join(parts)
-
-    # -- imports -----------------------------------------------------------
 
     def _package_of(self) -> str:
         """The package context for relative imports in this module."""
@@ -233,7 +225,9 @@ class _ModuleVisitor(ast.NodeVisitor):
             self.info.unresolved_imports.append(
                 (node.lineno, target))
 
-    def visit_Import(self, node: ast.Import) -> None:
+    def record_import(self, node: ast.Import) -> list[str]:
+        """Record ``import ...``; returns the local names it binds."""
+        bound = []
         for alias in node.names:
             target = alias.name
             head = target.split(".")[0]
@@ -245,10 +239,11 @@ class _ModuleVisitor(ast.NodeVisitor):
                 self.table.modules[alias.asname] = target
             else:
                 self.table.modules[head] = head
-            self.scope.locals.add(alias.asname or head)
-        self.generic_visit(node)
+            bound.append(alias.asname or head)
+        return bound
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+    def record_import_from(self, node: ast.ImportFrom) -> list[str]:
+        """Record ``from ... import ...``; returns the local names it binds."""
         if node.level:
             base_parts = self._package_of().split(".")
             if node.level > 1:
@@ -258,6 +253,7 @@ class _ModuleVisitor(ast.NodeVisitor):
             module = node.module or ""
         head = module.split(".")[0] if module else ""
         intra = head == self.package
+        bound = []
         for alias in node.names:
             if alias.name == "*":
                 if intra:
@@ -283,8 +279,44 @@ class _ModuleVisitor(ast.NodeVisitor):
                     self.table.modules[local] = submodule
                 else:
                     self.table.members[local] = submodule
-            self.scope.locals.add(local)
-        self.generic_visit(node)
+            bound.append(local)
+        return bound
+
+
+class _ModuleVisitor(_ImportRecorder, ast.NodeVisitor):
+    """Single pass over one module: imports, scopes, calls, assignments."""
+
+    def __init__(self, info: ModuleInfo, package: str,
+                 known_modules: dict[str, Path]) -> None:
+        super().__init__(info, package, known_modules)
+        self.scope_stack: list[FunctionInfo] = []
+        self.class_stack: list[str] = []
+        body = FunctionInfo(info.name, MODULE_BODY, 1)
+        info.functions[MODULE_BODY] = body
+        self._body = body
+
+    # -- scope helpers -----------------------------------------------------
+
+    @property
+    def scope(self) -> FunctionInfo:
+        return self.scope_stack[-1] if self.scope_stack else self._body
+
+    def _qualname(self, name: str) -> str:
+        parts = [*self.class_stack]
+        for fn in self.scope_stack:
+            parts.append(fn.qualname.rsplit(".", 1)[-1])
+        parts.append(name)
+        # Class names already embedded in enclosing function qualnames are
+        # handled by building from the stacks in order of nesting.
+        return ".".join(parts)
+
+    # -- imports -----------------------------------------------------------
+
+    def visit_Import(self, node: ast.Import) -> None:
+        self.scope.locals.update(self.record_import(node))
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        self.scope.locals.update(self.record_import_from(node))
 
     # -- functions and classes ---------------------------------------------
 
@@ -461,6 +493,42 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+# The statement lists of a node, which is all the import scan descends
+# into: an import, def or class can only sit in one of these.
+_STATEMENT_LISTS = frozenset({"body", "orelse", "finalbody", "handlers",
+                              "cases"})
+
+
+class _StatementScan(_ImportRecorder):
+    """Statement-level pass over one module: imports anywhere, defs and
+    classes under the qualnames :class:`_ModuleVisitor` gives them, and
+    re-exports — no expressions, so no calls, reads or dynamic sites."""
+
+    def scan(self, stmts: list[ast.AST], classes: tuple[str, ...] = (),
+             funcs: tuple[str, ...] = ()) -> None:
+        for node in stmts:
+            if isinstance(node, ast.Import):
+                self.record_import(node)
+            elif isinstance(node, ast.ImportFrom):
+                self.record_import_from(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = ".".join([*classes, *funcs, node.name])
+                self.info.functions[qual] = FunctionInfo(
+                    self.info.name, qual, node.lineno)
+                if classes:
+                    self.info.classes.setdefault(
+                        ".".join(classes), []).append(node.name)
+                self.scan(node.body, classes, (*funcs, node.name))
+            elif isinstance(node, ast.ClassDef):
+                self.info.classes.setdefault(
+                    ".".join([*classes, *funcs, node.name]), [])
+                self.scan(node.body, (*classes, node.name), funcs)
+            else:  # fields in _fields order, as NodeVisitor walks them
+                for name in node._fields:
+                    if name in _STATEMENT_LISTS:
+                        self.scan(getattr(node, name), classes, funcs)
+
+
 # Calls that create a fresh numpy Generator.  ``repro.common.rng`` is the
 # sanctioned factory pair; direct numpy construction is recognised too so
 # a module bypassing the helpers is still caught.
@@ -479,8 +547,8 @@ class CallGraph:
 
     package: str
     root: Path
-    modules: dict[str, ModuleInfo]
-    functions: dict[str, FunctionInfo] = field(default_factory=dict)
+    modules: Mapping[str, ModuleInfo]
+    functions: Mapping[str, FunctionInfo] = field(default_factory=dict)
     # function name -> list of (callee function name, lineno)
     edges: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
     call_sites_total: int = 0
@@ -681,6 +749,51 @@ def _resolve_one_call(graph: CallGraph, module: ModuleInfo,
     return None
 
 
+# Every dynamic-import site _ModuleVisitor records resolves to one of
+# these names, so its source text (identifiers NFKC-normalised, as the
+# parser does) must contain one of them, or the package itself must be
+# named importlib, for `from . import import_module` to resolve there.
+_DYNAMIC_WORDS = ("importlib", "__import__")
+
+
+def _parse_file(path: Path) -> tuple[str, ast.Module]:
+    """``path``'s source text and syntax tree."""
+    text = path.read_text()
+    return text, ast.parse(text, filename=str(path))
+
+
+def _read_module(name: str, path: Path, package: str,
+                 known: dict[str, Path], *, full: bool) -> ModuleInfo:
+    """One module's facts: the full visitor's when ``full`` or when the
+    module may import dynamically, else the statement scan's.  A file
+    that fails to parse becomes a module with a dynamic-site hole (so
+    slices through it degrade)."""
+    info = ModuleInfo(name=name, path=path)
+    try:
+        text, tree = _parse_file(path)
+    except (OSError, SyntaxError) as exc:
+        info.dynamic_sites.append((getattr(exc, "lineno", 0) or 0,
+                                   f"unparseable module: {exc}"))
+        info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)
+        return info
+    if not full:
+        if not text.isascii():
+            text = unicodedata.normalize("NFKC", text)
+        full = package in _DYNAMIC_WORDS or any(
+            word in text for word in _DYNAMIC_WORDS)
+    if full:
+        visitor = _ModuleVisitor(info, package, known)
+        visitor.visit(tree)
+        table = visitor.table
+    else:
+        info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)
+        scan = _StatementScan(info, package, known)
+        scan.scan(tree.body)
+        table = scan.table
+    info.reexports = {**table.modules, **table.members}
+    return info
+
+
 def build_callgraph(root: Path | None = None,
                     package: str | None = None) -> CallGraph:
     """Parse every module under ``root`` and build the whole-program graph.
@@ -697,19 +810,81 @@ def build_callgraph(root: Path | None = None,
     root = root.resolve()
     package = package or root.name
     known = _discover_modules(root, package)
-    graph = CallGraph(package=package, root=root, modules={})
-    for name, path in known.items():
-        info = ModuleInfo(name=name, path=path)
-        graph.modules[name] = info
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except (OSError, SyntaxError) as exc:
-            info.dynamic_sites.append((getattr(exc, "lineno", 0) or 0,
-                                       f"unparseable module: {exc}"))
-            info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)
-            continue
-        visitor = _ModuleVisitor(info, package, known)
-        visitor.visit(tree)
-        info.reexports = {**visitor.table.modules, **visitor.table.members}
+    graph = CallGraph(package=package, root=root, modules={
+        name: _read_module(name, path, package, known, full=True)
+        for name, path in known.items()
+    })
     _resolve_calls(graph)
     return graph
+
+
+class _ScannedModules(Mapping):
+    """Module name -> :class:`ModuleInfo` over every module under a
+    root, each read by the statement scan on its first lookup."""
+
+    def __init__(self, known: dict[str, Path], package: str) -> None:
+        self.known = known
+        self.package = package
+        self.read: dict[str, ModuleInfo] = {}
+
+    def __getitem__(self, name: str) -> ModuleInfo:
+        info = self.read.get(name)
+        if info is None:
+            info = self.read[name] = _read_module(
+                name, self.known[name], self.package, self.known, full=False)
+        return info
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.known)
+
+    def __len__(self) -> int:
+        return len(self.known)
+
+
+class _ScannedFunctions(Mapping):
+    """``module.qualname`` -> :class:`FunctionInfo` over
+    :class:`_ScannedModules`.  A lookup reads every module whose name is
+    the key or a dotted prefix of it and, like :func:`_resolve_calls`,
+    lets the last of them in discovery order win a shared name."""
+
+    def __init__(self, modules: _ScannedModules) -> None:
+        self.modules = modules
+        self.order = {name: i for i, name in enumerate(modules.known)}
+
+    def __getitem__(self, name: str) -> FunctionInfo:
+        parts = name.split(".")
+        owners = [".".join(parts[:cut]) for cut in range(1, len(parts) + 1)]
+        found = None
+        for module in sorted((m for m in owners if m in self.order),
+                             key=self.order.__getitem__):
+            qualname = name[len(module) + 1:] or MODULE_BODY
+            found = self.modules[module].functions.get(qualname, found)
+        if found is None:
+            raise KeyError(name)
+        return found
+
+    def __iter__(self) -> Iterator[str]:
+        return iter({fn.name: None for info in self.modules.values()
+                     for fn in info.functions.values()})
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def import_graph(root: Path, package: str) -> CallGraph:
+    """The import graph of ``root``, read lazily for slicing.
+
+    Modules are parsed on first lookup, so a :meth:`CallGraph.module_slice`
+    parses only the entry's import closure (plus the modules
+    :func:`canonicalize` passes through).  Each module is walked
+    statement by statement — imports anywhere, defs, classes and
+    re-exports, so :func:`canonicalize`, :meth:`CallGraph.function_for`,
+    :meth:`CallGraph.module_slice` and :meth:`CallGraph.slice_holes`
+    answer exactly as on :func:`build_callgraph`'s graph — and only a
+    module whose text may import dynamically gets the full expression
+    walk.  There are no call edges.  Lookups fill the graph in place,
+    so concurrent users must serialise access.
+    """
+    modules = _ScannedModules(_discover_modules(root, package), package)
+    return CallGraph(package=package, root=root, modules=modules,
+                     functions=_ScannedFunctions(modules))

@@ -85,8 +85,9 @@ class ResultCache:
         self._slices: dict[str, tuple[str, str]] = {}
         # The slice memo may be hit from several threads of one
         # process; a miss stats the tree and hashes the slice's files
-        # (plus one call-graph build per process and tree state), so
-        # the guard also stops duplicate computes.
+        # (plus parsing the closure modules no earlier slice reached, once
+        # per process and tree state), so the guard also stops
+        # duplicate computes.
         self._slices_lock = threading.Lock()
 
     def fingerprint_for(self, entry: str | None) -> tuple[str, str]:

@@ -23,12 +23,15 @@ is the stat summary (relative path, size, mtime) of every tracked file
 — so an edit mid-process is picked up without :func:`invalidate`,
 which remains for tests and long-lived embedders that want a hard
 reset.  :func:`code_fingerprint` memoizes its digest;
-:func:`slice_fingerprint` memoizes the call graph behind every slice
-(:func:`shared_callgraph`): one graph per package root, built at most
-once per tree state and replaced when the state moves, so a process
-pays one build however many entry points it slices, and hashing a
-slice's files is all a further entry costs.  The ``deps`` and ``units``
-check passes read the same graph; nothing may mutate it.
+:func:`slice_fingerprint` memoizes a lazy import graph
+(:func:`repro.check.callgraph.import_graph`): one per package root and
+tree state, which parses a module the first time a slice reaches it and
+walks its statements only.  A process thus parses each module of the
+entries' import closures once, however many entry points it slices,
+and another module only when an entry's dotted name passes through
+it.  It builds no call graph: the whole-program
+:func:`shared_callgraph`, memoized the same way, serves the ``deps``
+and ``units`` check passes alone, and nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # the graph modules load lazily, on the first slice
+if TYPE_CHECKING:  # the graph module loads lazily, on the first slice
     from repro.check.callgraph import CallGraph
 
 # whole-tree digests keyed by (root, tree-state); see _tree_state().
@@ -53,6 +56,11 @@ _MEMO_LOCK = threading.Lock()
 # misses wait for one build instead of each paying for their own.
 _GRAPHS: dict[Path, tuple[tuple, "CallGraph"]] = {}
 _GRAPH_LOCK = threading.Lock()
+# root -> (tree state, lazy import graph), likewise.  A slice's analysis
+# parses modules into the graph as it goes, so _SCAN_LOCK is held across
+# the whole analysis, and concurrent slices parse each module once.
+_SCANS: dict[Path, tuple[tuple, "CallGraph"]] = {}
+_SCAN_LOCK = threading.Lock()
 
 # Files hashed into every slice as a version salt: a change to the
 # slicer itself (graph construction or this module) must invalidate
@@ -112,35 +120,19 @@ def _tree_state(sources: list[tuple[str, Path]]) -> tuple:
 
 
 def invalidate(root: Path | None = None) -> None:
-    """Drop memoized digests and call graphs (for ``root``, or all roots
+    """Drop memoized digests and graphs (for ``root``, or all roots
     when None)."""
     if root is not None:
         root = _package_root(root)
-    with _GRAPH_LOCK:
-        if root is None:
-            _GRAPHS.clear()
-        else:
-            _GRAPHS.pop(root, None)
+    for lock, graphs in ((_GRAPH_LOCK, _GRAPHS), (_SCAN_LOCK, _SCANS)):
+        with lock:
+            if root is None:
+                graphs.clear()
+            else:
+                graphs.pop(root, None)
     with _MEMO_LOCK:
         for key in [k for k in _CACHE if root is None or k[0] == root]:
             del _CACHE[key]
-
-
-def _callgraph(root: Path, state: tuple | None) -> "CallGraph":
-    """``root``'s call graph, memoized under ``state`` (None: no memo)."""
-    # The builder is looked up on its module at call time, never bound
-    # here, so a wrapper installed on the module sees every build.
-    from repro.check import callgraph
-
-    if state is None:
-        return callgraph.build_callgraph(root, root.name)
-    with _GRAPH_LOCK:
-        memo = _GRAPHS.get(root)
-        if memo is not None and memo[0] == state:
-            return memo[1]
-        graph = callgraph.build_callgraph(root, root.name)
-        _GRAPHS[root] = (state, graph)
-        return graph
 
 
 def shared_callgraph(root: Path | None = None) -> "CallGraph":
@@ -151,8 +143,18 @@ def shared_callgraph(root: Path | None = None) -> "CallGraph":
     the graph once, and an edited file makes the next call rebuild it.
     Callers share the returned graph, so they must not mutate it.
     """
+    # The builder is looked up on its module at call time, never bound
+    # here, so a wrapper installed on the module sees every build.
+    from repro.check import callgraph
+
     root = _package_root(root)
-    return _callgraph(root, _tree_state(_tracked_sources(root)))
+    state = _tree_state(_tracked_sources(root))
+    with _GRAPH_LOCK:
+        memo = _GRAPHS.get(root)
+        if memo is None or memo[0] != state:
+            memo = _GRAPHS[root] = (state, callgraph.build_callgraph(
+                root, root.name))
+        return memo[1]
 
 
 def _digest_files(entries: list[tuple[str, Path]]) -> str:
@@ -237,46 +239,45 @@ def slice_fingerprint(entry: str, root: Path | None = None, *,
         return _degrade(root, f"entry point {entry} is outside package "
                         f"'{package}'", use_cache=use_cache)
     sources = _tracked_sources(root)
-    state = _tree_state(sources) if use_cache else None
 
-    from repro.check.callgraph import canonicalize
+    from repro.check.callgraph import canonicalize, import_graph
 
-    try:
-        graph = _callgraph(root, state)
-    except Exception as exc:  # repro: allow(broad-except) — analysis failure must never break caching, only widen it
-        return _degrade(root, f"call-graph construction failed: {exc!r}",
-                        use_cache=use_cache)
-
-    # The entry must resolve to a function the graph actually knows
-    # (following package-__init__ re-exports); its defining module
-    # anchors the slice.  Anything else degrades.
-    entry_fn = graph.function_for(canonicalize(graph, entry))
-    if entry_fn is None:
-        result = _degrade(root, f"entry point {entry} not found in the "
-                          f"call graph", use_cache=use_cache)
-    else:
-        slice_modules = graph.module_slice(entry_fn.module)
-        holes = graph.slice_holes(slice_modules)
-        if holes:
-            mod, line, what = holes[0]
-            extra = f" (+{len(holes) - 1} more)" if len(holes) > 1 else ""
-            result = _degrade(
-                root, f"unresolvable edge in slice: {mod}:{line}: "
-                f"{what}{extra}", use_cache=use_cache)
+    with _SCAN_LOCK:
+        if not use_cache:
+            graph = import_graph(root, package)
         else:
-            by_label = {label: path for label, path in sources}
-            entries = sorted(
-                (graph.modules[name].path.relative_to(root).as_posix(),
-                 graph.modules[name].path)
-                for name in slice_modules
-            )
-            entries.extend(
-                (f"@slicer/{label}", by_label[label])
-                for label in _SLICER_SALT if label in by_label
-            )
-            result = SliceFingerprint(
-                digest=_digest_files(entries),
-                kind="slice",
-                modules=tuple(sorted(slice_modules)),
-            )
-    return result
+            state = _tree_state(sources)
+            memo = _SCANS.get(root)
+            if memo is None or memo[0] != state:
+                memo = _SCANS[root] = (state, import_graph(root, package))
+            graph = memo[1]
+        try:
+            # The entry must resolve to a function the graph knows
+            # (following package-__init__ re-exports); its defining
+            # module anchors the slice.  Anything else degrades.
+            entry_fn = graph.function_for(canonicalize(graph, entry))
+            if entry_fn is not None:
+                slice_modules = graph.module_slice(entry_fn.module)
+                holes = graph.slice_holes(slice_modules)
+                paths = [graph.modules[name].path for name in slice_modules]
+        except Exception as exc:  # repro: allow(broad-except) — analysis failure must never break caching, only widen it
+            return _degrade(root, f"import scan failed: {exc!r}",
+                            use_cache=use_cache)
+    if entry_fn is None:
+        return _degrade(root, f"entry point {entry} not found in the "
+                        f"call graph", use_cache=use_cache)
+    if holes:
+        mod, line, what = holes[0]
+        extra = f" (+{len(holes) - 1} more)" if len(holes) > 1 else ""
+        return _degrade(root, f"unresolvable edge in slice: {mod}:{line}: "
+                        f"{what}{extra}", use_cache=use_cache)
+    by_label = {label: path for label, path in sources}
+    entries = sorted((path.relative_to(root).as_posix(), path)
+                     for path in paths)
+    entries.extend((f"@slicer/{label}", by_label[label])
+                   for label in _SLICER_SALT if label in by_label)
+    return SliceFingerprint(
+        digest=_digest_files(entries),
+        kind="slice",
+        modules=tuple(sorted(slice_modules)),
+    )

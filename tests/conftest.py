@@ -27,6 +27,23 @@ def callgraph_builds(monkeypatch):
 
 
 @pytest.fixture
+def module_parses(monkeypatch):
+    """Record the path of every module file the static analysis parses,
+    by the import scan or by a call-graph build, in order."""
+    from repro.check import callgraph
+
+    paths = []
+    parse = callgraph._parse_file
+
+    def counting(path):
+        paths.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(callgraph, "_parse_file", counting)
+    return paths
+
+
+@pytest.fixture
 def fail_tasks(monkeypatch):
     """Make the tasks of an experiment run or a sweep really fail.
 

@@ -1,16 +1,10 @@
 """Derived experiment: break-even conventional memory latency."""
 
-from conftest import scaled
-
-from repro.analysis import crossover
+from conftest import run_registered
 
 
-def test_bench_crossover(once):
-    experiment = once(
-        crossover,
-        trace_len=scaled(60_000),
-        instructions=scaled(8_000, minimum=3_000),
-    )
+def test_bench_crossover():
+    experiment = run_registered("crossover")
     print()
     print(experiment.render())
     # The paper's thesis: the conventional hierarchy loses within any

@@ -2,8 +2,6 @@
 speculative writebacks, protocol-engine occupancy, the Section 8 vision,
 and the Section 5.6 line-size warning."""
 
-from conftest import scaled
-
 from repro.analysis import ascii_table, percent
 from repro.analysis.vision import framebuffer_budget, motherboard_budget
 from repro.caches import ColumnBufferCache
@@ -16,22 +14,17 @@ from repro.workloads.spec import get_proxy
 from repro.workloads.splash import LUKernel
 
 
-def test_bench_scoma_vs_ccnuma(once):
+def test_bench_scoma_vs_ccnuma():
     """Section 4.2: the protocol engines support both CC-NUMA and S-COMA."""
-
-    def run():
-        rows = []
-        for kind in (SystemKind.INTEGRATED, SystemKind.SCOMA,
-                     SystemKind.REFERENCE):
-            times = []
-            for procs in (1, 2, 4, 8):
-                kernel = LUKernel(n=48, block=4)
-                result, _ = kernel.run_on(kind, procs)
-                times.append(result.execution_time)
-            rows.append([kind.value] + times)
-        return rows
-
-    rows = once(run)
+    rows = []
+    for kind in (SystemKind.INTEGRATED, SystemKind.SCOMA,
+                 SystemKind.REFERENCE):
+        times = []
+        for procs in (1, 2, 4, 8):
+            kernel = LUKernel(n=48, block=4)
+            result, _ = kernel.run_on(kind, procs)
+            times.append(result.execution_time)
+        rows.append([kind.value] + times)
     print()
     print("LU on CC-NUMA (integrated), Simple-COMA and the reference system")
     print(ascii_table(["system", "p=1", "p=2", "p=4", "p=8"], rows))
@@ -41,17 +34,13 @@ def test_bench_scoma_vs_ccnuma(once):
     assert by_kind["integrated"][0] <= by_kind["reference"][0]
 
 
-def test_bench_speculative_writeback(once):
+def test_bench_speculative_writeback():
     """Section 4.1: speculative writebacks remove miss/dirty contention."""
-
-    def run():
-        trace = get_proxy("102.swim").data_trace(scaled(80_000), seed=1)
-        return [
-            writeback_study(trace, speculative=flag, with_victim=False)
-            for flag in (False, True)
-        ]
-
-    conventional, speculative = once(run)
+    trace = get_proxy("102.swim").data_trace(80_000, seed=1)
+    conventional, speculative = [
+        writeback_study(trace, speculative=flag, with_victim=False)
+        for flag in (False, True)
+    ]
     print()
     print("Speculative writeback study (swim data stream, no victim cache)")
     print(ascii_table(
@@ -67,22 +56,17 @@ def test_bench_speculative_writeback(once):
     assert speculative.hidden_fraction > 0.8
 
 
-def test_bench_line_size_warning(once):
+def test_bench_line_size_warning():
     """Section 5.6: "increasing the line size will degrade performance
     due to higher resultant cache conflicts" (the 4-bank alternative)."""
-
-    def run():
-        trace = get_proxy("101.tomcatv").data_trace(scaled(80_000), seed=1)
-        rows = []
-        for banks, line in ((16, 512), (8, 1024), (4, 2048)):
-            geometry = CacheGeometry(banks * 2 * line, line, 2)
-            cache = ColumnBufferCache(geometry)
-            stats = cache.run(trace)
-            rows.append([f"{banks} banks x {line} B lines",
-                         percent(stats.miss_rate)])
-        return rows
-
-    rows = once(run)
+    trace = get_proxy("101.tomcatv").data_trace(80_000, seed=1)
+    rows = []
+    for banks, line in ((16, 512), (8, 1024), (4, 2048)):
+        geometry = CacheGeometry(banks * 2 * line, line, 2)
+        cache = ColumnBufferCache(geometry)
+        stats = cache.run(trace)
+        rows.append([f"{banks} banks x {line} B lines",
+                     percent(stats.miss_rate)])
     print()
     print("Line-size alternative for fewer banks, tomcatv (constant capacity)")
     print(ascii_table(["organization", "miss rate"], rows))
@@ -90,17 +74,13 @@ def test_bench_line_size_warning(once):
     assert rates[-1] > rates[0], "longer lines must raise conflicts"
 
 
-def test_bench_engines_and_vision(once):
+def test_bench_engines_and_vision():
     """Protocol-engine occupancy on a real run + the Section 8 budgets."""
-
-    def run():
-        system = MPSystem(8, SystemKind.INTEGRATED)
-        kernel = LUKernel(n=32, block=4)
-        result = MPEngine(system).run(kernel.build(8, system.layout))
-        report = engine_report(system.fabric.stats, result.execution_time, 8)
-        return report, framebuffer_budget(), motherboard_budget(64)
-
-    report, framebuffer, board = once(run)
+    system = MPSystem(8, SystemKind.INTEGRATED)
+    kernel = LUKernel(n=32, block=4)
+    result = MPEngine(system).run(kernel.build(8, system.layout))
+    report = engine_report(system.fabric.stats, result.execution_time, 8)
+    framebuffer, board = framebuffer_budget(), motherboard_budget(64)
     print()
     print(f"Protocol engines (LU, 8 nodes): outbound "
           f"{report.outbound_occupancy:.2%}, inbound "

@@ -1,16 +1,10 @@
 """Figure 11: conventional-CPU CPI vs second-level-cache/memory latency."""
 
-from conftest import scaled
-
-from repro.analysis import figure11
+from conftest import run_registered
 
 
-def test_bench_figure11(once):
-    experiment = once(
-        figure11,
-        trace_len=scaled(60_000),
-        instructions=scaled(10_000, minimum=4_000),
-    )
+def test_bench_figure11():
+    experiment = run_registered("figure11")
     print()
     print(experiment.render())
     for name, series in experiment.curves.items():

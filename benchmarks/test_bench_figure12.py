@@ -1,17 +1,12 @@
 """Figure 12: integrated-device CPI vs DRAM access latency."""
 
-from conftest import scaled
+from conftest import run_registered
 
-from repro.analysis import figure12
 from repro.workloads.spec import get_proxy
 
 
-def test_bench_figure12(once):
-    experiment = once(
-        figure12,
-        trace_len=scaled(60_000),
-        instructions=scaled(10_000, minimum=4_000),
-    )
+def test_bench_figure12():
+    experiment = run_registered("figure12")
     print()
     print(experiment.render())
     six = experiment.xs.index(6)

@@ -1,10 +1,10 @@
 """Figure 2: SS-5 vs SS-10/61 latency as a function of array size."""
 
-from repro.analysis import figure2
+from conftest import run_registered
 
 
-def test_bench_figure2(once):
-    experiment = once(figure2)
+def test_bench_figure2():
+    experiment = run_registered("figure2")
     print()
     print(experiment.render())
     big = experiment.sizes.index(8 * 1024 * 1024)

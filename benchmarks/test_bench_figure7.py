@@ -1,12 +1,10 @@
 """Figure 7: instruction-cache miss rates, proposed vs conventional."""
 
-from conftest import scaled
-
-from repro.analysis import figure7
+from conftest import run_registered
 
 
-def test_bench_figure7(once):
-    experiment = once(figure7, trace_len=scaled(120_000))
+def test_bench_figure7():
+    experiment = run_registered("figure7")
     print()
     print(experiment.render())
     # Headline checks: long lines win almost everywhere, turb3d excepted.

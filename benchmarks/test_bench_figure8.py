@@ -1,12 +1,10 @@
 """Figure 8: data-cache miss rates with and without the victim cache."""
 
-from conftest import scaled
-
-from repro.analysis import figure8
+from conftest import run_registered
 
 
-def test_bench_figure8(once):
-    experiment = once(figure8, trace_len=scaled(120_000))
+def test_bench_figure8():
+    experiment = run_registered("figure8")
     print()
     print(experiment.render())
     # Colliding-stream benchmarks punish plain long lines...

@@ -3,8 +3,8 @@ integrated design (with and without victim cache) and the reference
 CC-NUMA."""
 
 import pytest
+from conftest import run_registered
 
-from repro.analysis import splash_figure
 from repro.mp.system import SystemKind
 
 PROCS = (1, 2, 4, 8, 16)
@@ -14,15 +14,17 @@ NO_VICTIM = SystemKind.INTEGRATED_NO_VICTIM.value
 REFERENCE = SystemKind.REFERENCE.value
 
 
-def _run(once, name, **kw):
-    experiment = once(splash_figure, name, PROCS, **kw)
+def _run(name):
+    [experiment] = [exp for exp in run_registered("figures13-17")
+                    if exp.kernel == name]
+    assert tuple(experiment.proc_counts) == PROCS
     print()
     print(experiment.render())
     return experiment
 
 
-def test_bench_figure13_lu(once):
-    exp = _run(once, "lu")
+def test_bench_figure13_lu():
+    exp = _run("lu")
     times = exp.times
     # Integrated wins at every processor count; no-victim loses badly.
     for i in range(len(PROCS)):
@@ -32,8 +34,8 @@ def test_bench_figure13_lu(once):
     assert times[INTEGRATED][-1] < times[INTEGRATED][0] / 3
 
 
-def test_bench_figure14_mp3d(once):
-    exp = _run(once, "mp3d")
+def test_bench_figure14_mp3d():
+    exp = _run("mp3d")
     times = exp.times
     # MP3D's shared-cell updates bound the scaling, but the integrated
     # design is never worse than the reference.
@@ -42,15 +44,15 @@ def test_bench_figure14_mp3d(once):
     assert times[INTEGRATED][2] < times[INTEGRATED][0]
 
 
-def test_bench_figure15_ocean(once):
-    exp = _run(once, "ocean")
+def test_bench_figure15_ocean():
+    exp = _run("ocean")
     times = exp.times
     assert times[INTEGRATED][0] < times[REFERENCE][0]
     assert times[INTEGRATED][-1] < times[INTEGRATED][0]
 
 
-def test_bench_figure16_water(once):
-    exp = _run(once, "water")
+def test_bench_figure16_water():
+    exp = _run("water")
     times = exp.times
     # "WATER is the only benchmark for which the reference CC-NUMA design
     # shows better results than the integrated architecture unaided by a
@@ -60,8 +62,8 @@ def test_bench_figure16_water(once):
     assert times[INTEGRATED][mid] < times[NO_VICTIM][mid]
 
 
-def test_bench_figure17_pthor(once):
-    exp = _run(once, "pthor")
+def test_bench_figure17_pthor():
+    exp = _run("pthor")
     times = exp.times
     # Integrated outperforms the reference at small processor counts,
     # converging as the per-processor working set shrinks (Section 6.2).

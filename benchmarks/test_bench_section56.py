@@ -1,16 +1,10 @@
 """Section 5.6: impact of the number of DRAM banks."""
 
-from conftest import scaled
-
-from repro.analysis import section56
+from conftest import run_registered
 
 
-def test_bench_section56(once):
-    experiment = once(
-        section56,
-        trace_len=scaled(60_000),
-        instructions=scaled(10_000, minimum=4_000),
-    )
+def test_bench_section56():
+    experiment = run_registered("section5.6")
     print()
     print(experiment.render())
     # "In all cases, the performance differences were below the error

@@ -1,10 +1,10 @@
 """Table 1: SS-5 vs SS-10/61 Spec'92 and Synopsys runtimes."""
 
-from repro.analysis import table1
+from conftest import run_registered
 
 
-def test_bench_table1(once):
-    experiment = once(table1)
+def test_bench_table1():
+    experiment = run_registered("table1")
     print()
     print(experiment.render())
     by_name = {name: (spec, syn) for name, spec, syn in experiment.rows}

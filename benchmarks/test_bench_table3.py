@@ -1,16 +1,12 @@
 """Table 3: Spec'95 CPI estimates (cpu + memory), no victim cache."""
 
-from conftest import scaled
+from conftest import run_registered
 
-from repro.analysis import PAPER_TABLE3, table3
+from repro.analysis import PAPER_TABLE3
 
 
-def test_bench_table3(once):
-    experiment = once(
-        table3,
-        trace_len=scaled(100_000),
-        instructions=scaled(15_000, minimum=5_000),
-    )
+def test_bench_table3():
+    experiment = run_registered("table3")
     print()
     print(experiment.render())
     # The cpu components come from the functional-unit model and must

@@ -1,16 +1,12 @@
 """Table 4: Spec'95 CPI and Spec-ratio estimates with the victim cache."""
 
-from conftest import scaled
+from conftest import run_registered
 
-from repro.analysis import PAPER_TABLE4, table4
+from repro.analysis import PAPER_TABLE4
 
 
-def test_bench_table4(once):
-    experiment = once(
-        table4,
-        trace_len=scaled(100_000),
-        instructions=scaled(15_000, minimum=5_000),
-    )
+def test_bench_table4():
+    experiment = run_registered("table4")
     print()
     print(experiment.render())
     within_25_percent = 0

@@ -1,13 +1,14 @@
 """One function per table and figure of the paper's evaluation.
 
 Every function returns a result object whose ``render()`` produces the
-rows/series the paper reports; the benchmark harness under
-``benchmarks/`` calls these and prints the output next to the paper's
-reference values (see EXPERIMENTS.md).
+rows/series the paper reports (see EXPERIMENTS.md).  They are run
+through the experiment registry (:mod:`repro.analysis.registry`), by
+``python -m repro`` and by the paper checks under ``benchmarks/``
+alike, so both share one result cache.
 
 Sizes are parameterized: the defaults complete in seconds-to-minutes at
-Python speed; raise ``trace_len`` / ``instructions`` / kernel sizes for
-tighter estimates.
+Python speed; raise ``trace_len`` (``python -m repro <name> --trace-len
+N``) / ``instructions`` / kernel sizes for tighter estimates.
 """
 
 from __future__ import annotations

@@ -771,7 +771,7 @@ def _read_module(name: str, path: Path, package: str,
     info = ModuleInfo(name=name, path=path)
     try:
         text, tree = _parse_file(path)
-    except (OSError, SyntaxError) as exc:
+    except (OSError, UnicodeDecodeError, SyntaxError) as exc:
         info.dynamic_sites.append((getattr(exc, "lineno", 0) or 0,
                                    f"unparseable module: {exc}"))
         info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)

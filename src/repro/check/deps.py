@@ -123,7 +123,7 @@ class _DepsAnalysis:
         if module.name not in self._suppressions:
             try:
                 source = module.path.read_text()
-            except OSError:
+            except (OSError, UnicodeDecodeError):
                 source = ""
             self._suppressions[module.name] = suppressions(source)
         return rule in self._suppressions[module.name].get(lineno, ())
@@ -381,7 +381,7 @@ def check_deps(root: Path | None = None,
     """Run the whole-program dependency pass.
 
     ``root`` defaults to the installed ``repro`` package, whose call
-    graph the runner's fingerprint slicer shares;
+    graph is memoized with the runner's fingerprints;
     ``entry_points`` defaults to the experiment registry's declarations
     (experiment name -> dotted function name).
     """

@@ -379,7 +379,7 @@ def lint_paths(roots: list[Path] | None = None) -> PassResult:
             files += 1
             try:
                 source = path.read_text()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 result.findings.append(Finding(
                     "lints", "io", "error", str(path),
                     f"could not read: {exc}",

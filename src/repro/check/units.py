@@ -115,7 +115,7 @@ class _ModuleUnits:
         try:
             self.source = info.path.read_text()
             self.tree = ast.parse(self.source, filename=str(info.path))
-        except (OSError, SyntaxError):
+        except (OSError, UnicodeDecodeError, SyntaxError):
             self.tree = None  # callgraph already records the hole
         self.unit_lines = unit_comments(self.source) if self.source else {}
         self.allowed = suppressions(self.source)
@@ -779,7 +779,7 @@ def check_units(root: Path | None = None,
     """Run the units-and-dimensions flow pass.
 
     ``root`` defaults to the installed ``repro`` package, whose call
-    graph the runner's fingerprint slicer shares;
+    graph is memoized with the runner's fingerprints;
     ``entry_points`` defaults to the experiment registry plus the sweep
     bases (the witness roots); ``annotations`` defaults to the shipped
     registry (:data:`repro.check.dimensions.ANNOTATIONS`).

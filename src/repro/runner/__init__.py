@@ -7,16 +7,18 @@ The pieces, each usable on its own:
   from the static import graph of :mod:`repro.check.callgraph`) that
   keep cached results valid across edits to unrelated modules.
 - :mod:`repro.runner.cache` — content-addressed on-disk store keyed by
-  ``(call id, kwargs, code fingerprint)``, using the slice fingerprint
-  when it is provably sound and the whole-tree hash otherwise; damaged
-  entries are quarantined (``*.corrupt``), never re-read.
+  ``(task call id, kwargs, code fingerprint)``, using the slice
+  fingerprint when it is provably sound and the whole-tree hash
+  otherwise; damaged entries are quarantined (``*.corrupt``), never
+  re-read.
 - :mod:`repro.runner.resilience` — the supervised executor: one
   attempt per task, per-task timeouts with a watchdog, crash detection,
   failure quarantine, ``fail_fast``.
 - :mod:`repro.runner.core` — :class:`Task` and :func:`run_tasks`, the
   supervised executor (``jobs=1`` runs inline, deterministically
-  identical); every cached task is served as a hit, so rerunning an
-  interrupted run recomputes only what it did not finish.
+  identical) and the one path that keys, loads and stores results;
+  every cached task is served as a hit, so rerunning an interrupted run
+  recomputes only what it did not finish.
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
   quarantine records, exported as JSON and a rendered summary.
 - :mod:`repro.runner.session` — the run flags and their setup and
@@ -32,8 +34,6 @@ from repro.runner.cache import (
     DEFAULT_CACHE_DIR,
     CacheEntry,
     ResultCache,
-    cached_call,
-    call_id_for,
     canonical_kwargs,
     default_cache_dir,
 )
@@ -66,8 +66,6 @@ __all__ = [
     "TaskFailure",
     "TaskMetrics",
     "TaskOutcome",
-    "cached_call",
-    "call_id_for",
     "canonical_kwargs",
     "code_fingerprint",
     "default_cache_dir",

@@ -1,12 +1,15 @@
 """Content-addressed on-disk result cache.
 
-Keys combine the call identity (experiment/shard or function qualname),
-the canonicalized keyword arguments (which include every seed and size
-parameter), and a code fingerprint, so a cached entry can only ever be
-returned for the exact computation that produced it.
+Keys combine the call identity (``experiment:<experiment>/<shard>``,
+see :class:`repro.runner.Task`), the canonicalized keyword arguments
+(which include every seed and size parameter), and a code fingerprint,
+so a cached entry can only ever be returned for the exact computation
+that produced it.  :func:`repro.runner.run_tasks` is the one caller
+that keys and stores results, so ``python -m repro``, a sweep and the
+paper checks under ``benchmarks/`` share every entry.
 
 The fingerprint component is per-entry-point: when the caller supplies
-the experiment's registered entry point, the key uses
+the task's entry point, the key uses
 :func:`~repro.runner.fingerprint.slice_fingerprint` — a digest over
 only the modules the entry point can transitively import — so editing
 a module outside that slice (an exporter, a check pass, an unrelated
@@ -35,15 +38,15 @@ complete entry simply replaces the winner's complete entry.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
 import pickle
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -57,6 +60,12 @@ def canonical_kwargs(kwargs: dict[str, Any]) -> str:
     return json.dumps(kwargs, sort_keys=True, default=repr)
 
 
+def entry_key(call_id: str, kwargs: dict[str, Any], digest: str) -> str:
+    """The key of ``call_id`` run on ``kwargs`` under code ``digest``."""
+    payload = "\x1f".join([call_id, canonical_kwargs(kwargs), digest])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @dataclass
 class CacheEntry:
     result: Any
@@ -66,22 +75,19 @@ class CacheEntry:
 class ResultCache:
     """Pickle store addressed by ``(call id, kwargs, code fingerprint)``.
 
-    ``fingerprint`` pins the whole-tree digest (computed when omitted);
-    ``slicing`` enables per-entry-point slice keying (see module
-    docstring) and ``package_root`` points the slicer at a package
-    directory other than the installed ``repro`` (used by tests).
+    ``fingerprint`` pins the whole-tree digest (computed when omitted)
+    and ``package_root`` points the slicer at a package directory other
+    than the installed ``repro``; both exist for tests.
     """
 
     def __init__(self, root: Path | str | None = None,
                  fingerprint: str | None = None, *,
-                 slicing: bool = True,
                  package_root: Path | None = None) -> None:
         from repro.runner.fingerprint import code_fingerprint
 
         self.root = Path(root) if root is not None else default_cache_dir()
         self.package_root = package_root
         self.fingerprint = fingerprint or code_fingerprint(package_root)
-        self.slicing = slicing
         self._slices: dict[str, tuple[str, str]] = {}
         # The slice memo may be hit from several threads of one
         # process; a miss stats the tree and hashes the slice's files
@@ -95,12 +101,12 @@ class ResultCache:
 
         ``kind`` is ``"slice"`` when the digest covers only the entry
         point's dependency slice, ``"tree"`` when it is the whole-tree
-        fingerprint (no entry point, slicing off, or the slice degraded
-        — see :func:`~repro.runner.fingerprint.slice_fingerprint`).
+        fingerprint (no entry point, or the slice degraded — see
+        :func:`~repro.runner.fingerprint.slice_fingerprint`).
         Degradation always lands on ``self.fingerprint`` so explicitly
         pinned fingerprints keep working.
         """
-        if not self.slicing or entry is None:
+        if entry is None:
             return self.fingerprint, "tree"
         with self._slices_lock:
             if entry not in self._slices:
@@ -118,11 +124,7 @@ class ResultCache:
 
     def key(self, call_id: str, kwargs: dict[str, Any],
             entry: str | None = None) -> str:
-        import hashlib
-
-        digest, _ = self.fingerprint_for(entry)
-        payload = "\x1f".join([call_id, canonical_kwargs(kwargs), digest])
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return entry_key(call_id, kwargs, self.fingerprint_for(entry)[0])
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         shard = self.root / key[:2]
@@ -179,42 +181,3 @@ class ResultCache:
         tmp_meta = meta_path.with_suffix(f"{self._tmp_suffix()}.meta")
         tmp_meta.write_text(json.dumps(meta, sort_keys=True, default=repr))
         os.replace(tmp_meta, meta_path)
-
-
-def call_id_for(fn: Callable) -> str:
-    return f"{fn.__module__}.{fn.__qualname__}"
-
-
-def cached_call(fn: Callable, kwargs: dict[str, Any],
-                cache: ResultCache | None, args: tuple = ()) -> Any:
-    """Run ``fn(*args, **kwargs)`` through the cache (``cache=None``
-    disables).
-
-    Used by the benchmark harness so tier-2 suites reuse results the CLI
-    (or a previous benchmark run) already computed.  Only cache
-    module-level functions whose arguments fully determine the result —
-    closures capturing hidden state belong outside the cache.
-    """
-    from repro.common import tally
-
-    if cache is None:
-        return fn(*args, **kwargs)
-    call_id = call_id_for(fn)
-    call_kwargs = {"*args": list(args), **kwargs} if args else kwargs
-    key = cache.key(call_id, call_kwargs, entry=call_id)
-    entry = cache.load(key)
-    if entry is not None:
-        return entry.result
-    before = tally.snapshot()
-    started = time.perf_counter()  # repro: allow(wall-clock)
-    result = fn(*args, **kwargs)
-    digest, kind = cache.fingerprint_for(call_id)
-    cache.store(key, result, {
-        "call_id": call_id,
-        "kwargs": canonical_kwargs(call_kwargs),
-        "fingerprint": digest,
-        "fingerprint_kind": kind,
-        "wall_s": time.perf_counter() - started,  # repro: allow(wall-clock)
-        "tallies": tally.since(before),
-    })
-    return result

@@ -35,7 +35,7 @@ from typing import Any, Callable
 
 from repro import obs
 from repro.common import tally
-from repro.runner.cache import ResultCache, canonical_kwargs
+from repro.runner.cache import ResultCache, canonical_kwargs, entry_key
 from repro.runner.metrics import STATUS_QUARANTINED, RunMetrics, TaskMetrics
 from repro.runner.resilience import (
     FailFastError,
@@ -116,14 +116,17 @@ def run_tasks(
     )
     results: dict[tuple[str, str], Any] = {}
     records: dict[tuple[str, str], TaskMetrics] = {}
+    # (key, digest, kind) per task, derived once and reused by the
+    # load, the store and the metrics record.
+    keys: dict[tuple[str, str], tuple[str, str, str]] = {}
     pending: list[Task] = []
 
     for task in tasks:
         slot = (task.experiment, task.shard)
         if cache is not None:
             digest, kind = cache.fingerprint_for(task.entry_point())
-            key = cache.key(task.call_id(), task.kwargs,
-                            entry=task.entry_point())
+            key = entry_key(task.call_id(), task.kwargs, digest)
+            keys[slot] = (key, digest, kind)
             t0 = time.perf_counter()  # repro: allow(wall-clock)
             entry = cache.load(key)
             if entry is not None:
@@ -144,12 +147,8 @@ def run_tasks(
     def record_miss(task: Task, result: Any, wall: float,
                     tallies: dict[str, int], worker: int) -> None:
         slot = (task.experiment, task.shard)
-        key = ""
-        kind = ""
+        key, digest, kind = keys.get(slot, ("", "", ""))
         if cache is not None:
-            digest, kind = cache.fingerprint_for(task.entry_point())
-            key = cache.key(task.call_id(), task.kwargs,
-                            entry=task.entry_point())
             cache.store(key, result, {
                 "call_id": task.call_id(),
                 "kwargs": canonical_kwargs(task.kwargs),
@@ -172,8 +171,7 @@ def run_tasks(
 
     def record_quarantine(task: Task, outcome: TaskOutcome) -> None:
         slot = (task.experiment, task.shard)
-        key = cache.key(task.call_id(), task.kwargs,
-                        entry=task.entry_point()) if cache else ""
+        key = keys.get(slot, ("",))[0]
         failure = outcome.failure
         assert failure is not None
         records[slot] = TaskMetrics(

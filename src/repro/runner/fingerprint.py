@@ -18,20 +18,21 @@ Two fingerprints implement that contract:
   *degrades* to the whole-tree digest and says so (``kind="tree"``),
   which is exactly the pre-slicing behaviour.
 
-Both rest on memos keyed per (root, tree state), where the tree state
-is the stat summary (relative path, size, mtime) of every tracked file
-— so an edit mid-process is picked up without :func:`invalidate`,
-which remains for tests and long-lived embedders that want a hard
-reset.  :func:`code_fingerprint` memoizes its digest;
-:func:`slice_fingerprint` memoizes a lazy import graph
-(:func:`repro.check.callgraph.import_graph`): one per package root and
-tree state, which parses a module the first time a slice reaches it and
-walks its statements only.  A process thus parses each module of the
-entries' import closures once, however many entry points it slices,
-and another module only when an entry's dotted name passes through
-it.  It builds no call graph: the whole-program
-:func:`shared_callgraph`, memoized the same way, serves the ``deps``
-and ``units`` check passes alone, and nothing may mutate it.
+Both, and :func:`shared_callgraph`, rest on one memo: a slot per package
+root holding the tree state — the stat summary (relative path, size,
+mtime) of every tracked file — and what has been derived from that
+state so far: the whole-tree digest, the lazy import graph the slices
+read (:func:`repro.check.callgraph.import_graph`), and the
+whole-program call graph.  Each is filled on first use, and a slot
+whose tree state has moved is replaced, so an edit mid-process is
+picked up without :func:`invalidate`, which remains for tests and
+long-lived embedders that want a hard reset.  The import graph parses
+a module the first time a slice reaches it and walks its statements
+only, so a process parses each module of the entries' import closures
+once, however many entry points it slices, and another module only
+when an entry's dotted name passes through it.  Slicing builds no call
+graph: the whole-program one serves the ``deps`` and ``units`` check
+passes alone, and nothing may mutate it.
 """
 
 from __future__ import annotations
@@ -45,22 +46,24 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # the graph module loads lazily, on the first slice
     from repro.check.callgraph import CallGraph
 
-# whole-tree digests keyed by (root, tree-state); see _tree_state().
-_CACHE: dict[tuple, str] = {}
-# The memo may be hit from several threads of one process; the lock
-# covers lookups and stores only — digesting runs outside it, so a
-# concurrent miss may compute twice but always stores equal values.
-_MEMO_LOCK = threading.Lock()
-# root -> (tree state, call graph): one slot per root, replaced when the
-# tree state moves.  _GRAPH_LOCK is held across a build, so concurrent
-# misses wait for one build instead of each paying for their own.
-_GRAPHS: dict[Path, tuple[tuple, "CallGraph"]] = {}
-_GRAPH_LOCK = threading.Lock()
-# root -> (tree state, lazy import graph), likewise.  A slice's analysis
-# parses modules into the graph as it goes, so _SCAN_LOCK is held across
-# the whole analysis, and concurrent slices parse each module once.
-_SCANS: dict[Path, tuple[tuple, "CallGraph"]] = {}
-_SCAN_LOCK = threading.Lock()
+@dataclass
+class _Slot:
+    """What one package root's current tree state has derived so far."""
+
+    state: tuple
+    digest: str | None = None
+    scan: CallGraph | None = None  # lazy import graph, read by slices
+    graph: CallGraph | None = None  # whole-program graph, for the checks
+
+
+# root -> its slot, replaced when the tree state moves (see _tree_state).
+# The memo may be hit from several threads of one process.  _LOCK is held
+# across each fill, so concurrent misses wait for one computation instead
+# of each paying for their own, and across a slice's whole analysis,
+# because the import graph parses modules into itself as slices reach
+# them: concurrent slices parse each module once.
+_SLOTS: dict[Path, _Slot] = {}
+_LOCK = threading.Lock()
 
 # Files hashed into every slice as a version salt: a change to the
 # slicer itself (graph construction or this module) must invalidate
@@ -119,20 +122,22 @@ def _tree_state(sources: list[tuple[str, Path]]) -> tuple:
     return tuple(state)
 
 
+def _slot(root: Path, state: tuple) -> _Slot:
+    """``root``'s slot for tree ``state``; the caller holds ``_LOCK``."""
+    slot = _SLOTS.get(root)
+    if slot is None or slot.state != state:
+        slot = _SLOTS[root] = _Slot(state)
+    return slot
+
+
 def invalidate(root: Path | None = None) -> None:
     """Drop memoized digests and graphs (for ``root``, or all roots
     when None)."""
-    if root is not None:
-        root = _package_root(root)
-    for lock, graphs in ((_GRAPH_LOCK, _GRAPHS), (_SCAN_LOCK, _SCANS)):
-        with lock:
-            if root is None:
-                graphs.clear()
-            else:
-                graphs.pop(root, None)
-    with _MEMO_LOCK:
-        for key in [k for k in _CACHE if root is None or k[0] == root]:
-            del _CACHE[key]
+    with _LOCK:
+        if root is None:
+            _SLOTS.clear()
+        else:
+            _SLOTS.pop(_package_root(root), None)
 
 
 def shared_callgraph(root: Path | None = None) -> "CallGraph":
@@ -149,12 +154,11 @@ def shared_callgraph(root: Path | None = None) -> "CallGraph":
 
     root = _package_root(root)
     state = _tree_state(_tracked_sources(root))
-    with _GRAPH_LOCK:
-        memo = _GRAPHS.get(root)
-        if memo is None or memo[0] != state:
-            memo = _GRAPHS[root] = (state, callgraph.build_callgraph(
-                root, root.name))
-        return memo[1]
+    with _LOCK:
+        slot = _slot(root, state)
+        if slot.graph is None:
+            slot.graph = callgraph.build_callgraph(root, root.name)
+        return slot.graph
 
 
 def _digest_files(entries: list[tuple[str, Path]]) -> str:
@@ -167,7 +171,7 @@ def _digest_files(entries: list[tuple[str, Path]]) -> str:
     return digest.hexdigest()
 
 
-def code_fingerprint(root: Path | None = None, *, use_cache: bool = True) -> str:
+def code_fingerprint(root: Path | None = None) -> str:
     """Hex digest over all Python sources under ``root``.
 
     ``root`` defaults to the installed ``repro`` package directory.
@@ -177,17 +181,12 @@ def code_fingerprint(root: Path | None = None, *, use_cache: bool = True) -> str
     """
     root = _package_root(root)
     sources = _tracked_sources(root)
-    key = (root, _tree_state(sources)) if use_cache else None
-    if key is not None:
-        with _MEMO_LOCK:
-            cached = _CACHE.get(key)
-        if cached is not None:
-            return cached
-    value = _digest_files(sources)
-    if key is not None:
-        with _MEMO_LOCK:
-            _CACHE[key] = value
-    return value
+    state = _tree_state(sources)
+    with _LOCK:
+        slot = _slot(root, state)
+        if slot.digest is None:
+            slot.digest = _digest_files(sources)
+        return slot.digest
 
 
 @dataclass(frozen=True)
@@ -207,16 +206,15 @@ class SliceFingerprint:
     reason: str = ""
 
 
-def _degrade(root: Path, reason: str, *, use_cache: bool) -> SliceFingerprint:
+def _degrade(root: Path, reason: str) -> SliceFingerprint:
     return SliceFingerprint(
-        digest=code_fingerprint(root, use_cache=use_cache),
+        digest=code_fingerprint(root),
         kind="tree",
         reason=reason,
     )
 
 
-def slice_fingerprint(entry: str, root: Path | None = None, *,
-                      use_cache: bool = True) -> SliceFingerprint:
+def slice_fingerprint(entry: str, root: Path | None = None) -> SliceFingerprint:
     """Fingerprint of ``entry``'s transitive dependency slice.
 
     ``entry`` is a dotted function name (an experiment registry entry
@@ -237,40 +235,38 @@ def slice_fingerprint(entry: str, root: Path | None = None, *,
     package = root.name
     if not entry.startswith(package + "."):
         return _degrade(root, f"entry point {entry} is outside package "
-                        f"'{package}'", use_cache=use_cache)
+                        f"'{package}'")
     sources = _tracked_sources(root)
+    state = _tree_state(sources)
 
     from repro.check.callgraph import canonicalize, import_graph
 
-    with _SCAN_LOCK:
-        if not use_cache:
-            graph = import_graph(root, package)
-        else:
-            state = _tree_state(sources)
-            memo = _SCANS.get(root)
-            if memo is None or memo[0] != state:
-                memo = _SCANS[root] = (state, import_graph(root, package))
-            graph = memo[1]
+    reason = ""
+    with _LOCK:
+        slot = _slot(root, state)
+        if slot.scan is None:
+            slot.scan = import_graph(root, package)
+        graph = slot.scan
         try:
             # The entry must resolve to a function the graph knows
             # (following package-__init__ re-exports); its defining
             # module anchors the slice.  Anything else degrades.
             entry_fn = graph.function_for(canonicalize(graph, entry))
-            if entry_fn is not None:
+            if entry_fn is None:
+                reason = f"entry point {entry} not found in the call graph"
+            else:
                 slice_modules = graph.module_slice(entry_fn.module)
                 holes = graph.slice_holes(slice_modules)
+                if holes:
+                    mod, line, what = holes[0]
+                    extra = f" (+{len(holes) - 1} more)" if len(holes) > 1 else ""
+                    reason = (f"unresolvable edge in slice: {mod}:{line}: "
+                              f"{what}{extra}")
                 paths = [graph.modules[name].path for name in slice_modules]
         except Exception as exc:  # repro: allow(broad-except) — analysis failure must never break caching, only widen it
-            return _degrade(root, f"import scan failed: {exc!r}",
-                            use_cache=use_cache)
-    if entry_fn is None:
-        return _degrade(root, f"entry point {entry} not found in the "
-                        f"call graph", use_cache=use_cache)
-    if holes:
-        mod, line, what = holes[0]
-        extra = f" (+{len(holes) - 1} more)" if len(holes) > 1 else ""
-        return _degrade(root, f"unresolvable edge in slice: {mod}:{line}: "
-                        f"{what}{extra}", use_cache=use_cache)
+            reason = f"import scan failed: {exc!r}"
+    if reason:  # degraded after _LOCK is released: code_fingerprint takes it
+        return _degrade(root, reason)
     by_label = {label: path for label, path in sources}
     entries = sorted((path.relative_to(root).as_posix(), path)
                      for path in paths)

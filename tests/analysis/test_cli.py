@@ -9,8 +9,8 @@ from repro.runner import METRICS_SCHEMA_VERSION, RunMetrics
 from repro.sweep.cli import main as sweep_main
 from tests.failing_tasks import boom, crash
 
-MICRO_SWEEP = Path(__file__).resolve().parents[2] / "artifacts" / "sweeps" \
-    / "micro.toml"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+MICRO_SWEEP = REPO_ROOT / "artifacts" / "sweeps" / "micro.toml"
 
 
 @pytest.fixture
@@ -146,6 +146,44 @@ class TestCLI:
         assert exc.value.code == 2
         assert f"argument {flag}: expected a positive integer" \
             in capsys.readouterr().err
+
+
+class TestPaperChecksShareTheCLICache:
+    def test_benchmark_helper_replays_what_the_cli_stored(
+            self, capsys, tmp_path, monkeypatch):
+        # benchmarks/ asserts the paper's claims on what its helper
+        # returns; after `repro table1` that must be the CLI's cached
+        # result, served under the same keys, with nothing stored anew.
+        import importlib.util
+
+        from repro.analysis import run_experiments
+        from repro.analysis.docs import render_result
+
+        cache = tmp_path / "cache"
+        assert main(["table1", "--cache-dir", str(cache)]) == 0
+        printed = capsys.readouterr().out
+        stored = sorted(cache.rglob("*.pkl"))
+        assert stored
+
+        spec = importlib.util.spec_from_file_location(
+            "benchmarks_conftest", REPO_ROOT / "benchmarks" / "conftest.py")
+        helper = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(helper)
+        runs = []
+
+        def recording(*args, **kwargs):
+            results, metrics = run_experiments(*args, **kwargs)
+            runs.append(metrics)
+            return results, metrics
+
+        monkeypatch.setattr(helper, "run_experiments", recording)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        result = helper.run_registered("table1")
+        [metrics] = runs
+        assert metrics.tasks
+        assert {task.cache for task in metrics.tasks} == {"hit"}
+        assert sorted(cache.rglob("*.pkl")) == stored
+        assert render_result(result) in printed
 
 
 class TestCLIObservability:

@@ -3,7 +3,7 @@
 Every backticked ``repro.…`` name in DESIGN.md, with brace lists such
 as ``repro.caches.{column_buffer,victim}`` expanded, must resolve to a
 module or to an attribute reachable from one.  Every backticked bare
-identifier (``column_buffer_fast``, ``MissRates``, ``REPRO_SCALE``)
+identifier (``column_buffer_fast``, ``MissRates``, ``DEFAULT_CACHE_DIR``)
 must occur as a word in the program's code — ``src/``, ``scripts/``,
 ``perfbench/`` and ``benchmarks/`` — so a function that was deleted
 cannot stay documented.

@@ -231,6 +231,47 @@ class TestReachabilityWitness:
         assert graph.witness(parents, "pkg.island.alone") == ()
 
 
+class TestNonUtf8Source:
+    """A module that is not UTF-8 is reported like an unparseable one by
+    every pass that reads source, and degrades the slices through it."""
+
+    def _pkg(self, tmp_path: Path) -> Path:
+        root = _pkg(tmp_path, {"entry.py": """
+            from pkg.latin import helper
+
+            def experiment():
+                return helper()
+        """})
+        (root / "latin.py").write_bytes(
+            "# caf\u00e9\ndef helper():\n    return 1\n".encode("latin-1"))
+        return root
+
+    def test_every_source_reader_reports_it(self, tmp_path):
+        from repro.check.deps import _DepsAnalysis, check_deps
+        from repro.check.lints import lint_paths
+        from repro.check.units import check_units
+        from repro.runner.fingerprint import slice_fingerprint
+
+        root = self._pkg(tmp_path)
+        graph = build_callgraph(root)
+        latin = graph.modules["pkg.latin"]
+        assert "unparseable module" in latin.dynamic_sites[0][1]
+        # The graph holds no facts of the module for a deps rule to fire
+        # on, so its suppression reader is asked directly.
+        assert not _DepsAnalysis(graph, {})._allowed(latin, 1, "module-rng")
+        lints = lint_paths([root])
+        assert [(f.rule, f.severity, f.location) for f in lints.findings] == [
+            ("io", "error", str(root / "latin.py"))]
+        entries = {"exp": "pkg.entry.experiment"}
+        deps = check_deps(root, entry_points=entries)
+        assert deps.info["slices_degraded"] == 1
+        assert any("pkg.latin" in f.message for f in deps.findings)
+        check_units(root, entry_points=entries)  # reads latin.py too
+        sliced = slice_fingerprint("pkg.entry.experiment", root)
+        assert sliced.kind == "tree"
+        assert "unparseable module" in sliced.reason
+
+
 class TestRealPackage:
     def test_meets_resolution_floor(self):
         # Acceptance bar from the issue: >= 95% of intra-package imports

@@ -3,7 +3,7 @@
 import textwrap
 
 from repro.common import tally
-from repro.runner import ResultCache, cached_call, code_fingerprint
+from repro.runner import ResultCache, code_fingerprint
 
 
 def _cache(tmp_path, fingerprint="f" * 64):
@@ -233,13 +233,6 @@ class TestSliceKeying:
         assert cache.fingerprint_for("spkg.entry.experiment") == \
             ("f" * 64, "tree")
 
-    def test_slicing_disabled_always_uses_tree(self, tmp_path):
-        root = _sliceable(tmp_path)
-        cache = ResultCache(tmp_path / "cache", slicing=False,
-                            package_root=root)
-        assert cache.fingerprint_for("spkg.entry.experiment") == \
-            (cache.fingerprint, "tree")
-
     def test_slice_lookup_is_memoized(self, tmp_path):
         root = _sliceable(tmp_path)
         cache = ResultCache(tmp_path / "cache", package_root=root)
@@ -256,32 +249,5 @@ class TestSliceKeying:
             "repro.analysis.experiments.table1")
         assert kind == "slice"
         assert digest != code_fingerprint()
-        assert cache.fingerprint_for("tests.runner.test_cache._double") == \
+        assert cache.fingerprint_for("tests.runner.test_cache.TestSliceKeying") == \
             (cache.fingerprint, "tree")
-
-
-def _double(x=0):
-    return 2 * x
-
-
-class TestCachedCall:
-    def test_roundtrip_and_reuse(self, tmp_path):
-        cache = _cache(tmp_path)
-        assert cached_call(_double, {"x": 4}, cache) == 8
-        key = cache.key(
-            f"{_double.__module__}.{_double.__qualname__}", {"x": 4}
-        )
-        entry = cache.load(key)
-        assert entry is not None and entry.result == 8
-        # Poison the cache to prove the second call is served from it.
-        cache.store(key, 99, entry.meta)
-        assert cached_call(_double, {"x": 4}, cache) == 99
-
-    def test_positional_args_in_key(self, tmp_path):
-        cache = _cache(tmp_path)
-        assert cached_call(_double, {}, cache, args=(5,)) == 10
-        assert cached_call(_double, {}, cache, args=(6,)) == 12
-
-    def test_disabled(self, tmp_path):
-        assert cached_call(_double, {"x": 4}, None) == 8
-        assert not (tmp_path / "cache").exists()

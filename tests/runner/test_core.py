@@ -59,6 +59,29 @@ class TestRunTasks:
         _, metrics = run_tasks(_tasks(), jobs=1, cache=new)
         assert metrics.misses == 4
 
+    def test_each_task_is_keyed_once(self, tmp_path, monkeypatch):
+        # One fingerprint lookup per task serves its load, its store or
+        # quarantine record, and its metrics, cold and warm alike.
+        from tests.failing_tasks import boom
+
+        calls = []
+        lookup = ResultCache.fingerprint_for
+
+        def counting(self, entry):
+            calls.append(entry)
+            return lookup(self, entry)
+
+        monkeypatch.setattr(ResultCache, "fingerprint_for", counting)
+        cache = ResultCache(tmp_path, fingerprint="c" * 64)
+        tasks = [*_tasks(), Task("bad", "", boom)]
+        for expected in ("miss", "hit"):
+            calls.clear()
+            _, metrics = run_tasks(tasks, jobs=1, cache=cache)
+            assert [t.cache for t in metrics.tasks] == [expected] * 4 + ["miss"]
+            assert metrics.quarantined == 1
+            assert all(t.key for t in metrics.tasks)
+            assert len(calls) == len(tasks)
+
     def test_metrics_order_and_tallies(self):
         _, metrics = run_tasks(_tasks(), jobs=2)
         assert [t.shard for t in metrics.tasks] == ["1", "2", "3", "4"]

@@ -22,6 +22,12 @@ def _tree(tmp_path: Path) -> Path:
     return root
 
 
+def _fresh(root: Path) -> str:
+    """``root``'s whole-tree digest, recomputed past the memo."""
+    invalidate(root)
+    return code_fingerprint(root)
+
+
 def _sliceable(tmp_path: Path) -> Path:
     """A package whose entry slice excludes exporter.py."""
     root = tmp_path / "pkg"
@@ -41,36 +47,36 @@ def _sliceable(tmp_path: Path) -> Path:
 class TestCodeFingerprint:
     def test_deterministic(self, tmp_path):
         root = _tree(tmp_path)
-        first = code_fingerprint(root, use_cache=False)
-        second = code_fingerprint(root, use_cache=False)
+        first = _fresh(root)
+        second = _fresh(root)
         assert first == second
         assert len(first) == 64  # sha256 hex
 
     def test_content_change_invalidates(self, tmp_path):
         root = _tree(tmp_path)
-        before = code_fingerprint(root, use_cache=False)
+        before = _fresh(root)
         (root / "sub" / "b.py").write_text("B = 3\n")
-        assert code_fingerprint(root, use_cache=False) != before
+        assert _fresh(root) != before
 
     def test_new_file_invalidates(self, tmp_path):
         root = _tree(tmp_path)
-        before = code_fingerprint(root, use_cache=False)
+        before = _fresh(root)
         (root / "c.py").write_text("")
-        assert code_fingerprint(root, use_cache=False) != before
+        assert _fresh(root) != before
 
     def test_rename_invalidates(self, tmp_path):
         root = _tree(tmp_path)
-        before = code_fingerprint(root, use_cache=False)
+        before = _fresh(root)
         (root / "a.py").rename(root / "z.py")
-        assert code_fingerprint(root, use_cache=False) != before
+        assert _fresh(root) != before
 
     def test_pycache_ignored(self, tmp_path):
         root = _tree(tmp_path)
-        before = code_fingerprint(root, use_cache=False)
+        before = _fresh(root)
         cachedir = root / "__pycache__"
         cachedir.mkdir()
         (cachedir / "a.cpython-311.py").write_text("junk")
-        assert code_fingerprint(root, use_cache=False) == before
+        assert _fresh(root) == before
 
     def test_package_default(self):
         # Fingerprinting the installed package works and is cached.
@@ -181,7 +187,7 @@ class TestGraphMemo:
                                                 callgraph_builds,
                                                 module_parses):
         root = _sliceable(tmp_path)
-        scans_before = len(fingerprint._SCANS)
+        slots_before = len(fingerprint._SLOTS)
         sliced = slice_fingerprint("pkg.entry.experiment", root)
         for n in range(3):
             (root / "model.py").write_text(
@@ -190,7 +196,7 @@ class TestGraphMemo:
             resliced = slice_fingerprint("pkg.entry.experiment", root)
             assert resliced.kind == "slice"
             assert resliced.digest != sliced.digest
-            scan = fingerprint._SCANS[root.resolve()][1]
+            scan = fingerprint._SLOTS[root.resolve()].scan
             assert f"pkg.model.extra_{n}" in scan.functions
             sliced = resliced
         # A new import must widen the slice: a stale scan would not.
@@ -204,20 +210,8 @@ class TestGraphMemo:
         # Five tree states, each rescanning the closure once.
         assert module_parses.count(root / "model.py") == 5
         assert module_parses.count(root / "exporter.py") == 1
-        # One slot per root: the edits replaced the scan, never added.
-        assert len(fingerprint._SCANS) == scans_before + 1
-
-    def test_use_cache_false_bypasses_the_memo(self, tmp_path,
-                                               callgraph_builds,
-                                               module_parses):
-        root = _sliceable(tmp_path)
-        slice_fingerprint("pkg.entry.experiment", root)
-        memoized = fingerprint._SCANS[root.resolve()]
-        for _ in range(2):
-            slice_fingerprint("pkg.entry.experiment", root, use_cache=False)
-        assert fingerprint._SCANS[root.resolve()] is memoized
-        assert module_parses.count(root / "entry.py") == 3
-        assert callgraph_builds == []
+        # One slot per root: the edits replaced it, never added one.
+        assert len(fingerprint._SLOTS) == slots_before + 1
 
     def test_invalidate_clears_the_graph(self, tmp_path, callgraph_builds,
                                          module_parses):
@@ -226,8 +220,7 @@ class TestGraphMemo:
             slice_fingerprint("pkg.entry.experiment", root)
             shared_callgraph(root)
             clear()
-            assert root.resolve() not in fingerprint._SCANS
-            assert root.resolve() not in fingerprint._GRAPHS
+            assert root.resolve() not in fingerprint._SLOTS
         slice_fingerprint("pkg.entry.experiment", root)
         # Three scans and the two builds of shared_callgraph.
         assert module_parses.count(root / "entry.py") == 3 + 2
@@ -294,11 +287,12 @@ class TestShippedSliceEquivalence:
         memoized = {entry: slice_fingerprint(entry) for entry in entries}
         scanned = list(module_parses)
         closure = set().union(*(memoized[e].modules for e in entries))
-        graph = fingerprint._SCANS[fingerprint._package_root(None)][1]
+        graph = fingerprint._SLOTS[fingerprint._package_root(None)].scan
         assert sorted(scanned) == sorted(graph.modules[name].path
                                          for name in closure)
         for entry in entries:
-            fresh = slice_fingerprint(entry, use_cache=False)
+            invalidate()
+            fresh = slice_fingerprint(entry)
             got = memoized[entry]
             assert (got.digest, got.kind, got.reason, got.modules) == (
                 fresh.digest, fresh.kind, fresh.reason, fresh.modules), entry
@@ -402,7 +396,7 @@ def _full_graph_slice(entry: str, root: Path) -> SliceFingerprint:
     )
 
     root = root.resolve()
-    tree = code_fingerprint(root, use_cache=False)
+    tree = code_fingerprint(root)
     graph = build_callgraph(root)
     entry_fn = graph.function_for(canonicalize(graph, entry))
     if entry_fn is None:
@@ -427,16 +421,18 @@ def _full_graph_slice(entry: str, root: Path) -> SliceFingerprint:
 class TestScanMatchesFullGraph:
     """The lazy import scan slices exactly as the whole-program graph."""
 
-    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("memoized", [True, False])
     @pytest.mark.parametrize("variant", sorted(_SCAN_VARIANTS))
-    def test_synthetic_tree(self, tmp_path, variant, use_cache):
+    def test_synthetic_tree(self, tmp_path, variant, memoized):
         files = {**_SCAN_TREE, **_SCAN_VARIANTS[variant]}
         root = tmp_path / "pkg"
         for rel, source in files.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
             (root / rel).write_text(textwrap.dedent(source))
         for entry in _SCAN_ENTRIES:
-            got = slice_fingerprint(entry, root, use_cache=use_cache)
+            if not memoized:
+                invalidate(root)
+            got = slice_fingerprint(entry, root)
             assert got == _full_graph_slice(entry, root), entry
         run = slice_fingerprint("pkg.app.main.run", root)
         if variant in ("clean", "unparseable_outside", "dynamic_outside"):
@@ -447,8 +443,8 @@ class TestScanMatchesFullGraph:
         else:
             assert run.kind == "tree"
 
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_shipped_entries(self, use_cache):
+    @pytest.mark.parametrize("memoized", [True, False])
+    def test_shipped_entries(self, memoized):
         import repro
         from repro.analysis import SPECS
 
@@ -457,7 +453,9 @@ class TestScanMatchesFullGraph:
                           "repro.sweep.points.icache_point",
                           "repro.runner.run_tasks", "repro.ghost.fn"})
         for entry in entries:
-            got = slice_fingerprint(entry, use_cache=use_cache)
+            if not memoized:
+                invalidate()
+            got = slice_fingerprint(entry)
             assert got == _full_graph_slice(entry, root), entry
 
 
@@ -513,9 +511,9 @@ class TestCheckoutScripts:
 
     def test_scripts_change_invalidates(self, tmp_path):
         pkg = self._checkout(tmp_path)
-        before = code_fingerprint(pkg, use_cache=False)
+        before = _fresh(pkg)
         (tmp_path / "scripts" / "check_docs.py").write_text("GATE = 2\n")
-        assert code_fingerprint(pkg, use_cache=False) != before
+        assert _fresh(pkg) != before
 
     def test_scripts_cannot_shadow_package_paths(self, tmp_path):
         # A scripts/x.py and a repro/scripts/x.py get distinct labels.
@@ -535,18 +533,17 @@ class TestCheckoutScripts:
         (pkg / "a.py").write_text("A = 1\n")
         (tmp_path / "scripts").mkdir()
         (tmp_path / "scripts" / "x.py").write_text("X = 1\n")
-        before = code_fingerprint(pkg, use_cache=False)
+        before = _fresh(pkg)
         (tmp_path / "scripts" / "x.py").write_text("X = 2\n")
-        assert code_fingerprint(pkg, use_cache=False) == before
+        assert _fresh(pkg) == before
 
 
 class TestMemoUnderContention:
     def test_concurrent_misses_agree_and_fill_the_memo(self, tmp_path):
-        # Regression for the _MEMO_LOCK guard: barrier-released threads
-        # all miss the memo at once; duplicate computes are allowed but
-        # every thread must return the same digest and the memo must
-        # end up filled (a torn dict write under free-threading would
-        # corrupt it).
+        # Regression for the memo's lock: barrier-released threads all
+        # miss the memo at once; every thread must return the same
+        # digest and the memo must end up filled (a torn dict write
+        # under free-threading would corrupt it).
         import threading
 
         root = _tree(tmp_path)

@@ -7,14 +7,18 @@ asserts the paper's claim about it.  A registered experiment is run by
 (``.repro-cache/``, or ``$REPRO_CACHE_DIR``) with the same keys as
 ``python -m repro <name>``, so a check that follows ``python -m repro
 all`` on unchanged code replays the CLI's results instead of
-recomputing them.  Longer traces are ``python -m repro <name>
---trace-len N``.
+recomputing them.  A shard that fails raises, as ``--fail-fast``
+does, so a claim is never checked on a partial merge.  Longer traces
+are ``python -m repro <name> --trace-len N``.
 """
 
 from repro.analysis import run_experiments
-from repro.runner import ResultCache
+from repro.runner import ResultCache, SupervisionPolicy
 
 
 def run_registered(name: str):
     """What ``python -m repro <name>`` computes and caches."""
-    return run_experiments([name], cache=ResultCache())[0][name]
+    results, _ = run_experiments(
+        [name], cache=ResultCache(),
+        policy=SupervisionPolicy(fail_fast=True))
+    return results[name]

@@ -122,10 +122,6 @@ class ResultCache:
                     self._slices[entry] = (self.fingerprint, "tree")
             return self._slices[entry]
 
-    def key(self, call_id: str, kwargs: dict[str, Any],
-            entry: str | None = None) -> str:
-        return entry_key(call_id, kwargs, self.fingerprint_for(entry)[0])
-
     def _paths(self, key: str) -> tuple[Path, Path]:
         shard = self.root / key[:2]
         return shard / f"{key}.pkl", shard / f"{key}.json"

@@ -148,14 +148,23 @@ class TestCLI:
             in capsys.readouterr().err
 
 
+def _paper_check_helper():
+    """``benchmarks/conftest.py``, loaded as a plain module."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_conftest", REPO_ROOT / "benchmarks" / "conftest.py")
+    helper = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(helper)
+    return helper
+
+
 class TestPaperChecksShareTheCLICache:
     def test_benchmark_helper_replays_what_the_cli_stored(
             self, capsys, tmp_path, monkeypatch):
         # benchmarks/ asserts the paper's claims on what its helper
         # returns; after `repro table1` that must be the CLI's cached
         # result, served under the same keys, with nothing stored anew.
-        import importlib.util
-
         from repro.analysis import run_experiments
         from repro.analysis.docs import render_result
 
@@ -165,10 +174,7 @@ class TestPaperChecksShareTheCLICache:
         stored = sorted(cache.rglob("*.pkl"))
         assert stored
 
-        spec = importlib.util.spec_from_file_location(
-            "benchmarks_conftest", REPO_ROOT / "benchmarks" / "conftest.py")
-        helper = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(helper)
+        helper = _paper_check_helper()
         runs = []
 
         def recording(*args, **kwargs):
@@ -184,6 +190,20 @@ class TestPaperChecksShareTheCLICache:
         assert {task.cache for task in metrics.tasks} == {"hit"}
         assert sorted(cache.rglob("*.pkl")) == stored
         assert render_result(result) in printed
+
+    def test_benchmark_helper_raises_on_a_failed_shard(
+            self, cache_dir, fail_tasks):
+        # A paper claim checked on the merge of the healthy shards alone
+        # could pass with data missing, so one failed shard fails the
+        # helper instead of being quarantined.
+        from repro.analysis import SPECS
+        from repro.runner import FailFastError
+        from tests.failing_tasks import Boom
+
+        first = SPECS["table4"].shard_values[0]
+        fail_tasks(f"table4/{first}", boom)
+        with pytest.raises(FailFastError, match=Boom.__name__):
+            _paper_check_helper().run_registered("table4")
 
 
 class TestCLIObservability:

@@ -4,16 +4,22 @@ import textwrap
 
 from repro.common import tally
 from repro.runner import ResultCache, code_fingerprint
+from repro.runner.cache import entry_key
 
 
 def _cache(tmp_path, fingerprint="f" * 64):
     return ResultCache(tmp_path / "cache", fingerprint=fingerprint)
 
 
+def _key(cache, call_id, kwargs, entry=None):
+    """The key ``run_tasks`` gives ``call_id`` on ``kwargs`` in ``cache``."""
+    return entry_key(call_id, kwargs, cache.fingerprint_for(entry)[0])
+
+
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {"n": 3})
+        key = _key(cache, "experiment:demo", {"n": 3})
         assert cache.load(key) is None
         cache.store(key, {"value": 42}, {"tallies": {"gspn_firings": 7}})
         entry = cache.load(key)
@@ -23,33 +29,32 @@ class TestResultCache:
 
     def test_key_depends_on_kwargs(self, tmp_path):
         cache = _cache(tmp_path)
-        assert cache.key("experiment:demo", {"n": 3}) != cache.key(
-            "experiment:demo", {"n": 4}
-        )
+        assert _key(cache, "experiment:demo", {"n": 3}) != _key(
+            cache, "experiment:demo", {"n": 4})
 
     def test_key_depends_on_call_id(self, tmp_path):
         cache = _cache(tmp_path)
-        assert cache.key("experiment:a", {}) != cache.key("experiment:b", {})
+        assert _key(cache, "experiment:a", {}) != _key(
+            cache, "experiment:b", {})
 
     def test_kwarg_order_is_canonical(self, tmp_path):
         cache = _cache(tmp_path)
-        assert cache.key("x", {"a": 1, "b": 2}) == cache.key(
-            "x", {"b": 2, "a": 1}
-        )
+        assert _key(cache, "x", {"a": 1, "b": 2}) == _key(
+            cache, "x", {"b": 2, "a": 1})
 
     def test_code_fingerprint_invalidates(self, tmp_path):
         old = ResultCache(tmp_path / "cache", fingerprint="a" * 64)
         new = ResultCache(tmp_path / "cache", fingerprint="b" * 64)
-        key = old.key("experiment:demo", {"n": 3})
+        key = _key(old, "experiment:demo", {"n": 3})
         old.store(key, "stale", {})
         # The same logical computation under new code is a different key,
         # so the stale entry can never be returned.
-        assert new.key("experiment:demo", {"n": 3}) != key
-        assert new.load(new.key("experiment:demo", {"n": 3})) is None
+        assert _key(new, "experiment:demo", {"n": 3}) != key
+        assert new.load(_key(new, "experiment:demo", {"n": 3})) is None
 
     def test_damaged_entry_is_a_miss(self, tmp_path):
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {})
+        key = _key(cache, "experiment:demo", {})
         cache.store(key, [1, 2, 3], {})
         pkl, _ = cache._paths(key)
         pkl.write_bytes(b"not a pickle")
@@ -59,7 +64,7 @@ class TestResultCache:
         # A corrupt .pkl must be renamed aside so it is read (and fails)
         # exactly once, and the event must surface in the tallies.
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {})
+        key = _key(cache, "experiment:demo", {})
         cache.store(key, [1, 2, 3], {"tallies": {}})
         pkl, meta = cache._paths(key)
         pkl.write_bytes(b"not a pickle")
@@ -81,7 +86,7 @@ class TestResultCache:
 
     def test_damaged_meta_quarantines_both_files(self, tmp_path):
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {})
+        key = _key(cache, "experiment:demo", {})
         cache.store(key, "value", {})
         pkl, meta = cache._paths(key)
         meta.write_text("{not json")
@@ -95,7 +100,7 @@ class TestResultCache:
         # *before* the protocol (or a filesystem fault) still can, and
         # that entry must quarantine exactly like any other damage.
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {})
+        key = _key(cache, "experiment:demo", {})
         cache.store(key, list(range(100)), {})
         pkl, _ = cache._paths(key)
         pkl.write_bytes(pkl.read_bytes()[:10])  # torn mid-payload
@@ -142,7 +147,7 @@ class TestConcurrentStore:
         import threading
 
         cache = _cache(tmp_path)
-        key = cache.key("experiment:demo", {"n": 1})
+        key = _key(cache, "experiment:demo", {"n": 1})
         payloads = [list(range(i, i + 1000)) for i in range(8)]
         barrier = threading.Barrier(len(payloads))
 
@@ -200,23 +205,23 @@ class TestSliceKeying:
     def test_edit_outside_slice_keeps_key(self, tmp_path):
         root = _sliceable(tmp_path)
         cache = ResultCache(tmp_path / "cache", package_root=root)
-        key = cache.key("experiment:demo", {"n": 3},
-                        entry="spkg.entry.experiment")
+        key = _key(cache, "experiment:demo", {"n": 3},
+                   entry="spkg.entry.experiment")
         (root / "exporter.py").write_text("FORMAT = 'csv'\n")
         fresh = ResultCache(tmp_path / "cache", package_root=root)
         assert fresh.fingerprint != cache.fingerprint  # tree hash moved
-        assert fresh.key("experiment:demo", {"n": 3},
-                         entry="spkg.entry.experiment") == key
+        assert _key(fresh, "experiment:demo", {"n": 3},
+                    entry="spkg.entry.experiment") == key
 
     def test_edit_inside_slice_changes_key(self, tmp_path):
         root = _sliceable(tmp_path)
         cache = ResultCache(tmp_path / "cache", package_root=root)
-        key = cache.key("experiment:demo", {"n": 3},
-                        entry="spkg.entry.experiment")
+        key = _key(cache, "experiment:demo", {"n": 3},
+                   entry="spkg.entry.experiment")
         (root / "model.py").write_text("def simulate():\n    return 43\n")
         fresh = ResultCache(tmp_path / "cache", package_root=root)
-        assert fresh.key("experiment:demo", {"n": 3},
-                         entry="spkg.entry.experiment") != key
+        assert _key(fresh, "experiment:demo", {"n": 3},
+                    entry="spkg.entry.experiment") != key
 
     def test_degraded_slice_lands_on_pinned_fingerprint(self, tmp_path):
         # A dynamic import degrades the slice; the key must fall back to

@@ -21,8 +21,9 @@ silent model bug can poison the content-addressed result cache):
   depends on: no module-level RNG state, no wall-clock reads in
   simulator cores, no float ``==`` on simulated quantities, no mutable
   default arguments, no silently swallowed exceptions.  Findings can
-  be suppressed inline with ``# repro: allow(<rule>)``, a comment
-  every pass honours (:mod:`repro.check.report`); unknown or unused
+  be suppressed inline with ``# repro: allow(<rule>)``, a comment the
+  ``lints``, ``deps`` and ``units`` passes honour through one filter
+  (:func:`repro.check.report.apply_suppressions`); unknown or unused
   suppressions are themselves reported.
 - ``deps`` (:mod:`repro.check.deps`, on the graph of
   :mod:`repro.check.callgraph`) — whole-program dependency analysis:
@@ -42,6 +43,11 @@ silent model bug can poison the content-addressed result cache):
   parameter, a seconds↔cycles boundary missing
   ``cycles_for_time``/``time_for_cycles``) is an error with a
   call-chain witness from a registered entry point.
+
+``lints``, ``deps`` and ``units`` read no source themselves: they share
+the call graph of :func:`repro.runner.fingerprint.shared_callgraph`,
+which reads and parses each module once and keeps its text, tree and
+allow-comments for them.
 
 This ``__init__`` deliberately re-exports nothing: the runner's
 fingerprint slicer imports :mod:`repro.check.callgraph`, which executes

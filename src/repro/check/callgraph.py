@@ -35,6 +35,13 @@ the module (:attr:`ModuleInfo.dynamic_sites` /
 :attr:`ModuleInfo.unresolved_imports`) so consumers can degrade to the
 whole-tree view instead of trusting a hole.
 
+:func:`build_callgraph` is also the one reader of source for the
+``lints``, ``deps`` and ``units`` passes: each module is read, decoded
+and parsed once, and its :class:`ModuleInfo` keeps the text, the syntax
+tree, the ``# repro: allow(...)`` comments and any read error for every
+pass to consume, with :meth:`ModuleInfo.resolve` as their one name
+resolver.  The import scan keeps none of these.
+
 The module is self-contained (stdlib only, no ``repro`` imports) so the
 runner can load it without pulling in the verification passes.
 """
@@ -42,6 +49,7 @@ runner can load it without pulling in the verification passes.
 from __future__ import annotations
 
 import ast
+import re
 import unicodedata
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -143,10 +151,28 @@ class ModuleInfo:
     # local name -> qualified target; lets callers follow a package
     # __init__'s `from x import f` re-exports to the defining module.
     reexports: dict[str, str] = field(default_factory=dict)
+    # Kept by build_callgraph (not the import scan) for the check passes.
+    text: str = field(default="", repr=False)
+    tree: ast.Module | None = field(default=None, repr=False)
+    allowed: dict[int, set[str]] = field(default_factory=dict)  # line -> rules
+    read_error: Exception | None = None  # why it could not be read or parsed
 
     @property
     def body(self) -> FunctionInfo:
         return self.functions[MODULE_BODY]
+
+    def resolve(self, dotted: str) -> str | None:
+        """Canonical dotted target of a name read in this module: through
+        its import table, else a module-level definition of its own."""
+        head, _, rest = dotted.partition(".")
+        if head in self.reexports:
+            base = self.reexports[head]
+        elif head in self.assigns or head in self.functions \
+                or head in self.classes:
+            base = f"{self.name}.{head}"
+        else:
+            return None
+        return f"{base}.{rest}" if rest else base
 
 
 class _ImportTable:
@@ -642,11 +668,22 @@ class CallGraph:
                     frontier.append(callee)
         return parents
 
+    def location(self, module: str, lineno: int) -> str:
+        """``path:line`` of a line of ``module``, relative to the
+        directory that holds the package."""
+        path = self.modules[module].path
+        try:
+            path = path.relative_to(self.root.parent)
+        except ValueError:
+            pass
+        return f"{path}:{lineno}"
+
     def witness(self, parents: dict[str, tuple[str, int] | None],
-                target: str) -> tuple[str, ...]:
+                target: str, leaf: str | None = None) -> tuple[str, ...]:
         """The call chain from an entry point to ``target``, one human-
-        readable step per hop, oldest first — the deps analogue of the
-        protocol checker's counterexample traces."""
+        readable step per hop, oldest first, then ``leaf`` if given — the
+        analogue of the protocol checker's counterexample traces.  Empty
+        when ``target`` is unreachable."""
         if target not in parents:
             return ()
         chain: list[str] = []
@@ -670,7 +707,10 @@ class CallGraph:
                 chain.append(f"{current}{where} called from "
                              f"{caller}:{lineno}")
                 current = caller
-        return tuple(reversed(chain))
+        chain.reverse()
+        if leaf is not None:
+            chain.append(leaf)
+        return tuple(chain)
 
 
 def canonicalize(graph: CallGraph, target: str) -> str:
@@ -755,6 +795,28 @@ def _resolve_one_call(graph: CallGraph, module: ModuleInfo,
 # named importlib, for `from . import import_module` to resolve there.
 _DYNAMIC_WORDS = ("importlib", "__import__")
 
+# The allow-comment the lints, deps and units passes all honour.
+_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")
+_RULE_TOKEN_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
+
+
+def _suppressions(text: str) -> dict[int, set[str]]:
+    """``# repro: allow(<rule>[, <rule>...])`` comments: line -> rules.
+
+    Only well-formed rule tokens (kebab-case identifiers) register, so
+    prose *about* the syntax — ``allow(<rule>)`` in a docstring — is
+    neither a suppression nor an unknown-suppression warning.
+    """
+    allowed: dict[int, set[str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        match = _ALLOW_RE.search(line)
+        if match:
+            rules = {part.strip() for part in match.group(1).split(",")}
+            rules = {rule for rule in rules if _RULE_TOKEN_RE.match(rule)}
+            if rules:
+                allowed[lineno] = rules
+    return allowed
+
 
 def _parse_file(path: Path) -> tuple[str, ast.Module]:
     """``path``'s source text and syntax tree."""
@@ -762,36 +824,50 @@ def _parse_file(path: Path) -> tuple[str, ast.Module]:
     return text, ast.parse(text, filename=str(path))
 
 
+def _model(info: ModuleInfo, tree: ast.Module, package: str,
+           known: dict[str, Path], *, full: bool,
+           text: str | None = None) -> ModuleInfo:
+    """Fill ``info`` from its syntax tree: the full visitor's facts when
+    ``full``, else the statement scan's.  Given ``text``, the module also
+    keeps it, its tree and its allow-comments for the check passes."""
+    if full:
+        walk: _ImportRecorder = _ModuleVisitor(info, package, known)
+        walk.visit(tree)
+    else:
+        info.functions[MODULE_BODY] = FunctionInfo(info.name, MODULE_BODY, 1)
+        walk = _StatementScan(info, package, known)
+        walk.scan(tree.body)
+    info.reexports = {**walk.table.modules, **walk.table.members}
+    if text is not None:
+        info.text, info.tree = text, tree
+        info.allowed = _suppressions(text)
+    return info
+
+
 def _read_module(name: str, path: Path, package: str,
                  known: dict[str, Path], *, full: bool) -> ModuleInfo:
-    """One module's facts: the full visitor's when ``full`` or when the
-    module may import dynamically, else the statement scan's.  A file
-    that fails to parse becomes a module with a dynamic-site hole (so
-    slices through it degrade)."""
+    """One module's facts: the full visitor's, with the text and tree
+    kept, when ``full``; else the statement scan's, or the full
+    visitor's when the module may import dynamically, keeping neither.
+    A file that cannot be read, decoded or parsed becomes a module with
+    its ``read_error`` and a dynamic-site hole (so slices through it
+    degrade)."""
     info = ModuleInfo(name=name, path=path)
     try:
         text, tree = _parse_file(path)
     except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+        info.read_error = exc.with_traceback(None)
         info.dynamic_sites.append((getattr(exc, "lineno", 0) or 0,
                                    f"unparseable module: {exc}"))
         info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)
         return info
-    if not full:
-        if not text.isascii():
-            text = unicodedata.normalize("NFKC", text)
-        full = package in _DYNAMIC_WORDS or any(
-            word in text for word in _DYNAMIC_WORDS)
     if full:
-        visitor = _ModuleVisitor(info, package, known)
-        visitor.visit(tree)
-        table = visitor.table
-    else:
-        info.functions[MODULE_BODY] = FunctionInfo(name, MODULE_BODY, 1)
-        scan = _StatementScan(info, package, known)
-        scan.scan(tree.body)
-        table = scan.table
-    info.reexports = {**table.modules, **table.members}
-    return info
+        return _model(info, tree, package, known, full=True, text=text)
+    if not text.isascii():
+        text = unicodedata.normalize("NFKC", text)
+    full = package in _DYNAMIC_WORDS or any(
+        word in text for word in _DYNAMIC_WORDS)
+    return _model(info, tree, package, known, full=full)
 
 
 def build_callgraph(root: Path | None = None,
@@ -799,9 +875,11 @@ def build_callgraph(root: Path | None = None,
     """Parse every module under ``root`` and build the whole-program graph.
 
     ``root`` defaults to the installed ``repro`` package directory;
-    ``package`` defaults to the directory name.  Files that fail to parse
-    are recorded as modules with a dynamic-site hole (so slices through
-    them degrade) rather than aborting the build.
+    ``package`` defaults to the directory name.  Each module keeps its
+    text, tree and allow-comments, so the check passes read nothing
+    again.  Files that fail to read, decode or parse are recorded as
+    modules with their ``read_error`` and a dynamic-site hole (so slices
+    through them degrade) rather than aborting the build.
     """
     if root is None:
         import repro

@@ -33,7 +33,10 @@ with the interprocedural graph of :mod:`repro.check.callgraph`:
   identically cached — results.
 
 Findings are suppressed by the same inline ``# repro: allow(<rule>)``
-comments the lint pass uses, placed on the reported line.
+comments the lint pass uses, placed on the reported line, through the
+one filter of :func:`repro.check.report.apply_suppressions`, which also
+reports a deps-rule comment that suppresses nothing as
+``unused-suppression``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,12 @@ from repro.check.callgraph import (
     ModuleInfo,
     canonicalize,
 )
-from repro.check.report import Finding, PassResult, suppressions
+from repro.check.report import (
+    Finding,
+    PassResult,
+    RawFinding,
+    apply_suppressions,
+)
 
 DEPS_RULES: tuple[str, ...] = (
     "module-rng",
@@ -64,29 +72,6 @@ DEPS_RULES: tuple[str, ...] = (
 _MAX_HOLES_SHOWN = 4
 
 
-def _location(graph: CallGraph, module: ModuleInfo, lineno: int) -> str:
-    path = module.path
-    try:
-        path = path.relative_to(graph.root.parent)
-    except ValueError:
-        pass
-    return f"{path}:{lineno}"
-
-
-def _resolve_module_name(graph: CallGraph, module: ModuleInfo,
-                         dotted: str) -> str | None:
-    """Canonical target of a bare/dotted name read inside ``module``."""
-    head, _, rest = dotted.partition(".")
-    if head in module.reexports:
-        base = module.reexports[head]
-    elif head in module.assigns or head in module.functions \
-            or head in module.classes:
-        base = f"{module.name}.{head}"
-    else:
-        return None
-    return f"{base}.{rest}" if rest else base
-
-
 def _module_generators(module: ModuleInfo) -> dict[str, int]:
     """Module-scope names bound to a fresh Generator -> lineno."""
     return {
@@ -100,9 +85,8 @@ class _DepsAnalysis:
     def __init__(self, graph: CallGraph,
                  entry_points: dict[str, str]) -> None:
         self.graph = graph
-        self.entry_points = entry_points
         self.result = PassResult("deps")
-        self._suppressions: dict[str, dict[int, set[str]]] = {}
+        self.raw: list[RawFinding] = []  # module:line findings, unsuppressed
         # experiment name -> resolved entry FunctionInfo
         self.entries: dict[str, FunctionInfo] = {}
         for experiment, target in sorted(entry_points.items()):
@@ -119,56 +103,39 @@ class _DepsAnalysis:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _allowed(self, module: ModuleInfo, lineno: int, rule: str) -> bool:
-        if module.name not in self._suppressions:
-            try:
-                source = module.path.read_text()
-            except (OSError, UnicodeDecodeError):
-                source = ""
-            self._suppressions[module.name] = suppressions(source)
-        return rule in self._suppressions[module.name].get(lineno, ())
-
     def _find(self, rule: str, severity: str, location: str, message: str,
               trace: tuple[str, ...] = ()) -> None:
         self.result.findings.append(
             Finding("deps", rule, severity, location, message, trace))
 
-    def _witness(self, fn: FunctionInfo, leaf: str) -> tuple[str, ...]:
-        """Entry-point call chain to ``fn`` plus a final ``leaf`` step."""
-        chain = self.graph.witness(self.parents, fn.name)
-        if not chain:
-            return ()
-        return (*chain, leaf)
-
-    def _reachable(self, fn: FunctionInfo) -> bool:
-        return fn.name in self.parents
+    def _flag(self, module: ModuleInfo, lineno: int, rule: str,
+              severity: str, message: str, trace: tuple[str, ...]) -> None:
+        self.raw.append((module.name, lineno, rule, severity, message, trace))
 
     # -- rules -------------------------------------------------------------
 
     def check_module_generators(self) -> None:
         """module-rng: a Generator bound at module scope is shared state."""
-        for module in self.graph.modules.values():
+        graph = self.graph
+        for module in graph.modules.values():
             for name, lineno in sorted(_module_generators(module).items()):
-                if self._allowed(module, lineno, "module-rng"):
-                    continue
                 trace: tuple[str, ...] = ()
                 for fn in module.functions.values():
                     if fn.qualname != MODULE_BODY \
                             and name in fn.global_reads \
-                            and self._reachable(fn):
-                        trace = self._witness(
-                            fn,
+                            and fn.name in self.parents:
+                        trace = graph.witness(
+                            self.parents, fn.name,
                             f"{fn.name} reads module-level generator "
                             f"'{name}' (defined at "
-                            f"{_location(self.graph, module, lineno)})")
+                            f"{graph.location(module.name, lineno)})")
                         break
                 reach = ("; reachable from a registered experiment "
                          "entry point — see trace" if trace else
                          "; not reachable from any registered entry "
                          "point, but still shared process state")
-                self._find(
-                    "module-rng", "error",
-                    _location(self.graph, module, lineno),
+                self._flag(
+                    module, lineno, "module-rng", "error",
                     f"module-level numpy Generator '{name}' is shared "
                     f"across every experiment in the process; thread a "
                     f"Generator from repro.common.rng.make_rng/split_rng "
@@ -177,7 +144,8 @@ class _DepsAnalysis:
 
     def check_stochastic_receivers(self) -> None:
         """unthreaded-rng: sampling from anything but a threaded local."""
-        for module in self.graph.modules.values():
+        graph = self.graph
+        for module in graph.modules.values():
             generators = _module_generators(module)
             for fn in module.functions.values():
                 for site in fn.stochastic:
@@ -186,34 +154,28 @@ class _DepsAnalysis:
                         continue  # instance state: threaded at construction
                     if head in fn.params or head in fn.locals:
                         continue  # parameter or locally created generator
-                    canonical = _resolve_module_name(
-                        self.graph, module, site.receiver)
+                    canonical = module.resolve(site.receiver)
                     offender = None
                     if site.receiver in generators or head in generators:
                         offender = f"{module.name}.{head}"
                     elif canonical is not None:
                         owner_mod, _, attr = canonical.rpartition(".")
-                        owner = self.graph.modules.get(owner_mod)
+                        owner = graph.modules.get(owner_mod)
                         if owner is not None and attr in _module_generators(owner):
                             offender = canonical
                     if offender is None:
                         continue
-                    if self._allowed(module, site.lineno, "unthreaded-rng"):
-                        continue
-                    trace = self._witness(
-                        fn,
-                        f"{fn.name} samples .{site.method}() from "
-                        f"module-level generator {offender} at "
-                        f"{_location(self.graph, module, site.lineno)}") \
-                        if self._reachable(fn) else ()
-                    self._find(
-                        "unthreaded-rng", "error",
-                        _location(self.graph, module, site.lineno),
+                    where = graph.location(module.name, site.lineno)
+                    self._flag(
+                        module, site.lineno, "unthreaded-rng", "error",
                         f"stochastic call {site.receiver}.{site.method}() "
                         f"draws from module-level generator {offender} "
                         f"instead of an explicitly threaded parameter; "
                         f"seed isolation between experiments is broken",
-                        trace)
+                        graph.witness(
+                            self.parents, fn.name,
+                            f"{fn.name} samples .{site.method}() from "
+                            f"module-level generator {offender} at {where}"))
 
     def check_seed_drops(self) -> None:
         """seed-drop: a seed parameter the function never reads."""
@@ -226,27 +188,27 @@ class _DepsAnalysis:
                         continue
                     if param in fn.reads:
                         continue
-                    if self._allowed(module, fn.lineno, "seed-drop"):
-                        continue
-                    self._find(
-                        "seed-drop", "warning",
-                        _location(self.graph, module, fn.lineno),
+                    self._flag(
+                        module, fn.lineno, "seed-drop", "warning",
                         f"{fn.name}() accepts '{param}' but never reads "
                         f"it — callers passing different seeds get "
                         f"identical (and identically cached) results",
-                        self._witness(fn, f"{fn.name} drops '{param}'"))
+                        self.graph.witness(self.parents, fn.name,
+                                           f"{fn.name} drops '{param}'"))
 
     def check_mutable_globals(self) -> None:
         """mutable-global: module state mutated on an experiment path."""
-        for module in self.graph.modules.values():
+        graph = self.graph
+        for module in graph.modules.values():
             for assign in module.assigns.values():
                 if not assign.mutable_literal:
                     continue
                 canonical_target = f"{module.name}.{assign.name}"
                 witness: tuple[str, ...] = ()
-                for other in self.graph.modules.values():
+                for other in graph.modules.values():
                     for fn in other.functions.values():
-                        if fn.qualname == MODULE_BODY or not self._reachable(fn):
+                        if fn.qualname == MODULE_BODY \
+                                or fn.name not in self.parents:
                             continue
                         for name, lineno in fn.mutations:
                             head = name.split(".")[0]
@@ -254,15 +216,12 @@ class _DepsAnalysis:
                                 continue
                             if head in fn.locals and other.name != module.name:
                                 continue
-                            resolved = _resolve_module_name(self.graph, other, name)
-                            if resolved != canonical_target:
+                            if other.resolve(name) != canonical_target:
                                 continue
-                            if self._allowed(other, lineno, "mutable-global"):
-                                continue
-                            witness = self._witness(
-                                fn,
+                            witness = graph.witness(
+                                self.parents, fn.name,
                                 f"{fn.name} mutates {canonical_target} at "
-                                f"{_location(self.graph, other, lineno)}")
+                                f"{graph.location(other.name, lineno)}")
                             break
                         if witness:
                             break
@@ -270,11 +229,8 @@ class _DepsAnalysis:
                         break
                 if not witness:
                     continue
-                if self._allowed(module, assign.lineno, "mutable-global"):
-                    continue
-                self._find(
-                    "mutable-global", "warning",
-                    _location(self.graph, module, assign.lineno),
+                self._flag(
+                    module, assign.lineno, "mutable-global", "warning",
                     f"module-level mutable '{assign.name}' is mutated by "
                     f"code reachable from an experiment entry point; "
                     f"state carried across tasks escapes the (code, "
@@ -284,9 +240,10 @@ class _DepsAnalysis:
 
     def check_untracked_inputs(self) -> None:
         """untracked-input: env/file reads on an experiment path."""
-        for module in self.graph.modules.values():
+        graph = self.graph
+        for module in graph.modules.values():
             for fn in module.functions.values():
-                if fn.qualname == MODULE_BODY or not self._reachable(fn):
+                if fn.qualname == MODULE_BODY or fn.name not in self.parents:
                     continue
                 # One site may register several times (``os.environ.get``
                 # is an attribute chain AND a call); report each line once.
@@ -294,16 +251,14 @@ class _DepsAnalysis:
                     {(n, "reads os.environ") for n in fn.env_reads}
                     | {(n, "reads a file") for n in fn.file_reads})
                 for lineno, what in sites:
-                    if self._allowed(module, lineno, "untracked-input"):
-                        continue
-                    self._find(
-                        "untracked-input", "warning",
-                        _location(self.graph, module, lineno),
+                    where = graph.location(module.name, lineno)
+                    self._flag(
+                        module, lineno, "untracked-input", "warning",
                         f"{fn.name} {what} on a path reachable from an "
                         f"experiment entry point; the value influences "
                         f"results but is invisible to the cache key",
-                        self._witness(fn, f"{fn.name} {what} at "
-                                      f"{_location(self.graph, module, lineno)}"))
+                        graph.witness(self.parents, fn.name,
+                                      f"{fn.name} {what} at {where}"))
 
     def check_slices(self) -> None:
         """unresolvable-edge: holes that degrade a slice to the tree hash."""
@@ -346,6 +301,8 @@ class _DepsAnalysis:
         self.check_untracked_inputs()
         self.check_slices()
         graph = self.graph
+        self.result.findings.extend(apply_suppressions(
+            "deps", self.raw, graph.modules, DEPS_RULES, graph.location))
         self.result.info.update({
             "modules": len(graph.modules),
             "functions": len(graph.functions),

@@ -34,18 +34,26 @@ reject the ways that assumption quietly breaks:
   roots and :func:`lint_source` skip it unless asked, since fragments
   and fixtures legitimately lack docs.
 
+The pass reads nothing itself: it lints the modules of the call graph
+(:func:`repro.runner.fingerprint.shared_callgraph`), which reads, parses
+and resolves names for the ``deps`` and ``units`` passes too.  Names
+resolve through :meth:`repro.check.callgraph.ModuleInfo.resolve`, so a
+relative import (``from .random import helper``) names the package's
+own module, not the stdlib one.  A module the graph could not read or
+parse is an ``io`` or ``syntax`` error.
+
 A finding on a line containing ``# repro: allow(<rule>[, <rule>...])``
 is suppressed — the suppression is part of the reviewed source, so every
 exemption is deliberate and visible in diffs.  The suppressions are
-themselves checked (:func:`repro.check.report.suppression_findings`):
+themselves checked (:func:`repro.check.report.apply_suppressions`):
 naming a rule no pass defines (``allow(wall-clok)`` guards nothing) is
 an ``unknown-suppression`` warning, and a lint-rule suppression on a
 line where that rule finds nothing is an ``unused-suppression`` warning,
 so stale exemptions cannot linger after the code they excused is gone.
 The rule namespace spans this pass, the ``deps`` pass
 (:data:`repro.check.deps.DEPS_RULES`) and the ``units`` pass
-(:data:`repro.check.units.UNITS_RULES`), whose findings honour the same
-comments; each pass polices unused suppressions of its own rules.
+(:data:`repro.check.units.UNITS_RULES`), whose findings go through the
+same filter; each pass polices unused suppressions of its own rules.
 """
 
 from __future__ import annotations
@@ -53,12 +61,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.check.callgraph import _dotted
+from repro.check.callgraph import ModuleInfo, _dotted, _model
 from repro.check.report import (
     Finding,
     PassResult,
-    suppression_findings,
-    suppressions,
+    RawFinding,
+    apply_suppressions,
 )
 
 LINT_RULES: tuple[str, ...] = (
@@ -86,64 +94,25 @@ _REPORTING_CALLS = {"log", "debug", "info", "warning", "warn", "error",
                     "format_exc", "print_exc"}
 
 
-class _Imports(ast.NodeVisitor):
-    """Which local names are bound to the modules the rules care about."""
-
-    def __init__(self) -> None:
-        self.modules: dict[str, str] = {}  # local name -> module path
-        self.members: dict[str, str] = {}  # local name -> module.member
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.modules[alias.asname or alias.name.split(".")[0]] = (
-                alias.name if alias.asname else alias.name.split(".")[0]
-            )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None:
-            return
-        for alias in node.names:
-            local = alias.asname or alias.name
-            qualified = f"{node.module}.{alias.name}"
-            # `from numpy import random` binds a module, not a member.
-            if qualified in ("numpy.random", "datetime.datetime",
-                            "datetime.date"):
-                self.modules[local] = qualified
-            else:
-                self.members[local] = qualified
-
-
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str, imports: _Imports) -> None:
-        self.path = path
-        self.imports = imports
+    def __init__(self, info: ModuleInfo) -> None:
+        self.info = info
         self.findings: list[tuple[int, str, str]] = []  # (line, rule, msg)
 
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
         self.findings.append((node.lineno, rule, message))
 
-    def _resolve(self, dotted: str) -> str | None:
-        """Map a local dotted name to its canonical module path."""
-        head, _, rest = dotted.partition(".")
-        if head in self.imports.modules:
-            module = self.imports.modules[head]
-            return f"{module}.{rest}" if rest else module
-        if head in self.imports.members:
-            member = self.imports.members[head]
-            return f"{member}.{rest}" if rest else member
-        return None
-
     # -- global-rng / wall-clock ------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         dotted = _dotted(node)
-        resolved = self._resolve(dotted) if dotted else None
+        resolved = self.info.resolve(dotted) if dotted else None
         if resolved:
             self._check_resolved(node, resolved)
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        resolved = self._resolve(node.id)
+        resolved = self.info.resolve(node.id)
         if resolved:
             self._check_resolved(node, resolved)
 
@@ -293,6 +262,25 @@ def _doc_findings(
     return findings
 
 
+def _lint_module(info: ModuleInfo, require_module_doc: bool,
+                 required_docs: frozenset[str]) -> list[RawFinding]:
+    """One parsed module's lint findings before suppression, in line
+    order."""
+    linter = _Linter(info)
+    linter.visit(info.tree)
+    linter.findings.extend(
+        _doc_findings(info.tree, require_module_doc, required_docs))
+    return [(info.name, lineno, rule, "error", message, ())
+            for lineno, rule, message in sorted(linter.findings)]
+
+
+def _rules_run(doc_coverage: bool) -> tuple[str, ...]:
+    """The rules a scan runs.  A rule that did not run cannot have its
+    suppressions judged unused."""
+    return LINT_RULES if doc_coverage else tuple(
+        rule for rule in LINT_RULES if rule != "doc-coverage")
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -307,33 +295,15 @@ def lint_source(
     must carry one.  The default whole-tree scan turns both on for
     public modules; fragments and explicit roots stay exempt.
     """
-    tree = ast.parse(source, filename=path)
-    imports = _Imports()
-    imports.visit(tree)
-    linter = _Linter(path, imports)
-    linter.visit(tree)
-    doc_checks_ran = require_module_doc or bool(required_docs)
-    linter.findings.extend(
-        _doc_findings(tree, require_module_doc, required_docs)
-    )
-    allowed = suppressions(source)
-    findings = []
-    for lineno, rule, message in sorted(linter.findings):
-        if rule in allowed.get(lineno, ()):
-            continue
-        findings.append(
-            Finding("lints", rule, "error", f"{path}:{lineno}", message)
-        )
-    # A rule that did not run on this source cannot have its
-    # suppressions judged unused here.
-    ran = LINT_RULES if doc_checks_ran else tuple(
-        rule for rule in LINT_RULES if rule != "doc-coverage")
-    flagged = {(lineno, rule) for lineno, rule, _ in linter.findings}
-    findings.extend(suppression_findings(
-        "lints", allowed, ran, flagged, lambda lineno: f"{path}:{lineno}",
-        report_unknown=True,
-    ))
-    return findings
+    name = Path(path).stem
+    info = _model(ModuleInfo(name=name, path=Path(path)),
+                  ast.parse(source, filename=path), name, {}, full=True,
+                  text=source)
+    doc_coverage = require_module_doc or bool(required_docs)
+    return apply_suppressions(
+        "lints", _lint_module(info, require_module_doc, required_docs),
+        {info.name: info}, _rules_run(doc_coverage),
+        lambda _, lineno: f"{path}:{lineno}", report_unknown=True)
 
 
 def _entry_point_docs() -> dict[str, frozenset[str]]:
@@ -353,59 +323,43 @@ def _entry_point_docs() -> dict[str, frozenset[str]]:
 
 
 def lint_paths(roots: list[Path] | None = None) -> PassResult:
-    """Lint every ``*.py`` under the given roots (default: ``repro``).
+    """Lint every module of the packages at ``roots`` (default:
+    ``repro``), as the shared call graph read them.
 
     The default whole-tree scan additionally enforces ``doc-coverage``:
     public modules need module docstrings and registry/sweep entry
     points need function docstrings.  Explicit roots skip that rule —
     fixtures and scratch files are not public API.
     """
-    doc_coverage = roots is None
-    package_parent: Path | None = None
-    entry_docs: dict[str, frozenset[str]] = {}
-    if roots is None:
-        import repro
+    from repro.runner.fingerprint import shared_callgraph
 
-        roots = [Path(repro.__file__).parent]
-        package_parent = roots[0].parent
-        entry_docs = _entry_point_docs()
+    doc_coverage = roots is None
+    entry_docs = _entry_point_docs() if doc_coverage else {}
     result = PassResult("lints")
     files = 0
-    for root in roots:
-        paths = (sorted(root.rglob("*.py")) if root.is_dir() else [root])
-        for path in paths:
-            if "__pycache__" in path.parts:
-                continue
-            files += 1
-            try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError) as exc:
+    for root in [None] if roots is None else roots:
+        graph = shared_callgraph(root)
+        files += len(graph.modules)
+        raw: list[RawFinding] = []
+        for info in graph.modules.values():
+            error = info.read_error
+            if isinstance(error, SyntaxError):
                 result.findings.append(Finding(
-                    "lints", "io", "error", str(path),
-                    f"could not read: {exc}",
-                ))
-                continue
-            require_module_doc = False
-            required_docs: frozenset[str] = frozenset()
-            if doc_coverage and package_parent is not None:
-                rel = path.relative_to(package_parent).with_suffix("")
-                public = all(
-                    not part.startswith("_") for part in rel.parts[:-1]
-                ) and (rel.parts[-1] == "__init__"
-                       or not rel.parts[-1].startswith("_"))
-                require_module_doc = public
-                parts = [p for p in rel.parts if p != "__init__"]
-                required_docs = entry_docs.get(".".join(parts), frozenset())
-            try:
-                result.findings.extend(lint_source(
-                    source, str(path),
-                    require_module_doc=require_module_doc,
-                    required_docs=required_docs,
-                ))
-            except SyntaxError as exc:
+                    "lints", "syntax", "error", f"{info.path}:{error.lineno}",
+                    f"could not parse: {error.msg}"))
+            elif error is not None:
                 result.findings.append(Finding(
-                    "lints", "syntax", "error", f"{path}:{exc.lineno}",
-                    f"could not parse: {exc.msg}",
-                ))
+                    "lints", "io", "error", str(info.path),
+                    f"could not read: {error}"))
+            else:
+                public = not any(part.startswith("_")
+                                 for part in info.name.split("."))
+                raw.extend(_lint_module(
+                    info, doc_coverage and public,
+                    entry_docs.get(info.name, frozenset())))
+        result.findings.extend(apply_suppressions(
+            "lints", raw, graph.modules, _rules_run(doc_coverage),
+            lambda module, lineno: f"{graph.modules[module].path}:{lineno}",
+            report_unknown=True))
     result.info = {"files": files, "rules": len(LINT_RULES)}
     return result

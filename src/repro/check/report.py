@@ -1,4 +1,4 @@
-"""Finding/report types and the suppression comments shared by the
+"""Finding/report types and the one suppression filter of the
 ``repro.check`` passes.
 
 A :class:`Finding` is one diagnostic: which pass produced it, the rule
@@ -9,8 +9,11 @@ do not.
 
 A finding on a line containing ``# repro: allow(<rule>[, <rule>...])``
 is suppressed by the ``lints``, ``deps`` and ``units`` passes alike.
-:func:`suppressions` parses those comments and
-:func:`suppression_findings` polices them: a rule no pass defines is an
+The comments are parsed once per module when
+:func:`repro.check.callgraph.build_callgraph` reads it
+(:attr:`~repro.check.callgraph.ModuleInfo.allowed`), and each pass hands
+its raw findings to :func:`apply_suppressions`, which drops the
+suppressed ones and polices the comments: a rule no pass defines is an
 ``unknown-suppression`` warning, and a pass's own rule on a line where
 that pass finds nothing is an ``unused-suppression`` warning.
 """
@@ -18,12 +21,12 @@ that pass finds nothing is an ``unused-suppression`` warning.
 from __future__ import annotations
 
 import json
-import re
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-_ALLOW_RE = re.compile(r"#\s*repro:\s*allow\(([^)]*)\)")
-_RULE_TOKEN_RE = re.compile(r"[a-z][a-z0-9-]*\Z")
+if TYPE_CHECKING:
+    from repro.check.callgraph import ModuleInfo
 
 # Diagnostics about the suppression comments themselves.
 META_RULES: tuple[str, ...] = ("unknown-suppression", "unused-suppression")
@@ -137,24 +140,6 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def suppressions(source: str) -> dict[int, set[str]]:
-    """line number -> rules allowed on that line.
-
-    Only well-formed rule tokens (kebab-case identifiers) register, so
-    prose *about* the syntax — ``allow(<rule>)`` in a docstring — is
-    neither a suppression nor an unknown-suppression warning.
-    """
-    allowed: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _ALLOW_RE.search(line)
-        if match:
-            rules = {part.strip() for part in match.group(1).split(",")}
-            rules = {rule for rule in rules if _RULE_TOKEN_RE.match(rule)}
-            if rules:
-                allowed[lineno] = rules
-    return allowed
-
-
 def known_rules() -> frozenset[str]:
     """Every rule an allow-comment may legitimately name."""
     # The passes import this module; keep their imports lazy.
@@ -166,41 +151,59 @@ def known_rules() -> frozenset[str]:
             | frozenset(UNITS_RULES) | frozenset(META_RULES))
 
 
-def suppression_findings(
+#: A finding before suppression: ``(module, line, rule, severity,
+#: message, trace)``, the module by dotted name.
+RawFinding = tuple[str, int, str, str, str, tuple[str, ...]]
+
+
+def apply_suppressions(
     pass_name: str,
-    allowed: dict[int, set[str]],
+    raw: Iterable[RawFinding],
+    modules: Mapping[str, ModuleInfo],
     own_rules: Collection[str],
-    flagged: Collection[tuple[int, str]],
-    location: Callable[[int], str],
+    location: Callable[[str, int], str],
     *,
     report_unknown: bool = False,
 ) -> list[Finding]:
-    """Warnings about one module's allow-comments, in line then rule order.
+    """One pass's findings after its modules' allow-comments.
 
-    ``allowed`` is the module's :func:`suppressions`; ``flagged`` holds
-    the ``(line, rule)`` pairs the pass found before suppression.  Only
+    Module by module, in ``modules`` order: the ``raw`` findings no
+    comment on their line allows, in the order given, then the warnings
+    about that module's comments in line then rule order.  Only
     ``own_rules`` can be judged unused, because a pass cannot see the
     findings another pass's rules suppress.  ``report_unknown`` also
     flags rules outside :func:`known_rules` (the ``lints`` pass does
-    this once for every module).
+    this once for every module).  ``location`` renders a module's line.
     """
+    by_module: dict[str, list[RawFinding]] = {}
+    for finding in raw:
+        by_module.setdefault(finding[0], []).append(finding)
     known = known_rules() if report_unknown else frozenset()
     findings: list[Finding] = []
-    for lineno in sorted(allowed):
-        for rule in sorted(allowed[lineno]):
-            if report_unknown and rule not in known:
-                findings.append(Finding(
-                    pass_name, "unknown-suppression", "warning",
-                    location(lineno),
-                    f"allow({rule}) names no known rule — it guards "
-                    f"nothing (known rules: "
-                    f"{', '.join(sorted(known - set(META_RULES)))})",
-                ))
-            elif rule in own_rules and (lineno, rule) not in flagged:
-                findings.append(Finding(
-                    pass_name, "unused-suppression", "warning",
-                    location(lineno),
-                    f"allow({rule}) suppresses nothing on this line; "
-                    f"the code it excused is gone — remove the comment",
-                ))
+    for name, info in modules.items():
+        flagged = set()
+        for _, lineno, rule, severity, message, trace in by_module.get(
+                name, ()):
+            flagged.add((lineno, rule))
+            if rule not in info.allowed.get(lineno, ()):
+                findings.append(Finding(pass_name, rule, severity,
+                                        location(name, lineno), message,
+                                        trace))
+        for lineno in sorted(info.allowed):
+            for rule in sorted(info.allowed[lineno]):
+                if report_unknown and rule not in known:
+                    findings.append(Finding(
+                        pass_name, "unknown-suppression", "warning",
+                        location(name, lineno),
+                        f"allow({rule}) names no known rule — it guards "
+                        f"nothing (known rules: "
+                        f"{', '.join(sorted(known - set(META_RULES)))})",
+                    ))
+                elif rule in own_rules and (lineno, rule) not in flagged:
+                    findings.append(Finding(
+                        pass_name, "unused-suppression", "warning",
+                        location(name, lineno),
+                        f"allow({rule}) suppresses nothing on this line; "
+                        f"the code it excused is gone — remove the comment",
+                    ))
     return findings

@@ -36,10 +36,13 @@ through the code and reports where they collide:
 | ``unit-unknown-return`` | warning | a public time/cycles/freq-suffixed function whose return dim the analysis cannot infer (an unknown-dimension escape at an API boundary) |
 | ``unit-annotation`` | warning | a registry entry or inline ``unit(...)`` comment that names an unknown token or a name the tree no longer has |
 
+The pass reads no source itself: each module's tree, text and
+allow-comments come from the shared call graph, and names resolve
+through :meth:`repro.check.callgraph.ModuleInfo.resolve`.
 Suppressions share the established ``# repro: allow(<rule>)`` namespace
 (on the reported line); unit-rule suppressions that suppress nothing are
 reported as ``unused-suppression`` by this pass, through the same
-:func:`repro.check.report.suppression_findings` the lints use.
+:func:`repro.check.report.apply_suppressions` the other passes use.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from repro.check.dimensions import (
 from repro.check.report import (
     Finding,
     PassResult,
-    suppression_findings,
-    suppressions,
+    RawFinding,
+    apply_suppressions,
 )
 
 UNITS_RULES: tuple[str, ...] = (
@@ -105,35 +108,6 @@ class _Sig:
     module: str = ""
 
 
-class _ModuleUnits:
-    """Parsed per-module facts: AST, unit comments, suppressions."""
-
-    def __init__(self, info: ModuleInfo) -> None:
-        self.info = info
-        self.source = ""
-        self.tree: ast.Module | None = None
-        try:
-            self.source = info.path.read_text()
-            self.tree = ast.parse(self.source, filename=str(info.path))
-        except (OSError, UnicodeDecodeError, SyntaxError):
-            self.tree = None  # callgraph already records the hole
-        self.unit_lines = unit_comments(self.source) if self.source else {}
-        self.allowed = suppressions(self.source)
-
-    def resolve(self, dotted: str) -> str | None:
-        """Canonical dotted target of a name read in this module."""
-        head, _, rest = dotted.partition(".")
-        info = self.info
-        if head in info.reexports:
-            base = info.reexports[head]
-        elif head in info.assigns or head in info.functions \
-                or head in info.classes:
-            base = f"{info.name}.{head}"
-        else:
-            return None
-        return f"{base}.{rest}" if rest else base
-
-
 class _UnitsAnalysis:
     """The whole-tree pass: collect signatures, infer, then report."""
 
@@ -142,8 +116,11 @@ class _UnitsAnalysis:
         self.graph = graph
         self.annotations = annotations
         self.result = PassResult("units")
-        self.modules: dict[str, _ModuleUnits] = {
-            name: _ModuleUnits(info) for name, info in graph.modules.items()
+        self.raw: list[RawFinding] = []  # module:line findings, unsuppressed
+        # module -> line -> token of its inline unit comments
+        self.unit_tokens: dict[str, dict[int, str]] = {
+            name: unit_comments(info.text)
+            for name, info in graph.modules.items()
         }
         self.fn_sigs: dict[str, _Sig] = {}
         self.class_fields: dict[str, list[tuple[str, Dim | None]]] = {}
@@ -160,33 +137,21 @@ class _UnitsAnalysis:
         self.entry_count = len(entries)
         self.parents = graph.reachable(entries)
 
-    # -- annotation / suppression plumbing ---------------------------------
+    # -- annotation plumbing -----------------------------------------------
 
     def _annotation_dim(self, key: str) -> Dim | None:
         token = self.annotations.get(key)
         return UNITS.get(token) if token else None
 
-    def _location(self, module: _ModuleUnits, lineno: int) -> str:
-        path = module.info.path
-        try:
-            path = path.relative_to(self.graph.root.parent)
-        except ValueError:
-            pass
-        return f"{path}:{lineno}"
-
-    def _line_dim(self, module: _ModuleUnits, lineno: int) -> Dim | None:
+    def _line_dim(self, module: ModuleInfo, lineno: int) -> Dim | None:
         """A valid inline ``# repro: unit(...)`` declaration on a line."""
-        token = module.unit_lines.get(lineno)
+        token = self.unit_tokens[module.name].get(lineno)
         return UNITS.get(token) if token else None
-
-    def _witness(self, fn_name: str, leaf: str) -> tuple[str, ...]:
-        chain = self.graph.witness(self.parents, fn_name)
-        return (*chain, leaf) if chain else ()
 
     # -- signature collection ----------------------------------------------
 
     def collect_signatures(self) -> None:
-        for module in self.modules.values():
+        for module in self.graph.modules.values():
             if module.tree is None:
                 continue
             for stmt in module.tree.body:
@@ -202,8 +167,8 @@ class _UnitsAnalysis:
         for name in drop:
             del self.attr_dims[name]
 
-    def _collect_class(self, module: _ModuleUnits, node: ast.ClassDef) -> None:
-        key = f"{module.info.name}.{node.name}"
+    def _collect_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
+        key = f"{module.name}.{node.name}"
         fields: list[tuple[str, Dim | None]] = []
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(
@@ -212,7 +177,7 @@ class _UnitsAnalysis:
                 dim = (self._line_dim(module, stmt.lineno)
                        or self._annotation_dim(f"{key}.{fname}")
                        or suffix_dim(fname))
-                if module.unit_lines.get(stmt.lineno) \
+                if self.unit_tokens[module.name].get(stmt.lineno) \
                         or self.annotations.get(f"{key}.{fname}"):
                     self.explicit += 1
                     prior = self.attr_dims.get(fname, dim)
@@ -225,12 +190,12 @@ class _UnitsAnalysis:
                                        qual=f"{node.name}.{stmt.name}")
         self.class_fields[key] = fields
 
-    def _collect_function(self, module: _ModuleUnits,
+    def _collect_function(self, module: ModuleInfo,
                           node: ast.FunctionDef | ast.AsyncFunctionDef,
                           qual: str) -> None:
-        key = f"{module.info.name}.{qual}"
+        key = f"{module.name}.{qual}"
         sig = _Sig(name=key, lineno=node.lineno, node=node,
-                   module=module.info.name)
+                   module=module.name)
         args = node.args
         ordered = [*args.posonlyargs, *args.args]
         sig.has_self = bool(ordered) and ordered[0].arg in ("self", "cls")
@@ -282,22 +247,21 @@ class _UnitsAnalysis:
                        for fname, _ in fs)
                 or any(sig.name == module_name and attr in sig.by_name
                        for sig in self.fn_sigs.values())
-                or (module_name in self.modules
-                    and attr in self.modules[module_name].info.assigns)
+                or (module_name in self.graph.modules
+                    and attr in self.graph.modules[module_name].assigns)
             )
             if not known:
                 self._find("unit-annotation", "warning", key,
                            f"annotation registry entry {key} names no "
                            f"known function, field, parameter or module "
                            f"constant — remove or update it")
-        for module in self.modules.values():
-            for lineno, token in sorted(module.unit_lines.items()):
+        for name, tokens in self.unit_tokens.items():
+            for lineno, token in sorted(tokens.items()):
                 if token not in UNITS:
-                    self._find("unit-annotation", "warning",
-                               self._location(module, lineno),
-                               f"# repro: unit({token}) names no known "
-                               f"unit token (known: "
-                               f"{', '.join(sorted(UNITS))})")
+                    self.raw.append((
+                        name, lineno, "unit-annotation", "warning",
+                        f"# repro: unit({token}) names no known unit "
+                        f"token (known: {', '.join(sorted(UNITS))})", ()))
 
     # -- findings ------------------------------------------------------------
 
@@ -317,39 +281,30 @@ class _UnitsAnalysis:
             for sig in self.fn_sigs.values():
                 if sig.node is None:
                     continue
-                fn = _FunctionFlow(self, self.modules[sig.module], sig,
+                fn = _FunctionFlow(self, self.graph.modules[sig.module], sig,
                                    collect=False)
                 self.inferred[sig.name] = sig.declared_return \
                     or fn.run_and_infer()
-        flagged: dict[str, set[tuple[int, str]]] = {}
         for sig in self.fn_sigs.values():
             if sig.node is None:
                 continue
-            module = self.modules[sig.module]
-            flow = _FunctionFlow(self, module, sig, collect=True)
+            flow = _FunctionFlow(self, self.graph.modules[sig.module], sig,
+                                 collect=True)
             flow.run_and_infer()
-            module_flagged = flagged.setdefault(sig.module, set())
             for lineno, rule, message in flow.findings:
-                module_flagged.add((lineno, rule))
-                if rule in module.allowed.get(lineno, ()):
-                    continue
                 severity = "warning" if rule in (
                     "unit-unknown-return", "unit-annotation") else "error"
-                trace = ()
-                if severity == "error" and sig.name in self.parents:
-                    trace = self._witness(sig.name, message)
-                self._find(rule, severity,
-                           self._location(module, lineno), message, trace)
+                trace = self.graph.witness(self.parents, sig.name, message) \
+                    if severity == "error" else ()
+                self.raw.append(
+                    (sig.module, lineno, rule, severity, message, trace))
         self.check_annotations()
-        for name, module in sorted(self.modules.items()):
-            self.result.findings.extend(suppression_findings(
-                "units", module.allowed, UNITS_RULES,
-                flagged.get(name, set()),
-                lambda lineno, module=module: self._location(module, lineno),
-            ))
+        self.result.findings.extend(apply_suppressions(
+            "units", self.raw, self.graph.modules, UNITS_RULES,
+            self.graph.location))
         self.result.findings.sort(key=lambda f: (f.rule, f.location))
         self.result.info.update({
-            "modules": len(self.modules),
+            "modules": len(self.graph.modules),
             "functions": len(self.fn_sigs),
             "seeded_names": self.seeded,
             "explicit_annotations": self.explicit,
@@ -368,7 +323,7 @@ class _FunctionFlow:
     records findings; without, it only infers the return dim.
     """
 
-    def __init__(self, owner: _UnitsAnalysis, module: _ModuleUnits,
+    def __init__(self, owner: _UnitsAnalysis, module: ModuleInfo,
                  sig: _Sig, collect: bool) -> None:
         self.owner = owner
         self.module = module
@@ -765,14 +720,6 @@ class _FunctionFlow:
                     f"{callee}(), which declares '{fdim}'")
 
 
-def default_entry_points() -> dict[str, str]:
-    """The same roots as the ``deps`` pass: registered experiments plus
-    the sweep point."""
-    from repro.check.deps import registry_entry_points
-
-    return registry_entry_points()
-
-
 def check_units(root: Path | None = None,
                 entry_points: dict[str, str] | None = None,
                 annotations: dict[str, str] | None = None) -> PassResult:
@@ -784,11 +731,12 @@ def check_units(root: Path | None = None,
     bases (the witness roots); ``annotations`` defaults to the shipped
     registry (:data:`repro.check.dimensions.ANNOTATIONS`).
     """
+    from repro.check.deps import registry_entry_points
     from repro.runner.fingerprint import shared_callgraph
 
     graph = shared_callgraph(root)
     if entry_points is None:
-        entry_points = default_entry_points() if root is None else {}
+        entry_points = registry_entry_points() if root is None else {}
     if annotations is None:
         annotations = ANNOTATIONS
     return _UnitsAnalysis(graph, entry_points, annotations).run()

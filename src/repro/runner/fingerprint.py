@@ -31,8 +31,8 @@ a module the first time a slice reaches it and walks its statements
 only, so a process parses each module of the entries' import closures
 once, however many entry points it slices, and another module only
 when an entry's dotted name passes through it.  Slicing builds no call
-graph: the whole-program one serves the ``deps`` and ``units`` check
-passes alone, and nothing may mutate it.
+graph: the whole-program one serves the ``lints``, ``deps`` and
+``units`` check passes alone, and nothing may mutate it.
 """
 
 from __future__ import annotations

@@ -33,6 +33,9 @@ UNREACHED_ALLOWED = {
         "test isolation hook: clears span records and open spans",
     "repro.obs.spans.disable":
         "test isolation hook: turns tracing back off after enable()",
+    "repro.check.lints.lint_source":
+        "lints one source text for the rule tests; the pass itself lints "
+        "the modules the shared call graph read",
     "repro.runner.fingerprint.invalidate":
         "drops memoized digests and call graphs; perfbench's pipeline "
         "workload calls it through an attribute the walk cannot follow",
@@ -246,8 +249,8 @@ class TestNonUtf8Source:
             "# caf\u00e9\ndef helper():\n    return 1\n".encode("latin-1"))
         return root
 
-    def test_every_source_reader_reports_it(self, tmp_path):
-        from repro.check.deps import _DepsAnalysis, check_deps
+    def test_every_pass_reports_it(self, tmp_path):
+        from repro.check.deps import check_deps
         from repro.check.lints import lint_paths
         from repro.check.units import check_units
         from repro.runner.fingerprint import slice_fingerprint
@@ -256,9 +259,10 @@ class TestNonUtf8Source:
         graph = build_callgraph(root)
         latin = graph.modules["pkg.latin"]
         assert "unparseable module" in latin.dynamic_sites[0][1]
-        # The graph holds no facts of the module for a deps rule to fire
-        # on, so its suppression reader is asked directly.
-        assert not _DepsAnalysis(graph, {})._allowed(latin, 1, "module-rng")
+        # The one read records the error; no pass sees text, a tree or
+        # allow-comments of the module.
+        assert isinstance(latin.read_error, UnicodeDecodeError)
+        assert (latin.text, latin.tree, latin.allowed) == ("", None, {})
         lints = lint_paths([root])
         assert [(f.rule, f.severity, f.location) for f in lints.findings] == [
             ("io", "error", str(root / "latin.py"))]
@@ -270,6 +274,51 @@ class TestNonUtf8Source:
         sliced = slice_fingerprint("pkg.entry.experiment", root)
         assert sliced.kind == "tree"
         assert "unparseable module" in sliced.reason
+
+
+class TestOneReadPerModule:
+    """The lints, deps and units passes share one read and one parse of
+    each module: the shared call graph's."""
+
+    def test_each_module_is_read_and_parsed_once(
+            self, tmp_path, monkeypatch, module_parses):
+        from repro.check.deps import check_deps
+        from repro.check.lints import lint_paths
+        from repro.check.units import check_units
+
+        root = _pkg(tmp_path, {
+            "entry.py": """
+                from pkg.model import step
+
+                def experiment(seed):  # repro: allow(seed-drop)
+                    return step(seed)
+            """,
+            "model.py": "def step(x_ns):\n    return x_ns + 1\n",
+            "sub/leaf.py": "import time\nT = time.time()\n",
+        })
+        reads, parses = [], []
+        read_text, parse = Path.read_text, ast.parse
+
+        def counting_read(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses.append(filename)
+            return parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        lints = lint_paths([root])
+        check_deps(root, entry_points={"exp": "pkg.entry.experiment"})
+        check_units(root, entry_points={"exp": "pkg.entry.experiment"})
+        monkeypatch.undo()
+        modules = sorted(root.rglob("*.py"))
+        assert len(modules) == lints.info["files"] == 5
+        assert sorted(module_parses) == modules
+        assert sorted(p for p in reads if root in p.parents) == modules
+        assert sorted(f for f in parses if str(root) in f) == [
+            str(path) for path in modules]
 
 
 class TestRealPackage:

@@ -7,6 +7,7 @@ import json
 import repro.__main__ as repro_main
 from repro.check.cli import PASS_NAMES, main, run_check, select_passes
 from repro.check.deps import check_deps
+from repro.check.lints import lint_paths
 from repro.check.report import CheckReport, Finding, PassResult
 from repro.check.units import check_units
 from repro.runner.fingerprint import invalidate, shared_callgraph
@@ -92,8 +93,8 @@ class TestFullSuite:
     def test_shipped_tree_passes_every_check(self, callgraph_builds):
         # The tier-1 self-check: protocol exhaustion, GSPN structural
         # analysis and lints all clean on the shipped sources.  The
-        # deps and units passes share one memoized call graph, so a
-        # fresh process pays for one build.
+        # lints, deps and units passes share one memoized call graph, so
+        # a fresh process pays for one build.
         invalidate()
         report = run_check()
         assert [p.name for p in report.passes] == list(PASS_NAMES)
@@ -103,6 +104,7 @@ class TestFullSuite:
     def test_deps_and_units_leave_the_shared_graph_unmutated(self):
         graph = shared_callgraph()
         before = _graph_digest(graph)
+        lint_paths()
         check_deps()
         check_units()
         assert shared_callgraph() is graph

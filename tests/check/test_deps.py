@@ -245,6 +245,32 @@ class TestSuppression:
         }, {})
         assert result.findings == [], [f.render() for f in result.findings]
 
+    def test_stale_deps_suppressions_are_reported(self, tmp_path):
+        # Each pass polices its own rules' comments: the two deps-rule
+        # comments that excuse nothing are this pass's to report, the
+        # units one is not.
+        root = _pkg(tmp_path, {"entry.py": """
+            CACHE = {}  # repro: allow(mutable-global)
+
+            def experiment(seed):  # repro: allow(seed-drop)
+                return seed + 1
+
+            def scale(x):
+                return x * 2  # repro: allow(unit-mix)
+        """})
+        result = check_deps(root, entry_points={"exp": "pkg.entry.experiment"})
+        assert [(f.rule, f.severity, f.location) for f in result.findings] == [
+            ("unused-suppression", "warning", "pkg/entry.py:2"),
+            ("unused-suppression", "warning", "pkg/entry.py:4"),
+        ]
+        assert "allow(mutable-global)" in result.findings[0].message
+        assert "allow(seed-drop)" in result.findings[1].message
+        from repro.check.units import check_units
+
+        units = check_units(root, entry_points={})
+        assert [(f.rule, f.location) for f in units.findings] == [
+            ("unused-suppression", "pkg/entry.py:8")]
+
 
 class TestRealPackage:
     def test_shipped_tree_has_zero_errors(self):

@@ -332,3 +332,22 @@ class TestLintPaths:
         assert result.info["files"] == 2
         assert [f.rule for f in result.findings] == ["global-rng"]
         assert str(tmp_path / "a.py") in result.findings[0].location
+
+    def test_relative_imports_name_the_package_modules(self, tmp_path):
+        # `from .random import helper` is the package's own module, not
+        # the stdlib one; lints resolves names as the call graph does.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "random.py").write_text("def helper():\n    return 1\n")
+        (pkg / "time.py").write_text("def time():\n    return 0\n")
+        (pkg / "use.py").write_text(
+            "from .random import helper\n"
+            "from .time import time\n"
+            "from . import random\n"
+            "x = helper() + time() + random.helper()\n")
+        (pkg / "stdlib.py").write_text("import random\nx = random.random()\n")
+        result = lint_paths([pkg])
+        assert result.info["files"] == 5
+        assert [(f.rule, f.location) for f in result.findings] == [
+            ("global-rng", f"{pkg / 'stdlib.py'}:2")]

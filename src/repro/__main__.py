@@ -14,16 +14,16 @@ Rendered tables go to **stdout** and are byte-identical for any
 progress, timing and the metrics summary go to stderr.  Results are
 cached under ``.repro-cache/`` keyed by (experiment, parameters, code
 fingerprint) — a source change in an experiment's dependency slice
-invalidates its entries.  Rerunning an interrupted command serves what
-it finished from the cache and computes only the rest.
+invalidates its entries.  A failed task fails the run (exit status 1,
+nothing on stdout); rerunning a failed or interrupted command serves
+what it finished from the cache and computes only the rest.
 
-The run flags (``--jobs``, ``--no-cache``, ``--metrics-out``,
-``--task-timeout``, ``--fail-fast``, ``--trace``, ...) and
-their setup come from :mod:`repro.runner.session`, shared with
-``python -m repro sweep run``.  This module adds only the experiment
-selection (``--only``, ``--skip``), the per-experiment knobs
-(``--procs``, ``--trace-len``) and the ``docs`` outputs
-(``--artifacts``, ``--docs-out``).
+The run flags (``--jobs``, ``--no-cache``, ``--cache-dir``,
+``--metrics-out``, ``--trace``) and their setup come from
+:mod:`repro.runner.session`, shared with ``python -m repro sweep
+run``.  This module adds only the experiment selection (``--only``,
+``--skip``), the per-experiment knobs (``--procs``, ``--trace-len``)
+and the ``docs`` outputs (``--artifacts``, ``--docs-out``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.analysis.docs import (
     render_result,
     write_artifacts,
 )
-from repro.runner.metrics import STATUS_QUARANTINED
 from repro.runner.session import add_run_flags, open_session, positive_int
 
 
@@ -181,31 +180,21 @@ def main(argv: list[str] | None = None) -> int:
             overrides.setdefault(name, {})[CLI_KNOBS[flag]] = value
 
     session = open_session(args)
-    if isinstance(session, int):
-        return session
     ran = session.run(run_experiments, selected, overrides)
     if isinstance(ran, int):
         return ran
     results, metrics = ran
 
     for name in selected:
-        if results[name] is not None:
-            print(render_result(results[name]))
+        print(render_result(results[name]))
         tasks = [t for t in metrics.tasks if t.experiment == name]
         wall = sum(t.wall_s for t in tasks)
         hits = sum(1 for t in tasks if t.cache == "hit")
-        bad = sum(1 for t in tasks if t.status == STATUS_QUARANTINED)
         summary = f"{hits}/{len(tasks)} cached" if session.cache \
             else "cache off"
-        if bad:
-            summary += f", {bad} quarantined"
-        if results[name] is None:
-            summary += " — every shard quarantined, nothing to render"
         print(f"[{name}: {wall:.1f}s, {summary}]\n", file=sys.stderr)
 
-    status = session.finish(metrics)
-    if status:
-        return status
+    session.finish(metrics)
 
     if docs_mode:
         artifacts = build_artifacts(results, metrics, session.fingerprint)

@@ -144,9 +144,6 @@ class ExperimentSpec:
             for value in values
         ]
 
-    def merge_results(self, parts: list[Any]) -> Any:
-        return self.merge(parts)
-
     @property
     def entry_point(self) -> str:
         """Dotted name of this experiment's function, for static analysis.
@@ -310,19 +307,14 @@ def run_experiments(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    policy: Any = None,
-    on_partial: Any = None,
 ) -> tuple[dict[str, Any], RunMetrics]:
     """Run experiments by name through the supervised parallel runner.
 
     Returns ``(results, metrics)``: ``results[name]`` is exactly what
     calling the experiment function directly would return (shards are
-    merged), regardless of ``jobs`` or cache state.  Shards quarantined
-    by the supervisor (see ``policy`` on
-    :func:`repro.runner.run_tasks`) are left out of the merge — the
-    healthy shards still produce a partial result — and
-    ``results[name]`` is ``None`` when *every* shard of an experiment
-    was quarantined; the failures themselves are in ``metrics``.
+    merged), regardless of ``jobs`` or cache state.  A failed shard
+    raises :class:`repro.runner.resilience.TaskFailed`, so no result is
+    ever merged from part of its shards.
     """
     overrides = overrides or {}
     per_spec: dict[str, list[Task]] = {}
@@ -332,15 +324,10 @@ def run_experiments(
         tasks = spec.tasks(overrides.get(name))
         per_spec[name] = tasks
         all_tasks.extend(tasks)
-    raw, metrics = run_tasks(
-        all_tasks, jobs=jobs, cache=cache, policy=policy,
-        on_partial=on_partial,
-    )
-    results: dict[str, Any] = {}
-    for name in names:
-        parts = [
-            raw[(name, task.shard)] for task in per_spec[name]
-            if (name, task.shard) in raw
-        ]
-        results[name] = SPECS[name].merge_results(parts) if parts else None
+    raw, metrics = run_tasks(all_tasks, jobs=jobs, cache=cache)
+    results = {
+        name: SPECS[name].merge(
+            [raw[(name, task.shard)] for task in per_spec[name]])
+        for name in names
+    }
     return results, metrics

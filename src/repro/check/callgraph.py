@@ -148,8 +148,10 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)  # by qualname
     assigns: dict[str, ModuleAssign] = field(default_factory=dict)
     classes: dict[str, list[str]] = field(default_factory=dict)  # class -> methods
-    # local name -> qualified target; lets callers follow a package
-    # __init__'s `from x import f` re-exports to the defining module.
+    # The import table: local name -> dotted target (a module or a
+    # module member), the later binding winning as in Python.  Lets
+    # callers follow a package __init__'s `from x import f` re-exports
+    # to the defining module.
     reexports: dict[str, str] = field(default_factory=dict)
     # Kept by build_callgraph (not the import scan) for the check passes.
     text: str = field(default="", repr=False)
@@ -164,33 +166,24 @@ class ModuleInfo:
     def resolve(self, dotted: str) -> str | None:
         """Canonical dotted target of a name read in this module: through
         its import table, else a module-level definition of its own."""
-        head, _, rest = dotted.partition(".")
-        if head in self.reexports:
-            base = self.reexports[head]
-        elif head in self.assigns or head in self.functions \
+        imported = _through(self.reexports, dotted)
+        if imported is not None:
+            return imported
+        head = dotted.partition(".")[0]
+        if head in self.assigns or head in self.functions \
                 or head in self.classes:
-            base = f"{self.name}.{head}"
-        else:
-            return None
-        return f"{base}.{rest}" if rest else base
-
-
-class _ImportTable:
-    """Local-name resolution for one module: what each name refers to."""
-
-    def __init__(self) -> None:
-        self.modules: dict[str, str] = {}  # local name -> module dotted path
-        self.members: dict[str, str] = {}  # local name -> module.member
-
-    def resolve(self, dotted: str) -> str | None:
-        head, _, rest = dotted.partition(".")
-        if head in self.modules:
-            base = self.modules[head]
-            return f"{base}.{rest}" if rest else base
-        if head in self.members:
-            base = self.members[head]
-            return f"{base}.{rest}" if rest else base
+            return f"{self.name}.{dotted}"
         return None
+
+
+def _through(table: dict[str, str], dotted: str) -> str | None:
+    """``dotted`` with its head name replaced by the target ``table``
+    binds it to, or None when ``table`` does not bind it."""
+    head, _, rest = dotted.partition(".")
+    base = table.get(head)
+    if base is None:
+        return None
+    return f"{base}.{rest}" if rest else base
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -225,14 +218,14 @@ def _discover_modules(root: Path, package: str) -> dict[str, Path]:
 class _ImportRecorder:
     """Import-statement bookkeeping for one module, shared by the full
     visitor and the statement-level scan: intra-package edges and holes
-    on the :class:`ModuleInfo`, and the local-name table."""
+    on the :class:`ModuleInfo`, and its import table (``reexports``)."""
 
     def __init__(self, info: ModuleInfo, package: str,
                  known_modules: dict[str, Path]) -> None:
         self.info = info
         self.package = package
         self.known = known_modules
-        self.table = _ImportTable()
+        self.table = info.reexports
 
     def _package_of(self) -> str:
         """The package context for relative imports in this module."""
@@ -262,9 +255,9 @@ class _ImportRecorder:
             else:
                 self.info.external_imports.add(head)
             if alias.asname:
-                self.table.modules[alias.asname] = target
+                self.table[alias.asname] = target
             else:
-                self.table.modules[head] = head
+                self.table[head] = head
             bound.append(alias.asname or head)
         return bound
 
@@ -293,18 +286,11 @@ class _ImportRecorder:
                 if submodule in self.known:
                     # `from repro.a import b` where b is a module.
                     self._note_intra_target(submodule, node, True)
-                    self.table.modules[local] = submodule
                 else:
                     self._note_intra_target(module, node, module in self.known)
-                    self.table.members[local] = submodule
-            else:
-                if head:
-                    self.info.external_imports.add(head)
-                # Known module-valued members of external packages.
-                if submodule in ("numpy.random", "os.path", "datetime.datetime"):
-                    self.table.modules[local] = submodule
-                else:
-                    self.table.members[local] = submodule
+            elif head:
+                self.info.external_imports.add(head)
+            self.table[local] = submodule
             bound.append(local)
         return bound
 
@@ -394,7 +380,7 @@ class _ModuleVisitor(_ImportRecorder, ast.NodeVisitor):
             if isinstance(sub, ast.Call):
                 dotted = _dotted(sub.func)
                 if dotted:
-                    calls.append(self.table.resolve(dotted) or dotted)
+                    calls.append(_through(self.table, dotted) or dotted)
         return tuple(calls)
 
     @staticmethod
@@ -486,7 +472,7 @@ class _ModuleVisitor(_ImportRecorder, ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         dotted = _dotted(node)
         if dotted:
-            resolved = self.table.resolve(dotted) or dotted
+            resolved = _through(self.table, dotted) or dotted
             if resolved == "os.environ" or resolved.startswith("os.environ."):
                 self.scope.env_reads.append(node.lineno)
         self.generic_visit(node)
@@ -494,13 +480,13 @@ class _ModuleVisitor(_ImportRecorder, ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         if dotted:
-            resolved = self.table.resolve(dotted)
+            resolved = _through(self.table, dotted)
             site = CallSite(raw=dotted, resolved=resolved, lineno=node.lineno)
             self.scope.calls.append(site)
             canonical = resolved or dotted
             if canonical in ("os.getenv", "os.environ.get"):
                 self.scope.env_reads.append(node.lineno)
-            if canonical == "open" and not self.table.resolve("open"):
+            if canonical == "open" and not _through(self.table, "open"):
                 self.scope.file_reads.append(node.lineno)
             if canonical in ("importlib.import_module", "__import__",
                             "importlib.reload"):
@@ -668,15 +654,15 @@ class CallGraph:
                     frontier.append(callee)
         return parents
 
-    def location(self, module: str, lineno: int) -> str:
-        """``path:line`` of a line of ``module``, relative to the
-        directory that holds the package."""
+    def location(self, module: str, lineno: int | None = None) -> str:
+        """``path:line`` of a line of ``module`` (just ``path`` without
+        a line), relative to the directory that holds the package."""
         path = self.modules[module].path
         try:
             path = path.relative_to(self.root.parent)
         except ValueError:
             pass
-        return f"{path}:{lineno}"
+        return str(path) if lineno is None else f"{path}:{lineno}"
 
     def witness(self, parents: dict[str, tuple[str, int] | None],
                 target: str, leaf: str | None = None) -> tuple[str, ...]:
@@ -837,7 +823,6 @@ def _model(info: ModuleInfo, tree: ast.Module, package: str,
         info.functions[MODULE_BODY] = FunctionInfo(info.name, MODULE_BODY, 1)
         walk = _StatementScan(info, package, known)
         walk.scan(tree.body)
-    info.reexports = {**walk.table.modules, **walk.table.members}
     if text is not None:
         info.text, info.tree = text, tree
         info.allowed = _suppressions(text)

@@ -21,9 +21,9 @@ reject the ways that assumption quietly breaks:
 - ``broad-except`` — a bare ``except:`` or ``except Exception``/
   ``except BaseException`` handler that swallows the error (no
   ``raise``, no logging/reporting call).  Silently eating failures is
-  how a quarantine-worthy fault turns into a wrong number; the
-  supervised runner's intentionally-broad catch sites carry reviewed
-  ``allow`` annotations.
+  how a failed task turns into a wrong number; the runner's
+  intentionally-broad catch sites (the result cache and the fingerprint
+  fallback) carry reviewed ``allow`` annotations.
 - ``doc-coverage`` — a public module (no path component starting with
   ``_``) without a module docstring, or a registry-registered entry
   point (experiment registry + sweep point) without a function
@@ -345,11 +345,12 @@ def lint_paths(roots: list[Path] | None = None) -> PassResult:
             error = info.read_error
             if isinstance(error, SyntaxError):
                 result.findings.append(Finding(
-                    "lints", "syntax", "error", f"{info.path}:{error.lineno}",
+                    "lints", "syntax", "error",
+                    graph.location(info.name, error.lineno),
                     f"could not parse: {error.msg}"))
             elif error is not None:
                 result.findings.append(Finding(
-                    "lints", "io", "error", str(info.path),
+                    "lints", "io", "error", graph.location(info.name),
                     f"could not read: {error}"))
             else:
                 public = not any(part.startswith("_")
@@ -359,7 +360,6 @@ def lint_paths(roots: list[Path] | None = None) -> PassResult:
                     entry_docs.get(info.name, frozenset())))
         result.findings.extend(apply_suppressions(
             "lints", raw, graph.modules, _rules_run(doc_coverage),
-            lambda module, lineno: f"{graph.modules[module].path}:{lineno}",
-            report_unknown=True))
+            graph.location, report_unknown=True))
     result.info = {"files": files, "rules": len(LINT_RULES)}
     return result

@@ -37,7 +37,6 @@ from repro.obs.spans import (
     mark,
     records,
     reset,
-    rollback,
     since,
     span,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "mark",
     "records",
     "reset",
-    "rollback",
     "since",
     "span",
 ]

@@ -166,14 +166,6 @@ def since(position: int) -> list[SpanRecord]:
     return list(_records[position:])
 
 
-def rollback(position: int) -> None:
-    """Drop every record appended after ``position`` — used to erase the
-    spans of a failed inline task, which a pooled run never receives."""
-    # Unguarded: the tracer is single-threaded by contract (module
-    # docstring), so no other thread appends while this truncates.
-    del _records[position:]
-
-
 def absorb(records: list[SpanRecord]) -> None:
     """Merge records collected in another process into this one's list."""
     # Unguarded: the tracer is single-threaded by contract (module

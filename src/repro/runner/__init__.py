@@ -11,16 +11,17 @@ The pieces, each usable on its own:
   fingerprint when it is provably sound and the whole-tree hash
   otherwise; damaged entries are quarantined (``*.corrupt``), never
   re-read.
-- :mod:`repro.runner.resilience` — the supervised executor: one
-  attempt per task, per-task timeouts with a watchdog, crash detection,
-  failure quarantine, ``fail_fast``.
+- :mod:`repro.runner.resilience` — the one pool loop: one attempt per
+  task, crash detection, and :class:`TaskFailed`, which fails the run
+  on the first task that raises or crashes.
 - :mod:`repro.runner.core` — :class:`Task` and :func:`run_tasks`, the
   supervised executor (``jobs=1`` runs inline, deterministically
   identical) and the one path that keys, loads and stores results;
-  every cached task is served as a hit, so rerunning an interrupted run
-  recomputes only what it did not finish.
+  every task is stored as it finishes and every cached task is served
+  as a hit, so rerunning a failed or interrupted run recomputes only
+  what it did not finish.
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
-  quarantine records, exported as JSON and a rendered summary.
+  event tallies, exported as JSON and a rendered summary.
 - :mod:`repro.runner.session` — the run flags and their setup and
   teardown, shared by ``python -m repro <experiment>`` and
   ``python -m repro sweep run``, and the SIGTERM-to-Ctrl-C bridge.  Not
@@ -45,27 +46,18 @@ from repro.runner.fingerprint import (
     slice_fingerprint,
 )
 from repro.runner.metrics import METRICS_SCHEMA_VERSION, RunMetrics, TaskMetrics
-from repro.runner.resilience import (
-    FailFastError,
-    SupervisionPolicy,
-    TaskFailure,
-    TaskOutcome,
-    supervised_map,
-)
+from repro.runner.resilience import TaskFailed, supervised_map
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "METRICS_SCHEMA_VERSION",
     "CacheEntry",
-    "FailFastError",
     "ResultCache",
     "RunMetrics",
     "SliceFingerprint",
-    "SupervisionPolicy",
     "Task",
-    "TaskFailure",
+    "TaskFailed",
     "TaskMetrics",
-    "TaskOutcome",
     "canonical_kwargs",
     "code_fingerprint",
     "default_cache_dir",

@@ -17,13 +17,11 @@ Execution contract, which makes ``--jobs N`` byte-identical to
   code path for cache and metrics).
 
 Execution is **supervised** (see :mod:`repro.runner.resilience`): a
-task that crashes, hangs past the :class:`SupervisionPolicy` timeout or
-raises is *quarantined* after its one attempt — recorded in
-:class:`RunMetrics` with its failure kind, exception type, traceback
-and worker pid — while every other task still completes and caches.
-Every task whose key is already in the cache is served from it, so
-rerunning an interrupted run recomputes only the tasks it did not
-finish.
+task that raises, or whose worker crashes, fails the run with
+:class:`~repro.runner.resilience.TaskFailed`.  Every task is stored in
+the cache as it finishes, and every task whose key is already there is
+served from it, so rerunning a failed or interrupted run recomputes
+only the tasks it did not finish.
 """
 
 from __future__ import annotations
@@ -36,13 +34,8 @@ from typing import Any, Callable
 from repro import obs
 from repro.common import tally
 from repro.runner.cache import ResultCache, canonical_kwargs, entry_key
-from repro.runner.metrics import STATUS_QUARANTINED, RunMetrics, TaskMetrics
-from repro.runner.resilience import (
-    FailFastError,
-    SupervisionPolicy,
-    TaskOutcome,
-    supervised_map,
-)
+from repro.runner.metrics import RunMetrics, TaskMetrics
+from repro.runner.resilience import supervised_map
 
 
 @dataclass(frozen=True)
@@ -90,26 +83,21 @@ def run_tasks(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    policy: SupervisionPolicy | None = None,
-    on_partial: Callable[[RunMetrics], None] | None = None,
 ) -> tuple[dict[tuple[str, str], Any], RunMetrics]:
     """Run tasks, via the cache where possible, across ``jobs`` workers.
 
     Returns ``(results, metrics)`` where ``results`` maps
     ``(experiment, shard)`` to the task's return value and ``metrics``
-    lists one record per task in submission order.  A quarantined task
-    (one that failed under ``policy``) has **no** entry in ``results``;
-    its failure is recorded in ``metrics`` instead.
+    lists one record per task in submission order.
 
-    Each task is stored in the cache the moment it settles.  On
-    ``KeyboardInterrupt`` the workers are terminated and ``on_partial``
-    (if given) receives the metrics for everything that settled before
-    the interrupt — then the interrupt re-raises.  Calling again with
-    the same tasks and cache serves the settled ones as hits.
+    Each task is stored in the cache the moment it finishes.  A failed
+    task raises :class:`~repro.runner.resilience.TaskFailed` and a
+    ``KeyboardInterrupt`` re-raises, after the live workers are
+    terminated; calling again with the same tasks and cache serves the
+    finished ones as hits.
     """
     started = time.perf_counter()  # repro: allow(wall-clock)
     spans_before = obs.mark()
-    policy = policy or SupervisionPolicy()
     metrics = RunMetrics(
         jobs=max(1, jobs),
         fingerprint=cache.fingerprint if cache else "",
@@ -144,8 +132,9 @@ def run_tasks(
                 continue
         pending.append(task)
 
-    def record_miss(task: Task, result: Any, wall: float,
-                    tallies: dict[str, int], worker: int) -> None:
+    def on_done(index: int, outcome: tuple) -> None:
+        task = pending[index]
+        result, wall, tallies, worker = outcome
         slot = (task.experiment, task.shard)
         key, digest, kind = keys.get(slot, ("", "", ""))
         if cache is not None:
@@ -169,59 +158,19 @@ def run_tasks(
             fingerprint_kind=kind,
         )
 
-    def record_quarantine(task: Task, outcome: TaskOutcome) -> None:
-        slot = (task.experiment, task.shard)
-        key = keys.get(slot, ("",))[0]
-        failure = outcome.failure
-        assert failure is not None
-        records[slot] = TaskMetrics(
-            experiment=task.experiment,
-            shard=task.shard,
-            cache="miss" if cache is not None else "off",
-            wall_s=outcome.wall_s,
-            worker=failure.worker,
-            key=key,
-            status=STATUS_QUARANTINED,
-            failure=failure.to_json(),
+    if pending:
+        supervised_map(
+            _execute,
+            pending,
+            labels=[task.label for task in pending],
+            jobs=jobs,
+            on_done=on_done,
         )
 
-    def on_done(index: int, outcome: TaskOutcome) -> None:
-        task = pending[index]
-        if outcome.ok:
-            result, wall, tallies, worker = outcome.result
-            record_miss(task, result, wall, tallies, worker)
-        else:
-            record_quarantine(task, outcome)
-
-    def finalize() -> None:
-        metrics.tasks = [
-            records[(t.experiment, t.shard)] for t in tasks
-            if (t.experiment, t.shard) in records
-        ]
-        metrics.wall_s = time.perf_counter() - started  # repro: allow(wall-clock)
-        if obs.enabled():
-            # Per-stage timing rollup of every span this run produced
-            # (workers' spans were absorbed as their tasks settled).
-            metrics.stages = obs.aggregate_stages(obs.since(spans_before))
-
-    try:
-        if pending:
-            supervised_map(
-                _execute,
-                pending,
-                labels=[task.label for task in pending],
-                jobs=jobs,
-                policy=policy,
-                on_done=on_done,
-            )
-    except (KeyboardInterrupt, FailFastError):
-        # Workers are already terminated and every settled task is
-        # cached; hand the partial metrics out and re-raise so the
-        # caller can report and a rerun can pick up the rest.
-        finalize()
-        if on_partial is not None:
-            on_partial(metrics)
-        raise
-
-    finalize()
+    metrics.tasks = [records[(t.experiment, t.shard)] for t in tasks]
+    metrics.wall_s = time.perf_counter() - started  # repro: allow(wall-clock)
+    if obs.enabled():
+        # Per-stage timing rollup of every span this run produced
+        # (workers' spans were absorbed as their tasks finished).
+        metrics.stages = obs.aggregate_stages(obs.since(spans_before))
     return results, metrics

@@ -2,10 +2,8 @@
 
 Every task (an experiment, or one shard of a sharded experiment) gets a
 :class:`TaskMetrics` record — wall time, cache hit/miss, the worker that
-ran it, the event tallies the simulators reported while it ran
-(GSPN firings, MP ops), and — for a task the supervised executor
-quarantined — the full failure record (kind, exception type, message,
-traceback, worker pid).
+ran it, and the event tallies the simulators reported while it ran
+(GSPN firings, MP ops).
 :class:`RunMetrics` aggregates them into the JSON artifact behind
 ``--metrics-out`` and the summary table printed after a run.
 """
@@ -16,18 +14,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# v2: per-task "status"/"attempts"/"failure" fields and the run-level
-# "quarantined" count (fault-tolerant supervised executor).
+# v2: per-task "status"/"attempts"/"failure" fields and a run-level count
+# of failed tasks (fault-tolerant supervised executor).
 # v3: run-level "stages" — per-span-name timing/counter rollups from the
 # observability layer (populated when tracing is enabled, else {}).
 # v4: per-task "fingerprint_kind" — which code fingerprint keyed the
 # task's cache entry: "slice" (per-entry-point dependency slice) or
 # "tree" (whole-package hash); "" when the run had no cache.
 # v5: per-task "attempts" dropped — every task gets exactly one attempt.
-METRICS_SCHEMA_VERSION = 5
-
-STATUS_OK = "ok"
-STATUS_QUARANTINED = "quarantined"
+# v6: per-task "status"/"failure" and the run-level failed-task count
+# dropped — a failed task fails the run, so every recorded task finished.
+METRICS_SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -39,12 +36,10 @@ class TaskMetrics:
     worker: int  # pid of the executing process (parent pid for hits)
     tallies: dict[str, int] = field(default_factory=dict)
     key: str = ""
-    status: str = STATUS_OK  # "ok" | "quarantined"
-    failure: dict | None = None  # TaskFailure.to_json() when quarantined
     fingerprint_kind: str = ""  # "slice" | "tree" | "" (no cache)
 
     def to_json(self) -> dict:
-        payload = {
+        return {
             "experiment": self.experiment,
             "shard": self.shard,
             "cache": self.cache,
@@ -52,12 +47,8 @@ class TaskMetrics:
             "worker": self.worker,
             "tallies": dict(self.tallies),
             "key": self.key,
-            "status": self.status,
             "fingerprint_kind": self.fingerprint_kind,
         }
-        if self.failure is not None:
-            payload["failure"] = dict(self.failure)
-        return payload
 
 
 @dataclass
@@ -76,16 +67,12 @@ class RunMetrics:
 
     @property
     def misses(self) -> int:
-        return sum(1 for t in self.tasks
-                   if t.cache == "miss" and t.status == STATUS_OK)
+        return sum(1 for t in self.tasks if t.cache == "miss")
 
     @property
     def quarantined(self) -> int:
-        return sum(1 for t in self.tasks if t.status == STATUS_QUARANTINED)
-
-    @property
-    def failures(self) -> list[TaskMetrics]:
-        return [t for t in self.tasks if t.status == STATUS_QUARANTINED]
+        # perfbench's pipeline workload reads this; no task is quarantined.
+        return 0
 
     @property
     def busy_s(self) -> float:
@@ -117,7 +104,6 @@ class RunMetrics:
             "utilization": self.utilization,
             "cache_hits": self.hits,
             "cache_misses": self.misses,
-            "quarantined": self.quarantined,
             "stages": {name: dict(stage) for name, stage in self.stages.items()},
             "tasks": [t.to_json() for t in self.tasks],
         }
@@ -156,16 +142,4 @@ class RunMetrics:
             f"busy={self.busy_s:.2f}s  utilization={self.utilization:.0%}  "
             f"cache {self.hits} hit / {self.misses} miss"
         )
-        if self.quarantined:
-            footer += f"  quarantined {self.quarantined}"
-            lines = [table, footer, "quarantined shards:"]
-            for task in self.failures:
-                info = task.failure or {}
-                lines.append(
-                    f"  {task.experiment}/{task.shard or '-'}: "
-                    f"{info.get('kind', '?')} — "
-                    f"{info.get('error_type', '?')}: "
-                    f"{info.get('message', '')}"
-                )
-            return "\n".join(lines)
         return f"{table}\n{footer}"

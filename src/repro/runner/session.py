@@ -4,16 +4,16 @@
 runs the same way, and this module is the one place that way is spelled
 out:
 
-- :func:`add_run_flags` declares the seven run flags (``--jobs``,
-  ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--task-timeout``,
-  ``--fail-fast``, ``--trace``) on a parser.
+- :func:`add_run_flags` declares the five run flags (``--jobs``,
+  ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--trace``) on a
+  parser.
 - :func:`open_session` turns the parsed flags into a :class:`RunSession`:
-  the result cache and the supervision policy, with tracing enabled
-  before any worker spawns.  Bad flags come back as exit status 2.
+  the result cache, with tracing enabled before any worker spawns.
 - :meth:`RunSession.run` calls :func:`repro.analysis.run_experiments` or
   :func:`repro.sweep.engine.run_sweep` with those pieces, with SIGTERM
-  taking the Ctrl-C path (:func:`sigterm_interrupts`).  Every task that
-  settled before an interrupt is in the cache, so rerunning the same
+  taking the Ctrl-C path (:func:`sigterm_interrupts`).  A failed task
+  fails the run with exit status 1, an interrupt with 130.  Every task
+  that finished before either is in the cache, so rerunning the same
   command recomputes only the rest.
 - :meth:`RunSession.finish` prints the metrics summary and writes
   ``--metrics-out`` and the Chrome trace.  With ``--trace`` on, the
@@ -38,7 +38,7 @@ from repro.obs import export as obs_export
 from repro.runner.cache import ResultCache, default_cache_dir
 from repro.runner.fingerprint import code_fingerprint
 from repro.runner.metrics import RunMetrics
-from repro.runner.resilience import FailFastError, SupervisionPolicy
+from repro.runner.resilience import TaskFailed
 
 
 def positive_int(text: str) -> int:
@@ -79,20 +79,6 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
              "tallies) as JSON",
     )
     parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock limit; a stuck worker is killed and "
-             "the task quarantined (default: no limit)",
-    )
-    parser.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="abort the run on the first quarantined task instead of "
-             "completing the healthy ones",
-    )
-    parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -131,13 +117,12 @@ def sigterm_interrupts():
 
 
 class RunSession:
-    """The cache and policy of one run."""
+    """The cache and tracing of one run."""
 
-    def __init__(self, args: argparse.Namespace, cache: ResultCache | None,
-                 policy: SupervisionPolicy) -> None:
+    def __init__(self, args: argparse.Namespace,
+                 cache: ResultCache | None) -> None:
         self.args = args
         self.cache = cache
-        self.policy = policy
         self.tracing = args.trace is not None
         self.spans_before = 0
         if self.tracing:
@@ -154,37 +139,34 @@ class RunSession:
     def run(self, fn: Callable, *args: Any) -> Any:
         """``fn(*args, ...)`` with the session's runner arguments.
 
-        Returns what ``fn`` returns, or an exit status: 130 when
-        interrupted (Ctrl-C or SIGTERM), 1 when ``--fail-fast`` aborted.
+        Returns what ``fn`` returns, or an exit status: 1 when a task
+        failed, 130 when interrupted (Ctrl-C or SIGTERM).
         """
         try:
             # SIGTERM takes the KeyboardInterrupt path: live workers are
-            # terminated and the partial metrics written, as for Ctrl-C.
+            # terminated, as for Ctrl-C.
             with sigterm_interrupts():
-                return fn(
-                    *args, jobs=self.args.jobs, cache=self.cache,
-                    policy=self.policy, on_partial=self._write_metrics,
-                )
+                return fn(*args, jobs=self.args.jobs, cache=self.cache)
         except KeyboardInterrupt:
             print("\ninterrupted — completed tasks are cached; rerun the "
                   "same command to pick up where this run stopped",
                   file=sys.stderr)
             return 130
-        except FailFastError as exc:
-            print(f"fail-fast: {exc}", file=sys.stderr)
+        except TaskFailed as exc:
+            print(f"task {exc.label} failed: {exc.error_type}: "
+                  f"{exc.message}", file=sys.stderr)
+            if exc.traceback:
+                print(exc.traceback.rstrip(), file=sys.stderr)
             print("completed tasks are cached; rerun the same command "
                   "after fixing the failure", file=sys.stderr)
             return 1
 
-    def _write_metrics(self, metrics: RunMetrics) -> None:
-        if self.args.metrics_out:
-            metrics.write(self.args.metrics_out)
-
-    def finish(self, metrics: RunMetrics) -> int:
-        """Report the run; 1 if any task was quarantined, else 0."""
+    def finish(self, metrics: RunMetrics) -> None:
+        """Report the run: the metrics summary, ``--metrics-out`` and
+        the Chrome trace."""
         print(metrics.render(), file=sys.stderr)
         if self.args.metrics_out:
-            self._write_metrics(metrics)
+            metrics.write(self.args.metrics_out)
             print(f"metrics written to {self.args.metrics_out}",
                   file=sys.stderr)
 
@@ -194,25 +176,10 @@ class RunSession:
             print(f"trace written to {self.args.trace} "
                   f"({len(records)} spans)", file=sys.stderr)
 
-        if metrics.quarantined:
-            print(f"run finished with {metrics.quarantined} quarantined "
-                  f"task(s); see the metrics for tracebacks", file=sys.stderr)
-            return 1
-        return 0
 
-
-def open_session(args: argparse.Namespace) -> RunSession | int:
-    """A session for the parsed run flags, or exit status 2 (with the
-    reason on stderr) when they do not make sense together."""
+def open_session(args: argparse.Namespace) -> RunSession:
+    """A session for the parsed run flags."""
     cache = None
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
-    try:
-        policy = SupervisionPolicy(
-            task_timeout=args.task_timeout,
-            fail_fast=args.fail_fast,
-        )
-    except ValueError as exc:
-        print(f"bad supervision flags: {exc}", file=sys.stderr)
-        return 2
-    return RunSession(args, cache, policy)
+    return RunSession(args, cache)

@@ -11,8 +11,8 @@ violation is a named ``SweepSpecError`` rule), executes the expanded
 grid through the same supervised pool as ``python -m repro
 <experiment>`` and writes the deterministic report artifact next to
 the spec (``<spec>.json``) unless ``--report-out`` names another
-path.  Its run flags (``--jobs``, ``--cache-dir``, ``--trace``,
-``--task-timeout``, ...) and their setup come from
+path.  Its run flags (``--jobs``, ``--no-cache``, ``--cache-dir``,
+``--metrics-out``, ``--trace``) and their setup come from
 :mod:`repro.runner.session`, shared with the experiment CLI; only
 ``--report-out`` and ``--no-report`` are its own.  ``report`` only
 rereads checked-in artifacts; it never recomputes.
@@ -120,9 +120,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     session = open_session(args)
-    if isinstance(session, int):
-        return session
-
     configs = spec.configs()
     print(f"sweep {spec.name}: {len(configs)} configurations "
           f"({'×'.join(str(len(v)) for _, v in spec.axes)})",
@@ -134,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     print(f"[{spec.name}: {metrics.wall_s:.1f}s, "
           f"{metrics.hits}/{len(metrics.tasks)} cached]", file=sys.stderr)
-    status = session.finish(metrics)
+    session.finish(metrics)
 
     # The human-readable reduction goes to stdout, like rendered tables.
     print(f"sweep {spec.name}: frontier {len(outcome.frontier)} of "
@@ -146,8 +143,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         verdict = (f"dominated by {result.dominated_by}"
                    if result.dominated else "frontier")
         print(f"  {result.label:40s} {shown}  [{verdict}]")
-    for label in outcome.failed:
-        print(f"  {label:40s} quarantined — no metrics")
 
     if not args.no_report:
         artifact = build_sweep_artifact(outcome)
@@ -156,7 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_sweep_artifact(out, artifact)
         print(f"report written to {out}", file=sys.stderr)
 
-    return status
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

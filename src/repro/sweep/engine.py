@@ -12,10 +12,10 @@
    single cached result, and editing code outside the point's
    dependency slice invalidates nothing.
 2. **fan out** — the tasks go through :func:`repro.runner.run_tasks`
-   unchanged, inheriting the supervised pool: timeouts, quarantine,
-   the result cache that lets a rerun skip finished configurations,
-   and span transport back from workers.
-3. **reduce** — surviving metric dicts are Pareto-classified
+   unchanged, inheriting the supervised pool: a failed configuration
+   fails the sweep, the result cache lets a rerun skip finished
+   configurations, and spans ride back from workers.
+3. **reduce** — the metric dicts are Pareto-classified
    (:mod:`repro.sweep.pareto`) in the parent process and assembled into
    the deterministic sweep outcome the report layer renders.
 
@@ -33,16 +33,16 @@ from repro import obs
 from repro.runner import ResultCache, RunMetrics, Task, run_tasks
 from repro.sweep.pareto import pareto_classify
 from repro.sweep.points import OBJECTIVES, icache_point
-from repro.sweep.spec import SweepConfig, SweepSpec
+from repro.sweep.spec import SweepSpec
 
 
 @dataclass(frozen=True)
 class ConfigResult:
-    """One configuration's settled outcome."""
+    """One configuration's outcome."""
 
     label: str
     params: dict[str, Any] = field(hash=False)
-    metrics: dict[str, float] = field(hash=False)  # empty if quarantined
+    metrics: dict[str, float] = field(hash=False)
     dominated: bool = False
     dominated_by: str | None = None
 
@@ -53,7 +53,6 @@ class SweepOutcome:
 
     spec: SweepSpec
     configs: list[ConfigResult]
-    failed: list[str]  # labels of quarantined configurations
 
     @property
     def frontier(self) -> list[str]:
@@ -87,42 +86,30 @@ def run_sweep(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    policy: Any = None,
-    on_partial: Any = None,
 ) -> tuple[SweepOutcome, RunMetrics]:
     """Run every configuration of ``spec`` and reduce the results.
 
-    Returns ``(outcome, metrics)``.  Quarantined configurations (the
-    supervised pool gave them up) appear in
-    ``outcome.failed`` with empty metrics and are excluded from the
-    Pareto classification; the per-task failure records live in
-    ``metrics`` exactly as for registered experiments.
+    Returns ``(outcome, metrics)``.  A failed configuration raises
+    :class:`repro.runner.resilience.TaskFailed`, as for registered
+    experiments, so the frontier is never classified over part of the
+    grid.
     """
     with obs.span("sweep/compile") as sp:
         configs = spec.configs()
         tasks = compile_tasks(spec)
         sp.add("configs", len(configs))
     with obs.span("sweep/run"):
-        raw, metrics = run_tasks(
-            tasks, jobs=jobs, cache=cache, policy=policy,
-            on_partial=on_partial,
-        )
+        raw, metrics = run_tasks(tasks, jobs=jobs, cache=cache)
     with obs.span("sweep/reduce") as sp:
-        settled: list[tuple[SweepConfig, dict[str, float]]] = []
-        failed: list[str] = []
-        for config in configs:
-            slot = (EXPERIMENT, config.label)
-            if slot in raw:
-                settled.append((config, dict(raw[slot])))
-            else:
-                failed.append(config.label)
+        settled = [(config, dict(raw[(EXPERIMENT, config.label)]))
+                   for config in configs]
         verdicts = {
             v.label: v
             for v in pareto_classify(
                 [(config.label, metrics_) for config, metrics_ in settled],
                 OBJECTIVES,
             )
-        } if settled else {}
+        }
         results = [
             ConfigResult(
                 label=config.label,
@@ -134,4 +121,4 @@ def run_sweep(
             for config, metrics_ in settled
         ]
         sp.add("dominated", sum(1 for r in results if r.dominated))
-    return SweepOutcome(spec=spec, configs=results, failed=failed), metrics
+    return SweepOutcome(spec=spec, configs=results), metrics

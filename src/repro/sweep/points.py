@@ -9,8 +9,8 @@ flat ``{metric: float}`` dict.  The sweep compiler
 (:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
 per expanded configuration over it, so every configuration
 
-- runs through the supervised process pool (timeouts, quarantine,
-  span transport) exactly like a registered experiment, and
+- runs through the supervised process pool (a failure fails the run,
+  spans ride back) exactly like a registered experiment, and
 - caches under a :func:`repro.runner.fingerprint.slice_fingerprint`
   keyed entry — the function is module-level precisely so
   ``Task.entry_point()`` resolves and the dependency slicer can hash

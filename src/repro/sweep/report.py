@@ -110,7 +110,6 @@ def build_sweep_artifact(outcome: SweepOutcome) -> dict:
             for c in outcome.configs
         ],
         "frontier": outcome.frontier,
-        "failed": list(outcome.failed),
     }
 
 
@@ -201,9 +200,6 @@ def render_sweep_section(artifact: dict) -> str:
     total = len(artifact["configs"])
     out(f"Frontier: {len(artifact['frontier'])} of {total} configurations; "
         f"{total - len(artifact['frontier'])} dominated.")
-    if artifact["failed"]:
-        out(f"Quarantined configurations (no metrics): "
-            + ", ".join(f"`{label}`" for label in artifact["failed"]) + ".")
     return "\n".join(lines)
 
 

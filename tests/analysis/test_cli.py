@@ -5,7 +5,7 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.runner import METRICS_SCHEMA_VERSION, RunMetrics
+from repro.runner import METRICS_SCHEMA_VERSION
 from repro.sweep.cli import main as sweep_main
 from tests.failing_tasks import boom, crash
 
@@ -121,7 +121,8 @@ class TestCLI:
         data = json.loads(out.read_text())
         assert data["schema"] == METRICS_SCHEMA_VERSION
         assert data["tasks"][0]["experiment"] == "table1"
-        assert data["quarantined"] == 0
+        assert "quarantined" not in data
+        assert "status" not in data["tasks"][0]
 
     def test_jobs_flag_parses(self, capsys, cache_dir):
         assert main(["table1", "--jobs", "2", "--no-cache"]) == 0
@@ -195,14 +196,14 @@ class TestPaperChecksShareTheCLICache:
             self, cache_dir, fail_tasks):
         # A paper claim checked on the merge of the healthy shards alone
         # could pass with data missing, so one failed shard fails the
-        # helper instead of being quarantined.
+        # helper, as it fails the CLI run.
         from repro.analysis import SPECS
-        from repro.runner import FailFastError
+        from repro.runner import TaskFailed
         from tests.failing_tasks import Boom
 
         first = SPECS["table4"].shard_values[0]
         fail_tasks(f"table4/{first}", boom)
-        with pytest.raises(FailFastError, match=Boom.__name__):
+        with pytest.raises(TaskFailed, match=Boom.__name__):
             _paper_check_helper().run_registered("table4")
 
 
@@ -300,26 +301,28 @@ class TestCLIObservability:
 
 
 class TestCLIFaultTolerance:
-    def test_injected_crash_is_quarantined_with_nonzero_exit(
-            self, capsys, cache_dir, tmp_path, fail_tasks):
-        fail_tasks("table1", crash)
+    @pytest.mark.parametrize("jobs, fail, error_type", [
+        pytest.param("1", boom, "Boom", id="boom-jobs1"),
+        pytest.param("2", boom, "Boom", id="boom-jobs2"),
+        pytest.param("2", crash, "WorkerCrash", id="crash-jobs2"),
+    ])
+    def test_failed_table3_shard_exits_1_with_empty_stdout(
+            self, capsys, cache_dir, tmp_path, fail_tasks, jobs, fail,
+            error_type):
+        # The first shard fails, so the run stops before the slow ones.
+        from repro.analysis import SPECS
+
+        shard = SPECS["table3"].shard_values[0]
+        fail_tasks(f"table3/{shard}", fail)
         out = tmp_path / "metrics.json"
         assert main([
-            "table1", "--jobs", "2", "--metrics-out", str(out),
+            "table3", "--jobs", jobs, "--metrics-out", str(out),
         ]) == 1
-        err = capsys.readouterr().err
-        assert "quarantined" in err
-        data = json.loads(out.read_text())
-        assert data["quarantined"] == 1
-        [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
-        assert task["failure"]["kind"] == "crash"
-
-    def test_bad_timeout_rejected(self, capsys, cache_dir, entry):
-        # inf would overflow selectors.select; nan would never expire.
-        for timeout in ("0", "inf", "nan"):
-            assert entry("--task-timeout", timeout) == 2
-            assert "task_timeout must be finite and > 0" \
-                in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"task table3/{shard} failed: {error_type}: " in captured.err
+        assert "rerun the same command" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_non_positive_jobs_rejected(self, capsys, entry, jobs):
@@ -330,18 +333,28 @@ class TestCLIFaultTolerance:
             in capsys.readouterr().err
 
     def test_fail_fast_aborts(self, capsys, cache_dir, entry, fail_tasks):
+        # Every run fails fast: the first failed task ends it with exit
+        # status 1, its traceback on stderr and nothing on stdout.
         fail_tasks(entry.label, boom)
-        assert entry("--fail-fast") == 1
-        err = capsys.readouterr().err
-        assert "fail-fast" in err and "rerun the same command" in err
+        assert entry() == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"task {entry.label} failed: Boom: task failed on purpose" \
+            in captured.err
+        assert "Traceback (most recent call last)" in captured.err
+        assert "rerun the same command" in captured.err
 
     @pytest.mark.parametrize("flags", [
         pytest.param(["--resume"], id="resume"),
         pytest.param(["--inject", "x=raise"], id="inject"),
+        pytest.param(["--task-timeout", "5"], id="task-timeout"),
+        pytest.param(["--fail-fast"], id="fail-fast"),
     ])
     def test_resume_and_inject_flags_removed(self, capsys, entry, flags):
-        # A plain rerun serves every finished task from the cache, and
-        # the tests make tasks fail for real, so both flags are gone.
+        # A plain rerun serves every finished task from the cache, the
+        # tests make tasks fail for real, every run stops at its first
+        # failure, and the simulators bound their own work, so these
+        # flags are gone.
         with pytest.raises(SystemExit) as exc:
             entry(*flags)
         assert exc.value.code == 2
@@ -352,19 +365,18 @@ class TestCLIFaultTolerance:
                                        entry):
         monkeypatch.setenv("REPRO_INJECT", "*=raise")
         assert entry() == 0
-        assert "quarantined" not in capsys.readouterr().err
+        assert "failed" not in capsys.readouterr().err
 
-    def test_interrupt_exits_130_with_partial_metrics(
+    def test_interrupt_exits_130(
             self, capsys, cache_dir, tmp_path, monkeypatch, entry):
-        def interrupted(tasks, *, jobs, on_partial, **kwargs):
-            on_partial(RunMetrics(jobs=jobs, fingerprint="partial"))
+        def interrupted(tasks, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("repro.analysis.registry.run_tasks", interrupted)
         monkeypatch.setattr("repro.sweep.engine.run_tasks", interrupted)
         out = tmp_path / "metrics.json"
         assert entry("--metrics-out", str(out)) == 130
-        assert "rerun the same command" in capsys.readouterr().err
-        data = json.loads(out.read_text())
-        assert data["schema"] == METRICS_SCHEMA_VERSION
-        assert data["fingerprint"] == "partial"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rerun the same command" in captured.err
+        assert not out.exists()

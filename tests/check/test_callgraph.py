@@ -265,7 +265,7 @@ class TestNonUtf8Source:
         assert (latin.text, latin.tree, latin.allowed) == ("", None, {})
         lints = lint_paths([root])
         assert [(f.rule, f.severity, f.location) for f in lints.findings] == [
-            ("io", "error", str(root / "latin.py"))]
+            ("io", "error", f"{root.name}/latin.py")]
         entries = {"exp": "pkg.entry.experiment"}
         deps = check_deps(root, entry_points=entries)
         assert deps.info["slices_degraded"] == 1

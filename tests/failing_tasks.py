@@ -2,9 +2,9 @@
 
 Each is module-level, so a pooled worker can unpickle it, and accepts
 any keyword arguments, so it can stand in for any task's ``fn`` (see
-the ``fail_tasks`` fixture in ``tests/conftest.py``).  ``crash`` and
-``hang`` need a worker process (``jobs >= 2``): inline, a crash would
-kill the test run and nothing would end a hang.
+the ``fail_tasks`` fixture in ``tests/conftest.py``).  ``crash`` needs
+a worker process (``jobs >= 2``): inline, it would kill the test run.
+``hang`` never returns, so a test that runs it must kill the run.
 """
 
 import os
@@ -21,7 +21,7 @@ def crash(**kwargs):
 
 
 def hang(**kwargs):
-    """Sleep far past any task timeout the tests set."""
+    """Sleep until the run is killed."""
     time.sleep(3600)
 
 

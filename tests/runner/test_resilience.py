@@ -1,27 +1,17 @@
-"""Supervised executor: timeouts, crash detection, quarantine, interrupts.
+"""Supervised executor: a failed task fails the run, and a rerun resumes.
 
-Every failure here is real: the failing shard's task calls
-``os._exit``, sleeps past the timeout or raises (see
-:mod:`tests.failing_tasks`), and the healthy shards must stay
-byte-identical to a run where nothing fails.
+Every failure here is real: the failing shard's task raises or calls
+``os._exit`` (see :mod:`tests.failing_tasks`).  The run must raise
+:class:`TaskFailed` naming the shard and the exception type, and a
+rerun with the shard fixed must serve every task the failed run stored.
 """
 
-import json
-import math
-import time
 from dataclasses import replace
 
 import pytest
 
-from repro.runner import (
-    FailFastError,
-    ResultCache,
-    SupervisionPolicy,
-    Task,
-    run_tasks,
-    supervised_map,
-)
-from tests.failing_tasks import boom, crash, hang
+from repro.runner import ResultCache, Task, TaskFailed, run_tasks, supervised_map
+from tests.failing_tasks import boom, crash
 
 
 def _work(n=1, seed=0):
@@ -44,11 +34,6 @@ def _interrupt(n=0):
     raise KeyboardInterrupt
 
 
-def _sleepy(duration=30.0):
-    time.sleep(duration)
-    return duration
-
-
 def _refuse_to_load(label):
     raise ValueError(f"{label} cannot be rebuilt here")
 
@@ -64,132 +49,93 @@ def _unloadable():
     return _Unloadable()
 
 
+def _fail_then_rerun(tmp_path, fns, jobs):
+    """Run with ``fns`` failing, then rerun fixed on the same cache.
+
+    The failed run must raise :class:`TaskFailed`; the rerun must give
+    the fault-free results and serve exactly the entries the failed run
+    stored.  Returns the error, the stored count and the rerun metrics.
+    """
+    cache = ResultCache(tmp_path, fingerprint="a" * 64)
+    with pytest.raises(TaskFailed) as err:
+        run_tasks(_failing(fns), jobs=jobs, cache=cache)
+    stored = len(list(tmp_path.rglob("*.pkl")))
+    clean, _ = run_tasks(_tasks(), jobs=1)
+    results, rerun = run_tasks(_tasks(), jobs=jobs, cache=cache)
+    assert results == clean
+    assert rerun.hits == stored
+    assert rerun.misses == len(rerun.tasks) - stored
+    return err.value, stored, rerun
+
+
 class TestQuarantine:
+    """A failed shard is kept out of the cache and fails the run.
+
+    There is no retry: the one attempt is all a shard gets.  Every task
+    that finished before the failure is stored, so a plain rerun with
+    the shard fixed recomputes only what is missing.
+    """
+
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exhausted_retries_quarantine_only_that_shard(self, jobs):
-        # A crash needs a worker process to die in; inline, shard 2
+    def test_exhausted_retries_quarantine_only_that_shard(
+            self, tmp_path, jobs):
+        # A crash needs a worker process to die in; inline, shard 3
         # raises instead.
-        fail, kind = (crash, "crash") if jobs > 1 else (boom, "exception")
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        results, metrics = run_tasks(_failing({"2": fail}), jobs=jobs)
-        # The healthy shards are byte-identical to the fault-free run.
-        assert ("demo", "2") not in results
-        assert results == {k: v for k, v in clean.items() if k[1] != "2"}
-        assert metrics.quarantined == 1
-        [failed] = metrics.failures
-        assert failed.shard == "2"
-        assert failed.status == "quarantined"
-        assert failed.failure["kind"] == kind
+        fail, error_type = (crash, "WorkerCrash") if jobs > 1 else (boom, "Boom")
+        err, stored, rerun = _fail_then_rerun(tmp_path, {"3": fail}, jobs)
+        assert err.label == "demo/3"
+        assert err.error_type == error_type
+        assert str(err).startswith(f"demo/3: {error_type}: ")
+        if fail is crash:
+            assert "exited with code 73" in err.message
+        else:
+            # Inline, exactly the shards ahead of the failure finished.
+            assert stored == 2
+        assert rerun.tasks[2].cache == "miss"
 
-    def test_k_injected_faults_give_exactly_k_quarantines(self):
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        results, metrics = run_tasks(_failing({"1": boom, "4": crash}), jobs=2)
-        assert metrics.quarantined == 2
-        assert sorted(results) == [("demo", "2"), ("demo", "3")]
-        assert all(results[k] == clean[k] for k in results)
-        kinds = {t.shard: t.failure["kind"] for t in metrics.failures}
-        assert kinds == {"1": "exception", "4": "crash"}
-
-    def test_exception_fault_records_type_and_traceback(self):
-        _, metrics = run_tasks(_failing({"1": boom}), jobs=2)
-        [failed] = metrics.failures
-        assert failed.failure["kind"] == "exception"
-        assert failed.failure["error_type"] == "Boom"
-        assert failed.failure["message"] == "task failed on purpose"
-        assert "Boom" in failed.failure["traceback"]
-        assert failed.failure["worker"] > 0
-
-    def test_result_that_fails_to_unpickle_is_quarantined(self):
-        # The worker pickles the result fine; the parent's unpickle
-        # raises.  That is a typed exception-kind failure naming the
-        # task, and the healthy shards still complete.
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        tasks = _tasks() + [Task("demo", "bad", _unloadable, {})]
-        results, metrics = run_tasks(tasks, jobs=2)
-        assert results == clean
-        [failed] = metrics.failures
-        assert failed.shard == "bad"
-        assert failed.failure["kind"] == "exception"
-        assert failed.failure["label"] == "demo/bad"
-        assert failed.failure["error_type"] == "ValueError"
-        assert "failed to unpickle" in failed.failure["message"]
-        assert "demo/bad cannot be rebuilt here" in failed.failure["message"]
-
-    def test_metrics_json_carries_the_failure(self, tmp_path):
-        _, metrics = run_tasks(_failing({"2": crash}), jobs=2)
-        out = tmp_path / "metrics.json"
-        metrics.write(out)
-        data = json.loads(out.read_text())
-        assert data["quarantined"] == 1
-        [task] = [t for t in data["tasks"] if t["status"] == "quarantined"]
-        assert task["failure"]["kind"] == "crash"
-        assert task["failure"]["label"] == "demo/2"
-        assert "exited with code 73" in task["failure"]["message"]
-
-    def test_render_lists_quarantined_shards(self):
-        _, metrics = run_tasks(_failing({"2": crash}), jobs=2)
-        lines = metrics.render().splitlines()
-        assert "quarantined shards:" in lines
-        assert lines[-1].startswith("  demo/2: crash — WorkerCrash: ")
-
-    def test_fail_fast_aborts_the_sweep(self):
-        with pytest.raises(FailFastError) as err:
-            run_tasks(
-                _failing({"1": boom}), jobs=1,
-                policy=SupervisionPolicy(fail_fast=True),
-            )
-        assert err.value.failure.label == "demo/1"
+    def test_exception_fault_records_type_and_traceback(self, tmp_path):
+        err, _, _ = _fail_then_rerun(tmp_path, {"1": boom}, jobs=2)
+        assert err.label == "demo/1"
+        assert err.error_type == "Boom"
+        assert err.message == "task failed on purpose"
+        assert "Boom" in err.traceback
+        assert str(err).startswith("demo/1: Boom: task failed on purpose")
 
     def test_plain_rerun_recomputes_only_the_quarantined_shard(
             self, tmp_path):
-        cache = ResultCache(tmp_path, fingerprint="a" * 64)
-        _, metrics = run_tasks(_failing({"2": boom}), jobs=1, cache=cache)
-        assert metrics.quarantined == 1
-        # A quarantined shard stores nothing, so the same call with
-        # the shard fixed runs it and serves the rest from the cache.
-        results, rerun = run_tasks(_tasks(), jobs=1, cache=cache)
-        assert rerun.quarantined == 0 and len(results) == 4
-        assert [t.cache for t in rerun.tasks] == ["hit", "miss", "hit", "hit"]
+        # Inline, the last shard fails after the other three are
+        # stored, so the rerun recomputes that shard alone.
+        _, stored, rerun = _fail_then_rerun(tmp_path, {"4": boom}, jobs=1)
+        assert stored == 3
+        assert [t.cache for t in rerun.tasks] == ["hit", "hit", "hit", "miss"]
 
 
-class TestTimeout:
-    def test_hung_worker_is_killed_and_quarantined(self):
-        # demo/2 hangs (sleeps far beyond the timeout); the watchdog
-        # must kill it and the other shards must still complete.
-        clean, _ = run_tasks(_tasks(), jobs=1)
-        results, metrics = run_tasks(
-            _failing({"2": hang}), jobs=2,
-            policy=SupervisionPolicy(task_timeout=0.5),
-        )
-        [failed] = metrics.failures
-        assert failed.failure["kind"] == "timeout"
-        assert failed.failure["worker"] > 0
-        assert results == {k: v for k, v in clean.items() if k[1] != "2"}
+class TestFailedTaskFailsTheRun:
+    def test_inline_failure_chains_the_original_exception(self):
+        with pytest.raises(TaskFailed) as err:
+            run_tasks(_failing({"1": boom}), jobs=1)
+        assert type(err.value.__cause__).__name__ == "Boom"
 
-    def test_genuinely_slow_task_times_out(self):
-        tasks = [Task("slow", "1", _sleepy, {"duration": 30.0}),
-                 Task("slow", "2", _work, {"n": 2})]
-        results, metrics = run_tasks(
-            tasks, jobs=2,
-            policy=SupervisionPolicy(task_timeout=0.5),
-        )
-        [failed] = metrics.failures
-        assert failed.shard == "1" and failed.failure["kind"] == "timeout"
-        assert results[("slow", "2")] == _work(n=2)
+    def test_result_that_fails_to_unpickle_names_its_task(self):
+        # The worker pickles the result fine; the parent's unpickle
+        # raises.  That is a typed failure naming the task.
+        tasks = _tasks() + [Task("demo", "bad", _unloadable, {})]
+        with pytest.raises(TaskFailed) as err:
+            run_tasks(tasks, jobs=2)
+        assert err.value.label == "demo/bad"
+        assert err.value.error_type == "ValueError"
+        assert "failed to unpickle" in err.value.message
+        assert "demo/bad cannot be rebuilt here" in err.value.message
 
 
 class TestKeyboardInterrupt:
-    def test_interrupt_partial_metrics_then_rerun_hits(self, tmp_path):
+    def test_interrupt_then_rerun_hits(self, tmp_path):
         cache = ResultCache(tmp_path, fingerprint="a" * 64)
         tasks = _tasks()[:2] + [Task("demo", "boom", _interrupt, {})]
-        seen = []
         with pytest.raises(KeyboardInterrupt):
-            run_tasks(tasks, jobs=1, cache=cache, on_partial=seen.append)
-        # Both completed shards are in the partial metrics handed to
-        # on_partial before the re-raise.
-        [partial] = seen
-        assert [t.shard for t in partial.tasks] == ["1", "2"]
-        # A plain rerun serves them from the cache and runs the rest.
+            run_tasks(tasks, jobs=1, cache=cache)
+        # A plain rerun serves the two finished shards from the cache
+        # and runs the rest.
         results, metrics = run_tasks(_tasks(), jobs=1, cache=cache)
         assert len(results) == 4
         assert [t.cache for t in metrics.tasks] == \
@@ -198,11 +144,9 @@ class TestKeyboardInterrupt:
 
 class TestSupervisedMap:
     def test_outcomes_in_input_order(self):
-        outcomes = supervised_map(
+        assert supervised_map(
             _probe, [3, 1, 2], labels=["a", "b", "c"], jobs=2,
-        )
-        assert [o.result for o in outcomes] == [9, 1, 4]
-        assert [o.label for o in outcomes] == ["a", "b", "c"]
+        ) == [9, 1, 4]
 
     def test_mismatched_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -212,17 +156,10 @@ class TestSupervisedMap:
         done = []
         supervised_map(
             _probe, [1, 2, 3], labels=["a", "b", "c"], jobs=2,
-            on_done=lambda i, o: done.append(i),
+            on_done=lambda i, result: done.append((i, result)),
         )
-        assert sorted(done) == [0, 1, 2]
+        assert sorted(done) == [(0, 1), (1, 4), (2, 9)]
 
 
 def _probe(n):
     return n * n
-
-
-class TestPolicyValidation:
-    def test_bad_values_rejected(self):
-        for timeout in (0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite and > 0"):
-                SupervisionPolicy(task_timeout=timeout)

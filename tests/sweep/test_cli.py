@@ -85,14 +85,18 @@ class TestRun:
     def test_missing_spec_is_usage_error(self, capsys):
         assert sweep_main(["run", "no-such-sweep", "--no-cache"]) == 2
 
-    def test_quarantine_exits_nonzero(self, spec_path, capsys, fail_tasks):
+    def test_failed_config_exits_1_without_report(
+            self, spec_path, tmp_path, capsys, fail_tasks):
         fail_tasks("sweep:figure7/line_bytes=256*", boom)
+        report = tmp_path / "report.json"
         status = sweep_main([
-            "run", str(spec_path), "--no-cache", "--no-report",
+            "run", str(spec_path), "--no-cache", "--report-out", str(report),
         ])
         assert status == 1
-        out = capsys.readouterr().out
-        assert "quarantined" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "task sweep:figure7/line_bytes=256 failed: Boom" in captured.err
+        assert not report.exists()
 
 
 class TestReportAndList:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runner import ResultCache
+from repro.runner import ResultCache, TaskFailed
 from repro.sweep.engine import compile_tasks, run_sweep
 from repro.sweep.spec import parse_spec
 from tests.failing_tasks import boom
@@ -47,7 +47,6 @@ class TestRun:
     def test_end_to_end_produces_metrics_and_verdicts(self):
         outcome, metrics = run_sweep(tiny_spec())
         assert len(outcome.configs) == 2
-        assert outcome.failed == []
         for result in outcome.configs:
             assert set(result.metrics) == {
                 "miss_rate", "cpi", "bank_utilization"}
@@ -80,15 +79,14 @@ class TestRun:
         assert by_shard["line_bytes=512,num_banks=4"] == "hit"
         assert by_shard["line_bytes=1024,num_banks=4"] == "miss"
 
-    def test_quarantined_config_is_excluded_from_pareto(self, fail_tasks):
+    def test_failed_config_fails_the_sweep(self, fail_tasks):
+        # A frontier classified over part of the grid is not the sweep's
+        # result, so one failed configuration fails the whole run.
         fail_tasks("sweep:figure7/line_bytes=256*", boom)
-        outcome, metrics = run_sweep(tiny_spec())
-        assert outcome.failed == ["line_bytes=256,num_banks=4"]
-        assert [c.label for c in outcome.configs] == [
-            "line_bytes=512,num_banks=4"]
-        # The lone survivor is trivially the whole frontier.
-        assert outcome.frontier == ["line_bytes=512,num_banks=4"]
-        assert metrics.quarantined == 1
+        with pytest.raises(TaskFailed) as err:
+            run_sweep(tiny_spec())
+        assert err.value.label == "sweep:figure7/line_bytes=256,num_banks=4"
+        assert err.value.error_type == "Boom"
 
     def test_deterministic_across_runs(self):
         first, _ = run_sweep(tiny_spec())

@@ -55,7 +55,6 @@ def _outcome(spec=None):
                          "bank_utilization": 0.05},
             ),
         ],
-        failed=[],
     )
 
 
@@ -113,13 +112,6 @@ class TestRendering:
     def test_empty_registry_renders_placeholder(self):
         text = generate_sweeps_md([])
         assert "No sweep reports are checked in yet" in text
-
-    def test_quarantined_configs_are_listed(self):
-        outcome = _outcome()
-        outcome.failed = ["line_bytes=1024"]
-        text = generate_sweeps_md([build_sweep_artifact(outcome)])
-        assert "Quarantined configurations" in text
-        assert "`line_bytes=1024`" in text
 
 
 class TestDrift:

@@ -98,6 +98,12 @@ class Cache:
     def _lookup_and_update(self, addr: int, write: bool) -> bool:
         raise NotImplementedError
 
+    def credit_mru_hits(self, count: int) -> None:
+        """Count ``count`` load hits that ``hit_mru`` served uncounted."""
+        loads = self.stats.loads
+        loads.total += count
+        loads.hits += count
+
     def reset(self) -> None:
         """Clear contents and statistics."""
         self.stats = CacheStats()

@@ -115,22 +115,25 @@ class ColumnBufferCache(Cache):
         return False
 
     def hit_mru(self, addr: int) -> bool:
-        """Serve a read that hits its set's most recently used column.
+        """Serve a load that hits its set's most recently used column.
 
-        On such a hit this does exactly what ``access(addr)`` does and
-        returns True; otherwise it changes nothing and returns False.
-        It is the MP system's fast local-hit path.
+        On such a hit this makes the one state change ``access(addr)``
+        makes, the line's hot sub-block, and returns True; otherwise it
+        changes nothing and returns False.  It counts nothing: the MP
+        engine serves its local fast path here and credits the hits once
+        per run through :meth:`credit_mru_hits` (``last_hit_was_victim``
+        keeps describing the last :meth:`access`).  The MP node caches see
+        every reference as a load, so there is no write flag to apply.
         """
         lines = self._sets[(addr >> self._line_shift) & self._set_mask]
         if not lines or lines[-1].tag != addr >> self._tag_shift:
             return False
         lines[-1].last_sub_addr = addr & self._sub_mask
-        self.main_hits += 1
-        self.last_hit_was_victim = False
-        loads = self.stats.loads  # loads.record(True), inlined
-        loads.total += 1
-        loads.hits += 1
         return True
+
+    def credit_mru_hits(self, count: int) -> None:
+        super().credit_mru_hits(count)
+        self.main_hits += count
 
     def contains(self, addr: int) -> bool:
         """Non-mutating probe of the column buffers only."""

@@ -76,19 +76,17 @@ class SetAssociativeCache(Cache):
         return (tag << self._tag_shift) | (index << self._line_shift)
 
     def hit_mru(self, addr: int) -> bool:
-        """Serve a read that hits its set's most recently used line.
+        """Serve a load that hits its set's most recently used line.
 
-        On such a hit this does exactly what ``access(addr)`` does and
-        returns True; otherwise it changes nothing and returns False.
-        It is the MP system's fast local-hit path.
+        On such a hit ``access(addr)`` would change no cache state, so
+        this only returns True; otherwise it returns False.  It counts
+        nothing: the MP engine serves its local fast path here and credits
+        the hits once per run through :meth:`credit_mru_hits`.  The MP
+        node caches see every reference as a load, so there is no write
+        flag to apply.
         """
         tags = self._sets[(addr >> self._line_shift) & self._set_mask]
-        if not tags or tags[-1] != addr >> self._tag_shift:
-            return False
-        loads = self.stats.loads  # loads.record(True), inlined
-        loads.total += 1
-        loads.hits += 1
-        return True
+        return bool(tags) and tags[-1] == addr >> self._tag_shift
 
     def contains(self, addr: int) -> bool:
         """Non-mutating membership probe (does not touch LRU or stats)."""

@@ -104,6 +104,9 @@ class Directory:
         self.block_bytes = block_bytes
         self.num_nodes = num_nodes
         self._entries: dict[int, BlockEntry] = {}
+        # The entry of a block-aligned address, or None: ``peek`` without
+        # the alignment, for callers that look up one block per reference.
+        self.entry_of_block = self._entries.get
         self.stats = ProtocolStats()
 
     def block_of(self, addr: int) -> int:

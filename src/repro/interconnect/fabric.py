@@ -37,6 +37,9 @@ class MessageType(Enum):
 
 HEADER_BYTES = 8  # address + command + routing
 
+# Bytes on the wire per message, header included, by type.
+_MESSAGE_BYTES = {kind: HEADER_BYTES + kind.payload_bytes for kind in MessageType}
+
 
 @dataclass
 class FabricStats:
@@ -45,7 +48,7 @@ class FabricStats:
 
     def record(self, kind: MessageType, count: int = 1) -> None:
         self.messages[kind] = self.messages.get(kind, 0) + count
-        self.bytes_sent += count * (HEADER_BYTES + kind.payload_bytes)
+        self.bytes_sent += count * _MESSAGE_BYTES[kind]
 
 
 class Fabric:

@@ -9,6 +9,11 @@ Scheduling is an event queue of runnable processors ordered by
 ``(time, proc_id)``, which makes runs deterministic.  Locks are FIFO;
 barriers release all participants at the latest arrival plus a fixed
 overhead.
+
+The op loop serves local MRU hits itself (see :class:`MPSystem` for the
+rule) with one directory-entry lookup and one MRU probe, counts them per
+node, and credits their counters to the system once per run; every
+other reference goes through ``MPSystem.access``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import obs
+from repro.coherence.protocol import BlockState
 from repro.common import tally
 from repro.common.errors import SimulationError
 from repro.mp.ops import Barrier, Compute, Lock, Op, Read, Unlock, Write
@@ -25,6 +31,9 @@ from repro.mp.system import MPSystem
 
 KernelFactory = Callable[[int, int], Iterator[Op]]
 """Builds the op stream for (proc_id, num_procs)."""
+
+_UNOWNED = BlockState.UNOWNED
+_SHARED = BlockState.SHARED
 
 
 @dataclass
@@ -74,10 +83,24 @@ class MPEngine:
         self.max_ops = max_ops
 
     def run(self, kernel: KernelFactory) -> MPResult:
+        system = self.system
+        fast_reads = [0] * system.num_nodes
+        fast_writes = [0] * system.num_nodes
         with obs.span("mp/run"):
-            return self._run(kernel)
+            try:
+                result = self._run(kernel, fast_reads, fast_writes)
+            finally:
+                # Credited even when the run fails, so that the counters
+                # always match the caches' contents.
+                fast_hits = system.credit_fast_hits(fast_reads, fast_writes)
+            tally.add("mp_fast_hits", fast_hits)
+        return result
 
-    def _run(self, kernel: KernelFactory) -> MPResult:
+    def _run(
+        self, kernel: KernelFactory, fast_reads: list[int], fast_writes: list[int]
+    ) -> MPResult:
+        """The op loop; counts the local fast-path hits of each node in
+        ``fast_reads`` and ``fast_writes``."""
         system = self.system
         n = system.num_nodes
         procs = [kernel(i, n) for i in range(n)]
@@ -93,9 +116,11 @@ class MPEngine:
         blocked_since: dict[int, int] = {}
         total_ops = 0
         max_ops = self.max_ops
-        fast_hits_before = system.fast_hits
         access = system.access
         heappush, heappop = heapq.heappush, heapq.heappop
+        region, block = system.region_bytes, system.block_bytes
+        entry_of_block, hit_mru = system.entry_of_block, system.hit_mru
+        mru_latency = system.mru_latency
 
         def resume(proc: int, at_time: int) -> None:
             time[proc] = at_time
@@ -117,7 +142,21 @@ class MPEngine:
 
             kind = type(op)
             if kind is Read or kind is Write:
-                now += access(proc, op.addr, kind is Write)
+                addr = op.addr
+                if (
+                    addr // region == proc
+                    and ((entry := entry_of_block(addr - addr % block)) is None
+                         or entry.state is _UNOWNED
+                         or (entry.state is _SHARED and kind is Read))
+                    and hit_mru[proc](addr)
+                ):
+                    now += mru_latency
+                    if kind is Read:
+                        fast_reads[proc] += 1
+                    else:
+                        fast_writes[proc] += 1
+                else:
+                    now += access(proc, addr, kind is Write)
                 time[proc] = now
                 heappush(ready, (now, proc))
             elif kind is Compute:
@@ -168,7 +207,6 @@ class MPEngine:
             stuck = [i for i, done in enumerate(finished) if not done]
             raise SimulationError(f"deadlock: processors {stuck} never finished")
         tally.add("mp_ops", total_ops)
-        tally.add("mp_fast_hits", system.fast_hits - fast_hits_before)
         return MPResult(
             finish_times=time,
             ops_executed=ops_executed,

@@ -20,6 +20,12 @@ when the INC evicts or invalidates the block — so the directory's sharer
 sets remain exact.  Local blocks cached in column buffers (or FLC) need
 no sharer entry: the home consults its directory on every local access
 and recalls remotely-owned blocks.
+
+The node caches see every reference as a load: ``lookup`` calls each
+cache's ``access(addr)`` without the write flag.  Node-cache stores,
+dirty bits and column writebacks are therefore not modelled in MP; the
+directory tracks ownership.  ``mru_cache`` names the cache whose most
+recently used lines serve the engine's local fast path.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class IntegratedNode:
         self.columns = ColumnBufferCache(
             self.params.dcache_geometry, victim=self.victim
         )
-        self.hit_local_mru = self.columns.hit_mru
+        self.mru_cache = self.columns
 
         def _inc_evicted(addr: int) -> None:
             # Staged victim copies are tied to INC residency.
@@ -84,6 +90,7 @@ class IntegratedNode:
         self.inc = InterNodeCache(inc_bytes, on_evict=_inc_evicted)
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel:
+        """The level that serves ``addr``, looked up as a load."""
         if is_local:
             # Column buffers (and their victim) cache local memory; a miss
             # loads the column as part of the same DRAM access.
@@ -191,13 +198,14 @@ class ReferenceNode:
             flc_geometry or CacheGeometry(16 * KB, COHERENCE_UNIT_BYTES, 1)
         )
         self._slc: set[int] = set()  # infinite: resident block addresses
-        self.hit_local_mru = self.flc.hit_mru
+        self.mru_cache = self.flc
 
     @staticmethod
     def _block(addr: int) -> int:
         return addr - (addr % COHERENCE_UNIT_BYTES)
 
     def lookup(self, addr: int, is_local: bool) -> HitLevel:
+        """The level that serves ``addr``, looked up as a load."""
         if self.flc.access(addr):
             return HitLevel.CACHE
         if self._block(addr) in self._slc:

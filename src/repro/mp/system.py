@@ -4,6 +4,9 @@
 read or write through the requesting node's caches and the
 write-invalidate directory protocol, maintains every node's cache
 contents, and returns the latency in processor cycles per Table 6.
+The engine serves local MRU hits itself, from what ``MPSystem`` builds
+for it, and credits their counters through
+``MPSystem.credit_fast_hits`` once per run.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.coherence.protocol import BlockState, Directory
+from repro.coherence.protocol import Directory
 from repro.common.errors import ConfigError
 from repro.common.params import IntegratedDeviceParams, MPLatencies
 from repro.common.units import MB
@@ -20,8 +23,7 @@ from repro.mp.layout import Layout
 from repro.mp.node import HitLevel, IntegratedNode, ReferenceNode, SCOMANode
 
 _CACHE = HitLevel.CACHE
-_UNOWNED = BlockState.UNOWNED
-_SHARED = BlockState.SHARED
+_REMOTE = HitLevel.REMOTE
 
 
 class SystemKind(Enum):
@@ -48,12 +50,6 @@ class AccessStats:
     upgrades: int = 0
     recalls: int = 0
 
-    def imbalance(self, others: list["AccessStats"]) -> float:
-        """Max/mean access-count ratio across per-node stats."""
-        counts = [s.total for s in others]
-        mean = sum(counts) / len(counts) if counts else 0
-        return max(counts) / mean if mean else 0.0
-
     @property
     def total(self) -> int:
         return self.reads + self.writes
@@ -62,11 +58,20 @@ class AccessStats:
 class MPSystem:
     """A CC-NUMA machine built from integrated or reference nodes.
 
-    :meth:`access` counts each reference once, in its node's
-    ``node_stats`` entry; ``upgrades`` and ``recalls`` count the
-    machine's coherence events, and :attr:`stats` derives the
+    Each reference is counted once, in its node's ``node_stats`` entry:
+    by :meth:`access`, or by :meth:`credit_fast_hits` for the local MRU
+    hits the engine served itself.  ``upgrades`` and ``recalls`` count
+    the machine's coherence events, and :attr:`stats` derives the
     machine-wide totals from both.  ``fast_hits`` counts the references
-    served by the local-hit fast path of :meth:`access`.
+    served by the engine's fast path.
+
+    That fast path serves a local reference whose block the directory
+    already lets the node use (a read of a block no remote node owns, or
+    a write to a block no remote node holds) and which hits the MRU line
+    of its set in ``mru_cache``: it costs ``mru_latency`` and touches
+    neither the directory nor the fabric.  :meth:`access` takes the
+    protocol path for every reference it is given, which gives the same
+    result for such a hit.
     """
 
     def __init__(
@@ -134,11 +139,13 @@ class MPSystem:
             HitLevel.SLC: lat.slc_hit,
             HitLevel.LOCAL_MEMORY: lat.local_memory,  # S-COMA attraction memory
         }
-        # Fixed for the machine's lifetime; read by the fast path.
-        self._region_bytes = self.layout.region_bytes
+        # What the engine's fast path reads, fixed for the machine's lifetime.
+        self.region_bytes = self.layout.region_bytes
+        self.block_bytes = self.directory.block_bytes
+        self.entry_of_block = self.directory.entry_of_block
+        self.hit_mru = [node.mru_cache.hit_mru for node in self.nodes]
+        self.mru_latency = cache_hit
         self._regions = self.layout.num_nodes
-        self._hit_mru = [node.hit_local_mru for node in self.nodes]
-        self._mru_latency = cache_hit
 
     @property
     def num_nodes(self) -> int:
@@ -162,16 +169,9 @@ class MPSystem:
     # -- the protocol -------------------------------------------------------
 
     def access(self, node_id: int, addr: int, write: bool) -> int:
-        """Apply one reference; returns its latency in cycles.
-
-        Fast path: a local reference whose block the directory already
-        lets this node use (a read of a block no remote node owns, or a
-        write to a block no remote node holds) and which hits the MRU
-        line of its set costs one cache hit and touches neither the
-        directory nor the fabric.  Everything else takes the protocol
-        path below, which handles every case.
-        """
-        home = addr // self._region_bytes
+        """Apply one reference through the protocol; returns its latency
+        in cycles."""
+        home = addr // self.region_bytes
         if not 0 <= home < self._regions:
             self.layout.home_of(addr)  # raises, naming the address
         nstats = self.node_stats[node_id]
@@ -181,23 +181,28 @@ class MPSystem:
             nstats.reads += 1
         if home != node_id:
             nstats.remote += 1
-            return self._remote_access(node_id, addr, home, write, nstats)
+            return self._remote_access(node_id, addr, home, write,
+                                       nstats.by_level)
         nstats.local += 1
-        entry = self.directory.peek(addr)
-        if (
-            (entry is None or entry.state is _UNOWNED
-             or (entry.state is _SHARED and not write))
-            and self._hit_mru[node_id](addr)
-        ):
-            self.fast_hits += 1
-            by_level = nstats.by_level
-            by_level[_CACHE] = by_level.get(_CACHE, 0) + 1
-            return self._mru_latency
-        return self._local_access(node_id, addr, write, nstats)
+        return self._local_access(node_id, addr, write, nstats.by_level)
 
-    @staticmethod
-    def _record_level(nstats: AccessStats, level: HitLevel) -> None:
-        nstats.by_level[level] = nstats.by_level.get(level, 0) + 1
+    def credit_fast_hits(self, reads: list[int], writes: list[int]) -> int:
+        """Count the fast-path hits the engine served, per node, in
+        ``node_stats``, ``fast_hits`` and each node's ``mru_cache``;
+        returns their total."""
+        total = 0
+        for nstats, node, fast_reads, fast_writes in zip(
+                self.node_stats, self.nodes, reads, writes):
+            hits = fast_reads + fast_writes
+            if hits:
+                nstats.reads += fast_reads
+                nstats.writes += fast_writes
+                nstats.local += hits
+                nstats.by_level[_CACHE] = nstats.by_level.get(_CACHE, 0) + hits
+                node.mru_cache.credit_mru_hits(hits)
+                total += hits
+        self.fast_hits += total
+        return total
 
     def _invalidate_copies(self, addr: int, victims: set[int]) -> None:
         for victim in victims:
@@ -207,7 +212,7 @@ class MPSystem:
             self.fabric.send(MessageType.ACK, len(victims))
 
     def _local_access(
-        self, node_id: int, addr: int, write: bool, nstats: AccessStats
+        self, node_id: int, addr: int, write: bool, by_level: dict[HitLevel, int]
     ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
@@ -224,11 +229,11 @@ class MPSystem:
                 self.fabric.send(MessageType.READ_REQUEST)
             self.fabric.send(MessageType.WRITEBACK)
             node.lookup(addr, is_local=True)  # keep cache state coherent
-            self._record_level(nstats, HitLevel.REMOTE)
+            by_level[_REMOTE] = by_level.get(_REMOTE, 0) + 1
             return lat.invalidation_round_trip
         victims = directory.copies_to_invalidate(addr, node_id) if write else None
         level = node.lookup(addr, is_local=True)
-        self._record_level(nstats, level)
+        by_level[level] = by_level.get(level, 0) + 1
         if victims:
             self.upgrades += 1
             directory.record_write(addr, node_id, node_id)
@@ -237,7 +242,8 @@ class MPSystem:
         return self._local_latency[level]
 
     def _remote_access(
-        self, node_id: int, addr: int, home: int, write: bool, nstats: AccessStats
+        self, node_id: int, addr: int, home: int, write: bool,
+        by_level: dict[HitLevel, int],
     ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
@@ -246,7 +252,7 @@ class MPSystem:
             level = node.lookup(addr, is_local=False)
             latency = self._remote_hit_latency.get(level)
             if latency is not None:
-                self._record_level(nstats, level)
+                by_level[level] = by_level.get(level, 0) + 1
                 return latency
             # Not held: a read miss, or an owner whose copy was evicted
             # (the eviction callback downgraded it).
@@ -259,7 +265,7 @@ class MPSystem:
             node.fill_remote(addr)
             self.fabric.send(MessageType.WRITE_REQUEST)
             self.fabric.send(MessageType.READ_REPLY)
-            self._record_level(nstats, HitLevel.REMOTE)
+            by_level[_REMOTE] = by_level.get(_REMOTE, 0) + 1
             return lat.invalidation_round_trip
         # Remote load: to the home (and possibly on to a dirty owner),
         # one lumped 80-cycle latency (Table 6).  An S-COMA first touch of
@@ -268,8 +274,8 @@ class MPSystem:
         node.fill_remote(addr)
         self.fabric.send(MessageType.READ_REQUEST)
         self.fabric.send(MessageType.READ_REPLY)
-        self._record_level(nstats, level if level is HitLevel.PAGE_FAULT
-                           else HitLevel.REMOTE)
         if level is HitLevel.PAGE_FAULT:
+            by_level[level] = by_level.get(level, 0) + 1
             return lat.scoma_page_fault + lat.remote_load
+        by_level[_REMOTE] = by_level.get(_REMOTE, 0) + 1
         return lat.remote_load

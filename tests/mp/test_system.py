@@ -1,9 +1,18 @@
 import pytest
 
+from repro.common import tally
 from repro.common.errors import ConfigError
 from repro.common.params import MPLatencies
+from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
+from repro.mp.ops import Compute, Read, Write
 from repro.mp.system import MPSystem, SystemKind
+from repro.workloads.splash import KERNELS
+from tests.mp.reference_mp import (
+    ReferenceMPEngine,
+    ReferenceMPSystem,
+    observables,
+)
 
 LAT = MPLatencies()
 REMOTE_BASE = NODE_REGION_BYTES  # node 1's region
@@ -110,14 +119,45 @@ class TestStats:
         assert stats.remote == 50
 
     def test_fast_hits_count_local_mru_hits(self):
+        """The engine serves local MRU hits and credits them per run."""
+
+        def kernel(proc, nprocs):
+            if proc == 0:
+                yield Read(0x1000)  # cold: local memory
+                yield Write(0x1008)  # MRU column, block unowned: fast
+                yield Compute(20)  # node 1 reads meanwhile
+                yield Read(0x1010)  # shared read: still fast
+                yield Write(0x1018)  # shared write: upgrade
+            else:
+                yield Compute(10)
+                yield Read(0x1000)  # node 1 shares the block
+
         system = MPSystem(2, SystemKind.INTEGRATED)
-        system.access(0, 0x1000, write=False)  # cold: local memory
-        system.access(0, 0x1008, write=True)  # MRU column, block unowned
-        system.access(1, 0x1000, write=False)  # node 1 shares the block
-        system.access(0, 0x1010, write=False)  # shared read: still fast
-        assert system.access(0, 0x1018, write=True) == LAT.invalidation_round_trip
+        result = MPEngine(system).run(kernel)
+        before_upgrade = LAT.local_memory + 2 * LAT.cache_hit + 20
+        assert result.finish_times[0] == (
+            before_upgrade + LAT.invalidation_round_trip)
         assert system.fast_hits == 2
         assert system.stats.upgrades == 1
+        assert system.node_stats[0].total == 4
+
+    @pytest.mark.parametrize("kind", list(SystemKind), ids=lambda k: k.value)
+    def test_two_runs_on_one_system_match_oracle(self, kind):
+        """Per-run credits add up: counters match the oracle after each run."""
+        kernels = (KERNELS["lu"](n=8, seed=0),
+                   KERNELS["ocean"](n=12, iterations=2, seed=0))
+        system = MPSystem(4, kind)
+        oracle = ReferenceMPSystem(4, kind)
+        tallies = []
+        for kernel in kernels:
+            before = tally.snapshot()
+            got = MPEngine(system).run(kernel.build(4, system.layout))
+            tallies.append(tally.since(before).get("mp_fast_hits", 0))
+            expected = ReferenceMPEngine(oracle).run(
+                kernel.build(4, oracle.layout))
+            assert observables(got, system) == observables(expected, oracle)
+        assert all(tallies)
+        assert sum(tallies) == system.fast_hits
 
     def test_out_of_range_address_rejected(self):
         system = MPSystem(2, SystemKind.INTEGRATED)

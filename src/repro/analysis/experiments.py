@@ -34,10 +34,11 @@ from repro.machines.models import sparcstation_5, sparcstation_10
 from repro.machines.stridewalk import stride_walk_curve
 from repro.machines.table1 import table1_model
 from repro.mp.system import SystemKind
-from repro.uniproc.measurement import measure_integrated
+from repro.uniproc.measurement import measure_conventional, measure_integrated
 from repro.uniproc.pipeline import (
-    conventional_cpi,
+    conventional_estimate,
     integrated_cpi,
+    integrated_estimate,
     processor_net_cpi,
 )
 from repro.workloads.spec import ALL_NAMES, get_proxy
@@ -204,10 +205,11 @@ def figure11(
     curves: dict[str, list[float]] = {}
     for name in names:
         proxy = get_proxy(name)
+        rates = measure_conventional(proxy, trace_len, 0)
         curves[name] = [
-            conventional_cpi(
-                proxy, l2_latency=l2_latency, mem_latency=lat,
-                trace_len=trace_len, instructions=instructions,
+            conventional_estimate(
+                proxy, rates, l2_latency=l2_latency, mem_latency=lat,
+                instructions=instructions,
             ).total_cpi
             for lat in mem_latencies
         ]
@@ -230,10 +232,10 @@ def figure12(
     curves: dict[str, list[float]] = {}
     for name in names:
         proxy = get_proxy(name)
+        rates = measure_integrated(proxy, trace_len, 0)
         curves[name] = [
-            integrated_cpi(
-                proxy, mem_access=lat, trace_len=trace_len,
-                instructions=instructions,
+            integrated_estimate(
+                proxy, rates, instructions=instructions, mem_access=lat,
             ).total_cpi
             for lat in mem_latencies
         ]
@@ -352,10 +354,10 @@ def crossover(
         integrated[name] = integrated_cpi(
             proxy, trace_len=trace_len, instructions=instructions
         ).total_cpi
+        rates = measure_conventional(proxy, trace_len, 0)
         series = [
-            conventional_cpi(
-                proxy, mem_latency=lat, trace_len=trace_len,
-                instructions=instructions,
+            conventional_estimate(
+                proxy, rates, mem_latency=lat, instructions=instructions,
             ).total_cpi
             for lat in mem_latencies
         ]

@@ -179,13 +179,3 @@ class PetriNet:
                     f"transition {transition.name} has no input arcs; "
                     "source transitions are not supported"
                 )
-
-    def token_count(self) -> int:
-        return sum(self.initial_marking.values())
-
-    def is_conservative(self) -> bool:
-        """True when every transition preserves the total token count."""
-        return all(
-            sum(t.inputs.values()) == sum(t.outputs.values())
-            for t in self.transitions.values()
-        )

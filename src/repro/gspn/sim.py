@@ -11,35 +11,43 @@ The evaluator plays the token game by discrete-event simulation:
    (race-with-restart policy, the standard choice for GSPN tools).
 3. The clock jumps to the earliest timer; that transition fires; repeat.
 
-**Compiled tables.**  :class:`GSPNSimulator` compiles its net once, in
-the constructor, into static per-transition tables: input and output
-arcs as ``(place, multiplicity)`` tuples, and a *refresh list* — the
-transitions to re-examine after this one fires.  The refresh list is
-every transition with an input or inhibitor arc on a place the firing
-touched, in the order of the touched places (inputs, then outputs) and
-then of each place's arcs, de-duplicated, followed by the transition
-itself if absent.  One loop in :meth:`GSPNSimulator.run` picks the next
-transition, fires it, and applies the changes a walk of its refresh
-list makes: enabled immediates added or discarded, timers armed or
-disarmed.  Weighted conflicts are resolved from cumulative weights
-cached per distinct set of enabled immediates.
+**Compiled tables.**  What depends on a net's structure alone is
+compiled once per *shape*: the place count, each transition's kind and
+input, output and inhibitor arcs, and the tracked places.  The tables
+are the input and output arcs as ``(place, multiplicity)`` tuples and a
+*refresh list* per transition — the transitions to re-examine after it
+fires.  The refresh list is every transition with an input or inhibitor
+arc on a place the firing touched, in the order of the touched places
+(inputs, then outputs) and then of each place's arcs, de-duplicated,
+followed by the transition itself if absent.  Weights, delays and rates
+stay with each :class:`GSPNSimulator`, which also keeps its own
+generator, clock, timers and enabled set.  One loop in
+:meth:`GSPNSimulator.run` picks the next transition, fires it, and
+applies the changes a walk of its refresh list makes: enabled immediates
+added or discarded, timers armed or disarmed.  Weighted conflicts are
+resolved from cumulative weights cached per simulator and distinct set
+of enabled immediates.
 
-**Marking memo.**  Each simulator remembers the part of the net's
-reachability graph it has visited.  A marking is interned as an
-immutable key (``bytes`` while every count is below 256, else a tuple)
-with an integer id, and each *step* — transition ``tid`` fired from
-marking ``M`` — is stored the first time it is taken, as the successor
-marking and the walk's *effective* changes in walk order.  Examinations
-that change nothing (adding a member, discarding a non-member, re-testing
-an armed timer) are dropped.  Every later firing of ``tid`` from ``M`` is
-one dict lookup followed by applying those changes.  This is exact as
-long as only the simulator edits the marking: then every timed
-transition other than the one that just fired is armed exactly when it
-is enabled, and the enabled-immediates set holds exactly the enabled
-immediates, so the changes depend on ``(M, tid)`` alone.  A simulator
-whose caller edited :attr:`~GSPNSimulator.marking` between runs stops
-reading and storing steps for the rest of its life.  At most
-``_MAX_MEMO_MARKINGS`` markings are interned per simulator, so a net
+**Marking memo.**  Each shape remembers the part of the reachability
+graph its simulators have visited, and every simulator of the shape in
+this process reads and extends it, so a sweep that rebuilds one net with
+new weights or delays learns the graph once.  A marking is interned as
+an immutable key (``bytes`` while every count is below 256, else a
+tuple) with an integer id, and each *step* — transition ``tid`` fired
+from marking ``M`` — is stored the first time it is taken, as the
+successor marking and the walk's *effective* changes in walk order.
+Examinations that change nothing (adding a member, discarding a
+non-member, re-testing an armed timer) are dropped.  Every later firing
+of ``tid`` from ``M`` is one dict lookup followed by applying those
+changes.  This is exact as long as only the simulator edits the
+marking: then every timed transition other than the one that just fired
+is armed exactly when it is enabled, and the enabled-immediates set
+holds exactly the enabled immediates, so the changes depend on
+``(M, tid)`` and the shape alone, never on weights or timing.  A
+simulator whose caller edited :attr:`~GSPNSimulator.marking` between
+runs neither reads nor stores steps for the rest of its life.  The
+process keeps the ``_MAX_SHAPES`` (8) most recently used shapes, and at
+most ``_MAX_MEMO_MARKINGS`` markings are interned per shape, so a net
 with a place that grows without bound cannot exhaust memory; past the
 cap, steps are computed and applied but not stored.
 
@@ -61,8 +69,13 @@ does, and nothing else:
   discard at a time: ``difference_update`` would compact the set's
   table afterwards and so reorder its iteration.
 
-Draws are never batched: exponential and uniform draws interleave, so
-blocking either would reorder the stream.
+Conflict uniforms are drawn ``_BLOCK`` (256) at a time with
+``rng.random(_BLOCK)``, which yields the doubles the scalar calls would,
+after saving ``bit_generator.state``.  Exponential and uniform draws
+interleave, so before any exponential draw, and whenever a run ends
+(exceptions included), the open block is rewound: the saved state is
+restored and the uniforms used are drawn again.  The generator then sits
+exactly where one-at-a-time draws leave it, for every bit generator.
 """
 
 from __future__ import annotations
@@ -80,9 +93,15 @@ from repro.common.errors import SimulationError
 from repro.gspn.net import PetriNet, TransitionKind
 
 _MAX_IMMEDIATE_CHAIN = 1_000_000
-# Markings one simulator interns at most.  The shipped experiments reach
+# Markings one net shape interns at most.  The shipped experiments reach
 # 2,296 (a Table 3 point at 15,000 instructions).
 _MAX_MEMO_MARKINGS = 1 << 16
+# Net shapes whose tables and memo the process keeps, least recently
+# used first; the shipped experiments use a handful at a time.
+_MAX_SHAPES = 8
+_SHAPES: dict[tuple, tuple] = {}  # repro: allow(mutable-global) — a pure cache keyed by net structure: every entry is a function of the shape alone
+# Conflict uniforms drawn per block (see the RNG-order contract).
+_BLOCK = 256
 
 
 @dataclass
@@ -127,6 +146,73 @@ def _marking_key(counts) -> bytes | tuple:
         return tuple(counts)
 
 
+def _compiled_shape(trans: list, place_ids: dict[str, int],
+                    track: tuple[int, ...]) -> tuple:
+    """The tables and marking memo of one net shape, shared in-process.
+
+    A shape is the place count, each transition's kind and arcs, and the
+    tracked places: everything a stored step depends on.  Returns
+    ``(inputs, outputs, refresh_lists, examine_all, busy_slots,
+    markings, steps)``, compiled on the shape's first use and the same
+    objects for every later simulator of that shape, so the memo one
+    simulator learns serves the next.
+    """
+
+    def arcs(table: dict[str, int]) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(map(place_ids.__getitem__, table), table.values()))
+
+    inputs = [arcs(t.inputs) for t in trans]
+    outputs = [arcs(t.outputs) for t in trans]
+    inhibitors = [arcs(t.inhibitors) for t in trans]
+    key = (
+        len(place_ids),
+        tuple(zip([t.kind for t in trans], inputs, outputs, inhibitors)),
+        track,
+    )
+    shape = _SHAPES.pop(key, None)
+    if shape is None:
+        # Transitions whose enabling depends on each place.
+        affected: list[list[int]] = [[] for _ in place_ids]
+        for tid, tran in enumerate(trans):
+            for place in list(tran.inputs) + list(tran.inhibitors):
+                affected[place_ids[place]].append(tid)
+        # The refresh list of each transition, as the loop's
+        # (tid, kind, inputs, inhibitors) records.
+        examine = [
+            (tid, tran.kind, inputs[tid], inhibitors[tid])
+            for tid, tran in enumerate(trans)
+        ]
+        refresh_lists = []
+        for tid in range(len(trans)):
+            order: dict[int, None] = {}
+            for place, _ in inputs[tid] + outputs[tid]:
+                order.update(dict.fromkeys(affected[place]))
+            order.setdefault(tid)
+            refresh_lists.append(tuple(examine[t] for t in order))
+        # Tracked slots each timed transition consumes from: a running
+        # timer on one of these marks the slot's resource as committed
+        # (in service), which feeds the busy_fraction statistic.
+        busy_slots = [
+            tuple(
+                slot
+                for slot, place in enumerate(track)
+                if tran.kind is not TransitionKind.IMMEDIATE
+                and any(p == place for p, _ in inputs[tid])
+            )
+            for tid, tran in enumerate(trans)
+        ]
+        # The marking memo: marking key -> (step base, key), and
+        # step base + tid -> the step firing tid from that marking.
+        markings: dict[bytes | tuple, tuple[int, bytes | tuple]] = {}
+        steps: dict[int, tuple] = {}
+        shape = (inputs, outputs, refresh_lists, tuple(examine), busy_slots,
+                 markings, steps)
+        if len(_SHAPES) >= _MAX_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+    _SHAPES[key] = shape  # re-inserted last: the most recently used
+    return shape
+
+
 class GSPNSimulator:
     """Single-run Monte-Carlo simulator for a :class:`PetriNet`.
 
@@ -150,46 +236,12 @@ class GSPNSimulator:
         trans = list(net.transitions.values())
         self._priority = [t.priority for t in trans]
         self._param = [t.param for t in trans]  # weight, delay or rate
-
-        def arcs(table: dict[str, int]) -> tuple[tuple[int, int], ...]:
-            return tuple(zip(map(place_ids.__getitem__, table), table.values()))
-
-        self._inputs = [arcs(t.inputs) for t in trans]
-        self._outputs = [arcs(t.outputs) for t in trans]
-        inhibitors = [arcs(t.inhibitors) for t in trans]
-        # Transitions whose enabling depends on each place.
-        affected: list[list[int]] = [[] for _ in self._place_names]
-        for tid, tran in enumerate(trans):
-            for place in list(tran.inputs) + list(tran.inhibitors):
-                affected[place_ids[place]].append(tid)
-        # The refresh list of each transition, as the loop's
-        # (tid, kind, inputs, inhibitors) records.
-        examine = [
-            (tid, tran.kind, self._inputs[tid], inhibitors[tid])
-            for tid, tran in enumerate(trans)
-        ]
-        self._refresh_lists = []
-        for tid in range(len(trans)):
-            order: dict[int, None] = {}
-            for place, _ in self._inputs[tid] + self._outputs[tid]:
-                order.update(dict.fromkeys(affected[place]))
-            order.setdefault(tid)
-            self._refresh_lists.append(tuple(examine[t] for t in order))
-        self._examine_all = tuple(examine)
-        self._track = [place_ids[p] for p in track_places]
+        self._track = tuple(place_ids[p] for p in track_places)
         self._track_names = list(track_places)
-        # Tracked slots each timed transition consumes from: a running
-        # timer on one of these marks the slot's resource as committed
-        # (in service), which feeds the busy_fraction statistic.
-        self._busy_slots = [
-            tuple(
-                slot
-                for slot, place in enumerate(self._track)
-                if tran.kind is not TransitionKind.IMMEDIATE
-                and any(p == place for p, _ in self._inputs[tid])
-            )
-            for tid, tran in enumerate(trans)
-        ]
+        (
+            self._inputs, self._outputs, self._refresh_lists,
+            self._examine_all, self._busy_slots, self._markings, self._steps,
+        ) = _compiled_shape(trans, place_ids, self._track)
         # Arming a timer: the fixed delay of a deterministic transition,
         # or None and the scale of an exponential one's draw.
         self._fixed_delay = [
@@ -203,13 +255,10 @@ class GSPNSimulator:
         # tuple(enabled immediates) -> (top-priority candidates, their
         # cumulative weights or None when there is only one).
         self._conflicts: dict[tuple[int, ...], tuple] = {}
-        # The marking memo: marking key -> (step base, key), and
-        # step base + tid -> the step firing tid from that marking.  A
-        # marking without an id gets the base _no_base, which no step
-        # key reaches.
+        # A marking without an id in the memo gets the base _no_base,
+        # which no step key reaches.
         self._memo = True
-        self._markings: dict[bytes | tuple, tuple[int, bytes | tuple]] = {}
-        self._steps: dict[int, tuple] = {}
+        self._stored = 0
         self._no_base = -len(trans)
         self.reset()
 
@@ -335,12 +384,18 @@ class GSPNSimulator:
         )
         if base >= 0 and state[0] >= 0:
             self._steps[base + tid] = step
+            self._stored += 1
         return step
 
     @property
     def learned_steps(self) -> int:
-        """Steps in the marking memo: distinct (marking, transition) firings."""
-        return len(self._steps)
+        """Steps this simulator stored in its shape's marking memo.
+
+        A step is a distinct (marking, transition) firing.  Steps another
+        simulator of the same shape stored first are replayed, not
+        counted, so a later simulator of a known shape stores few.
+        """
+        return self._stored
 
     def _resolve(self, enabled: tuple[int, ...]) -> tuple:
         """Top-priority candidates among ``enabled`` and their CDF.
@@ -391,6 +446,13 @@ class GSPNSimulator:
         learn = self._learn
         exponential = self.rng.exponential
         uniform = self.rng.random
+        bit_generator = self.rng.bit_generator
+        # The open block of conflict uniforms, the generator state before
+        # it was drawn, and how many of it are used: _BLOCK when none is
+        # open and the generator sits where one-at-a-time draws leave it.
+        block: list[float] = []
+        saved = None
+        used = _BLOCK
         heappush = heapq.heappush
         heappop = heapq.heappop
         clock = self.clock
@@ -417,6 +479,10 @@ class GSPNSimulator:
                     epoch[t] = stamp
                     delay = fixed_delay[t]
                     if delay is None:
+                        if used < _BLOCK:
+                            bit_generator.state = saved
+                            uniform(used)
+                            used = _BLOCK
                         delay = exponential(scale[t])
                     heappush(heap, (clock + delay, t, stamp))
                 if busy:
@@ -447,7 +513,12 @@ class GSPNSimulator:
                         if cdf is None:
                             tid = ready[0]
                         else:
-                            tid = ready[bisect_right(cdf, uniform())]
+                            if used == _BLOCK:
+                                saved = bit_generator.state
+                                block = uniform(_BLOCK).tolist()
+                                used = 0
+                            tid = ready[bisect_right(cdf, block[used])]
+                            used += 1
                 else:
                     chain = 0
                     if clock >= max_time:
@@ -479,6 +550,9 @@ class GSPNSimulator:
                 counts[tid] += 1
                 events += 1
         finally:
+            if used < _BLOCK:
+                bit_generator.state = saved
+                uniform(used)
             self.clock = clock
             self.events = events
             self.marking[:] = key

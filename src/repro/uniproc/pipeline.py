@@ -86,14 +86,14 @@ def processor_net_cpi(
     return cpi, sum(result.busy_fraction[p] for p in track) / params.num_banks
 
 
-def _gspn_memory_cpi(proxy: SpecProxy, rates: MissRates, instructions: int,
-                     seed: int, **net_overrides) -> float:
-    """The memory component: the net's CPI above its ideal of 1."""
+def _estimate(proxy: SpecProxy, rates: MissRates, instructions: int,
+              seed: int, **net_overrides) -> CPIEstimate:
+    """The proxy's base CPI plus the net's CPI above its ideal of 1."""
     cpi, _ = processor_net_cpi(
         proxy, rates, instructions,
         split_rng(make_rng(seed), proxy.name, "gspn"), **net_overrides,
     )
-    return max(0.0, cpi - 1.0)
+    return CPIEstimate(proxy.name, proxy.base_cpi(), max(0.0, cpi - 1.0))
 
 
 def integrated_cpi(
@@ -108,17 +108,31 @@ def integrated_cpi(
 ) -> CPIEstimate:
     """CPI of the proposed integrated device for one benchmark."""
     rates = measure_integrated(proxy, trace_len, seed, with_victim)
-    memory = _gspn_memory_cpi(
-        proxy,
-        rates,
-        instructions,
-        seed,
+    return integrated_estimate(proxy, rates, instructions, seed, mem_access,
+                               num_banks, scoreboard_rate)
+
+
+def integrated_estimate(
+    proxy: SpecProxy,
+    rates: MissRates,
+    instructions: int = 20_000,
+    seed: int = 0,
+    mem_access: float = 6.0,
+    num_banks: int = 16,
+    scoreboard_rate: float | None = 1.0,
+) -> CPIEstimate:
+    """:func:`integrated_cpi` from miss rates ``measure_integrated`` gave.
+
+    A sweep over device parameters measures the proxy once and calls
+    this per point; ``seed`` names the same GSPN stream either way.
+    """
+    return _estimate(
+        proxy, rates, instructions, seed,
         mem_access=mem_access,
         num_banks=num_banks,
         scoreboard_rate=scoreboard_rate,
         has_l2=False,
     )
-    return CPIEstimate(proxy.name, proxy.base_cpi(), memory)
 
 
 def conventional_cpi(
@@ -133,15 +147,31 @@ def conventional_cpi(
 ) -> CPIEstimate:
     """CPI of the conventional reference system (Figure 11's subject)."""
     rates = measure_conventional(proxy, trace_len, seed)
-    memory = _gspn_memory_cpi(
-        proxy,
-        rates,
-        instructions,
-        seed,
+    return conventional_estimate(proxy, rates, l2_latency, mem_latency,
+                                 instructions, seed, num_banks,
+                                 scoreboard_rate)
+
+
+def conventional_estimate(
+    proxy: SpecProxy,
+    rates: MissRates,
+    l2_latency: float = 6.0,
+    mem_latency: float = 24.0,
+    instructions: int = 20_000,
+    seed: int = 0,
+    num_banks: int = 2,
+    scoreboard_rate: float | None = 1.0,
+) -> CPIEstimate:
+    """:func:`conventional_cpi` from miss rates ``measure_conventional`` gave.
+
+    A sweep over latencies measures the proxy once and calls this per
+    point; ``seed`` names the same GSPN stream either way.
+    """
+    return _estimate(
+        proxy, rates, instructions, seed,
         mem_access=mem_latency,
         l2_latency=l2_latency,
         num_banks=num_banks,
         scoreboard_rate=scoreboard_rate,
         has_l2=True,
     )
-    return CPIEstimate(proxy.name, proxy.base_cpi(), memory)

@@ -2,6 +2,7 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.gspn.net import PetriNet, Transition, TransitionKind
+from tests.gspn.net_helpers import is_conservative, token_count
 
 
 class TestConstruction:
@@ -70,17 +71,17 @@ class TestIntrospection:
         net = PetriNet("t")
         net.place("a", 2)
         net.place("b", 3)
-        assert net.token_count() == 5
+        assert token_count(net) == 5
 
     def test_conservative_net(self):
         net = PetriNet("t")
         net.place("a", 1)
         net.place("b")
         net.deterministic("T", {"a": 1}, {"b": 1})
-        assert net.is_conservative()
+        assert is_conservative(net)
 
     def test_non_conservative_net(self):
         net = PetriNet("t")
         net.place("a", 1)
         net.immediate("T_sink", {"a": 1}, {})
-        assert not net.is_conservative()
+        assert not is_conservative(net)

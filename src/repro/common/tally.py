@@ -5,8 +5,9 @@ through a module-level counter so the experiment runner can attribute
 event counts to whichever experiment is currently executing in this
 process, without threading a metrics object through every call.
 
-Counters are per-process: a pool worker accumulates its own tallies and
-the runner snapshots them around each task.
+Counters are per-process: a pool worker accumulates its own tallies, and
+each :mod:`repro.obs` span snapshots them around its work, so a task's
+``task/<label>`` span carries the task's deltas.
 """
 
 from __future__ import annotations
@@ -34,7 +35,3 @@ def since(before: dict[str, int]) -> dict[str, int]:
         for name, value in _TALLY.items()
         if value - before.get(name, 0)
     }
-
-
-def reset() -> None:
-    _TALLY.clear()

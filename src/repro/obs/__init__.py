@@ -1,14 +1,15 @@
 """Observability: hierarchical span tracing and its trace exporter.
 
-The package-wide tracing layer behind ``python -m repro <experiment>
---trace out.json``:
+The package-wide tracing layer behind every run's ``stages`` metrics
+and ``python -m repro <experiment> --trace out.json``:
 
 - :mod:`repro.obs.spans` — the tracer itself: ``span()`` context
   managers with monotonic timing, nesting, counter attachment,
-  automatic :mod:`repro.common.tally` delta capture, and the in-memory
-  :func:`aggregate_stages` rollup the run metrics embed.  Off by
-  default; the disabled path is a shared no-op object, cheap enough to
-  leave in every hot entry point.
+  automatic :mod:`repro.common.tally` delta capture, the scoped
+  :func:`collect` that gathers them, and the in-memory
+  :func:`aggregate_stages` rollup the run metrics embed.  Outside a
+  collector a span is a shared no-op object, cheap enough to leave in
+  every hot entry point.
 - :mod:`repro.obs.export` — the Chrome trace-event JSON exporter
   (loadable in Perfetto).  **Not re-exported here**: this ``__init__``
   executes inside every simulator import (``from repro import obs`` in
@@ -21,37 +22,17 @@ All four modeling layers are instrumented at their run() granularity:
 trace generation (``trace/gen/*``), trace-driven cache sweeps
 (``cache/*``), the GSPN event loop (``gspn/run/*``), the MP engine
 (``mp/run``), and the supervised runner (``task/<experiment>/<shard>``).
-Spans recorded inside pool workers ride back on the supervised
-executor's verified result messages and are absorbed by the parent, so
-``--jobs N`` traces are as complete as inline ones.
+Spans recorded inside pool workers ride back with the task's result
+and are absorbed by the parent, so ``--jobs N`` runs record the same
+spans as inline ones.
 """
 
-from repro.obs.spans import (
-    ENV_FLAG,
-    SpanRecord,
-    absorb,
-    aggregate_stages,
-    disable,
-    enable,
-    enabled,
-    mark,
-    records,
-    reset,
-    since,
-    span,
-)
+from repro.obs.spans import SpanRecord, absorb, aggregate_stages, collect, span
 
 __all__ = [
-    "ENV_FLAG",
     "SpanRecord",
     "absorb",
     "aggregate_stages",
-    "disable",
-    "enable",
-    "enabled",
-    "mark",
-    "records",
-    "reset",
-    "since",
+    "collect",
     "span",
 ]

@@ -1,4 +1,4 @@
-"""Hierarchical span tracing with a near-zero-cost disabled path.
+"""Hierarchical span tracing, collected by the run that owns the spans.
 
 A *span* is a named, timed slice of one process's work::
 
@@ -13,23 +13,25 @@ monotonic start/duration timestamps, and capture the
 :mod:`repro.common.tally` deltas accumulated while they were open, so a
 ``gspn/run/*`` span automatically reports how many firings it covered.
 
-Tracing is **off by default** and :func:`span` then returns a shared
-no-op context manager — one function call, one branch, no allocation —
-so instrumented hot paths cost nothing measurable when nobody is
-looking.  It is enabled explicitly (:func:`enable`, or the
-``REPRO_TRACE`` environment variable) by the CLI's ``--trace``
-flag.
+Spans are recorded only while a :func:`collect` context is open; it
+yields the list of records that close inside it, and on close hands
+them to the enclosing collector, if there is one.  Outside every
+collector :func:`span` returns a shared no-op context manager — one
+function call, one branch, no allocation — so a direct simulator call
+costs nothing measurable and leaves nothing behind.  Three places
+collect:
 
-Records are **per-process**, mirroring the snapshot/since pattern of
-:mod:`repro.common.tally`: a pool worker accumulates its own records,
-ships the ones a successful task produced back over the supervised
-executor's result pipe (see :mod:`repro.runner.resilience`), and the
-supervisor :func:`absorb`\\ s them.  A failed task's records are
-rolled back (inline) or die with the worker (pooled), so ``jobs=1``
-and ``jobs=N`` report the same spans.
+- :func:`repro.runner.run_tasks`, around every run: its records fill
+  ``RunMetrics.stages``, and each computed task's ``TaskMetrics`` is
+  read off its ``task/<label>`` span;
+- a pooled worker, around its one task: the records ride back over the
+  supervised executor's result pipe (see :mod:`repro.runner.resilience`)
+  and the supervisor :func:`absorb`\\ s them, so ``jobs=1`` and
+  ``jobs=N`` report the same spans;
+- the CLI's run session, whose records ``--trace`` writes out.
 
 The tracer is intentionally not thread-safe: the simulators are
-single-threaded per process, and keeping the enabled fast path free of
+single-threaded per process, and keeping the recording path free of
 locks is the point.
 """
 
@@ -37,15 +39,14 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.common import tally
 
-ENV_FLAG = "REPRO_TRACE"
-
-_enabled: bool = os.environ.get(ENV_FLAG, "") not in ("", "0")
-_records: list["SpanRecord"] = []
-_stack: list["_LiveSpan"] = []
+# The open collectors of this process, innermost last.
+_collectors: list[list["SpanRecord"]] = []
 
 
 @dataclass
@@ -61,22 +62,11 @@ class SpanRecord:
     start_ns: int
     dur_ns: int
     pid: int
-    depth: int  # nesting depth at entry (0 = top level in its process)
     counters: dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "dur_ns": self.dur_ns,
-            "pid": self.pid,
-            "depth": self.depth,
-            "counters": dict(self.counters),
-        }
 
 
 class _NoopSpan:
-    """The disabled-path singleton: every operation is a no-op."""
+    """The uncollected-path singleton: every operation is a no-op."""
 
     __slots__ = ()
 
@@ -94,36 +84,33 @@ _NOOP = _NoopSpan()
 
 
 class _LiveSpan:
-    """An open span; closing it appends a :class:`SpanRecord`."""
+    """An open span; closing it hands a :class:`SpanRecord` to the
+    innermost collector."""
 
-    __slots__ = ("name", "counters", "start_ns", "depth", "_tally_before")
+    __slots__ = ("name", "counters", "start_ns", "_tally_before")
 
     def __init__(self, name: str, counters: dict[str, float]) -> None:
         self.name = name
         self.counters = counters
 
     def __enter__(self) -> "_LiveSpan":
-        self.depth = len(_stack)
-        _stack.append(self)
         self._tally_before = tally.snapshot()
         self.start_ns = time.perf_counter_ns()  # repro: allow(wall-clock) — observability timestamps, not simulated time
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end_ns = time.perf_counter_ns()  # repro: allow(wall-clock) — observability timestamps, not simulated time
-        if _stack and _stack[-1] is self:
-            _stack.pop()
         counters = dict(self.counters)
         for name, delta in tally.since(self._tally_before).items():
             counters[name] = counters.get(name, 0) + delta
-        _records.append(SpanRecord(
-            name=self.name,
-            start_ns=self.start_ns,
-            dur_ns=end_ns - self.start_ns,
-            pid=os.getpid(),
-            depth=self.depth,
-            counters=counters,
-        ))
+        if _collectors:
+            _collectors[-1].append(SpanRecord(
+                name=self.name,
+                start_ns=self.start_ns,
+                dur_ns=end_ns - self.start_ns,
+                pid=os.getpid(),
+                counters=counters,
+            ))
         return False
 
     def add(self, name: str, value: float) -> None:
@@ -132,57 +119,38 @@ class _LiveSpan:
 
 
 def span(name: str, **counters: float):
-    """Open a span named ``name``; a no-op while tracing is disabled."""
-    if not _enabled:
+    """Open a span named ``name``; a no-op while nothing collects."""
+    if not _collectors:
         return _NOOP
     return _LiveSpan(name, dict(counters))
 
 
-def enabled() -> bool:
-    return _enabled
+@contextmanager
+def collect() -> Iterator[list[SpanRecord]]:
+    """Record the spans that close while this context is open.
 
-
-def enable() -> None:
-    """Turn tracing on, for this process and (via the environment) for
-    any worker process it spawns."""
-    global _enabled
-    _enabled = True
-    os.environ[ENV_FLAG] = "1"
-
-
-def disable() -> None:
-    global _enabled
-    _enabled = False
-    os.environ.pop(ENV_FLAG, None)
-
-
-def mark() -> int:
-    """A position in this process's record list, for :func:`since`."""
-    return len(_records)
-
-
-def since(position: int) -> list[SpanRecord]:
-    """Records appended after ``position`` was taken (a copy)."""
-    return list(_records[position:])
+    Yields the list they are appended to, in closing order.  On close,
+    the records also pass to the enclosing collector, if there is one,
+    so every scope around a run sees the spans inside it.
+    """
+    records: list[SpanRecord] = []
+    _collectors.append(records)
+    try:
+        yield records
+    finally:
+        _collectors.pop()
+        absorb(records)
 
 
 def absorb(records: list[SpanRecord]) -> None:
-    """Merge records collected in another process into this one's list."""
-    # Unguarded: the tracer is single-threaded by contract (module
-    # docstring); records carry their own timestamps, so the rollup
-    # does not depend on the order batches arrive in.
-    _records.extend(records)
+    """Hand records to the innermost open collector; dropped if none.
 
-
-def records() -> list[SpanRecord]:
-    """Every record this process has collected or absorbed (a copy)."""
-    return list(_records)
-
-
-def reset() -> None:
-    """Clear all records and any (leaked) open-span state."""
-    _records.clear()
-    _stack.clear()
+    The supervisor absorbs the records a pool worker shipped back.
+    Records carry their own timestamps, so the rollup does not depend
+    on the order batches arrive in.
+    """
+    if _collectors:
+        _collectors[-1].extend(records)
 
 
 def aggregate_stages(records: list[SpanRecord]) -> dict[str, dict]:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import obs
-from repro.common import tally
 from repro.runner.cache import ResultCache, canonical_kwargs, entry_key
 from repro.runner.metrics import RunMetrics, TaskMetrics
 from repro.runner.resilience import supervised_map
@@ -68,14 +67,15 @@ class Task:
         return f"{module}.{qualname}"
 
 
-def _execute(task: Task) -> tuple[Any, float, dict[str, int], int]:
-    """Worker entry point: run one task, measure wall time and tallies."""
-    before = tally.snapshot()
-    started = time.perf_counter()  # repro: allow(wall-clock)
-    with obs.span(f"task/{task.label}"):
+def _execute(task: Task) -> tuple[Any, obs.SpanRecord]:
+    """Worker entry point: run one task under its ``task/<label>`` span.
+
+    Returns the result and that span's record, which carries the task's
+    wall time, worker pid and tally deltas.
+    """
+    with obs.collect() as spans, obs.span(f"task/{task.label}"):
         result = task.fn(**task.kwargs)
-    wall = time.perf_counter() - started  # repro: allow(wall-clock)
-    return result, wall, tally.since(before), os.getpid()
+    return result, spans[-1]
 
 
 def run_tasks(
@@ -97,7 +97,6 @@ def run_tasks(
     finished ones as hits.
     """
     started = time.perf_counter()  # repro: allow(wall-clock)
-    spans_before = obs.mark()
     metrics = RunMetrics(
         jobs=max(1, jobs),
         fingerprint=cache.fingerprint if cache else "",
@@ -134,7 +133,9 @@ def run_tasks(
 
     def on_done(index: int, outcome: tuple) -> None:
         task = pending[index]
-        result, wall, tallies, worker = outcome
+        result, record = outcome
+        wall = record.dur_ns / 1e9
+        tallies = dict(record.counters)
         slot = (task.experiment, task.shard)
         key, digest, kind = keys.get(slot, ("", "", ""))
         if cache is not None:
@@ -152,25 +153,25 @@ def run_tasks(
             shard=task.shard,
             cache="miss" if cache is not None else "off",
             wall_s=wall,
-            worker=worker,
+            worker=record.pid,
             tallies=tallies,
             key=key,
             fingerprint_kind=kind,
         )
 
-    if pending:
-        supervised_map(
-            _execute,
-            pending,
-            labels=[task.label for task in pending],
-            jobs=jobs,
-            on_done=on_done,
-        )
+    with obs.collect() as spans:
+        if pending:
+            supervised_map(
+                _execute,
+                pending,
+                labels=[task.label for task in pending],
+                jobs=jobs,
+                on_done=on_done,
+            )
 
     metrics.tasks = [records[(t.experiment, t.shard)] for t in tasks]
     metrics.wall_s = time.perf_counter() - started  # repro: allow(wall-clock)
-    if obs.enabled():
-        # Per-stage timing rollup of every span this run produced
-        # (workers' spans were absorbed as their tasks finished).
-        metrics.stages = obs.aggregate_stages(obs.since(spans_before))
+    # Per-stage rollup of every span this run produced (workers' spans
+    # were absorbed as their tasks finished).
+    metrics.stages = obs.aggregate_stages(spans)
     return results, metrics

@@ -3,9 +3,11 @@
 Every task (an experiment, or one shard of a sharded experiment) gets a
 :class:`TaskMetrics` record — wall time, cache hit/miss, the worker that
 ran it, and the event tallies the simulators reported while it ran
-(GSPN firings, MP ops).
-:class:`RunMetrics` aggregates them into the JSON artifact behind
-``--metrics-out`` and the summary table printed after a run.
+(GSPN firings, MP ops).  A computed task's record is read off its
+``task/<label>`` span; a cache hit's tallies come from the entry.
+:class:`RunMetrics` aggregates them, with the per-stage rollup of the
+run's spans, into the JSON artifact behind ``--metrics-out`` and the
+summary table printed after a run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from pathlib import Path
 # v5: per-task "attempts" dropped — every task gets exactly one attempt.
 # v6: per-task "status"/"failure" and the run-level failed-task count
 # dropped — a failed task fails the run, so every recorded task finished.
-METRICS_SCHEMA_VERSION = 6
+# v7: run-level "stages" filled on every run, not only when tracing; a
+# computed task's wall_s/worker/tallies are read off its task span.
+METRICS_SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -57,8 +61,8 @@ class RunMetrics:
     fingerprint: str
     wall_s: float = 0.0
     tasks: list[TaskMetrics] = field(default_factory=list)
-    # Per-stage rollup from repro.obs (span name -> count / wall_s /
-    # counters / per_sec); empty unless tracing was enabled for the run.
+    # Per-stage rollup of the run's repro.obs spans (span name -> count /
+    # wall_s / counters / per_sec).
     stages: dict[str, dict] = field(default_factory=dict)
 
     @property

@@ -57,9 +57,9 @@ def _run_in_worker(fn: Callable, item: Any, conn) -> None:
     at all, which the supervisor reads as EOF.
     """
     try:
-        spans_before = obs.mark()
-        result = fn(item)
-        conn.send(("ok", result, obs.since(spans_before)))
+        with obs.collect() as spans:
+            result = fn(item)
+        conn.send(("ok", result, spans))
     except BaseException as exc:  # reported to the supervisor, which fails the run
         try:
             conn.send(("error", type(exc).__name__, str(exc),

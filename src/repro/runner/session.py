@@ -7,17 +7,18 @@ out:
 - :func:`add_run_flags` declares the five run flags (``--jobs``,
   ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--trace``) on a
   parser.
-- :func:`open_session` turns the parsed flags into a :class:`RunSession`:
-  the result cache, with tracing enabled before any worker spawns.
+- :func:`open_session` turns the parsed flags into a :class:`RunSession`
+  around the result cache.
 - :meth:`RunSession.run` calls :func:`repro.analysis.run_experiments` or
   :func:`repro.sweep.engine.run_sweep` with those pieces, with SIGTERM
-  taking the Ctrl-C path (:func:`sigterm_interrupts`).  A failed task
+  taking the Ctrl-C path (:func:`sigterm_interrupts`), and collects the
+  run's spans (:func:`repro.obs.collect`).  A failed task
   fails the run with exit status 1, an interrupt with 130.  Every task
   that finished before either is in the cache, so rerunning the same
   command recomputes only the rest.
 - :meth:`RunSession.finish` prints the metrics summary and writes
-  ``--metrics-out`` and the Chrome trace.  With ``--trace`` on, the
-  metrics also carry the per-stage ``stages`` rollup of the spans.
+  ``--metrics-out`` (whose ``stages`` rollup every run fills) and, with
+  ``--trace``, the Chrome trace of the collected spans.
 
 Not re-exported from :mod:`repro.runner`: this module imports the
 :mod:`repro.obs.export` trace writer, which stays out of every
@@ -82,7 +83,7 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="PATH",
-        help="enable span tracing and write a Chrome trace-event JSON "
+        help="write the run's spans as a Chrome trace-event JSON "
              "(load in Perfetto / chrome://tracing) covering every "
              "modeling layer",
     )
@@ -117,19 +118,13 @@ def sigterm_interrupts():
 
 
 class RunSession:
-    """The cache and tracing of one run."""
+    """The cache and the collected spans of one run."""
 
     def __init__(self, args: argparse.Namespace,
                  cache: ResultCache | None) -> None:
         self.args = args
         self.cache = cache
-        self.tracing = args.trace is not None
-        self.spans_before = 0
-        if self.tracing:
-            # Enable before any worker spawns so pooled workers inherit the
-            # flag (via $REPRO_TRACE) and their spans ride back with results.
-            obs.enable()
-            self.spans_before = obs.mark()
+        self.spans: list[obs.SpanRecord] = []
 
     @property
     def fingerprint(self) -> str:
@@ -145,7 +140,7 @@ class RunSession:
         try:
             # SIGTERM takes the KeyboardInterrupt path: live workers are
             # terminated, as for Ctrl-C.
-            with sigterm_interrupts():
+            with sigterm_interrupts(), obs.collect() as self.spans:
                 return fn(*args, jobs=self.args.jobs, cache=self.cache)
         except KeyboardInterrupt:
             print("\ninterrupted — completed tasks are cached; rerun the "
@@ -162,19 +157,18 @@ class RunSession:
             return 1
 
     def finish(self, metrics: RunMetrics) -> None:
-        """Report the run: the metrics summary, ``--metrics-out`` and
-        the Chrome trace."""
+        """Report the run: the metrics summary, ``--metrics-out`` and,
+        with ``--trace``, the Chrome trace."""
         print(metrics.render(), file=sys.stderr)
         if self.args.metrics_out:
             metrics.write(self.args.metrics_out)
             print(f"metrics written to {self.args.metrics_out}",
                   file=sys.stderr)
 
-        if self.tracing:
-            records = obs.since(self.spans_before)
-            obs_export.write_chrome_trace(self.args.trace, records)
+        if self.args.trace is not None:
+            obs_export.write_chrome_trace(self.args.trace, self.spans)
             print(f"trace written to {self.args.trace} "
-                  f"({len(records)} spans)", file=sys.stderr)
+                  f"({len(self.spans)} spans)", file=sys.stderr)
 
 
 def open_session(args: argparse.Namespace) -> RunSession:

@@ -1,10 +1,12 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.__main__ import main
+from repro.obs import spans
 from repro.runner import METRICS_SCHEMA_VERSION
 from repro.sweep.cli import main as sweep_main
 from tests.failing_tasks import boom, crash
@@ -208,14 +210,6 @@ class TestPaperChecksShareTheCLICache:
 
 
 class TestCLIObservability:
-    @pytest.fixture(autouse=True)
-    def reset_tracing(self):
-        # --trace enables the process-global tracer; leave it the way
-        # other tests expect it.
-        yield
-        obs.disable()
-        obs.reset()
-
     def test_trace_emits_chrome_trace_for_every_layer(
             self, capsys, cache_dir, tmp_path):
         trace_out = tmp_path / "trace.json"
@@ -293,11 +287,29 @@ class TestCLIObservability:
         assert "unrecognized arguments: --perf-summary" \
             in capsys.readouterr().err
 
-    def test_no_tracing_means_no_stages(self, capsys, cache_dir, tmp_path):
+    def test_stages_without_tracing(self, capsys, cache_dir, tmp_path):
+        # Every run fills the stages rollup; --trace only adds the file.
         metrics_out = tmp_path / "metrics.json"
-        assert main(["table1", "--metrics-out", str(metrics_out)]) == 0
+        assert main(["table1", "--no-cache",
+                     "--metrics-out", str(metrics_out)]) == 0
+        assert "trace written" not in capsys.readouterr().err
+        data = json.loads(metrics_out.read_text())
+        (task,) = data["tasks"]
+        stage = data["stages"]["task/table1"]
+        assert stage["count"] == 1
+        assert stage["wall_s"] == task["wall_s"]
+        assert stage["counters"] == task["tallies"]
+
+    def test_trace_leaves_nothing_enabled(self, capsys, cache_dir, tmp_path):
+        environ = dict(os.environ)
+        assert main([
+            "section5.6", "--trace-len", "8000", "--no-cache",
+            "--trace", str(tmp_path / "trace.json"),
+        ]) == 0
         capsys.readouterr()
-        assert json.loads(metrics_out.read_text())["stages"] == {}
+        assert not spans._collectors
+        assert obs.span("after") is obs.span("main")
+        assert dict(os.environ) == environ
 
 
 class TestCLIFaultTolerance:

@@ -27,12 +27,6 @@ UNREACHED_ALLOWED = {
     "repro.common.units.cycles_for_time":
         "the conversion the units pass names as the fix for a "
         "seconds-vs-cycles finding",
-    "repro.common.tally.reset":
-        "test isolation hook: clears the process's counters",
-    "repro.obs.spans.reset":
-        "test isolation hook: clears span records and open spans",
-    "repro.obs.spans.disable":
-        "test isolation hook: turns tracing back off after enable()",
     "repro.check.lints.lint_source":
         "lints one source text for the rule tests; the pass itself lints "
         "the modules the shared call graph read",

@@ -1,8 +1,8 @@
 """Differential test: the MP engine against its object-oriented oracle.
 
-``MPSystem.access`` serves local MRU hits on a fast path and
-``MPEngine`` dispatches ops by exact type; ``tests/mp/reference_mp.py``
-keeps the engine, system and node logic they replaced.  Both must give
+``MPEngine._run`` serves local MRU hits in its op loop and dispatches
+ops by exact type; ``tests/mp/reference_mp.py`` keeps the engine,
+system and node logic it replaced.  Both must give
 identical results: the ``MPResult``, global and per-node
 ``AccessStats``, directory and fabric statistics, and every node's cache
 counters and contents.

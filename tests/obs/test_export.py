@@ -8,12 +8,12 @@ from repro.obs.spans import SpanRecord, aggregate_stages
 
 def _records():
     return [
-        SpanRecord("task/figure9", 1_000_000, 4_000_000, 42, 0,
+        SpanRecord("task/figure9", 1_000_000, 4_000_000, 42,
                    {"gspn_firings": 800}),
-        SpanRecord("gspn/run/membank", 1_500_000, 3_000_000, 42, 1,
+        SpanRecord("gspn/run/membank", 1_500_000, 3_000_000, 42,
                    {"gspn_firings": 800}),
         SpanRecord("cache/run/SetAssociativeCache", 9_000_000, 1_000_000,
-                   43, 0, {"cache_refs": 5000}),
+                   43, {"cache_refs": 5000}),
     ]
 
 
@@ -49,7 +49,7 @@ class TestChromeTrace:
 class TestAggregateStages:
     def test_groups_by_name_and_sums(self):
         records = _records() + [
-            SpanRecord("gspn/run/membank", 20_000_000, 1_000_000, 43, 0,
+            SpanRecord("gspn/run/membank", 20_000_000, 1_000_000, 43,
                        {"gspn_firings": 200}),
         ]
         stages = aggregate_stages(records)
@@ -61,7 +61,7 @@ class TestAggregateStages:
 
     def test_zero_duration_stage_has_zero_rate(self):
         stages = aggregate_stages(
-            [SpanRecord("instant", 0, 0, 1, 0, {"cache_refs": 5})]
+            [SpanRecord("instant", 0, 0, 1, {"cache_refs": 5})]
         )
         assert stages["instant"]["per_sec"]["cache_refs"] == 0.0
 

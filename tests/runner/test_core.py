@@ -1,11 +1,13 @@
 """Task executor: jobs=1 vs jobs=N equality, caching, metrics."""
 
 import json
+import os
 
 import pytest
 
 from repro import obs
 from repro.common import tally
+from repro.obs import spans
 from repro.runner import (
     METRICS_SCHEMA_VERSION,
     ResultCache,
@@ -112,24 +114,12 @@ class TestMetricsJSON:
 
 
 class TestSpanCollection:
-    """Tracing across the executor: every successful task contributes
-    its spans exactly once, and a failed task none, at any ``jobs``."""
-
-    @pytest.fixture(autouse=True)
-    def tracing(self):
-        obs.enable()
-        obs.reset()
-        yield
-        obs.disable()
-        obs.reset()
-
-    def _task_spans(self):
-        return sorted(
-            r.name for r in obs.records() if r.name.startswith("task/")
-        )
+    """Spans across the executor: every run collects its own, and every
+    task contributes its spans exactly once, at any ``jobs``."""
 
     def test_stages_populated_when_tracing(self):
-        _, metrics = run_tasks(_tasks(), jobs=1)
+        with obs.collect() as records:
+            _, metrics = run_tasks(_tasks(), jobs=1)
         assert set(metrics.stages) == {
             f"task/demo/{n}" for n in (1, 2, 3, 4)
         }
@@ -137,17 +127,38 @@ class TestSpanCollection:
         assert stage["count"] == 1
         assert stage["counters"]["gspn_firings"] == 20
         assert metrics.to_json()["stages"]["task/demo/2"]["count"] == 1
+        # The run's records also reach the enclosing collector.
+        assert metrics.stages == obs.aggregate_stages(records)
 
-    def test_stages_empty_when_disabled(self):
-        obs.disable()
-        _, metrics = run_tasks(_tasks(), jobs=1)
-        assert metrics.stages == {}
-        assert metrics.to_json()["stages"] == {}
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stages_filled_without_session(self, jobs):
+        # Nothing collects around the call; run_tasks collects its own.
+        assert not spans._collectors
+        _, metrics = run_tasks(_tasks(), jobs=jobs)
+        assert not spans._collectors
+        assert {
+            name: (stage["count"], stage["counters"])
+            for name, stage in metrics.to_json()["stages"].items()
+        } == {
+            f"task/demo/{n}": (1, {"gspn_firings": 10 * n})
+            for n in (1, 2, 3, 4)
+        }
+        # Each computed task's metrics are read off its task span.
+        with obs.collect() as records:
+            _, metrics = run_tasks(_tasks(), jobs=jobs)
+        by_name = {record.name: record for record in records}
+        for task in metrics.tasks:
+            record = by_name[f"task/demo/{task.shard}"]
+            assert task.wall_s == record.dur_ns / 1e9
+            assert task.worker == record.pid
+            assert task.tallies == record.counters
+            assert (task.worker == os.getpid()) == (jobs == 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pool_workers_ship_spans_back(self, jobs):
-        _, metrics = run_tasks(_tasks(), jobs=jobs)
-        assert self._task_spans() == [
-            "task/demo/1", "task/demo/2", "task/demo/3", "task/demo/4"
-        ]
+        with obs.collect() as records:
+            _, metrics = run_tasks(_tasks(), jobs=jobs)
+        assert sorted(
+            r.name for r in records if r.name.startswith("task/")
+        ) == ["task/demo/1", "task/demo/2", "task/demo/3", "task/demo/4"]
         assert metrics.stages["task/demo/3"]["counters"]["gspn_firings"] == 30

@@ -100,11 +100,7 @@ class TestSpans:
     def test_sweep_stages_are_traced(self):
         from repro import obs
 
-        obs.enable()
-        try:
-            before = obs.mark()
+        with obs.collect() as records:
             run_sweep(tiny_spec())
-            names = {record.name for record in obs.since(before)}
-        finally:
-            obs.disable()
+        names = {record.name for record in records}
         assert {"sweep/compile", "sweep/run", "sweep/reduce"} <= names

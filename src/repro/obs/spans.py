@@ -23,7 +23,8 @@ collect:
 
 - :func:`repro.runner.run_tasks`, around every run: its records fill
   ``RunMetrics.stages``, and each computed task's ``TaskMetrics`` is
-  read off its ``task/<label>`` span;
+  read off its ``task/<label>`` span (a cache hit's off its
+  ``cache/hit/<label>`` span);
 - a pooled worker, around its one task: the records ride back over the
   supervised executor's result pipe (see :mod:`repro.runner.resilience`)
   and the supervisor :func:`absorb`\\ s them, so ``jobs=1`` and

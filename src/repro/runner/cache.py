@@ -19,6 +19,14 @@ a dynamic import anywhere in the slice), the key falls back to the
 whole-tree :func:`~repro.runner.fingerprint.code_fingerprint`, which
 is the old always-safe behaviour.
 
+Slicing parses the entry's import closure, so the clean slice digests
+are kept in one small file per tree state, named by the whole-tree
+digest: a new process on an unchanged tree reads them back and calls
+the slicer only for entries the file lacks.  A slice digest is a pure
+function of the tree's contents and any edit changes the file name,
+so the file can never hand out a digest of other code.  A degraded
+entry is not filed; it resolves to the cache's own fingerprint.
+
 Layout under the cache root (default ``.repro-cache``, overridable with
 ``$REPRO_CACHE_DIR`` or ``--cache-dir``)::
 
@@ -27,6 +35,8 @@ Layout under the cache root (default ``.repro-cache``, overridable with
         abcdef....pkl     # pickled experiment result object
         abcdef....json    # metadata: call id, kwargs, fingerprint,
                           # wall time and event tallies of the miss run
+      slices/
+        <tree digest>.json  # {entry point: slice digest} for that tree
 
 Writes go through a per-writer temp file + atomic ``os.replace`` so a
 crashed run never leaves a truncated entry behind, and — because temp
@@ -47,6 +57,8 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+from repro.common import tally
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -87,13 +99,18 @@ class ResultCache:
 
         self.root = Path(root) if root is not None else default_cache_dir()
         self.package_root = package_root
-        self.fingerprint = fingerprint or code_fingerprint(package_root)
+        # The slice file is named by the real tree digest, even when the
+        # caller pins ``fingerprint``: the slices are read off that tree.
+        self._tree = code_fingerprint(package_root)
+        self.fingerprint = fingerprint or self._tree
         self._slices: dict[str, tuple[str, str]] = {}
+        self._slices_file = self.root / "slices" / f"{self._tree}.json"
+        self._filed: dict[str, str] | None = None  # its contents, once read
         # The slice memo may be hit from several threads of one
-        # process; a miss stats the tree and hashes the slice's files
-        # (plus parsing the closure modules no earlier slice reached, once
-        # per process and tree state), so the guard also stops
-        # duplicate computes.
+        # process; a miss reads the slice file or derives the slice
+        # (stat the tree, hash the slice's files, parse the closure
+        # modules no earlier slice reached), so the guard also stops
+        # duplicate computes and interleaved rewrites of the file.
         self._slices_lock = threading.Lock()
 
     def fingerprint_for(self, entry: str | None) -> tuple[str, str]:
@@ -110,17 +127,53 @@ class ResultCache:
             return self.fingerprint, "tree"
         with self._slices_lock:
             if entry not in self._slices:
-                from repro.runner.fingerprint import slice_fingerprint
-
-                try:
-                    sliced = slice_fingerprint(entry, root=self.package_root)
-                except Exception:  # repro: allow(broad-except) — never let the slicer break caching; fall back to the safe whole-tree key
-                    sliced = None
-                if sliced is not None and sliced.kind == "slice":
-                    self._slices[entry] = (sliced.digest, "slice")
-                else:
-                    self._slices[entry] = (self.fingerprint, "tree")
+                self._slices[entry] = self._slice(entry)
             return self._slices[entry]
+
+    def _slice(self, entry: str) -> tuple[str, str]:
+        """Read ``entry``'s slice digest from the slice file, or derive
+        it and file it there; the caller holds ``_slices_lock``."""
+        if self._filed is None:
+            self._filed = self._read_slices()
+        if entry in self._filed:
+            return self._filed[entry], "slice"
+        # Looked up at call time, so a wrapper installed on the module
+        # sees every slice computed.
+        from repro.runner.fingerprint import slice_fingerprint
+
+        tally.add("slices_computed", 1)
+        try:
+            sliced = slice_fingerprint(entry, root=self.package_root)
+        except Exception:  # repro: allow(broad-except) — never let the slicer break caching; fall back to the safe whole-tree key
+            return self.fingerprint, "tree"
+        if sliced.kind != "slice":
+            return self.fingerprint, "tree"
+        if sliced.tree == self._tree:  # not read off a tree edited since
+            self._filed[entry] = sliced.digest
+            self._write_slices()
+        return sliced.digest, "slice"
+
+    def _read_slices(self) -> dict[str, str]:
+        """The slice file's ``{entry: digest}``; empty when it is
+        missing or damaged (the next filed slice rewrites it whole)."""
+        try:
+            filed = json.loads(self._slices_file.read_text())
+        except (OSError, ValueError):
+            return {}
+        if not isinstance(filed, dict) or not all(
+                isinstance(digest, str) for digest in filed.values()):
+            return {}
+        return filed
+
+    def _write_slices(self) -> None:
+        path = self._slices_file
+        tmp = path.with_suffix(self._tmp_suffix())
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(json.dumps(self._filed, sort_keys=True))
+            os.replace(tmp, path)  # atomic, like store()
+        except OSError:
+            pass  # an unwritable directory still keys; the next process re-slices
 
     def _paths(self, key: str) -> tuple[Path, Path]:
         shard = self.root / key[:2]
@@ -142,8 +195,6 @@ class ResultCache:
     def _quarantine(self, *paths: Path) -> None:
         """Move a damaged entry aside (``*.corrupt``) so it is never
         re-read, and count the event for the metrics surface."""
-        from repro.common import tally
-
         for path in paths:
             try:
                 if path.exists():

@@ -26,13 +26,17 @@ only the tasks it did not finish.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import obs
-from repro.runner.cache import ResultCache, canonical_kwargs, entry_key
+from repro.runner.cache import (
+    CacheEntry,
+    ResultCache,
+    canonical_kwargs,
+    entry_key,
+)
 from repro.runner.metrics import RunMetrics, TaskMetrics
 from repro.runner.resilience import supervised_map
 
@@ -78,6 +82,23 @@ def _execute(task: Task) -> tuple[Any, obs.SpanRecord]:
     return result, spans[-1]
 
 
+def _serve(cache: ResultCache, task: Task,
+           key: str) -> tuple[CacheEntry, obs.SpanRecord] | None:
+    """Load ``task``'s entry under a ``cache/hit/<label>`` span.
+
+    Returns the entry and that span's record, or None on a miss, whose
+    span is dropped.  The span carries no counters: the entry's stored
+    tallies are work of the run that computed it, not of this one.
+    """
+    with obs.collect() as spans:
+        with obs.span(f"cache/hit/{task.label}"):
+            entry = cache.load(key)
+        if entry is None:
+            spans.clear()  # before the collector hands its records on
+            return None
+    return entry, spans[-1]
+
+
 def run_tasks(
     tasks: list[Task],
     *,
@@ -95,6 +116,11 @@ def run_tasks(
     ``KeyboardInterrupt`` re-raises, after the live workers are
     terminated; calling again with the same tasks and cache serves the
     finished ones as hits.
+
+    With a cache, the run's keys are derived under one ``runner/keys``
+    span, whose ``slices_computed`` counter says how many entry points
+    the slicer had to analyse, and each hit is served under its own
+    ``cache/hit/<label>`` span.
     """
     started = time.perf_counter()  # repro: allow(wall-clock)
     metrics = RunMetrics(
@@ -107,29 +133,6 @@ def run_tasks(
     # load, the store and the metrics record.
     keys: dict[tuple[str, str], tuple[str, str, str]] = {}
     pending: list[Task] = []
-
-    for task in tasks:
-        slot = (task.experiment, task.shard)
-        if cache is not None:
-            digest, kind = cache.fingerprint_for(task.entry_point())
-            key = entry_key(task.call_id(), task.kwargs, digest)
-            keys[slot] = (key, digest, kind)
-            t0 = time.perf_counter()  # repro: allow(wall-clock)
-            entry = cache.load(key)
-            if entry is not None:
-                results[slot] = entry.result
-                records[slot] = TaskMetrics(
-                    experiment=task.experiment,
-                    shard=task.shard,
-                    cache="hit",
-                    wall_s=time.perf_counter() - t0,  # repro: allow(wall-clock)
-                    worker=os.getpid(),
-                    tallies=dict(entry.meta.get("tallies", {})),
-                    key=key,
-                    fingerprint_kind=kind,
-                )
-                continue
-        pending.append(task)
 
     def on_done(index: int, outcome: tuple) -> None:
         task = pending[index]
@@ -160,6 +163,31 @@ def run_tasks(
         )
 
     with obs.collect() as spans:
+        if cache is not None:
+            with obs.span("runner/keys", slices_computed=0):
+                for task in tasks:
+                    digest, kind = cache.fingerprint_for(task.entry_point())
+                    key = entry_key(task.call_id(), task.kwargs, digest)
+                    keys[(task.experiment, task.shard)] = (key, digest, kind)
+        for task in tasks:
+            slot = (task.experiment, task.shard)
+            key, _, kind = keys.get(slot, ("", "", ""))
+            hit = _serve(cache, task, key) if cache is not None else None
+            if hit is None:
+                pending.append(task)
+                continue
+            entry, record = hit
+            results[slot] = entry.result
+            records[slot] = TaskMetrics(
+                experiment=task.experiment,
+                shard=task.shard,
+                cache="hit",
+                wall_s=record.dur_ns / 1e9,
+                worker=record.pid,
+                tallies=dict(entry.meta.get("tallies", {})),
+                key=key,
+                fingerprint_kind=kind,
+            )
         if pending:
             supervised_map(
                 _execute,

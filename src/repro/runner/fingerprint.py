@@ -33,13 +33,20 @@ once, however many entry points it slices, and another module only
 when an entry's dotted name passes through it.  Slicing builds no call
 graph: the whole-program one serves the ``lints``, ``deps`` and
 ``units`` check passes alone, and nothing may mutate it.
+
+This memo lives and dies with the process.  What outlives it is the
+result cache's slice file (:class:`repro.runner.ResultCache`): each
+clean slice digest, filed under the whole-tree digest of the state it
+was read from (``SliceFingerprint.tree``).  A digest is a pure function
+of that state, so a later process on an unchanged tree reads the
+digests back and parses no module at all.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -196,22 +203,22 @@ class SliceFingerprint:
     ``kind`` is ``"slice"`` when the digest covers only the entry
     point's dependency slice, or ``"tree"`` when analysis had to
     degrade to the whole-tree digest; ``reason`` says why (empty for a
-    clean slice), and ``modules`` lists the sliced module names
-    (empty on degradation).
+    clean slice), ``modules`` lists the sliced module names (empty on
+    degradation), and ``tree`` is the whole-tree digest of the state
+    the slice was read from, which the result cache files it under.
     """
 
     digest: str
     kind: str  # "slice" | "tree"
     modules: tuple[str, ...] = ()
     reason: str = ""
+    tree: str = field(default="", compare=False)  # provenance, not identity
 
 
 def _degrade(root: Path, reason: str) -> SliceFingerprint:
-    return SliceFingerprint(
-        digest=code_fingerprint(root),
-        kind="tree",
-        reason=reason,
-    )
+    tree = code_fingerprint(root)
+    return SliceFingerprint(digest=tree, kind="tree", reason=reason,
+                            tree=tree)
 
 
 def slice_fingerprint(entry: str, root: Path | None = None) -> SliceFingerprint:
@@ -244,6 +251,9 @@ def slice_fingerprint(entry: str, root: Path | None = None) -> SliceFingerprint:
     reason = ""
     with _LOCK:
         slot = _slot(root, state)
+        if slot.digest is None:
+            slot.digest = _digest_files(sources)
+        tree = slot.digest
         if slot.scan is None:
             slot.scan = import_graph(root, package)
         graph = slot.scan
@@ -276,4 +286,5 @@ def slice_fingerprint(entry: str, root: Path | None = None) -> SliceFingerprint:
         digest=_digest_files(entries),
         kind="slice",
         modules=tuple(sorted(slice_modules)),
+        tree=tree,
     )

@@ -4,7 +4,8 @@ Every task (an experiment, or one shard of a sharded experiment) gets a
 :class:`TaskMetrics` record — wall time, cache hit/miss, the worker that
 ran it, and the event tallies the simulators reported while it ran
 (GSPN firings, MP ops).  A computed task's record is read off its
-``task/<label>`` span; a cache hit's tallies come from the entry.
+``task/<label>`` span; a cache hit's wall time and worker are read off
+its ``cache/hit/<label>`` span, and its tallies come from the entry.
 :class:`RunMetrics` aggregates them, with the per-stage rollup of the
 run's spans, into the JSON artifact behind ``--metrics-out`` and the
 summary table printed after a run.

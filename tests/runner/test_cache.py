@@ -1,10 +1,15 @@
-"""Result cache: hit/miss semantics, key sensitivity, quarantine."""
+"""Result cache: hit/miss semantics, key sensitivity, quarantine, and
+the per-tree slice file."""
 
+import json
 import textwrap
 
+import pytest
+
 from repro.common import tally
-from repro.runner import ResultCache, code_fingerprint
+from repro.runner import ResultCache, code_fingerprint, fingerprint
 from repro.runner.cache import entry_key
+from repro.runner.fingerprint import slice_fingerprint
 
 
 def _cache(tmp_path, fingerprint="f" * 64):
@@ -256,3 +261,107 @@ class TestSliceKeying:
         assert digest != code_fingerprint()
         assert cache.fingerprint_for("tests.runner.test_cache.TestSliceKeying") == \
             (cache.fingerprint, "tree")
+
+
+class TestSliceMemo:
+    """Clean slice digests are filed per tree state in the cache
+    directory, so a new cache on an unchanged tree slices nothing."""
+
+    ENTRY = "spkg.entry.experiment"
+
+    @pytest.fixture
+    def slicer_calls(self, monkeypatch):
+        """Record each entry the cache hands to the slicer."""
+        calls = []
+        slice_fingerprint = fingerprint.slice_fingerprint
+
+        def counting(entry, root=None):
+            calls.append(entry)
+            return slice_fingerprint(entry, root)
+
+        monkeypatch.setattr(fingerprint, "slice_fingerprint", counting)
+        return calls
+
+    @pytest.mark.parametrize("pins", [(None, None), ("a" * 64, "b" * 64)],
+                             ids=["unpinned", "pinned"])
+    def test_unchanged_tree_slices_nothing(self, tmp_path, monkeypatch, pins):
+        # The file is named by the real tree digest even under a pinned
+        # fingerprint, so any cache on the same tree finds it.
+        root = _sliceable(tmp_path)
+        first = ResultCache(tmp_path / "cache", pins[0], package_root=root)
+        pair = first.fingerprint_for(self.ENTRY)
+        assert pair[1] == "slice"
+
+        def boom(*args, **kwargs):
+            raise AssertionError("sliced an unchanged tree")
+
+        monkeypatch.setattr(fingerprint, "slice_fingerprint", boom)
+        second = ResultCache(tmp_path / "cache", pins[1], package_root=root)
+        before = tally.snapshot()
+        assert second.fingerprint_for(self.ENTRY) == pair
+        assert tally.since(before) == {}
+
+    @pytest.mark.parametrize("edited, moves", [("model.py", True),
+                                               ("exporter.py", False)])
+    def test_edit_reslices(self, tmp_path, slicer_calls, edited, moves):
+        root = _sliceable(tmp_path)
+        old = ResultCache(tmp_path / "cache", package_root=root)
+        digest, _ = old.fingerprint_for(self.ENTRY)
+        (root / edited).write_text((root / edited).read_text() + "# edit\n")
+        slicer_calls.clear()
+        new = ResultCache(tmp_path / "cache", package_root=root)
+        assert new.fingerprint_for(self.ENTRY) == (
+            slice_fingerprint(self.ENTRY, root).digest, "slice")
+        assert slicer_calls == [self.ENTRY]
+        assert (new.fingerprint_for(self.ENTRY)[0] != digest) == moves
+        assert len(list((tmp_path / "cache" / "slices").iterdir())) == 2
+
+    def test_edit_after_opening_files_nothing_under_the_old_tree(
+            self, tmp_path):
+        # The cache names its file by the tree it opened on; a slice of
+        # a tree edited since must not be filed under that name, or
+        # reverting the edit would serve the edited code's digest.
+        root = _sliceable(tmp_path)
+        original = (root / "model.py").read_text()
+        clean = ResultCache(tmp_path / "clean", package_root=root)
+        expected = clean.fingerprint_for(self.ENTRY)
+        cache = ResultCache(tmp_path / "cache", package_root=root)
+        (root / "model.py").write_text(original + "# edit\n")
+        assert cache.fingerprint_for(self.ENTRY) != expected
+        (root / "model.py").write_text(original)
+        reopened = ResultCache(tmp_path / "cache", package_root=root)
+        assert reopened.fingerprint_for(self.ENTRY) == expected
+
+    @pytest.mark.parametrize("damage", [
+        "truncate", b"\xff\xfe garbage", b"[1, 2]", b'{"spkg.entry.experiment": 7}',
+    ], ids=["truncated", "binary", "not-a-dict", "not-a-digest"])
+    def test_damaged_file_is_recomputed_and_rewritten(
+            self, tmp_path, slicer_calls, damage):
+        root = _sliceable(tmp_path)
+        digest, _ = ResultCache(
+            tmp_path / "cache", package_root=root).fingerprint_for(self.ENTRY)
+        (path,) = (tmp_path / "cache" / "slices").iterdir()
+        good = path.read_bytes()
+        path.write_bytes(good[:len(good) // 2] if damage == "truncate"
+                         else damage)
+        slicer_calls.clear()
+        cache = ResultCache(tmp_path / "cache", package_root=root)
+        assert cache.fingerprint_for(self.ENTRY) == (digest, "slice")
+        assert slicer_calls == [self.ENTRY]
+        assert json.loads(path.read_text()) == {self.ENTRY: digest}
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_degraded_slice_keeps_each_pin(self, tmp_path, slicer_calls):
+        root = _sliceable(tmp_path)
+        (root / "model.py").write_text(
+            "import importlib\n"
+            "def simulate():\n"
+            "    return importlib.import_module('json')\n"
+        )
+        for pin in ("a" * 64, "b" * 64, "a" * 64):
+            cache = ResultCache(tmp_path / "cache", fingerprint=pin,
+                                package_root=root)
+            assert cache.fingerprint_for(self.ENTRY) == (pin, "tree")
+        # Nothing degraded is filed, so every cache asks the slicer.
+        assert slicer_calls == [self.ENTRY] * 3
+        assert not (tmp_path / "cache" / "slices").exists()

@@ -162,3 +162,34 @@ class TestSpanCollection:
             r.name for r in records if r.name.startswith("task/")
         ) == ["task/demo/1", "task/demo/2", "task/demo/3", "task/demo/4"]
         assert metrics.stages["task/demo/3"]["counters"]["gspn_firings"] == 30
+
+    def test_each_hit_is_served_under_its_own_span(self, tmp_path):
+        cache = ResultCache(tmp_path, fingerprint="c" * 64)
+        _, cold = run_tasks(_tasks(), jobs=1, cache=cache)
+        assert not any(name.startswith("cache/hit/") for name in cold.stages)
+        with obs.collect() as records:
+            _, warm = run_tasks(_tasks(), jobs=2, cache=cache)
+        hits = {r.name: r for r in records if r.name.startswith("cache/hit/")}
+        assert sorted(hits) == [f"cache/hit/demo/{n}" for n in (1, 2, 3, 4)]
+        for task in warm.tasks:
+            record = hits[f"cache/hit/demo/{task.shard}"]
+            assert warm.stages[record.name]["count"] == 1
+            # The stored tallies are the computing run's work, not this
+            # run's: the hit's span carries none.
+            assert record.counters == {}
+            assert task.tallies == {"gspn_firings": 10 * int(task.shard)}
+            assert task.wall_s == record.dur_ns / 1e9
+            assert task.worker == record.pid == os.getpid()
+
+    def test_warm_rerun_computes_no_slice(self, tmp_path):
+        from repro.analysis import run_experiments
+
+        computed = []
+        for _ in range(2):  # a fresh cache each run, as a new process has
+            _, metrics = run_experiments(["table1"],
+                                         cache=ResultCache(tmp_path))
+            keys = metrics.stages["runner/keys"]
+            assert keys["count"] == 1
+            computed.append(keys["counters"]["slices_computed"])
+        assert metrics.hits == len(metrics.tasks)
+        assert computed == [len(metrics.tasks), 0]

@@ -68,7 +68,7 @@ def _fail_then_rerun(tmp_path, fns, jobs):
     return err.value, stored, rerun
 
 
-class TestQuarantine:
+class TestFailedShard:
     """A failed shard is kept out of the cache and fails the run.
 
     There is no retry: the one attempt is all a shard gets.  Every task
@@ -77,7 +77,7 @@ class TestQuarantine:
     """
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exhausted_retries_quarantine_only_that_shard(
+    def test_failed_shard_fails_the_run(
             self, tmp_path, jobs):
         # A crash needs a worker process to die in; inline, shard 3
         # raises instead.
@@ -101,7 +101,7 @@ class TestQuarantine:
         assert "Boom" in err.traceback
         assert str(err).startswith("demo/1: Boom: task failed on purpose")
 
-    def test_plain_rerun_recomputes_only_the_quarantined_shard(
+    def test_plain_rerun_recomputes_only_the_failed_shard(
             self, tmp_path):
         # Inline, the last shard fails after the other three are
         # stored, so the rerun recomputes that shard alone.

@@ -9,7 +9,7 @@ import time
 from repro.caches import (
     direct_mapped_miss_rate,
     proposed_dcache,
-    set_assoc_miss_flags,
+    set_assoc_miss_rate,
 )
 from repro.common.params import CacheGeometry
 from repro.common.units import KB
@@ -57,7 +57,7 @@ def main() -> None:
         addrs = trace.addresses
         dm8 = direct_mapped_miss_rate(addrs, CacheGeometry(8 * KB, 32, 1))
         dm16 = direct_mapped_miss_rate(addrs, CacheGeometry(16 * KB, 32, 1))
-        w16 = float(set_assoc_miss_flags(addrs, CacheGeometry(16 * KB, 32, 2)).mean())
+        w16 = set_assoc_miss_rate(addrs, CacheGeometry(16 * KB, 32, 2))
         dm64 = direct_mapped_miss_rate(addrs, CacheGeometry(64 * KB, 32, 1))
         dm256 = direct_mapped_miss_rate(addrs, CacheGeometry(256 * KB, 32, 1))
         tgt_nv, tgt_v = TARGETS[proxy.name]

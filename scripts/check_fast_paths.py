@@ -12,9 +12,12 @@ Two properties of the vectorized cache engines, both hard requirements:
   with and without its victim buffer) against ``ColumnBufferCache``
   through ``tests/caches/reference_column_buffer.py``, and the
   conventional direct-mapped and 2-way caches of Figures 7/8 against
-  ``SetAssociativeCache``.  The measurement stage compares both
+  ``SetAssociativeCache``: each geometry's miss flags, and the miss
+  rates ``set_assoc_miss_rates`` gives for each figure's whole geometry
+  list from one set sort.  The measurement stage compares both
   ``measure_*`` functions, the shared-L2 merge included, with the
-  block-by-block replay in ``tests/uniproc/reference_measurement.py``.
+  replay of a frozen copy of the per-block split in
+  ``tests/uniproc/reference_measurement.py``.
   This is the same differential contract the hypothesis suites in
   ``tests/caches`` pin on random traces, re-checked here on the traces
   the figures actually use.
@@ -165,34 +168,46 @@ def check_column_buffer(trace_len: int) -> dict:
 
 
 def check_set_assoc(trace_len: int) -> dict:
-    """Figure 7/8's conventional caches against ``SetAssociativeCache``."""
-    from repro.caches.fast import set_assoc_miss_flags
+    """Figure 7/8's conventional caches against ``SetAssociativeCache``:
+    each geometry's miss flags, and the miss rates of each figure's
+    whole geometry list from one ``set_assoc_miss_rates`` call."""
+    from repro.analysis.experiments import (
+        CONVENTIONAL_D_GEOMETRIES,
+        CONVENTIONAL_I_GEOMETRIES,
+    )
+    from repro.caches.fast import set_assoc_miss_flags, set_assoc_miss_rates
     from repro.caches.set_assoc import SetAssociativeCache
-    from repro.common.params import CacheGeometry
     from repro.common.units import KB
 
     refs = 0
     fast_s = exact_s = 0.0
     failures: list[str] = []
     for name in PROXIES:
-        _, dtrace = _trace_for(name, trace_len)
-        addrs = dtrace.addresses
-        for geometry in (
-            CacheGeometry(8 * KB, 32, 1),
-            CacheGeometry(16 * KB, 32, 1),
-            CacheGeometry(16 * KB, 32, 2),
+        itrace, dtrace = _trace_for(name, trace_len)
+        for figure, addrs, geometries in (
+            ("figure7", itrace.addresses, CONVENTIONAL_I_GEOMETRIES),
+            ("figure8", dtrace.addresses, CONVENTIONAL_D_GEOMETRIES),
         ):
             t0 = time.perf_counter()
-            fast = set_assoc_miss_flags(addrs, geometry).tolist()
+            rates = set_assoc_miss_rates(addrs, geometries)
+            flags = [set_assoc_miss_flags(addrs, g).tolist() for g in geometries]
             fast_s += time.perf_counter() - t0
             t0 = time.perf_counter()
-            cache = SetAssociativeCache(geometry)
-            exact = [not cache.access(addr) for addr in addrs.tolist()]
+            exact = []
+            for geometry in geometries:
+                cache = SetAssociativeCache(geometry)
+                exact.append([not cache.access(addr) for addr in addrs.tolist()])
             exact_s += time.perf_counter() - t0
-            refs += len(addrs)
-            if fast != exact:
-                failures.append(f"{name}/{geometry.ways}-way/"
-                                f"{geometry.size_bytes // KB}K: miss flags differ")
+            refs += len(addrs) * len(geometries)
+            for geometry, rate, fast, expected in zip(geometries, rates,
+                                                      flags, exact):
+                label = (f"{name}/{figure}/{geometry.ways}-way/"
+                         f"{geometry.size_bytes // KB}K")
+                if fast != expected:
+                    failures.append(f"{label}: miss flags differ")
+                if rate != sum(expected) / len(expected):
+                    failures.append(f"{label}: miss rate {rate} != "
+                                    f"{sum(expected) / len(expected)}")
     return {
         "refs": refs,
         "fast_s": fast_s,

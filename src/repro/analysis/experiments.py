@@ -22,11 +22,7 @@ from repro.paperdata import (
     PAPER_TABLE4,
 )
 from repro.analysis.render import ascii_table, percent, series_block
-from repro.caches import (
-    direct_mapped_miss_rate,
-    set_assoc_miss_rate,
-    simulate_column_buffer,
-)
+from repro.caches import set_assoc_miss_rates, simulate_column_buffer
 from repro.common.params import CacheGeometry, IntegratedDeviceParams
 from repro.common.rng import make_rng, split_rng
 from repro.common.units import KB
@@ -110,6 +106,13 @@ def figure2(stride: int = 4096) -> Figure2Experiment:
 
 CONVENTIONAL_I_SIZES = (8, 16, 32, 64)  # KB, direct-mapped, 32 B lines
 CONVENTIONAL_D_SIZES = (8, 16, 64, 256)  # KB
+# The conventional columns of Figures 7 and 8, in column order.
+CONVENTIONAL_I_GEOMETRIES = tuple(
+    CacheGeometry(s * KB, 32, 1) for s in CONVENTIONAL_I_SIZES
+)
+CONVENTIONAL_D_GEOMETRIES = tuple(
+    CacheGeometry(s * KB, 32, 1) for s in CONVENTIONAL_D_SIZES
+) + (CacheGeometry(16 * KB, 32, 2),)
 
 
 @dataclass
@@ -141,10 +144,7 @@ def figure7(trace_len: int = 120_000, seed: int = 1,
     for name in names if names is not None else ALL_NAMES:
         trace = get_proxy(name).instruction_trace(trace_len, seed)
         proposed = simulate_column_buffer(trace, device.icache_geometry)
-        conv = [
-            direct_mapped_miss_rate(trace.addresses, CacheGeometry(s * KB, 32, 1))
-            for s in CONVENTIONAL_I_SIZES
-        ]
+        conv = set_assoc_miss_rates(trace.addresses, CONVENTIONAL_I_GEOMETRIES)
         rows[name] = [proposed.stats.miss_rate] + conv
     return MissRateExperiment(
         "Figure 7: instruction cache miss rates", list(rows), columns, rows
@@ -167,12 +167,8 @@ def figure8(trace_len: int = 120_000, seed: int = 1,
         vict = simulate_column_buffer(
             trace, device.dcache_geometry, victim=device.victim
         )
-        conv = [
-            direct_mapped_miss_rate(trace.addresses, CacheGeometry(s * KB, 32, 1))
-            for s in CONVENTIONAL_D_SIZES
-        ]
-        two_way = set_assoc_miss_rate(trace.addresses, CacheGeometry(16 * KB, 32, 2))
-        rows[name] = [plain.stats.miss_rate, vict.stats.miss_rate] + conv + [two_way]
+        conv = set_assoc_miss_rates(trace.addresses, CONVENTIONAL_D_GEOMETRIES)
+        rows[name] = [plain.stats.miss_rate, vict.stats.miss_rate] + conv
     return MissRateExperiment(
         "Figure 8: data cache miss rates", list(rows), columns, rows
     )

@@ -17,6 +17,7 @@ from repro.caches.fast import (
     direct_mapped_miss_rate,
     set_assoc_miss_flags,
     set_assoc_miss_rate,
+    set_assoc_miss_rates,
     simulate_column_buffer,
 )
 from repro.caches.hierarchy import HierarchyStats
@@ -38,5 +39,6 @@ __all__ = [
     "proposed_icache",
     "set_assoc_miss_flags",
     "set_assoc_miss_rate",
+    "set_assoc_miss_rates",
     "simulate_column_buffer",
 ]

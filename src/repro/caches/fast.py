@@ -10,18 +10,22 @@ configuration has exactly one engine:
 ===============================  =====================================
 configuration                    engine
 ===============================  =====================================
-1- or 2-way LRU, no victim       :func:`set_assoc_miss_flags`
+1- or 2-way LRU, miss flags      :func:`set_assoc_miss_flags`
+1- or 2-way LRU, miss rates      :func:`set_assoc_miss_rates`, one
+                                 set sort per trace
 1- or 2-way column buffer        :func:`column_buffer_fast`, closed form
 2-way column buffer + victim     :func:`column_buffer_fast`, run replay
 ===============================  =====================================
 
 The 1- and 2-way rule (:func:`_lru_compact`) sorts the lines by set,
 drops repeats, and a line hits iff it equals the distinct line ``ways``
-places back.  The column buffer first collapses the trace into runs on
-the 512 B column index (sequential traces collapse 5-70x); with a victim
-buffer, resident runs resolve in O(1) and only the non-resident run
-prefixes, where victim hits feed back into main-cache contents, replay
-scalar-side.  Any other configuration raises ``ValueError``; simulate it
+places back.  :func:`set_assoc_miss_rates` serves several set counts
+of one line size from one sort: each larger count re-sorts the
+previous order on its new index bits only.  The column buffer first
+collapses the trace into runs on the 512 B column index (sequential
+traces collapse 5-70x); with a victim buffer, resident runs resolve in
+O(1) and only the non-resident run prefixes, where victim hits feed
+back into main-cache contents, replay scalar-side.  Any other configuration raises ``ValueError``; simulate it
 with :class:`~repro.caches.set_assoc.SetAssociativeCache` or
 :class:`~repro.caches.column_buffer.ColumnBufferCache`.
 """
@@ -29,6 +33,7 @@ with :class:`~repro.caches.set_assoc.SetAssociativeCache` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +45,17 @@ from repro.common.units import is_power_of_two, log2_int
 from repro.caches.base import CacheStats, TraceLike
 
 
+def _radix_key(values: np.ndarray, span: int) -> np.ndarray:
+    """``values``, all below ``span``, as the narrowest unsigned key up
+    to 16 bits, which numpy's stable sort radix-sorts; wider spans keep
+    the int64 values."""
+    if span <= 1 << 8:
+        return values.astype(np.uint8)
+    if span <= 1 << 16:
+        return values.astype(np.uint16)
+    return values
+
+
 def _lru_compact(
     lines: np.ndarray, num_sets: int, ways: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -48,7 +64,7 @@ def _lru_compact(
     Returns ``(order, keep, compact, hit)``:
 
     - ``order`` stable-sorts the lines by set, so each set's lines stay
-      in time order (a ``uint16`` key lets numpy radix-sort it);
+      in time order (a narrow key lets numpy radix-sort it);
     - ``keep`` indexes, within that sorted order, every line that is not
       a repeat of the line before it in its set — a repeat is always an
       MRU hit — and ``compact`` holds those lines;
@@ -60,9 +76,7 @@ def _lru_compact(
     iff it is ``compact[k - ways]``.  Equal lines always share a set,
     so no comparison needs a set-boundary check.
     """
-    key = lines & (num_sets - 1)
-    if num_sets <= 1 << 16:
-        key = key.astype(np.uint16)
+    key = _radix_key(lines & (num_sets - 1), num_sets)
     order = np.argsort(key, kind="stable")
     del key
     sorted_lines = lines[order]
@@ -106,9 +120,60 @@ def set_assoc_miss_flags(addrs: np.ndarray, geometry: CacheGeometry) -> np.ndarr
     return misses
 
 
-def _miss_rate(flags: np.ndarray) -> float:
-    tally.add("cache_refs", int(flags.size))
-    return float(flags.mean()) if flags.size else 0.0
+def set_assoc_miss_rates(
+    addrs: np.ndarray, geometries: Sequence[CacheGeometry]
+) -> list[float]:
+    """Exact overall miss rates of 1- and 2-way LRU caches of one line
+    size over one trace, in the order of ``geometries``.
+
+    One stable sort by the smallest set count orders the lines by set,
+    each set's lines in time order.  Each larger set count then
+    stable-sorts that order on only its new index bits, which yields
+    its own by-set order.  In a by-set order a line change is a
+    direct-mapped miss, and with the repeats dropped a ``ways``-way
+    line hits iff it equals the line ``ways`` places back
+    (:func:`_lru_compact`'s rule).  Credits ``cache_refs`` once per
+    geometry.
+    """
+    for geometry in geometries:
+        if geometry.ways > 2:
+            raise ValueError(
+                f"set_assoc_miss_rates serves 1- and 2-way caches, not a "
+                f"{_describe(geometry)}; simulate it with SetAssociativeCache"
+            )
+        if geometry.line_bytes != geometries[0].line_bytes:
+            raise ValueError(
+                f"set_assoc_miss_rates needs one line size, not a "
+                f"{_describe(geometry)} after a "
+                f"{_describe(geometries[0])}"
+            )
+    addrs = np.asarray(addrs, dtype=np.int64)
+    n = addrs.size
+    misses: dict[tuple[int, int], int] = {}
+    with obs.span("cache/fast/set-assoc"):
+        tally.add("cache_refs", n * len(geometries))
+        if not (n and geometries):
+            return [0.0] * len(geometries)
+        lines = addrs >> log2_int(geometries[0].line_bytes)
+        sorted_sets = 1
+        for num_sets in sorted({g.num_sets for g in geometries}):
+            if num_sets > sorted_sets:
+                new_bits = (lines & (num_sets - 1)) >> log2_int(sorted_sets)
+                lines = lines[np.argsort(
+                    _radix_key(new_bits, num_sets // sorted_sets),
+                    kind="stable",
+                )]
+                del new_bits
+                sorted_sets = num_sets
+            fresh = np.empty(n, dtype=bool)
+            fresh[0] = True
+            np.not_equal(lines[1:], lines[:-1], out=fresh[1:])
+            compact = lines[fresh]
+            for ways in {g.ways for g in geometries if g.num_sets == num_sets}:
+                misses[num_sets, ways] = compact.size - int(
+                    np.count_nonzero(compact[ways:] == compact[:-ways])
+                )
+    return [misses[g.num_sets, g.ways] / n for g in geometries]
 
 
 def direct_mapped_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float:
@@ -118,17 +183,12 @@ def direct_mapped_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float
             f"direct_mapped_miss_rate needs a 1-way cache, not a "
             f"{_describe(geometry)}"
         )
-    with obs.span("cache/fast/direct-mapped"):
-        return _miss_rate(set_assoc_miss_flags(addrs, geometry))
+    return set_assoc_miss_rates(addrs, [geometry])[0]
 
 
 def set_assoc_miss_rate(addrs: np.ndarray, geometry: CacheGeometry) -> float:
     """Exact overall miss rate of a 1- or 2-way LRU cache."""
-    if geometry.ways == 1:
-        # Delegates; the direct-mapped path records its own span.
-        return direct_mapped_miss_rate(addrs, geometry)
-    with obs.span("cache/fast/two-way-lru"):
-        return _miss_rate(set_assoc_miss_flags(addrs, geometry))
+    return set_assoc_miss_rates(addrs, [geometry])[0]
 
 
 # ---------------------------------------------------------------------------

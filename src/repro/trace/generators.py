@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.errors import ConfigError
 from repro.trace.stream import ReferenceTrace, expand_runs
 
 
@@ -64,24 +65,37 @@ def blocked_sweep(
     """Blocked traversal of a ``rows x cols`` row-major matrix.
 
     Visits ``block x block`` tiles, row-major within each tile — the
-    access pattern of tiled linear algebra (mgrid/applu-like).
+    access pattern of tiled linear algebra (mgrid/applu-like).  Tiles
+    at the right and bottom edges are cut at the matrix's edge.
+
+    The sweep is built one tile-row band (``block`` rows, all tiles) at
+    a time: every full band has the same offset pattern, shifted by its
+    first row, so only the last band's pattern is built separately.
     """
+    if block < 1:
+        raise ConfigError(f"blocked_sweep needs block >= 1, got block={block}")
     if rows <= 0 or cols <= 0 or sweeps <= 0:
         return ReferenceTrace.empty()
     row_stride = cols * elem_bytes
-    tiles = []
+    full_cols = cols - cols % block
+
+    def band(r_count: int) -> np.ndarray:
+        """A band's offsets from its first element, tile by tile."""
+        row_offsets = np.arange(r_count, dtype=np.int64)[:, None] * row_stride
+        tiles = (np.arange(full_cols, dtype=np.int64).reshape(-1, 1, block)
+                 * elem_bytes + row_offsets)
+        edge = np.arange(full_cols, cols, dtype=np.int64) * elem_bytes + row_offsets
+        return np.concatenate((tiles.ravel(), edge.ravel()))
+
+    one = np.empty(rows * cols, dtype=np.int64)
+    offsets = band(min(block, rows))
     for tile_r in range(0, rows, block):
-        for tile_c in range(0, cols, block):
-            r_count = min(block, rows - tile_r)
-            c_count = min(block, cols - tile_c)
-            starts = (
-                base
-                + (tile_r + np.arange(r_count, dtype=np.int64)) * row_stride
-                + tile_c * elem_bytes
-            )
-            lengths = np.full(r_count, c_count, dtype=np.int64)
-            tiles.append(expand_runs(starts, lengths, step=elem_bytes))
-    one = np.concatenate(tiles)
+        r_count = min(block, rows - tile_r)
+        if offsets.size != r_count * cols:
+            offsets = band(r_count)
+        start = tile_r * cols
+        np.add(offsets, base + tile_r * row_stride,
+               out=one[start : start + offsets.size])
     addrs = np.tile(one, sweeps)
     return ReferenceTrace(addrs, _store_flags(addrs.size, store_fraction, rng))
 

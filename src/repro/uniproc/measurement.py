@@ -8,26 +8,32 @@ service-level fractions as :class:`~repro.gspn.models.MemoryPathProbs`.
 
 Instruction and data references interleave in blocks sized by the
 proxy's instruction mix, so a shared second-level cache sees a realistic
-mixed stream.
+mixed stream: block ``b`` is 64 instructions followed by the next data
+block, the data trace restarting from its start whenever it runs dry.
 
 Both measurements run on the vectorized engines of
-:mod:`repro.caches.fast`.  The integrated device's I- and D-caches are
-private, so each runs its full (wrap-reconstructed) stream through
-:func:`~repro.caches.fast.column_buffer_fast` in one shot; the
-conventional system computes both L1 miss-flag vectors first, then
-merges the two miss streams *in interleave order* into the single
-shared-L2 reference stream.  Block-by-block interleaving and whole-
-stream simulation are equivalent for the private caches because each
-cache simply sees its own references in time order; the shared L2 is
-the only point where the interleave matters, and the merge preserves
-it exactly.  ``tests/uniproc/reference_measurement.py`` keeps the
-block-by-block replay through the object-oriented simulators as the
-oracle, and the tests require identical :class:`MissRates`.
+:mod:`repro.caches.fast`, and no block is ever cut out as a trace.
+Each private cache's stream is built in closed form
+(:func:`_streams`): the instruction stream is the trace itself, and the
+data stream is the data trace repeated cyclically up to the blocks'
+total length.  The integrated device's I- and D-caches run those
+streams through :func:`~repro.caches.fast.column_buffer_fast` in one
+shot.  The conventional system computes both L1 miss-flag vectors,
+then orders the two miss streams for the shared L2 with one stable
+sort on ``2 * block + (0 for I, 1 for D)``, the block ids computed for
+the misses only.  Whole-stream simulation is exact for the private
+caches because each simply sees its own references in time order; the
+shared L2 is the only point where the interleave matters, and the sort
+preserves it exactly.  ``tests/uniproc/reference_measurement.py`` keeps
+a frozen copy of the block-by-block split and replays it through the
+object-oriented simulators as the oracle, and the tests require
+identical :class:`MissRates`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from repro.caches.hierarchy import HierarchyStats
 from repro.common.errors import ConfigError
 from repro.common.params import ConventionalSystemParams, IntegratedDeviceParams
 from repro.gspn.models import MemoryPathProbs
+from repro.trace.stream import ReferenceTrace
 from repro.workloads.spec.model import SpecProxy
 
 _INTERLEAVE_BLOCK = 64
@@ -58,8 +65,21 @@ class MissRates:
     dcache_miss_rate: float
 
 
-def _interleaved(proxy: SpecProxy, trace_len: int, seed: int) -> list:
-    """Pairs of (instruction block, data block) in mix proportion."""
+def _streams(
+    proxy: SpecProxy, trace_len: int, seed: int
+) -> tuple[ReferenceTrace, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-cache streams of the interleaved instruction/data blocks.
+
+    Returns ``(itrace, d_addrs, d_writes, d_ends)``.  Instruction block
+    ``b`` is ``itrace[64b : 64b + 64]``, so the instruction stream is
+    the trace itself.  Data block ``b`` starts at ``(b mod P) * d_block``,
+    ``P`` being the number of ``d_block``-sized pieces of the data trace,
+    and is cut at the trace's end: the blocks replay the data trace
+    from its start each time it runs dry.  Blocks ``0 .. P - 1`` cover
+    the trace once, in order, so the data stream is the trace repeated
+    cyclically up to the blocks' total length.  ``d_ends[b]`` is the
+    data stream's length after block ``b``.
+    """
     if trace_len < 1:
         raise ConfigError(f"trace_len must be at least 1, got {trace_len}")
     mix = proxy.mix
@@ -67,35 +87,13 @@ def _interleaved(proxy: SpecProxy, trace_len: int, seed: int) -> list:
     itrace = proxy.instruction_trace(trace_len, seed)
     dtrace = proxy.data_trace(max(1, int(trace_len * data_per_instr)), seed)
     d_block = max(1, int(_INTERLEAVE_BLOCK * data_per_instr))
-    blocks = []
-    i_pos = d_pos = 0
-    while i_pos < len(itrace):
-        blocks.append((
-            itrace[i_pos : i_pos + _INTERLEAVE_BLOCK],
-            dtrace[d_pos : d_pos + d_block],
-        ))
-        i_pos += _INTERLEAVE_BLOCK
-        d_pos += d_block
-        if d_pos >= len(dtrace):
-            d_pos = 0
-    return blocks
-
-
-def _concat_blocks(blocks):
-    """The interleaved blocks flattened back into per-cache streams.
-
-    Returns ``(i_addrs, i_writes, d_addrs, d_writes)``.  The instruction
-    stream is the original trace; the data stream reproduces the
-    wrap-around replay of :func:`_interleaved` exactly (it restarts the
-    data trace whenever it runs dry), so a private cache
-    consuming the concatenation sees the same references in the same
-    order as one consuming the blocks one by one.
-    """
-    i_addrs = np.concatenate([b.addresses for b, _ in blocks])
-    i_writes = np.concatenate([b.is_write for b, _ in blocks])
-    d_addrs = np.concatenate([d.addresses for _, d in blocks])
-    d_writes = np.concatenate([d.is_write for _, d in blocks])
-    return i_addrs, i_writes, d_addrs, d_writes
+    n_blocks = -(-len(itrace) // _INTERLEAVE_BLOCK)
+    pieces = -(-len(dtrace) // d_block)
+    starts = np.arange(n_blocks, dtype=np.int64) % pieces * d_block
+    d_ends = np.cumsum(np.minimum(d_block, len(dtrace) - starts))
+    n_d = int(d_ends[-1])
+    return (itrace, np.resize(dtrace.addresses, n_d),
+            np.resize(dtrace.is_write, n_d), d_ends)
 
 
 def measure_integrated(
@@ -108,15 +106,15 @@ def measure_integrated(
     """Miss rates on the proposed device's column-buffer caches."""
     params = params or IntegratedDeviceParams()
     victim = params.victim if with_victim else None
-    i_addrs, i_writes, d_addrs, d_writes = _concat_blocks(
-        _interleaved(proxy, trace_len, seed)
-    )
+    itrace, d_addrs, d_writes, _ = _streams(proxy, trace_len, seed)
     with obs.span("cache/fast/column-buffer"):
-        istats = column_buffer_fast(i_addrs, i_writes, params.icache_geometry).stats
+        istats = column_buffer_fast(
+            itrace.addresses, itrace.is_write, params.icache_geometry
+        ).stats
         dstats = column_buffer_fast(
             d_addrs, d_writes, params.dcache_geometry, victim
         ).stats
-        tally.add("cache_refs", int(i_addrs.size + d_addrs.size))
+        tally.add("cache_refs", len(itrace) + int(d_addrs.size))
     return MissRates(
         ifetch=MemoryPathProbs(hit=istats.loads.hit_rate),
         load=MemoryPathProbs(hit=dstats.loads.hit_rate),
@@ -128,39 +126,33 @@ def measure_integrated(
 
 
 def _conventional_stats(
-    blocks, params: ConventionalSystemParams
+    i_addrs: np.ndarray,
+    i_writes: np.ndarray,
+    i_block_of: Callable[[np.ndarray], np.ndarray],
+    d_addrs: np.ndarray,
+    d_writes: np.ndarray,
+    d_block_of: Callable[[np.ndarray], np.ndarray],
+    params: ConventionalSystemParams,
 ) -> tuple[HierarchyStats, HierarchyStats]:
     """Both hierarchies' stats via one vectorized pass per cache.
 
     The L1s are private, so their miss flags come from whole-stream
-    passes; the shared L2 sees the two L1 miss streams merged block by
-    block in the exact order the object-oriented hierarchies would
-    issue them (instruction block first, then its data block).
+    passes.  The shared L2 sees the two L1 miss streams in the order
+    the object-oriented hierarchies would issue them: block by block,
+    each instruction block before its data block.  ``i_block_of`` and
+    ``d_block_of`` map reference indices of their stream to block ids;
+    one stable sort on ``2 * block + (0 for I, 1 for D)`` puts the
+    misses in that order, each stream's misses staying in time order.
     """
-    i_addrs, i_writes, d_addrs, d_writes = _concat_blocks(blocks)
     with obs.span("cache/fast/two-level"):
         i_flags = set_assoc_miss_flags(i_addrs, params.l1i)
         d_flags = set_assoc_miss_flags(d_addrs, params.l1d)
-        l2_parts: list[np.ndarray] = []
-        from_i: list[bool] = []
-        i_pos = d_pos = 0
-        for i_block, d_block in blocks:
-            n_i, n_d = len(i_block), len(d_block)
-            l2_parts.append(
-                i_addrs[i_pos : i_pos + n_i][i_flags[i_pos : i_pos + n_i]]
-            )
-            from_i.append(True)
-            l2_parts.append(
-                d_addrs[d_pos : d_pos + n_d][d_flags[d_pos : d_pos + n_d]]
-            )
-            from_i.append(False)
-            i_pos += n_i
-            d_pos += n_d
-        l2_addrs = np.concatenate(l2_parts)
-        l2_src_i = np.concatenate(
-            [np.full(part.size, src, dtype=bool)
-             for part, src in zip(l2_parts, from_i)]
-        )
+        i_miss = np.flatnonzero(i_flags)
+        d_miss = np.flatnonzero(d_flags)
+        key = np.concatenate((2 * i_block_of(i_miss), 2 * d_block_of(d_miss) + 1))
+        order = np.argsort(key, kind="stable")
+        l2_addrs = np.concatenate((i_addrs[i_miss], d_addrs[d_miss]))[order]
+        l2_src_i = order < i_miss.size
         l2_flags = set_assoc_miss_flags(l2_addrs, params.l2)
         istats = HierarchyStats(
             l1_loads=ratio_from_flags(i_flags[~i_writes]),
@@ -184,8 +176,13 @@ def measure_conventional(
 ) -> MissRates:
     """Miss rates on the conventional split-L1 + shared-L2 reference."""
     params = params or ConventionalSystemParams()
+    itrace, d_addrs, d_writes, d_ends = _streams(proxy, trace_len, seed)
     istats, dstats = _conventional_stats(
-        _interleaved(proxy, trace_len, seed), params
+        itrace.addresses, itrace.is_write,
+        lambda i: i // _INTERLEAVE_BLOCK,
+        d_addrs, d_writes,
+        lambda i: np.searchsorted(d_ends, i, side="right"),
+        params,
     )
 
     def probs(l1_hit: float, l2_among_misses: float) -> MemoryPathProbs:

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import figure7, figure8
 from repro.caches.fast import (
     column_buffer_fast,
     direct_mapped_miss_rate,
     set_assoc_miss_flags,
     set_assoc_miss_rate,
+    set_assoc_miss_rates,
     simulate_column_buffer,
 )
 from repro.caches.set_assoc import SetAssociativeCache
@@ -16,6 +18,7 @@ from repro.common.params import (
     ConventionalSystemParams,
     VictimCacheParams,
 )
+from repro.common import tally
 from repro.common.units import KB, MB
 from repro.trace.stream import ReferenceTrace
 from repro.uniproc.measurement import _conventional_stats, measure_conventional
@@ -362,8 +365,8 @@ class TestSimulateColumnBuffer:
                 )
 
 
-# Interleaved (instruction block, data block) pairs, as the measurement
-# layer cuts them, over small L1s and a shared L2 with longer lines.
+# Interleaved (instruction block, data block) pairs, empty blocks
+# included, over small L1s and a shared L2 with longer lines.
 _block_refs = st.lists(
     st.tuples(st.integers(0, 1 << 14), st.booleans()), max_size=40
 )
@@ -372,6 +375,19 @@ _SMALL_SYSTEM = ConventionalSystemParams(
     l1d=CacheGeometry(1 * KB, 32, 2),
     l2=CacheGeometry(4 * KB, 64, 2),
 )
+
+
+def _stream(traces):
+    """One stream of the blocks' traces, and a map from its reference
+    indices to their block ids."""
+    ids = np.repeat(np.arange(len(traces)), [len(t) for t in traces])
+    trace = ReferenceTrace.concat(traces)
+    return trace.addresses, trace.is_write, lambda index: ids[index]
+
+
+def _two_level(blocks):
+    return _conventional_stats(*_stream([i for i, _ in blocks]),
+                               *_stream([d for _, d in blocks]), _SMALL_SYSTEM)
 
 
 class TestTwoLevelDifferential:
@@ -388,15 +404,95 @@ class TestTwoLevelDifferential:
         for i_block, d_block in blocks:
             ihier.run(i_block)
             dhier.run(d_block)
-        assert _conventional_stats(blocks, _SMALL_SYSTEM) == \
-            (ihier.stats, dhier.stats)
+        assert _two_level(blocks) == (ihier.stats, dhier.stats)
 
     def test_l2_stream_is_l1_miss_stream(self):
         blocks = [(ReferenceTrace.reads([0, 32, 0, 1024, 0, 1024]),
                    ReferenceTrace.reads([4096, 4096, 8192]))]
-        istats, dstats = _conventional_stats(blocks, _SMALL_SYSTEM)
+        istats, dstats = _two_level(blocks)
         # 0, 32 and 1024 miss the direct-mapped L1i; 0 misses again
         # after 1024 evicted it, and so does 1024.  4096 and 8192 miss
         # the 2-way L1d once each.
         assert istats.l2.total == 5
         assert dstats.l2.total == 2
+
+
+# Geometries of 32 B lines for set_assoc_miss_rates: 1 and 2 ways, set
+# counts from 1 up, on both sides of 256 and of 65,536 (the two radix
+# key widths), Figure 7/8's among them.
+_RATE_GEOMETRIES = (
+    CacheGeometry(32, 32, 1),
+    CacheGeometry(64, 32, 2),
+    CacheGeometry(4 * KB, 32, 1),
+    CacheGeometry(8 * KB, 32, 1),
+    CacheGeometry(16 * KB, 32, 1),
+    CacheGeometry(16 * KB, 32, 2),
+    CacheGeometry(64 * KB, 32, 1),
+    CacheGeometry(256 * KB, 32, 1),
+    CacheGeometry(2 * MB, 32, 1),
+    CacheGeometry(4 * MB, 32, 1),
+    CacheGeometry(8 * MB, 32, 2),
+)
+
+
+class TestSetAssocMissRates:
+    """One set sort per trace, re-sorted on the new index bits per set
+    count, against each geometry's own miss flags."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           geometries=st.lists(st.sampled_from(_RATE_GEOMETRIES),
+                               min_size=1, max_size=8))
+    def test_equals_mean_of_miss_flags(self, data, geometries):
+        # Addresses alias in sets on both sides of 65,536 of the widest
+        # geometry; narrower ones see the same lines fold together.
+        addrs = np.asarray(data.draw(_wide_addrs(CacheGeometry(8 * MB, 32, 2))),
+                           dtype=np.int64)
+        expected = [float(set_assoc_miss_flags(addrs, g).mean())
+                    for g in geometries]
+        assert set_assoc_miss_rates(addrs, geometries) == expected
+
+    def test_order_and_duplicates(self):
+        addrs = get_proxy("126.gcc").data_trace(5_000, seed=0).addresses
+        geometries = list(_RATE_GEOMETRIES)
+        forward = set_assoc_miss_rates(addrs, geometries)
+        assert forward == [set_assoc_miss_rate(addrs, g) for g in geometries]
+        reverse = set_assoc_miss_rates(addrs, geometries[::-1] * 2)
+        assert reverse == forward[::-1] * 2
+
+    def test_empty_trace(self):
+        before = tally.snapshot()
+        assert set_assoc_miss_rates(np.zeros(0, dtype=np.int64),
+                                    _RATE_GEOMETRIES[:3]) == [0.0] * 3
+        assert set_assoc_miss_rates(np.zeros(0, dtype=np.int64), []) == []
+        assert tally.since(before).get("cache_refs", 0) == 0
+
+    def test_rejects_more_than_two_ways(self):
+        with pytest.raises(ValueError, match="4-way 4096 B cache with 32 B "
+                                             "lines; simulate it with "
+                                             "SetAssociativeCache"):
+            set_assoc_miss_rates(np.array([0], dtype=np.int64),
+                                 [CacheGeometry(8 * KB, 32, 1),
+                                  CacheGeometry(4 * KB, 32, 4)])
+
+    def test_rejects_mixed_line_sizes(self):
+        with pytest.raises(ValueError, match="1-way 8192 B cache with 64 B "
+                                             "lines"):
+            set_assoc_miss_rates(np.array([0], dtype=np.int64),
+                                 [CacheGeometry(8 * KB, 32, 1),
+                                  CacheGeometry(8 * KB, 64, 1)])
+
+
+class TestFigureTallies:
+    """A Figure 7 row credits its n-reference trace to five caches and a
+    Figure 8 row to seven; perfbench's ``missrate`` rate counts these."""
+
+    N = 3_000
+
+    @pytest.mark.parametrize("figure, caches", [(figure7, 5), (figure8, 7)])
+    def test_cache_refs_per_row(self, figure, caches):
+        before = tally.snapshot()
+        figure(trace_len=self.N, names=("126.gcc",))
+        delta = tally.since(before)
+        assert delta["cache_refs"] == caches * self.N
+        assert delta["trace_refs"] == self.N

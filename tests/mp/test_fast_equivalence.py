@@ -10,10 +10,12 @@ counters and contents.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.caches.fast import column_buffer_fast
 from repro.common.params import MPLatencies
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
@@ -151,3 +153,42 @@ def test_scripted_stream_covers_the_slow_path():
         if kind is SystemKind.INTEGRATED:
             assert expected["stats"]["by_level"][HitLevel.VICTIM] >= 1
             assert sum(node["inc"][3] for node in expected["nodes"]) >= 2
+
+
+# -- the p = 1 tie with the vectorized column buffer ---------------------------
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_one_processor_counts_equal_column_buffer_fast(name):
+    """At p = 1 every reference is local and goes to the node's column
+    buffers as a load, so ``IntegratedNode``'s cache, victim and
+    local-memory counts equal ``column_buffer_fast`` run on the recorded
+    stream (every Read and Write, plus the lock-word writes, in engine
+    order) with the device's D-cache geometry and victim buffer."""
+    system = MPSystem(1, SystemKind.INTEGRATED)
+    engine = MPEngine(system)
+    factory = KERNELS[name](**TINY[name], seed=0).build(1, system.layout)
+    stream = []
+
+    def recording(proc, num_procs):
+        for op in factory(proc, num_procs):
+            if type(op) in (Read, Write):
+                stream.append(op.addr)
+            elif type(op) in (Lock, Unlock):
+                stream.append(engine._lock_addr(op.lock_id))
+            yield op
+
+    engine.run(recording)
+    addrs = np.asarray(stream, dtype=np.int64)
+    params = system.nodes[0].params
+    fast = column_buffer_fast(addrs, np.zeros(addrs.size, dtype=bool),
+                              params.dcache_geometry, params.victim)
+    by_level = system.node_stats[0].by_level
+    assert by_level == {
+        level: count for level, count in (
+            (HitLevel.CACHE, fast.main_hits),
+            (HitLevel.VICTIM, fast.victim_hits),
+            (HitLevel.LOCAL_MEMORY, int(fast.miss_flags.sum())),
+        ) if count
+    }
+    assert system.nodes[0].columns.stats == fast.stats

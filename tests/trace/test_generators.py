@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.trace.generators import (
     blocked_sweep,
@@ -9,6 +12,7 @@ from repro.trace.generators import (
     record_walk,
     strided_sweep,
 )
+from repro.trace.stream import expand_runs
 
 
 class TestStridedSweep:
@@ -42,6 +46,53 @@ class TestBlockedSweep:
 
     def test_empty(self):
         assert len(blocked_sweep(0, 0, 4, 8, 2)) == 0
+
+    @pytest.mark.parametrize("block", [0, -3])
+    def test_block_below_one_rejected(self, block):
+        with pytest.raises(ConfigError, match=f"block={block}"):
+            blocked_sweep(0, rows=4, cols=4, elem_bytes=8, block=block)
+
+
+def _tile_loop_sweep(base, rows, cols, elem_bytes, block):
+    """One sweep of the tile-by-tile loop ``blocked_sweep`` replaced."""
+    row_stride = cols * elem_bytes
+    tiles = []
+    for tile_r in range(0, rows, block):
+        for tile_c in range(0, cols, block):
+            r_count = min(block, rows - tile_r)
+            c_count = min(block, cols - tile_c)
+            starts = (
+                base
+                + (tile_r + np.arange(r_count, dtype=np.int64)) * row_stride
+                + tile_c * elem_bytes
+            )
+            lengths = np.full(r_count, c_count, dtype=np.int64)
+            tiles.append(expand_runs(starts, lengths, step=elem_bytes))
+    return np.concatenate(tiles)
+
+
+class TestBlockedSweepDifferential:
+    """The band-by-band sweep against the frozen tile loop: edge tiles
+    on both sides, ``block`` 1 and ``block`` larger than the matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 20),
+           block=st.one_of(st.integers(1, 9), st.integers(21, 40)),
+           elem_bytes=st.sampled_from([4, 8]))
+    def test_matches_tile_loop(self, rows, cols, block, elem_bytes):
+        trace = blocked_sweep(0x1000, rows, cols, elem_bytes, block)
+        expected = _tile_loop_sweep(0x1000, rows, cols, elem_bytes, block)
+        assert trace.addresses.tolist() == expected.tolist()
+
+    def test_sweeps_and_store_draws(self):
+        """Repeated sweeps tile the one sweep, and the store flags take
+        the same draws from the generator."""
+        trace = blocked_sweep(0, 7, 5, 8, 3, sweeps=3, store_fraction=0.3,
+                              rng=make_rng(4))
+        one = _tile_loop_sweep(0, 7, 5, 8, 3)
+        assert trace.addresses.tolist() == np.tile(one, 3).tolist()
+        expected_writes = make_rng(4).random(3 * one.size) < 0.3
+        assert trace.is_write.tolist() == expected_writes.tolist()
 
 
 class TestPointerChase:

@@ -1,9 +1,16 @@
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.uniproc.measurement import measure_conventional, measure_integrated
+from repro.trace.stream import ReferenceTrace
+from repro.uniproc.measurement import (
+    _streams,
+    measure_conventional,
+    measure_integrated,
+)
 from repro.workloads.spec import get_proxy
 from tests.uniproc.reference_measurement import (
+    interleaved_blocks,
     reference_conventional,
     reference_integrated,
 )
@@ -91,6 +98,43 @@ class TestEngineEquivalence:
             reference_integrated(proxy, trace_len)
         assert measure_conventional(proxy, trace_len) == \
             reference_conventional(proxy, trace_len)
+
+
+def _frozen_streams(proxy, trace_len, seed):
+    """The frozen block split, concatenated per cache."""
+    blocks = interleaved_blocks(proxy, trace_len, seed)
+    itrace = ReferenceTrace.concat([i for i, _ in blocks])
+    dtrace = ReferenceTrace.concat([d for _, d in blocks])
+    d_ends = np.cumsum([len(d) for _, d in blocks])
+    return itrace, dtrace, d_ends
+
+
+class TestClosedFormStreams:
+    """The streams built in closed form against the frozen per-block
+    split (126.gcc cuts 23-reference data blocks, 099.go 19)."""
+
+    @pytest.mark.parametrize("name, trace_len", [
+        ("126.gcc", 1),
+        ("126.gcc", 63),  # one data block, exactly the data trace
+        ("126.gcc", 64),
+        ("126.gcc", 65),  # a short second data block, no wrap
+        ("099.go", 63),  # the data trace is shorter than one block
+        ("099.go", 65),  # exact wrap: one block covers the trace
+        ("099.go", 129),  # exact wrap: two blocks cover the trace
+        ("126.gcc", 20_000),
+    ])
+    def test_match_frozen_split(self, name, trace_len):
+        proxy = get_proxy(name)
+        itrace, d_addrs, d_writes, d_ends = _streams(proxy, trace_len, 3)
+        frozen_i, frozen_d, frozen_ends = _frozen_streams(proxy, trace_len, 3)
+        assert itrace.addresses.tolist() == frozen_i.addresses.tolist()
+        assert d_addrs.tolist() == frozen_d.addresses.tolist()
+        assert d_writes.tolist() == frozen_d.is_write.tolist()
+        assert d_ends.tolist() == frozen_ends.tolist()
+        assert measure_integrated(proxy, trace_len, seed=3) == \
+            reference_integrated(proxy, trace_len, seed=3)
+        assert measure_conventional(proxy, trace_len, seed=3) == \
+            reference_conventional(proxy, trace_len, seed=3)
 
 
 class TestStoreFreeDataStream:

@@ -25,9 +25,12 @@ previous order on its new index bits only.  The column buffer first
 collapses the trace into runs on the 512 B column index (sequential
 traces collapse 5-70x); with a victim buffer, resident runs resolve in
 O(1) and only the non-resident run prefixes, where victim hits feed
-back into main-cache contents, replay scalar-side.  Any other configuration raises ``ValueError``; simulate it
-with :class:`~repro.caches.set_assoc.SetAssociativeCache` or
-:class:`~repro.caches.column_buffer.ColumnBufferCache`.
+back into main-cache contents, replay scalar-side.  That replay
+streams the runs in chunks of ``_REPLAY_CHUNK``, so its per-run Python
+lists stay one chunk long, and keeps the victim buffer as one
+insertion-ordered dict.  Any other configuration raises ``ValueError``;
+simulate it with :class:`~repro.caches.set_assoc.SetAssociativeCache`
+or :class:`~repro.caches.column_buffer.ColumnBufferCache`.
 """
 
 from __future__ import annotations
@@ -359,6 +362,11 @@ def _plain_column_runs(
     return order[keep[miss]], int(evict_at.size), writebacks
 
 
+# Runs per chunk of :func:`_replay_column_runs`: its per-run Python
+# lists hold one chunk at a time.
+_REPLAY_CHUNK = 4096
+
+
 def _replay_column_runs(
     addrs: np.ndarray,
     writes: np.ndarray,
@@ -378,30 +386,27 @@ def _replay_column_runs(
     of the victim hits, then the counters.  A run whose column is
     resident resolves in O(1); only runs that open on a non-resident
     column replay reference by reference through the victim buffer.
+    The runs stream through in chunks of ``_REPLAY_CHUNK``, so the
+    per-run Python lists never outgrow one chunk.  The victim buffer is
+    one insertion-ordered dict, ``key -> dirty``, LRU first: a hit pops
+    and re-inserts its key unless it is already the MRU, and an insert
+    into a full buffer evicts the first key.
     """
     nsets = geometry.num_sets
     sub_shift = log2_int(sub_block_bytes)
     v_shift = log2_int(victim.line_bytes)
     v_entries = victim.entries
-
-    # Per-run attributes as plain lists: the hot loop below is pure
-    # Python, and list iteration via zip beats per-index numpy access
-    # severalfold.  Only run-level arrays are materialized — the
-    # reference-level arrays (writes, victim probe keys) are touched
-    # scalar-side only at the rare non-resident positions.
-    starts_l = starts.tolist()
-    ends_l = ends.tolist()
-    run_line_l = run_lines.tolist()
-    run_set_l = (run_lines & (nsets - 1)).tolist()
-    run_last_sub_l = ((addrs[ends - 1] >> sub_shift) << sub_shift).tolist()
-    run_nw_l = run_writes.tolist()
-    vkeys = addrs >> v_shift
+    # Reference-level reads, at the non-resident positions only, go
+    # through memoryviews: indexing one yields a plain int or bool, not
+    # a numpy scalar.
+    vkeys = memoryview(addrs >> v_shift)
+    wrote = memoryview(writes)
+    wsum = memoryview(prefix)
 
     evictions = writebacks = 0
     vinserts = vwritebacks = 0
-    vlist: list[int] = []  # victim block keys, MRU last
-    vset: set[int] = set()
-    vdirty: set[int] = set()
+    vic: dict[int, bool] = {}  # victim block key -> dirty, MRU last
+    vmru = None  # the last key of ``vic``
     miss_at: list[int] = []
     vhit_at: list[int] = []
 
@@ -417,71 +422,79 @@ def _replay_column_runs(
     l_line = [-1] * nsets  # LRU slot per set
     l_sub = [0] * nsets
     l_dirty = [False] * nsets
-    for s, e, si, li, sub, nw in zip(
-        starts_l, ends_l, run_set_l, run_line_l, run_last_sub_l, run_nw_l
-    ):
-        if m_line[si] == li:
-            m_sub[si] = sub
-            if nw:
-                m_dirty[si] = True
-            continue
-        if l_line[si] == li:
-            # Promote: the LRU slot's line becomes MRU, the old
-            # MRU line slides down with its sub-block and dirt.
-            hit_dirty = l_dirty[si] or nw > 0
-            l_line[si], m_line[si] = m_line[si], li
-            l_sub[si], m_sub[si] = m_sub[si], sub
-            l_dirty[si], m_dirty[si] = m_dirty[si], hit_dirty
-            continue
-        # Column not resident: replay the run's prefix through the
-        # victim buffer until a reference misses it outright.
-        j = s
-        while j < e:
-            key = int(vkeys[j])
-            if key in vset:
-                if vlist[-1] != key:
-                    vlist.remove(key)
-                    vlist.append(key)
-                if writes[j]:
-                    vdirty.add(key)
+    for lo in range(0, starts.size, _REPLAY_CHUNK):
+        hi = lo + _REPLAY_CHUNK
+        # One chunk's per-run attributes as plain lists: zip over lists
+        # beats per-index numpy access severalfold, and a chunk bounds
+        # the Python ints alive at once.
+        chunk_ends = ends[lo:hi]
+        for s, e, si, li, sub, nw in zip(
+            starts[lo:hi].tolist(),
+            chunk_ends.tolist(),
+            (run_lines[lo:hi] & (nsets - 1)).tolist(),
+            run_lines[lo:hi].tolist(),
+            ((addrs[chunk_ends - 1] >> sub_shift) << sub_shift).tolist(),
+            run_writes[lo:hi].tolist(),
+        ):
+            if m_line[si] == li:
+                m_sub[si] = sub
+                if nw:
+                    m_dirty[si] = True
+                continue
+            if l_line[si] == li:
+                # Promote: the LRU slot's line becomes MRU, the old
+                # MRU line slides down with its sub-block and dirt.
+                hit_dirty = l_dirty[si] or nw > 0
+                l_line[si], m_line[si] = m_line[si], li
+                l_sub[si], m_sub[si] = m_sub[si], sub
+                l_dirty[si], m_dirty[si] = m_dirty[si], hit_dirty
+                continue
+            # Column not resident: replay the run's prefix through the
+            # victim buffer until a reference misses it outright.
+            j = s
+            while j < e:
+                key = vkeys[j]
+                if key not in vic:
+                    break
+                if key != vmru:
+                    vic[key] = vic.pop(key) or wrote[j]
+                    vmru = key
+                elif wrote[j]:
+                    vic[key] = True
                 vhit_at.append(j)
                 j += 1
-            else:
-                break
-        if j == e:
-            continue  # whole run served victim-side, no refill
-        # Full miss at j: evict the set's LRU column (if the set
-        # is full), slide MRU down, fill the MRU slot.
-        miss_at.append(j)
-        if l_line[si] >= 0:
-            evictions += 1
-            if l_dirty[si]:
-                writebacks += 1
-            vinserts += 1
-            key = l_sub[si] >> v_shift
-            if key in vset:
-                vlist.remove(key)
-                if key in vdirty:
-                    vdirty.discard(key)
-                    vwritebacks += 1
-            elif len(vlist) >= v_entries:
-                old = vlist.pop(0)
-                vset.discard(old)
-                if old in vdirty:
-                    vdirty.discard(old)
-                    vwritebacks += 1
-            vlist.append(key)
-            vset.add(key)
-            l_line[si] = m_line[si]
-            l_sub[si] = m_sub[si]
-            l_dirty[si] = m_dirty[si]
-        elif m_line[si] >= 0:
-            l_line[si] = m_line[si]
-            l_sub[si] = m_sub[si]
-            l_dirty[si] = m_dirty[si]
-        m_line[si] = li
-        m_sub[si] = sub
-        m_dirty[si] = int(prefix[e] - prefix[j]) > 0
+            if j == e:
+                continue  # whole run served victim-side, no refill
+            # Full miss at j: evict the set's LRU column (if the set
+            # is full), slide MRU down, fill the MRU slot.
+            miss_at.append(j)
+            if l_line[si] >= 0:
+                evictions += 1
+                if l_dirty[si]:
+                    writebacks += 1
+                # Capture the evicted column's last sub-block: a
+                # resident copy is superseded (a dirty one is written
+                # back), else a full buffer drops its LRU block.
+                vinserts += 1
+                key = l_sub[si] >> v_shift
+                if key in vic:
+                    if vic.pop(key):
+                        vwritebacks += 1
+                elif len(vic) >= v_entries:
+                    if vic.pop(next(iter(vic))):
+                        vwritebacks += 1
+                vic[key] = False
+                vmru = key
+                l_line[si] = m_line[si]
+                l_sub[si] = m_sub[si]
+                l_dirty[si] = m_dirty[si]
+            elif m_line[si] >= 0:
+                l_line[si] = m_line[si]
+                l_sub[si] = m_sub[si]
+                l_dirty[si] = m_dirty[si]
+            m_line[si] = li
+            m_sub[si] = sub
+            m_dirty[si] = wsum[e] - wsum[j] > 0
     return miss_at, vhit_at, evictions, writebacks, vinserts, vwritebacks
 
 

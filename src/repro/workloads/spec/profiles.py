@@ -132,7 +132,7 @@ def _data_go(length, rng):
 
 def _data_m88ksim(length, rng):
     # Simulated 88100 memory image + hot simulator dispatch tables.
-    image = strided_sweep(REGION, 4, length // 6, 4, sweeps=2,
+    image = strided_sweep(REGION, 4, max(1, length // 6), 4, sweeps=2,
                           store_fraction=0.25, rng=rng)
     tables = hot_cold_mix(rng, 2 * REGION, 10 * KB, 3 * REGION, 1 * MB,
                           length, hot_fraction=0.78, run_length=8,
@@ -250,7 +250,7 @@ def _data_turb3d(length, rng):
     # FFT turbulence: cache-resident butterflies between passes.
     small = strided_sweep(REGION, 8, 1024, 8, sweeps=max(1, length // 2048),
                           store_fraction=0.4, rng=rng)
-    strided = strided_sweep(2 * REGION, 8, length // 8, 512,
+    strided = strided_sweep(2 * REGION, 8, max(1, length // 8), 512,
                             store_fraction=0.2, rng=rng)
     return interleave_blocks([small, strided], [0.98, 0.02], block=16,
                              length=length, rng=rng)
@@ -261,7 +261,7 @@ def _data_apsi(length, rng):
     resident = blocked_sweep(REGION, rows=32, cols=40, elem_bytes=8, block=8,
                              sweeps=max(1, length // 1280),
                              store_fraction=0.3, rng=rng)
-    sweeps = _vector_fp(length // 4, rng, streams=3, taps=(0, 1),
+    sweeps = _vector_fp(max(1, length // 4), rng, streams=3, taps=(0, 1),
                         scattered_share=0.05, scattered_count=64)
     return interleave_blocks([resident, sweeps], [0.7, 0.3], block=16,
                              length=length, rng=rng)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.caches.fast as fast_engine
 from repro.analysis.experiments import figure7, figure8
 from repro.caches.fast import (
     column_buffer_fast,
@@ -340,6 +341,102 @@ class TestColumnBufferDifferential:
         exact = column_buffer_exact(addrs, writes, geom, None)
         _assert_results_identical(fast, exact)
         assert (fast.stats.evictions, fast.stats.writebacks) == (2, 1)
+
+
+# Chunk sizes for the victim replay small enough that the cases below
+# cross many chunk edges.
+_REPLAY_CHUNKS = (1, 2, 7)
+# Hot spots: a dozen columns 1 KB apart (two sets at most in the
+# geometries below), touched at a few offsets, so the victim buffer
+# fills, hits and evicts in LRU order within a short trace.
+_hot_refs = st.lists(
+    st.tuples(st.builds(lambda column, offset: column * 1024 + offset,
+                        st.integers(0, 11), st.sampled_from([0, 40, 100, 300])),
+              st.booleans()),
+    min_size=1, max_size=250,
+)
+
+
+class TestChunkedVictimReplay:
+    """The victim replay streams its runs in chunks: with the chunk size
+    patched down to a few runs, every chunk edge must be invisible in
+    every result field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(refs=st.one_of(_cb_refs, _hot_refs),
+           chunk=st.sampled_from(_REPLAY_CHUNKS),
+           geometry=st.sampled_from([CacheGeometry(4 * 512, 512, 2),
+                                     CacheGeometry(8 * 512, 512, 2)]),
+           victim=st.builds(VictimCacheParams,
+                            entries=st.sampled_from([1, 2, 16]),
+                            line_bytes=st.sampled_from([16, 32, 64, 1024])),
+           sub_block_bytes=st.sampled_from([32, 64, 512]))
+    def test_matches_oracle(self, refs, chunk, geometry, victim,
+                            sub_block_bytes):
+        addrs = np.asarray([a for a, _ in refs], dtype=np.int64)
+        writes = np.asarray([w for _, w in refs], dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fast_engine, "_REPLAY_CHUNK", chunk)
+            fast = column_buffer_fast(addrs, writes, geometry, victim,
+                                      sub_block_bytes)
+        exact = column_buffer_exact(addrs, writes, geometry, victim,
+                                    sub_block_bytes)
+        _assert_results_identical(fast, exact)
+
+    @pytest.mark.parametrize("chunk", _REPLAY_CHUNKS)
+    @pytest.mark.parametrize("pad", range(8))
+    def test_victim_served_run_and_dirty_reinsert_on_chunk_edges(
+        self, chunk, pad
+    ):
+        # A 2-set 2-way buffer.  A to E are columns of set 0; ``pad``
+        # leading runs alternate between two columns of set 1, so over
+        # the pads each event below lands on every offset within a chunk.
+        geom = CacheGeometry(4 * 512, 512, 2)
+        a, b, c, d, e = (i * 1024 for i in range(5))
+        refs = [(512 + 2048 * (i % 2), False) for i in range(pad)]
+        refs += [
+            (a, False), (b, False), (c, False),  # C evicts A to the victim
+            (a + 4, False), (a + 8, True),  # one run, all victim-served,
+                                            # dirties A's block
+            (a + 256, False), (a, False),  # misses, refills A ending at 0
+            (d, False), (e, False),  # E evicts A: its block is re-inserted
+        ]
+        addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
+        writes = np.asarray([r[1] for r in refs], dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fast_engine, "_REPLAY_CHUNK", chunk)
+            fast = column_buffer_fast(addrs, writes, geom, VictimCacheParams())
+        exact = column_buffer_exact(addrs, writes, geom, VictimCacheParams())
+        _assert_results_identical(fast, exact)
+        served = pad + 3
+        assert fast.victim_hit_flags.tolist()[served:] == [
+            True, True, False, False, False, False]
+        assert not fast.miss_flags[served:served + 2].any()
+        # The dirty resident copy is superseded by a clean one: one
+        # victim writeback, and none left over at the end.
+        assert fast.victim_writebacks == 1
+
+    @pytest.mark.parametrize("chunk", _REPLAY_CHUNKS)
+    @pytest.mark.parametrize("pad", range(8))
+    def test_victim_lru_order_carries_across_chunk_edges(self, chunk, pad):
+        # A 2-entry victim buffer behind a 2-set 2-way buffer; C0 to C4
+        # are columns of set 0.  The hit on C0's block makes C1's the
+        # LRU block, so C2's insert evicts C1's, not C0's.
+        geom = CacheGeometry(4 * 512, 512, 2)
+        c0, c1, c2, c3, c4 = (i * 1024 for i in range(5))
+        refs = [(512 + 2048 * (i % 2), False) for i in range(pad)]
+        refs += [(c0, False), (c1, False), (c2, False), (c3, False),
+                 (c0, False), (c4, False), (c0, False), (c1, False)]
+        addrs = np.asarray([r[0] for r in refs], dtype=np.int64)
+        writes = np.asarray([r[1] for r in refs], dtype=bool)
+        victim = VictimCacheParams(entries=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fast_engine, "_REPLAY_CHUNK", chunk)
+            fast = column_buffer_fast(addrs, writes, geom, victim)
+        exact = column_buffer_exact(addrs, writes, geom, victim)
+        _assert_results_identical(fast, exact)
+        assert fast.victim_hit_flags.tolist()[pad:] == [
+            False, False, False, False, True, False, True, False]
 
 
 class TestSimulateColumnBuffer:

@@ -11,12 +11,17 @@ from repro.caches import (
 )
 from repro.common.params import CacheGeometry
 from repro.common.units import KB
+from repro.uniproc.measurement import measure_conventional, measure_integrated
 from repro.workloads.spec import (
     ALL_NAMES,
     SPEC_FP_NAMES,
     SPEC_INT_NAMES,
     all_proxies,
     get_proxy,
+)
+from tests.uniproc.reference_measurement import (
+    reference_conventional,
+    reference_integrated,
 )
 
 TRACE_LEN = 60_000
@@ -63,6 +68,27 @@ class TestRegistry:
         for proxy in all_proxies():
             assert len(proxy.data_trace(2000, seed=0)) == 2000
             assert len(proxy.instruction_trace(2000, seed=0)) == 2000
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_every_short_length_gives_exactly_that_many_refs(self, name):
+        # At tiny lengths a builder's length-scaled sources shrink; each
+        # must keep at least one reference, or a mix whose blocks all
+        # come from an empty source yields no trace at all.
+        proxy = get_proxy(name)
+        for seed in range(3):
+            for length in range(1, 51):
+                assert len(proxy.data_trace(length, seed=seed)) == length
+                assert len(proxy.instruction_trace(length, seed=seed)) == length
+
+    @pytest.mark.parametrize("name, trace_len, seed", [
+        ("141.apsi", 1, 2), ("124.m88ksim", 2, 0), ("124.m88ksim", 3, 2),
+    ])
+    def test_short_measurements(self, name, trace_len, seed):
+        proxy = get_proxy(name)
+        assert (measure_integrated(proxy, trace_len, seed)
+                == reference_integrated(proxy, trace_len, seed))
+        assert (measure_conventional(proxy, trace_len, seed)
+                == reference_conventional(proxy, trace_len, seed))
 
     def test_base_cpi_ranges(self):
         # Integer codes near 1; FP codes up to ~1.8 (paper Table 3 cpu column).

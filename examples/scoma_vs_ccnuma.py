@@ -15,7 +15,7 @@ a sparse access pattern where S-COMA's page faults dominate.
 
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
-from repro.mp.ops import Read
+from repro.mp.ops import READ
 from repro.mp.system import MPSystem, SystemKind
 
 
@@ -25,7 +25,7 @@ def dense_reuse_kernel(pid, nprocs):
         return
     for _ in range(4):
         for offset in range(0, 256 * 1024, 32):
-            yield Read(NODE_REGION_BYTES + offset)
+            yield READ, NODE_REGION_BYTES + offset
 
 
 def sparse_touch_kernel(pid, nprocs):
@@ -33,7 +33,7 @@ def sparse_touch_kernel(pid, nprocs):
     if pid != 0:
         return
     for page in range(512):
-        yield Read(NODE_REGION_BYTES + page * 4096)
+        yield READ, NODE_REGION_BYTES + page * 4096
 
 
 def run(label, kernel, inc_bytes):

@@ -46,8 +46,10 @@ and fabric statistics, every node's cache counters and contents).  The
 engine's op loop serves local MRU hits itself and credits their
 counters once per run; the ``mp_fast_hits`` tally of the hits it served
 must reach ``MIN_MP_FAST_HITS``, so a silent fall-back to the protocol
-path fails.  The section also reports the in-process ratio of fast to
-oracle time, with no floor.
+path fails.  The in-process ratio of fast to oracle time, both engines
+on the same op streams in one process, must stay under
+``MAX_MP_TIME_RATIO``, so an op loop or protocol path that slows down
+against the oracle fails.
 
 The GSPN section holds the memoizing Monte-Carlo evaluator to its
 oracle: the Figure 10 nets perfbench's ``uniproc-cpi`` workload runs, at
@@ -105,6 +107,11 @@ SPLASH_FULL = {
 SPLASH_PROCS = 8
 # Measured once over that pass: 365,336 fast hits of 465,984 accesses.
 MIN_MP_FAST_HITS = 330_000
+# Fast over oracle time for that pass.  Measured on a shared 2-vCPU host
+# (Python 3.11): 0.54-0.60 with slotted op records, 0.49-0.51 with
+# (opcode, operand) pairs and the trimmed protocol path, 0.69 with the
+# engine's fast path switched off.
+MAX_MP_TIME_RATIO = 0.65
 
 # perfbench's ``full`` uniproc-cpi sizes and the points checked.
 GSPN_TRACE_LEN = 12_000
@@ -326,13 +333,18 @@ def check_mp() -> dict:
     if fast_hits < MIN_MP_FAST_HITS:
         failures.append(f"{fast_hits} fast hits, below the floor of "
                         f"{MIN_MP_FAST_HITS}")
+    time_ratio = fast_s / exact_s
+    if time_ratio > MAX_MP_TIME_RATIO:
+        failures.append(f"fast/oracle time ratio {time_ratio:.2f}, above the "
+                        f"ceiling of {MAX_MP_TIME_RATIO}")
     return {
         "runs": len(SPLASH_FULL) * len(SystemKind),
         "fast_hits": fast_hits,
         "min_fast_hits": MIN_MP_FAST_HITS,
         "fast_s": fast_s,
         "exact_s": exact_s,
-        "time_ratio": fast_s / exact_s,
+        "time_ratio": time_ratio,
+        "max_time_ratio": MAX_MP_TIME_RATIO,
         "failures": failures,
     }
 
@@ -459,7 +471,8 @@ def main() -> int:
                   f" {entry['fast_hits']} fast hits"
                   f" (floor {entry['min_fast_hits']}),"
                   f" {entry['fast_s']:.2f}s vs oracle {entry['exact_s']:.2f}s"
-                  f" (ratio {entry['time_ratio']:.2f})")
+                  f" (ratio {entry['time_ratio']:.2f},"
+                  f" ceiling {entry['max_time_ratio']})")
         elif stage == "gspn" and not entry["failures"]:
             worst = max(n["learned_steps"] / n["firings"] for n in entry["nets"])
             print(f"ok   gspn: {len(entry['nets'])} nets identical,"

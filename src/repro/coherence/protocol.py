@@ -37,6 +37,14 @@ class BlockEntry:
     sharers: set[int] = field(default_factory=set)
     owner: int | None = None
 
+    def copies_except(self, node: int) -> set[int]:
+        """The nodes other than ``node`` that hold a copy of this block."""
+        if self.state is BlockState.SHARED:
+            return self.sharers - {node}
+        if self.state is BlockState.EXCLUSIVE and self.owner != node:
+            return {self.owner}
+        return set()
+
     def check(self, num_nodes: int | None = None, addr: int | None = None) -> None:
         """Protocol invariants (exercised heavily by the test suite).
 
@@ -139,24 +147,26 @@ class Directory:
     def copies_to_invalidate(self, addr: int, requester: int) -> set[int]:
         """Nodes (other than the requester) holding copies of ``addr``."""
         entry = self.peek(addr)
-        if entry is None:
-            return set()
-        if entry.state is BlockState.SHARED:
-            return entry.sharers - {requester}
-        if entry.state is BlockState.EXCLUSIVE and entry.owner != requester:
-            return {entry.owner}
-        return set()
+        return set() if entry is None else entry.copies_except(requester)
 
     # -- state transitions --------------------------------------------------
-    # Each returns the set of nodes whose cached copies must be dropped.
+    # ``record_write`` returns the set of nodes whose cached copies must be
+    # dropped; ``record_read`` returns nothing, as a read invalidates no
+    # copy (a recalled owner keeps a shared one).  Both bound the node ids
+    # and check the entry's invariants before and after the transition.
 
-    def record_read(self, addr: int, requester: int, home: int) -> set[int]:
+    def record_read(self, addr: int, requester: int, home: int) -> None:
         """A read by ``requester`` reaches the home directory."""
-        self._check_node(requester, "requester", addr)
-        self._check_node(home, "home", addr)
-        entry = self.entry(addr)
-        entry.check(self.num_nodes, self.block_of(addr))
-        demoted: set[int] = set()
+        nodes = self.num_nodes
+        if requester < 0 or home < 0 or (
+                nodes is not None and (requester >= nodes or home >= nodes)):
+            self._check_node(requester, "requester", addr)
+            self._check_node(home, "home", addr)
+        block = addr - addr % self.block_bytes
+        entry = self._entries.get(block)
+        if entry is None:
+            entry = self._entries[block] = BlockEntry()
+        entry.check(nodes, block)
         if entry.state is BlockState.EXCLUSIVE and entry.owner != requester:
             # Owner writes back; both keep shared copies (or home memory
             # regains ownership if the reader is the home itself).
@@ -174,16 +184,21 @@ class Directory:
                 entry.state = BlockState.SHARED
         elif entry.state is BlockState.SHARED and not entry.sharers:
             entry.state = BlockState.UNOWNED
-        entry.check(self.num_nodes, self.block_of(addr))
-        return demoted
+        entry.check(nodes, block)
 
     def record_write(self, addr: int, requester: int, home: int) -> set[int]:
         """A write by ``requester``: invalidate every other copy."""
-        self._check_node(requester, "requester", addr)
-        self._check_node(home, "home", addr)
-        entry = self.entry(addr)
-        entry.check(self.num_nodes, self.block_of(addr))
-        victims = self.copies_to_invalidate(addr, requester)
+        nodes = self.num_nodes
+        if requester < 0 or home < 0 or (
+                nodes is not None and (requester >= nodes or home >= nodes)):
+            self._check_node(requester, "requester", addr)
+            self._check_node(home, "home", addr)
+        block = addr - addr % self.block_bytes
+        entry = self._entries.get(block)
+        if entry is None:
+            entry = self._entries[block] = BlockEntry()
+        entry.check(nodes, block)
+        victims = entry.copies_except(requester)
         if victims:
             self.stats.invalidations_sent += len(victims)
             if entry.state is BlockState.EXCLUSIVE:
@@ -197,7 +212,7 @@ class Directory:
             entry.state = BlockState.EXCLUSIVE
             entry.sharers = set()
             entry.owner = requester
-        entry.check(self.num_nodes, self.block_of(addr))
+        entry.check(nodes, block)
         return victims
 
     def record_eviction(self, addr: int, node: int) -> None:

@@ -75,4 +75,7 @@ class Fabric:
         return min(1.0, self.stats.bytes_sent / capacity) if capacity else 0.0
 
     def reset(self) -> None:
-        self.stats = FabricStats()
+        """Zero the counts in place, so a bound ``stats.record`` stays
+        valid."""
+        self.stats.messages.clear()
+        self.stats.bytes_sent = 0

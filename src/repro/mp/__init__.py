@@ -3,27 +3,27 @@
 from repro.mp.engine import KernelFactory, MPEngine, MPResult
 from repro.mp.layout import NODE_REGION_BYTES, Layout
 from repro.mp.node import HitLevel, IntegratedNode, ReferenceNode, SCOMANode
-from repro.mp.ops import Barrier, Compute, Lock, Op, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE, Op
 from repro.mp.system import AccessStats, MPSystem, SystemKind
 
 __all__ = [
     "AccessStats",
-    "Barrier",
-    "Compute",
+    "BARRIER",
+    "COMPUTE",
     "HitLevel",
     "IntegratedNode",
     "KernelFactory",
     "Layout",
-    "Lock",
+    "LOCK",
     "MPEngine",
     "MPResult",
     "MPSystem",
     "NODE_REGION_BYTES",
     "Op",
-    "Read",
+    "READ",
     "ReferenceNode",
     "SCOMANode",
     "SystemKind",
-    "Unlock",
-    "Write",
+    "UNLOCK",
+    "WRITE",
 ]

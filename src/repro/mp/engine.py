@@ -1,14 +1,18 @@
 """Execution-driven multiprocessor engine.
 
-Each processor runs a real Python kernel (a generator over
-:mod:`repro.mp.ops`); the engine interleaves processors by simulated
-time — the CacheMire methodology of Section 6.1: processors issue memory
-accesses, and the architecture model delays them according to Table 6.
+Each processor runs a real Python kernel (a generator of
+``(opcode, operand)`` pairs, :mod:`repro.mp.ops`); the engine interleaves
+processors by simulated time — the CacheMire methodology of Section 6.1:
+processors issue memory accesses, and the architecture model delays them
+according to Table 6.  A yielded value that is not such a pair, or has an
+unknown opcode, raises :class:`SimulationError` naming the processor and
+the value.
 
 Scheduling is an event queue of runnable processors ordered by
-``(time, proc_id)``, which makes runs deterministic.  Locks are FIFO;
-barriers release all participants at the latest arrival plus a fixed
-overhead.
+``(time, proc_id)``, which makes runs deterministic.  A runnable
+processor has exactly one entry in it and a blocked or finished one
+none, so every entry popped is current.  Locks are FIFO; barriers
+release all participants at the latest arrival plus a fixed overhead.
 
 The op loop serves local MRU hits itself (see :class:`MPSystem` for the
 rule) with one directory-entry lookup and one MRU probe, counts them per
@@ -26,7 +30,7 @@ from repro import obs
 from repro.coherence.protocol import BlockState
 from repro.common import tally
 from repro.common.errors import SimulationError
-from repro.mp.ops import Barrier, Compute, Lock, Op, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE, Op
 from repro.mp.system import MPSystem
 
 KernelFactory = Callable[[int, int], Iterator[Op]]
@@ -128,8 +132,6 @@ class MPEngine:
 
         while ready:
             now, proc = heappop(ready)
-            if finished[proc] or now < time[proc]:
-                continue  # stale entry
             try:
                 op = next(procs[proc])
             except StopIteration:
@@ -138,45 +140,54 @@ class MPEngine:
             total_ops += 1
             ops_executed[proc] += 1
             if total_ops > max_ops:
-                raise SimulationError("MP op budget exceeded")
+                raise SimulationError(
+                    f"MP op budget exceeded: max_ops={max_ops}, reached "
+                    f"at proc {proc}")
+            try:
+                code, arg = op
+            except (TypeError, ValueError):
+                raise SimulationError(
+                    f"proc {proc} yielded {op!r}, not an (opcode, operand) "
+                    "pair") from None
 
-            kind = type(op)
-            if kind is Read or kind is Write:
-                addr = op.addr
+            if code == READ or code == WRITE:
                 if (
-                    addr // region == proc
-                    and ((entry := entry_of_block(addr - addr % block)) is None
+                    arg // region == proc
+                    and ((entry := entry_of_block(arg - arg % block)) is None
                          or entry.state is _UNOWNED
-                         or (entry.state is _SHARED and kind is Read))
-                    and hit_mru[proc](addr)
+                         or (entry.state is _SHARED and code == READ))
+                    and hit_mru[proc](arg)
                 ):
                     now += mru_latency
-                    if kind is Read:
+                    if code == READ:
                         fast_reads[proc] += 1
                     else:
                         fast_writes[proc] += 1
                 else:
-                    now += access(proc, addr, kind is Write)
+                    now += access(proc, arg, code == WRITE)
                 time[proc] = now
                 heappush(ready, (now, proc))
-            elif kind is Compute:
-                resume(proc, now + max(0, op.cycles))
-            elif kind is Lock:
-                state = locks.setdefault(op.lock_id, _LockState())
+            elif code == COMPUTE:
+                if arg > 0:
+                    now += arg
+                time[proc] = now
+                heappush(ready, (now, proc))
+            elif code == LOCK:
+                state = locks.setdefault(arg, _LockState())
                 if state.holder is None:
                     state.holder = proc
-                    latency = access(proc, self._lock_addr(op.lock_id), True)
+                    latency = access(proc, self._lock_addr(arg), True)
                     resume(proc, now + latency)
                 else:
                     state.waiters.append(proc)
                     blocked_since[proc] = now
-            elif kind is Unlock:
-                state = locks.get(op.lock_id)
+            elif code == UNLOCK:
+                state = locks.get(arg)
                 if state is None or state.holder != proc:
                     raise SimulationError(
-                        f"proc {proc} unlocked lock {op.lock_id} it does not hold"
+                        f"proc {proc} unlocked lock {arg} it does not hold"
                     )
-                latency = access(proc, self._lock_addr(op.lock_id), True)
+                latency = access(proc, self._lock_addr(arg), True)
                 release_time = now + latency
                 if state.waiters:
                     waiter = state.waiters.pop(0)
@@ -187,8 +198,8 @@ class MPEngine:
                 else:
                     state.holder = None
                 resume(proc, release_time)
-            elif kind is Barrier:
-                state = barriers.setdefault(op.barrier_id, _BarrierState())
+            elif code == BARRIER:
+                state = barriers.setdefault(arg, _BarrierState())
                 state.waiting.append(proc)
                 state.latest_arrival = max(state.latest_arrival, now)
                 if len(state.waiting) == n:
@@ -198,10 +209,11 @@ class MPEngine:
                             time[waiter] if waiter != proc else now
                         )
                         resume(waiter, release)
-                    barriers[op.barrier_id] = _BarrierState()
+                    barriers[arg] = _BarrierState()
                 # else: the processor stays blocked (not re-queued).
-            else:  # pragma: no cover - exhaustive over Op
-                raise SimulationError(f"unknown op {op!r}")
+            else:
+                raise SimulationError(
+                    f"proc {proc} yielded {op!r}: unknown opcode {code!r}")
 
         if not all(finished):
             stuck = [i for i, done in enumerate(finished) if not done]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.coherence.protocol import Directory
+from repro.coherence.protocol import BlockEntry, BlockState, Directory
 from repro.common.errors import ConfigError
 from repro.common.params import IntegratedDeviceParams, MPLatencies
 from repro.common.units import MB
@@ -24,6 +24,13 @@ from repro.mp.node import HitLevel, IntegratedNode, ReferenceNode, SCOMANode
 
 _CACHE = HitLevel.CACHE
 _REMOTE = HitLevel.REMOTE
+_EXCLUSIVE = BlockState.EXCLUSIVE
+_READ_REQUEST = MessageType.READ_REQUEST
+_READ_REPLY = MessageType.READ_REPLY
+_WRITE_REQUEST = MessageType.WRITE_REQUEST
+_INVALIDATE = MessageType.INVALIDATE
+_ACK = MessageType.ACK
+_WRITEBACK = MessageType.WRITEBACK
 
 
 class SystemKind(Enum):
@@ -146,6 +153,9 @@ class MPSystem:
         self.hit_mru = [node.mru_cache.hit_mru for node in self.nodes]
         self.mru_latency = cache_hit
         self._regions = self.layout.num_nodes
+        # The fabric's counter, bound once: ``Fabric.reset`` zeroes its
+        # stats in place, so the binding stays valid.
+        self._send = self.fabric.stats.record
 
     @property
     def num_nodes(self) -> int:
@@ -179,12 +189,15 @@ class MPSystem:
             nstats.writes += 1
         else:
             nstats.reads += 1
+        # Every directory query below reads this entry, before any
+        # transition changes it.
+        entry = self.entry_of_block(addr - addr % self.block_bytes)
         if home != node_id:
             nstats.remote += 1
             return self._remote_access(node_id, addr, home, write,
-                                       nstats.by_level)
+                                       nstats.by_level, entry)
         nstats.local += 1
-        return self._local_access(node_id, addr, write, nstats.by_level)
+        return self._local_access(node_id, addr, write, nstats.by_level, entry)
 
     def credit_fast_hits(self, reads: list[int], writes: list[int]) -> int:
         """Count the fast-path hits the engine served, per node, in
@@ -205,50 +218,55 @@ class MPSystem:
         return total
 
     def _invalidate_copies(self, addr: int, victims: set[int]) -> None:
+        """Drop ``victims``' copies of ``addr``; ``victims`` is not empty."""
+        nodes = self.nodes
         for victim in victims:
-            self.nodes[victim].invalidate(addr)
-        if victims:
-            self.fabric.send(MessageType.INVALIDATE, len(victims))
-            self.fabric.send(MessageType.ACK, len(victims))
+            nodes[victim].invalidate(addr)
+        count = len(victims)
+        self._send(_INVALIDATE, count)
+        self._send(_ACK, count)
 
     def _local_access(
-        self, node_id: int, addr: int, write: bool, by_level: dict[HitLevel, int]
+        self, node_id: int, addr: int, write: bool,
+        by_level: dict[HitLevel, int], entry: BlockEntry | None,
     ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
-        directory = self.directory
-        if directory.is_remote_exclusive(addr, node_id):
+        if (entry is not None and entry.state is _EXCLUSIVE
+                and entry.owner != node_id):
             # Recall the dirty block from its remote owner before touching
             # local memory (round-trip latency dominates).
             self.recalls += 1
             if write:
-                victims = directory.record_write(addr, node_id, node_id)
-                self._invalidate_copies(addr, victims)
+                # The one victim is the remote owner.
+                self._invalidate_copies(
+                    addr, self.directory.record_write(addr, node_id, node_id))
             else:
-                directory.record_read(addr, node_id, node_id)
-                self.fabric.send(MessageType.READ_REQUEST)
-            self.fabric.send(MessageType.WRITEBACK)
+                self.directory.record_read(addr, node_id, node_id)
+                self._send(_READ_REQUEST, 1)
+            self._send(_WRITEBACK, 1)
             node.lookup(addr, is_local=True)  # keep cache state coherent
             by_level[_REMOTE] = by_level.get(_REMOTE, 0) + 1
             return lat.invalidation_round_trip
-        victims = directory.copies_to_invalidate(addr, node_id) if write else None
+        victims = (entry.copies_except(node_id)
+                   if write and entry is not None else None)
         level = node.lookup(addr, is_local=True)
         by_level[level] = by_level.get(level, 0) + 1
         if victims:
             self.upgrades += 1
-            directory.record_write(addr, node_id, node_id)
+            self.directory.record_write(addr, node_id, node_id)
             self._invalidate_copies(addr, victims)
             return lat.invalidation_round_trip
         return self._local_latency[level]
 
     def _remote_access(
         self, node_id: int, addr: int, home: int, write: bool,
-        by_level: dict[HitLevel, int],
+        by_level: dict[HitLevel, int], entry: BlockEntry | None,
     ) -> int:
         node = self.nodes[node_id]
         lat = self.latencies
-        directory = self.directory
-        if not write or directory.is_owner(addr, node_id):
+        if not write or (entry is not None and entry.state is _EXCLUSIVE
+                         and entry.owner == node_id):
             level = node.lookup(addr, is_local=False)
             latency = self._remote_hit_latency.get(level)
             if latency is not None:
@@ -260,20 +278,21 @@ class MPSystem:
             # Upgrade or remote write miss: fetch ownership, invalidating
             # every other copy (one lumped round trip, Table 6).
             self.upgrades += 1
-            victims = directory.record_write(addr, node_id, home)
-            self._invalidate_copies(addr, victims)
+            victims = self.directory.record_write(addr, node_id, home)
+            if victims:
+                self._invalidate_copies(addr, victims)
             node.fill_remote(addr)
-            self.fabric.send(MessageType.WRITE_REQUEST)
-            self.fabric.send(MessageType.READ_REPLY)
+            self._send(_WRITE_REQUEST, 1)
+            self._send(_READ_REPLY, 1)
             by_level[_REMOTE] = by_level.get(_REMOTE, 0) + 1
             return lat.invalidation_round_trip
         # Remote load: to the home (and possibly on to a dirty owner),
         # one lumped 80-cycle latency (Table 6).  An S-COMA first touch of
         # the page additionally pays the software allocation fault.
-        directory.record_read(addr, node_id, home)
+        self.directory.record_read(addr, node_id, home)
         node.fill_remote(addr)
-        self.fabric.send(MessageType.READ_REQUEST)
-        self.fabric.send(MessageType.READ_REPLY)
+        self._send(_READ_REQUEST, 1)
+        self._send(_READ_REPLY, 1)
         if level is HitLevel.PAGE_FAULT:
             by_level[level] = by_level.get(level, 0) + 1
             return lat.scoma_page_fault + lat.remote_load

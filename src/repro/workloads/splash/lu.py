@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.mp.layout import Layout
-from repro.mp.ops import Barrier, Compute, Op, Read, Write
+from repro.mp.ops import BARRIER, COMPUTE, READ, WRITE, Op
 from repro.workloads.splash.base import SplashKernel
 
 WORD = 8
@@ -82,28 +82,28 @@ class LUKernel(SplashKernel):
                 col_k, base_k = cols[k], column_addr(k)
                 if self._owner(k // block, nprocs) == pid:
                     # Factorize column k: divide the sub-column by the pivot.
-                    yield Read(base_k + k * WORD)
+                    yield READ, base_k + k * WORD
                     pivot = col_k[k]
                     for i in range(k + 1, n):
-                        yield Read(base_k + i * WORD)
+                        yield READ, base_k + i * WORD
                         col_k[i] = col_k[i] / pivot
-                        yield Compute(self.compute_cycles)
-                        yield Write(base_k + i * WORD)
-                yield Barrier(barrier_id)
+                        yield COMPUTE, self.compute_cycles
+                        yield WRITE, base_k + i * WORD
+                yield BARRIER, barrier_id
                 barrier_id += 1
                 # Update trailing columns this processor owns.
                 for j in range(k + 1, n):
                     if self._owner(j // block, nprocs) != pid:
                         continue
                     col_j, base_j = cols[j], column_addr(j)
-                    yield Read(base_j + k * WORD)
+                    yield READ, base_j + k * WORD
                     ukj = col_j[k]
                     for i in range(k + 1, n):
-                        yield Read(base_k + i * WORD)
-                        yield Read(base_j + i * WORD)
+                        yield READ, base_k + i * WORD
+                        yield READ, base_j + i * WORD
                         col_j[i] = col_j[i] - col_k[i] * ukj
-                        yield Compute(self.compute_cycles)
-                        yield Write(base_j + i * WORD)
+                        yield COMPUTE, self.compute_cycles
+                        yield WRITE, base_j + i * WORD
 
         return kernel
 

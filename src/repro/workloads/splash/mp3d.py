@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.mp.layout import Layout
-from repro.mp.ops import Barrier, Compute, Op, Read, Write
+from repro.mp.ops import BARRIER, COMPUTE, READ, WRITE, Op
 from repro.workloads.splash.base import SplashKernel
 
 WORD = 8
@@ -109,7 +109,7 @@ class MP3DKernel(SplashKernel):
                     base = particle_addr(index)
                     # Read the full particle record.
                     for w in range(PARTICLE_WORDS):
-                        yield Read(base + w * WORD)
+                        yield READ, base + w * WORD
                     pos, vel = positions[index], velocities[index]
                     for axis in range(3):
                         moved = pos[axis] + vel[axis]
@@ -118,15 +118,15 @@ class MP3DKernel(SplashKernel):
                             vel[axis] = -vel[axis]
                             moved = min(max(moved, 0.0), 1.0)
                         pos[axis] = moved
-                    yield Compute(self.compute_cycles)
+                    yield COMPUTE, self.compute_cycles
                     # Write back position (3 words).
                     for w in range(3):
-                        yield Write(base + w * WORD)
+                        yield WRITE, base + w * WORD
                     # Update the destination cell's occupancy (shared RMW).
                     cell = cell_of(pos)
-                    yield Read(cell_addr(cell))
-                    yield Write(cell_addr(cell))
-                yield Barrier(step)
+                    yield READ, cell_addr(cell)
+                    yield WRITE, cell_addr(cell)
+                yield BARRIER, step
 
         return kernel
 

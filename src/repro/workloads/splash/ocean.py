@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.mp.layout import Layout
-from repro.mp.ops import Barrier, Compute, Op, Read, Write
+from repro.mp.ops import BARRIER, COMPUTE, READ, WRITE, Op
 from repro.workloads.splash.base import SplashKernel
 
 WORD = 8
@@ -72,16 +72,16 @@ class OceanKernel(SplashKernel):
                         up_base, base, down_base = row_base[i - 1 : i + 2]
                         for j in range(1 + (i + colour) % 2, n - 1, 2):
                             offset = j * WORD
-                            yield Read(up_base + offset)
-                            yield Read(down_base + offset)
-                            yield Read(base + offset - WORD)
-                            yield Read(base + offset + WORD)
+                            yield READ, up_base + offset
+                            yield READ, down_base + offset
+                            yield READ, base + offset - WORD
+                            yield READ, base + offset + WORD
                             row[j] = 0.25 * (
                                 up[j] + down[j] + row[j - 1] + row[j + 1]
                             )
-                            yield Compute(self.compute_cycles)
-                            yield Write(base + offset)
-                    yield Barrier(barrier_id)
+                            yield COMPUTE, self.compute_cycles
+                            yield WRITE, base + offset
+                    yield BARRIER, barrier_id
                     barrier_id += 1
 
         return kernel

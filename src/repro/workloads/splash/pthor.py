@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.mp.layout import Layout
-from repro.mp.ops import Barrier, Compute, Lock, Op, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE, Op
 from repro.workloads.splash.base import SplashKernel
 
 WORD = 8
@@ -108,25 +108,25 @@ class PthorKernel(SplashKernel):
                 outgoing: dict[int, list[int]] = {}
                 for gate in active:
                     # Read the gate record header and both fanin outputs.
-                    yield Read(gate_addr(gate, 1))
-                    yield Read(gate_addr(gate, 2))
+                    yield READ, gate_addr(gate, 1)
+                    yield READ, gate_addr(gate, 2)
                     a, b = fanin_of[gate]
-                    yield Read(gate_addr(a, 0))
-                    yield Read(gate_addr(b, 0))
+                    yield READ, gate_addr(a, 0)
+                    yield READ, gate_addr(b, 0)
                     new_value = 1 - (outputs[a] & outputs[b])  # NAND
-                    yield Compute(self.compute_cycles)
+                    yield COMPUTE, self.compute_cycles
                     if new_value != outputs[gate]:
                         outputs[gate] = new_value
-                        yield Write(gate_addr(gate, 0))
+                        yield WRITE, gate_addr(gate, 0)
                         for fanout in fanout_of[gate][:4]:  # bounded fan-out
                             outgoing.setdefault(owner_of(fanout), []).append(fanout)
                 for target, gates in sorted(outgoing.items()):
-                    yield Lock(64 + target)
+                    yield LOCK, 64 + target
                     for fanout in gates:
                         pending[target].add(fanout)
-                        yield Write(gate_addr(fanout, 3))
-                    yield Unlock(64 + target)
-                yield Barrier(step)
+                        yield WRITE, gate_addr(fanout, 3)
+                    yield UNLOCK, 64 + target
+                yield BARRIER, step
                 active = sorted(pending[pid])
                 pending[pid] = set()
 

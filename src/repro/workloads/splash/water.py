@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.common.rng import make_rng
 from repro.mp.layout import Layout
-from repro.mp.ops import Barrier, Compute, Lock, Op, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE, Op
 from repro.workloads.splash.base import SplashKernel
 
 WORD = 8
@@ -92,16 +92,16 @@ class WaterKernel(SplashKernel):
                     for i in mine:
                         my_rec = record_addr(i)
                         for w in range(POSITION_WORDS):
-                            yield Read(my_rec + w * WORD)
+                            yield READ, my_rec + w * WORD
                         for j in partners:
                             if not pair_is_mine(i, j):
                                 continue
                             other = record_addr(j)
                             for w in range(POSITION_WORDS):
-                                yield Read(other + w * WORD)
+                                yield READ, other + w * WORD
                             delta = positions[j] - positions[i]
                             dist_sq = float(delta @ delta)
-                            yield Compute(self.compute_cycles)
+                            yield COMPUTE, self.compute_cycles
                             if cutoff_sq > dist_sq > 1e-12:
                                 pair_force = delta * (1.0 / (dist_sq + 0.1) - 1.0)
                                 forces[i] += pair_force
@@ -112,15 +112,13 @@ class WaterKernel(SplashKernel):
                 for j, acc in sorted(local_acc.items()):
                     forces[j] += acc
                     other = record_addr(j)
-                    yield Read(other + FORCE_OFFSET_WORDS * WORD)
-                    yield Write(other + FORCE_OFFSET_WORDS * WORD)
+                    yield READ, other + FORCE_OFFSET_WORDS * WORD
+                    yield WRITE, other + FORCE_OFFSET_WORDS * WORD
                 for i in mine:
                     my_rec = record_addr(i)
                     for w in range(3):
-                        yield Write(
-                            my_rec + (FORCE_OFFSET_WORDS + w) * WORD
-                        )
-                yield Barrier(barrier_id)
+                        yield WRITE, my_rec + (FORCE_OFFSET_WORDS + w) * WORD
+                yield BARRIER, barrier_id
                 barrier_id += 1
                 # Update pass: integrate my own molecules (local writes).
                 for i in mine:
@@ -129,12 +127,12 @@ class WaterKernel(SplashKernel):
                     positions[i] = np.clip(
                         positions[i] + velocities[i], 0.0, 1.0
                     )
-                    yield Lock(i % 4)  # global accumulator locks
-                    yield Compute(1)
-                    yield Unlock(i % 4)
+                    yield LOCK, i % 4  # global accumulator locks
+                    yield COMPUTE, 1
+                    yield UNLOCK, i % 4
                     for w in range(POSITION_WORDS):
-                        yield Write(my_rec + w * WORD)
-                yield Barrier(barrier_id)
+                        yield WRITE, my_rec + w * WORD
+                yield BARRIER, barrier_id
                 barrier_id += 1
 
         return kernel

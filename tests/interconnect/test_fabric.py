@@ -27,6 +27,18 @@ class TestMessageAccounting:
         fabric.reset()
         assert fabric.stats.bytes_sent == 0
 
+    def test_reset_keeps_a_bound_record_counting(self):
+        """``MPSystem`` binds ``stats.record`` once; a reset must not
+        leave it counting into a discarded stats object."""
+        fabric = Fabric()
+        record = fabric.stats.record
+        record(MessageType.ACK)
+        fabric.reset()
+        assert fabric.stats.messages == {}
+        record(MessageType.READ_REPLY)
+        assert fabric.stats.messages == {MessageType.READ_REPLY: 1}
+        assert fabric.stats.bytes_sent == HEADER_BYTES + 32
+
 
 class TestBandwidth:
     def test_peak_bandwidth_matches_paper(self):

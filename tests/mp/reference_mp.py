@@ -5,7 +5,8 @@ node classes are the logic :mod:`repro.mp.engine`, :mod:`repro.mp.system`
 and :mod:`repro.mp.node` shipped before ``MPSystem.access`` gained its
 local-hit fast path: every reference is routed through the directory
 queries, a generic ``lookup`` on the node and a level-to-latency map,
-and the engine dispatches ops through an ``isinstance`` chain.  They are
+and the engine dispatches ops through an if-chain over their opcodes,
+in the order it once tested the op record classes.  They are
 kept here, in the tests only, so ``test_fast_equivalence`` can require
 the shipped engine to produce identical results and statistics.
 
@@ -42,7 +43,7 @@ from repro.interconnect.fabric import Fabric, MessageType
 from repro.mp.engine import KernelFactory, MPResult
 from repro.mp.layout import Layout
 from repro.mp.node import HitLevel
-from repro.mp.ops import Barrier, Compute, Lock, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE
 from repro.mp.system import AccessStats, SystemKind
 
 
@@ -418,27 +419,28 @@ class ReferenceMPEngine:
             if total_ops > self.max_ops:
                 raise SimulationError("MP op budget exceeded")
 
-            if isinstance(op, (Read, Write)):
-                latency = self.system.access(proc, op.addr, isinstance(op, Write))
+            code, arg = op
+            if code in (READ, WRITE):
+                latency = self.system.access(proc, arg, code == WRITE)
                 resume(proc, now + latency)
-            elif isinstance(op, Compute):
-                resume(proc, now + max(0, op.cycles))
-            elif isinstance(op, Lock):
-                state = locks.setdefault(op.lock_id, _LockState())
+            elif code == COMPUTE:
+                resume(proc, now + max(0, arg))
+            elif code == LOCK:
+                state = locks.setdefault(arg, _LockState())
                 if state.holder is None:
                     state.holder = proc
-                    latency = self.system.access(proc, self._lock_addr(op.lock_id), True)
+                    latency = self.system.access(proc, self._lock_addr(arg), True)
                     resume(proc, now + latency)
                 else:
                     state.waiters.append(proc)
                     blocked_since[proc] = now
-            elif isinstance(op, Unlock):
-                state = locks.get(op.lock_id)
+            elif code == UNLOCK:
+                state = locks.get(arg)
                 if state is None or state.holder != proc:
                     raise SimulationError(
-                        f"proc {proc} unlocked lock {op.lock_id} it does not hold"
+                        f"proc {proc} unlocked lock {arg} it does not hold"
                     )
-                latency = self.system.access(proc, self._lock_addr(op.lock_id), True)
+                latency = self.system.access(proc, self._lock_addr(arg), True)
                 release_time = now + latency
                 if state.waiters:
                     waiter = state.waiters.pop(0)
@@ -449,8 +451,8 @@ class ReferenceMPEngine:
                 else:
                     state.holder = None
                 resume(proc, release_time)
-            elif isinstance(op, Barrier):
-                state = barriers.setdefault(op.barrier_id, _BarrierState())
+            elif code == BARRIER:
+                state = barriers.setdefault(arg, _BarrierState())
                 state.waiting.append(proc)
                 state.latest_arrival = max(state.latest_arrival, now)
                 if len(state.waiting) == n:
@@ -460,7 +462,7 @@ class ReferenceMPEngine:
                             time[waiter] if waiter != proc else now
                         )
                         resume(waiter, release)
-                    barriers[op.barrier_id] = _BarrierState()
+                    barriers[arg] = _BarrierState()
             else:
                 raise SimulationError(f"unknown op {op!r}")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
-from repro.mp.ops import Barrier, Compute, Lock, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE
 from repro.mp.system import MPSystem, SystemKind
 
 # One work item: (kind, value) decoded inside the kernel.
@@ -32,16 +32,16 @@ def _make_kernel(plans):
             for kind, value in per_proc[pid]:
                 addr = (value % 2) * NODE_REGION_BYTES + (value * 64)
                 if kind == "read":
-                    yield Read(addr)
+                    yield READ, addr
                 elif kind == "write":
-                    yield Write(addr)
+                    yield WRITE, addr
                 elif kind == "compute":
-                    yield Compute(value)
+                    yield COMPUTE, value
                 else:
-                    yield Lock(value % 4)
-                    yield Write(addr)
-                    yield Unlock(value % 4)
-            yield Barrier(round_index)
+                    yield LOCK, value % 4
+                    yield WRITE, addr
+                    yield UNLOCK, value % 4
+            yield BARRIER, round_index
 
     return kernel
 

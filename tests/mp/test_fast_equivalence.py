@@ -1,7 +1,7 @@
 """Differential test: the MP engine against its object-oriented oracle.
 
 ``MPEngine._run`` serves local MRU hits in its op loop and dispatches
-ops by exact type; ``tests/mp/reference_mp.py`` keeps the engine,
+ops by opcode; ``tests/mp/reference_mp.py`` keeps the engine,
 system and node logic it replaced.  Both must give
 identical results: the ``MPResult``, global and per-node
 ``AccessStats``, directory and fabric statistics, and every node's cache
@@ -20,7 +20,7 @@ from repro.common.params import MPLatencies
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
 from repro.mp.node import HitLevel
-from repro.mp.ops import Barrier, Compute, Lock, Read, Unlock, Write
+from repro.mp.ops import BARRIER, COMPUTE, LOCK, READ, UNLOCK, WRITE
 from repro.mp.system import MPSystem, SystemKind
 from repro.workloads.splash import KERNELS
 from tests.mp.reference_mp import (
@@ -101,21 +101,21 @@ def programs(draw):
 def _access(item):
     mode, home, offset = item
     addr = home * NODE_REGION_BYTES + offset
-    return Write(addr) if mode == "w" else Read(addr)
+    return (WRITE if mode == "w" else READ), addr
 
 
 def _ops(phases):
     for phase, items in enumerate(phases):
         for item in items:
             if item[0] == "lock":
-                yield Lock(item[1])
+                yield LOCK, item[1]
                 yield from map(_access, item[2])
-                yield Unlock(item[1])
+                yield UNLOCK, item[1]
             elif item[0] == "compute":
-                yield Compute(item[1])
+                yield COMPUTE, item[1]
             else:
                 yield _access(item)
-        yield Barrier(phase)
+        yield BARRIER, phase
 
 
 def _factory(plans):
@@ -163,7 +163,7 @@ def test_one_processor_counts_equal_column_buffer_fast(name):
     """At p = 1 every reference is local and goes to the node's column
     buffers as a load, so ``IntegratedNode``'s cache, victim and
     local-memory counts equal ``column_buffer_fast`` run on the recorded
-    stream (every Read and Write, plus the lock-word writes, in engine
+    stream (every READ and WRITE, plus the lock-word writes, in engine
     order) with the device's D-cache geometry and victim buffer."""
     system = MPSystem(1, SystemKind.INTEGRATED)
     engine = MPEngine(system)
@@ -172,10 +172,11 @@ def test_one_processor_counts_equal_column_buffer_fast(name):
 
     def recording(proc, num_procs):
         for op in factory(proc, num_procs):
-            if type(op) in (Read, Write):
-                stream.append(op.addr)
-            elif type(op) in (Lock, Unlock):
-                stream.append(engine._lock_addr(op.lock_id))
+            code, arg = op
+            if code in (READ, WRITE):
+                stream.append(arg)
+            elif code in (LOCK, UNLOCK):
+                stream.append(engine._lock_addr(arg))
             yield op
 
     engine.run(recording)

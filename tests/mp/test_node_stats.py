@@ -4,7 +4,7 @@ import pytest
 
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
-from repro.mp.ops import Read
+from repro.mp.ops import READ
 from repro.mp.system import MPSystem, SystemKind
 from repro.workloads.splash import LUKernel
 
@@ -52,7 +52,7 @@ class TestNodeStats:
 
         def kernel(pid, nprocs):
             for i in range(100 if pid == 0 else 10):
-                yield Read(pid * NODE_REGION_BYTES + i * 64)
+                yield READ, pid * NODE_REGION_BYTES + i * 64
 
         system = MPSystem(2, SystemKind.INTEGRATED)
         MPEngine(system).run(kernel)

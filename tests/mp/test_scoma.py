@@ -77,7 +77,7 @@ class TestSCOMASystem:
         """When the imported working set exceeds the INC, the attraction
         memory wins (the capacity argument for S-COMA)."""
         from repro.mp.engine import MPEngine
-        from repro.mp.ops import Read
+        from repro.mp.ops import READ
 
         def kernel(pid, nprocs):
             # Node 0 repeatedly sweeps 64 KB of node 1's memory.
@@ -85,7 +85,7 @@ class TestSCOMASystem:
                 return
             for _ in range(4):
                 for offset in range(0, 64 * 1024, 32):
-                    yield Read(REMOTE_BASE + offset)
+                    yield READ, REMOTE_BASE + offset
 
         # CC-NUMA with a tiny INC (4 KB reservation): the working set
         # never fits, so every sweep re-fetches remotely.

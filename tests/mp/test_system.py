@@ -5,7 +5,7 @@ from repro.common.errors import ConfigError
 from repro.common.params import MPLatencies
 from repro.mp.engine import MPEngine
 from repro.mp.layout import NODE_REGION_BYTES
-from repro.mp.ops import Compute, Read, Write
+from repro.mp.ops import COMPUTE, READ, WRITE
 from repro.mp.system import MPSystem, SystemKind
 from repro.workloads.splash import KERNELS
 from tests.mp.reference_mp import (
@@ -123,14 +123,14 @@ class TestStats:
 
         def kernel(proc, nprocs):
             if proc == 0:
-                yield Read(0x1000)  # cold: local memory
-                yield Write(0x1008)  # MRU column, block unowned: fast
-                yield Compute(20)  # node 1 reads meanwhile
-                yield Read(0x1010)  # shared read: still fast
-                yield Write(0x1018)  # shared write: upgrade
+                yield READ, 0x1000  # cold: local memory
+                yield WRITE, 0x1008  # MRU column, block unowned: fast
+                yield COMPUTE, 20  # node 1 reads meanwhile
+                yield READ, 0x1010  # shared read: still fast
+                yield WRITE, 0x1018  # shared write: upgrade
             else:
-                yield Compute(10)
-                yield Read(0x1000)  # node 1 shares the block
+                yield COMPUTE, 10
+                yield READ, 0x1000  # node 1 shares the block
 
         system = MPSystem(2, SystemKind.INTEGRATED)
         result = MPEngine(system).run(kernel)

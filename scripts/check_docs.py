@@ -9,18 +9,17 @@ never be edited by hand:
   cross-check: a report whose paired ``.toml`` spec was edited after the
   sweep ran is also a failure)
 
-Regenerates each in memory and diffs against the checked-in document.
-Run directly::
+One check (:func:`repro.analysis.docs.check_drift`) regenerates both in
+memory and diffs them against the checked-in documents.  Run directly::
 
     python scripts/check_docs.py
 
 or via the tier-1 suite (``tests/analysis/test_docs.py`` and
-``tests/sweep/test_report.py`` wrap the same checks).  To fix a
-reported drift::
+``tests/sweep/test_report.py`` wrap the same check).  To fix a reported
+drift, rerun the experiments and sweeps (served from the cache where
+nothing changed) and rewrite both documents and their artifacts::
 
-    python -m repro docs --jobs 4          # EXPERIMENTS.md
-    python -m repro sweep run <name>       # refresh a sweep artifact
-    python -m repro sweep report           # rewrite SWEEPS.md
+    python -m repro docs --jobs 4
 """
 
 from __future__ import annotations
@@ -32,32 +31,20 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
-def _report(name: str, source: str, drift: list[str], fix: str) -> int:
+def main() -> int:
+    from repro.analysis.docs import check_drift
+
+    drift = check_drift(REPO_ROOT)
     if not drift:
-        print(f"{name} is in sync with {source}")
+        print("EXPERIMENTS.md and SWEEPS.md are in sync with "
+              "artifacts/experiments.json and artifacts/sweeps/")
         return 0
-    print(f"{name} has drifted from {source}:")
+    print("generated documents have drifted from their artifacts:")
     print("\n".join(drift[:120]))
     if len(drift) > 120:
         print(f"... ({len(drift) - 120} more diff lines)")
-    print(f"\nregenerate with: {fix}")
+    print("\nregenerate with: python -m repro docs")
     return 1
-
-
-def main() -> int:
-    from repro.analysis.docs import check_drift
-    from repro.sweep.report import check_sweeps_drift
-
-    status = _report(
-        "EXPERIMENTS.md", "artifacts/experiments.json",
-        check_drift(REPO_ROOT), "python -m repro docs",
-    )
-    status |= _report(
-        "SWEEPS.md", "artifacts/sweeps/",
-        check_sweeps_drift(REPO_ROOT),
-        "python -m repro sweep run <name> && python -m repro sweep report",
-    )
-    return status
 
 
 if __name__ == "__main__":

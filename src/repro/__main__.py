@@ -2,12 +2,12 @@
 
     python -m repro list                 # show available experiments
     python -m repro table4               # regenerate one table/figure
-    python -m repro all --jobs 4         # everything, across 4 workers
+    python -m repro all --jobs 4         # the paper's experiments, 4 workers
     python -m repro all                  # second time: served from cache
-    python -m repro docs                 # regenerate EXPERIMENTS.md
+    python -m repro docs                 # regenerate EXPERIMENTS.md, SWEEPS.md
     python -m repro figures13-17 --procs 1,2,4
+    python -m repro sweep:micro          # one checked-in design-space sweep
     python -m repro check                # static verification suite
-    python -m repro sweep run <name>     # design-space exploration
 
 Rendered tables go to **stdout** and are byte-identical for any
 ``--jobs`` value and cache state (fixed seeds, independent shards);
@@ -18,29 +18,32 @@ invalidates its entries.  A failed task fails the run (exit status 1,
 nothing on stdout); rerunning a failed or interrupted command serves
 what it finished from the cache and computes only the rest.
 
+Every run launches here: the paper's experiments and the checked-in
+sweeps, which :mod:`repro.sweep` registers as ``sweep:<name>`` (``all``
+runs only the paper's; ``docs`` runs both and also writes each sweep's
+artifact beside ``--artifacts`` and SWEEPS.md beside ``--docs-out``).
 The run flags (``--jobs``, ``--no-cache``, ``--cache-dir``,
 ``--metrics-out``, ``--trace``) and their setup come from
-:mod:`repro.runner.session`, shared with ``python -m repro sweep
-run``.  This module adds only the experiment selection (``--only``,
-``--skip``), the per-experiment knobs (``--procs``, ``--trace-len``)
-and the ``docs`` outputs (``--artifacts``, ``--docs-out``).
+:mod:`repro.runner.session`.  This module adds only the experiment
+selection (``--only``, ``--skip``), the per-experiment knobs
+(``--procs``, ``--trace-len``) and the ``docs`` outputs
+(``--artifacts``, ``--docs-out``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
+import repro.sweep  # registers the checked-in sweeps
 from repro.analysis import CLI_KNOBS, SPECS, run_experiments
 from repro.analysis.docs import (
     DEFAULT_ARTIFACTS_PATH,
     DEFAULT_DOC_PATH,
-    build_artifacts,
-    generate_experiments_md,
     render_result,
-    write_artifacts,
+    write_docs,
 )
+from repro.analysis.registry import PAPER
 from repro.runner.session import add_run_flags, open_session, positive_int
 
 
@@ -60,12 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.check.cli import main as check_main
 
         return check_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        # Design-space sweeps have their own verbs (run/report/list);
-        # hand off before the experiment parser sees them.
-        from repro.sweep.cli import main as sweep_main
-
-        return sweep_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -73,9 +70,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="experiment name (see 'list'), 'all', 'docs', 'list', "
-             "'check' (static verification; see 'check --help'), "
-             "or 'sweep' (design-space exploration; see 'sweep --help')",
+        help="experiment or sweep:<name> (see 'list'), 'all', 'docs', "
+             "'list', or 'check' (static verification; see 'check --help')",
     )
     parser.add_argument(
         "--procs",
@@ -106,23 +102,28 @@ def main(argv: list[str] | None = None) -> int:
         "--artifacts",
         default=str(DEFAULT_ARTIFACTS_PATH),
         metavar="PATH",
-        help="artifacts JSON written by 'docs' (default artifacts/experiments.json)",
+        help="artifacts JSON written by 'docs' (default "
+             "artifacts/experiments.json); sweep artifacts go to the "
+             "sweeps/ directory beside it",
     )
     parser.add_argument(
         "--docs-out",
         default=str(DEFAULT_DOC_PATH),
         metavar="PATH",
-        help="EXPERIMENTS.md path written by 'docs'",
+        help="EXPERIMENTS.md path written by 'docs'; SWEEPS.md goes "
+             "beside it",
     )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
         for name, spec in SPECS.items():
-            print(f"{name:14s} {spec.paper_ref:28s} {spec.summary}")
+            print(f"{name:20s} {spec.paper_ref:28s} {spec.summary}")
         return 0
 
     docs_mode = args.experiment == "docs"
-    if args.experiment in ("all", "docs"):
+    if args.experiment == "all":
+        names = list(PAPER)
+    elif docs_mode:
         names = list(SPECS)
     else:
         names = [args.experiment]
@@ -197,10 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     session.finish(metrics)
 
     if docs_mode:
-        artifacts = build_artifacts(results, metrics, session.fingerprint)
-        write_artifacts(args.artifacts, artifacts)
-        Path(args.docs_out).write_text(generate_experiments_md(artifacts))
-        print(f"wrote {args.artifacts} and {args.docs_out}", file=sys.stderr)
+        written = write_docs(results, metrics, session.fingerprint,
+                             args.artifacts, args.docs_out)
+        print(f"wrote {', '.join(map(str, written))}", file=sys.stderr)
 
     return 0
 

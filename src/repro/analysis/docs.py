@@ -1,22 +1,25 @@
-"""Auto-generation of EXPERIMENTS.md from runner artifacts.
+"""Auto-generation of EXPERIMENTS.md and SWEEPS.md from runner artifacts.
 
-``python -m repro docs`` runs every experiment through the parallel
-runner (instant when cached), stores the deterministic outcome of each —
-rendered tables, simulator event tallies, the code fingerprint — in
-``artifacts/experiments.json``, and rewrites EXPERIMENTS.md from it.
-The document therefore has two kinds of content:
+``python -m repro docs`` runs every registered experiment through the
+parallel runner (instant when cached).  It stores the deterministic
+outcome of each paper experiment — rendered tables, simulator event
+tallies, the code fingerprint — in ``artifacts/experiments.json`` and
+rewrites EXPERIMENTS.md from it; each sweep's artifact goes to
+``artifacts/sweeps/<name>.json`` and SWEEPS.md is rewritten from those
+(:mod:`repro.sweep.report`).  EXPERIMENTS.md has two kinds of content:
 
 - **authored commentary** (the paper-vs-measured claims tables below,
   curated by humans when the model changes), and
 - **mechanical sections** (the measured output blocks and the run
   metadata footer), regenerated verbatim from the artifacts.
 
-``scripts/check_docs.py`` (and the tier-1 test wrapping it) regenerates
-the document from the checked-in artifacts into a buffer and diffs it
-against the checked-in EXPERIMENTS.md, so the two can never drift
-silently.  Everything embedded in the document is deterministic — fixed
-seeds, no timestamps, no wall times — which is what makes the zero-diff
-check possible; timing lives in the separate ``--metrics-out`` JSON.
+``scripts/check_docs.py`` (and the tier-1 tests wrapping it) calls
+:func:`check_drift`, which regenerates both documents from the
+checked-in artifacts into buffers and diffs them against the checked-in
+files, so neither can drift silently.  Everything embedded in the
+documents is deterministic — fixed seeds, no timestamps, no wall times
+— which is what makes the zero-diff check possible; timing lives in
+the separate ``--metrics-out`` JSON.
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ def build_artifacts(results: dict[str, Any], metrics: Any,
                     fingerprint: str) -> dict:
     """Deterministic per-experiment records for docs regeneration.
 
-    ``results`` maps experiment name to its (merged) result object and
-    ``metrics`` is the :class:`~repro.runner.metrics.RunMetrics` of the
+    ``results`` maps paper experiment name to its (merged) result object
+    and ``metrics`` is the :class:`~repro.runner.metrics.RunMetrics` of the
     run that produced them.  Wall times are deliberately excluded —
     everything here must be byte-stable across reruns.
     """
@@ -235,6 +238,36 @@ def write_artifacts(path: Path | str, artifacts: dict) -> None:
 
 def load_artifacts(path: Path | str) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def write_docs(results: dict[str, Any], metrics: Any, fingerprint: str,
+               artifacts_path: Path | str, doc_path: Path | str) -> list[Path]:
+    """Write every document ``repro docs`` owns; returns the paths.
+
+    The paper experiments of ``results`` go to ``artifacts_path`` and
+    ``doc_path`` (EXPERIMENTS.md); each sweep's artifact goes to the
+    ``sweeps/`` directory beside ``artifacts_path``, and SWEEPS.md
+    beside ``doc_path``.
+    """
+    from repro.analysis.registry import PAPER
+    from repro.sweep.report import SWEEPS_DOC, generate_sweeps_md
+
+    artifacts_path, doc_path = Path(artifacts_path), Path(doc_path)
+    artifacts = build_artifacts(
+        {name: result for name, result in results.items() if name in PAPER},
+        metrics, fingerprint)
+    write_artifacts(artifacts_path, artifacts)
+    doc_path.write_text(generate_experiments_md(artifacts))
+    written = [artifacts_path, doc_path]
+    sweeps = [result.artifact for name, result in results.items()
+              if name not in PAPER]
+    for sweep in sweeps:
+        path = artifacts_path.parent / "sweeps" / f"{sweep['name']}.json"
+        write_artifacts(path, sweep)
+        written.append(path)
+    sweeps_doc = doc_path.with_name(SWEEPS_DOC)
+    sweeps_doc.write_text(generate_sweeps_md(sweeps))
+    return [*written, sweeps_doc]
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +334,19 @@ def generate_experiments_md(artifacts: dict) -> str:
 
 
 def check_drift(repo_root: Path | str = ".") -> list[str]:
-    """Diff the checked-in EXPERIMENTS.md against a regeneration from the
-    checked-in artifacts.  Empty list = in sync."""
+    """Diff the checked-in EXPERIMENTS.md and SWEEPS.md against
+    regenerations from the checked-in artifacts (for SWEEPS.md, also
+    against the specs: :func:`repro.sweep.report.check_sweeps_drift`).
+    Empty list = both in sync."""
+    from repro.sweep.report import check_sweeps_drift
+
     root = Path(repo_root)
     artifacts = load_artifacts(root / DEFAULT_ARTIFACTS_PATH)
     expected = generate_experiments_md(artifacts)
     actual = (root / DEFAULT_DOC_PATH).read_text()
-    if expected == actual:
-        return []
     return list(difflib.unified_diff(
         actual.splitlines(), expected.splitlines(),
         fromfile="EXPERIMENTS.md (checked in)",
         tofile="EXPERIMENTS.md (regenerated from artifacts)",
         lineterm="",
-    ))
+    )) + check_sweeps_drift(root)

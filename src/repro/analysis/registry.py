@@ -289,6 +289,12 @@ _register(ExperimentSpec(
 ))
 
 
+#: The paper's experiments, in registration order: what ``repro all``
+#: runs and EXPERIMENTS.md documents.  Importing :mod:`repro.sweep` adds
+#: the checked-in sweeps to :data:`SPECS` as ``sweep:<name>``; this
+#: module never imports it, so no sweep enters an experiment's slice.
+PAPER = tuple(SPECS)
+
 # CLI flag -> experiment kwarg it maps onto.
 CLI_KNOBS = {"procs": "proc_counts", "trace_len": "trace_len"}
 
@@ -297,7 +303,8 @@ def entry_points() -> dict[str, str]:
     """Analysis roots: experiment name -> dotted entry-point function.
 
     The ``deps`` and ``units`` passes walk the call graph from these
-    roots, one per registered experiment."""
+    roots, one per registered experiment, sweeps included once
+    :mod:`repro.sweep` is imported."""
     return {name: spec.entry_point for name, spec in SPECS.items()}
 
 

@@ -317,20 +317,16 @@ class _DepsAnalysis:
 
 
 def registry_entry_points() -> dict[str, str]:
-    """All analysis roots, as static names: the registered experiments
-    plus the sweep point function.
+    """All analysis roots, as static names: every registered experiment,
+    the checked-in sweeps (``sweep:<name>``) included.
 
-    Sweeps construct design points through :mod:`repro.sweep.points`
-    without going through the experiment registry, so without this
-    root a stochastic call or unit mix on a sweep-only path would sit
-    in unreachable code and never earn a witness.  The root is named
-    ``sweep:figure7``, like the sweep tasks, because ``figure7`` also
-    names an experiment."""
+    Importing :mod:`repro.sweep` registers the sweeps; without their
+    roots a stochastic call or unit mix on a sweep-only path would sit
+    in unreachable code and never earn a witness."""
+    import repro.sweep  # registers the checked-in sweeps
     from repro.analysis.registry import entry_points
 
-    roots = entry_points()
-    roots["sweep:figure7"] = "repro.sweep.points.icache_point"
-    return roots
+    return entry_points()
 
 
 def check_deps(root: Path | None = None,

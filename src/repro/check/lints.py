@@ -25,11 +25,11 @@ reject the ways that assumption quietly breaks:
   intentionally-broad catch sites (the result cache and the fingerprint
   fallback) carry reviewed ``allow`` annotations.
 - ``doc-coverage`` — a public module (no path component starting with
-  ``_``) without a module docstring, or a registry-registered entry
-  point (experiment registry + sweep point) without a function
-  docstring.  Entry points are the repo's public API surface — the
-  sweep compiler, the docs generator and the CLI all advertise them —
-  so they carry their contract in-source.  This rule only runs in the
+  ``_``) without a module docstring, or a registered entry point (every
+  experiment of the registry, the checked-in sweeps' point function
+  included) without a function docstring.  Entry points are the repo's
+  public API surface — the registry, the docs generator and the CLI
+  all advertise them — so they carry their contract in-source.  This rule only runs in the
   default whole-tree scan (``lint_paths()`` with no roots); explicit
   roots and :func:`lint_source` skip it unless asked, since fragments
   and fixtures legitimately lack docs.
@@ -256,8 +256,8 @@ def _doc_findings(
                 findings.append((
                     node.lineno, "doc-coverage",
                     f"registered entry point {node.name}() has no "
-                    f"docstring; it is advertised by the registry/sweep "
-                    f"CLI and must carry its contract in-source",
+                    f"docstring; it is advertised by the registry and "
+                    f"the CLI and must carry its contract in-source",
                 ))
     return findings
 
@@ -309,9 +309,9 @@ def lint_source(
 def _entry_point_docs() -> dict[str, frozenset[str]]:
     """Dotted module -> entry-point function names that must be documented.
 
-    The same roots as the ``deps`` pass — the experiment registry's
-    entry points plus the sweep point function — everything a
-    registry-style subsystem advertises by dotted name.
+    The same roots as the ``deps`` pass — the entry points of every
+    registered experiment, the checked-in sweeps included — everything
+    the registry advertises by dotted name.
     """
     from repro.check.deps import registry_entry_points
 
@@ -327,8 +327,8 @@ def lint_paths(roots: list[Path] | None = None) -> PassResult:
     ``repro``), as the shared call graph read them.
 
     The default whole-tree scan additionally enforces ``doc-coverage``:
-    public modules need module docstrings and registry/sweep entry
-    points need function docstrings.  Explicit roots skip that rule —
+    public modules need module docstrings and registered entry points
+    need function docstrings.  Explicit roots skip that rule —
     fixtures and scratch files are not public API.
     """
     from repro.runner.fingerprint import shared_callgraph

@@ -21,9 +21,10 @@ through the code and reports where they collide:
   arguments against the callee's declared parameter dims (including
   dataclass constructor fields) and picks up the callee's return dim;
 - **call-chain witnesses** — errors inside functions reachable from a
-  registered entry point (experiment registry + sweep point, the same
-  roots as the ``deps`` pass) carry the path from the entry point, the
-  same counterexample discipline as the protocol model checker.
+  registered entry point (every registered experiment, the checked-in
+  sweeps included: the same roots as the ``deps`` pass) carry the path
+  from the entry point, the same counterexample discipline as the
+  protocol model checker.
 
 | rule | severity | rejects |
 |---|---|---|
@@ -727,8 +728,8 @@ def check_units(root: Path | None = None,
 
     ``root`` defaults to the installed ``repro`` package, whose call
     graph is memoized with the runner's fingerprints;
-    ``entry_points`` defaults to the experiment registry plus the sweep
-    bases (the witness roots); ``annotations`` defaults to the shipped
+    ``entry_points`` defaults to every registered experiment, sweeps
+    included (the witness roots); ``annotations`` defaults to the shipped
     registry (:data:`repro.check.dimensions.ANNOTATIONS`).
     """
     from repro.check.deps import registry_entry_points

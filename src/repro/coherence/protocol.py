@@ -144,11 +144,6 @@ class Directory:
         """
         return self._entries.get(addr - addr % self.block_bytes)
 
-    def copies_to_invalidate(self, addr: int, requester: int) -> set[int]:
-        """Nodes (other than the requester) holding copies of ``addr``."""
-        entry = self.peek(addr)
-        return set() if entry is None else entry.copies_except(requester)
-
     # -- state transitions --------------------------------------------------
     # ``record_write`` returns the set of nodes whose cached copies must be
     # dropped; ``record_read`` returns nothing, as a read invalidates no
@@ -228,13 +223,3 @@ class Directory:
             if entry.state is BlockState.SHARED and not entry.sharers:
                 entry.state = BlockState.UNOWNED
         entry.check(self.num_nodes, self.block_of(addr))
-
-    def is_remote_exclusive(self, addr: int, node: int) -> bool:
-        entry = self.peek(addr)
-        return (entry is not None and entry.state is BlockState.EXCLUSIVE
-                and entry.owner != node)
-
-    def is_owner(self, addr: int, node: int) -> bool:
-        entry = self.peek(addr)
-        return (entry is not None and entry.state is BlockState.EXCLUSIVE
-                and entry.owner == node)

@@ -58,9 +58,6 @@ class Fabric:
         self.params = params or IntegratedDeviceParams()
         self.stats = FabricStats()
 
-    def send(self, kind: MessageType, count: int = 1) -> None:
-        self.stats.record(kind, count)
-
     def bandwidth_gbytes(self) -> float:
         """Peak I/O bandwidth of one node's links."""
         return self.params.io_bandwidth_gbytes

@@ -23,9 +23,9 @@ The pieces, each usable on its own:
 - :mod:`repro.runner.metrics` — per-task wall time / cache status /
   event tallies, exported as JSON and a rendered summary.
 - :mod:`repro.runner.session` — the run flags and their setup and
-  teardown, shared by ``python -m repro <experiment>`` and
-  ``python -m repro sweep run``, and the SIGTERM-to-Ctrl-C bridge.  Not
-  re-exported here: it imports the :mod:`repro.obs.export` file writers.
+  teardown for ``python -m repro``, which launches every experiment
+  and sweep, and the SIGTERM-to-Ctrl-C bridge.  Not re-exported here:
+  it imports the :mod:`repro.obs.export` file writers.
 
 The experiment-level API (sharding Table 3 into its 18 benchmarks and
 so on) lives in :mod:`repro.analysis.registry`, which builds on these.

@@ -1,18 +1,18 @@
-"""One run session: the flags, setup and teardown every supervised run shares.
+"""One run session: the flags, setup and teardown of a supervised run.
 
-``python -m repro <experiment>`` and ``python -m repro sweep run`` launch
-runs the same way, and this module is the one place that way is spelled
-out:
+``python -m repro`` launches every run, of the paper's experiments and
+of the registered sweeps (``sweep:<name>``) alike, and this module
+spells out how:
 
 - :func:`add_run_flags` declares the five run flags (``--jobs``,
   ``--no-cache``, ``--cache-dir``, ``--metrics-out``, ``--trace``) on a
   parser.
 - :func:`open_session` turns the parsed flags into a :class:`RunSession`
   around the result cache.
-- :meth:`RunSession.run` calls :func:`repro.analysis.run_experiments` or
-  :func:`repro.sweep.engine.run_sweep` with those pieces, with SIGTERM
-  taking the Ctrl-C path (:func:`sigterm_interrupts`), and collects the
-  run's spans (:func:`repro.obs.collect`).  A failed task
+- :meth:`RunSession.run` calls :func:`repro.analysis.run_experiments`
+  with those pieces, with SIGTERM taking the Ctrl-C path
+  (:func:`sigterm_interrupts`), and collects the run's spans
+  (:func:`repro.obs.collect`).  A failed task
   fails the run with exit status 1, an interrupt with 130.  Every task
   that finished before either is in the cache, so rerunning the same
   command recomputes only the rest.
@@ -93,7 +93,7 @@ def add_run_flags(parser: argparse.ArgumentParser) -> None:
 def sigterm_interrupts():
     """Raise ``KeyboardInterrupt`` on SIGTERM while the context is open.
 
-    Installed by ``repro all`` and ``repro sweep`` around a run, so
+    Installed by ``python -m repro`` around every run, so
     SIGTERM takes the same terminate-workers-and-unwind path as Ctrl-C
     instead of the default handler's instant death.  A no-op off the
     main thread or on platforms without SIGTERM (only the main thread

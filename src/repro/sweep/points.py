@@ -5,17 +5,16 @@ sweeps: a module-level function whose keyword arguments are the
 sweepable **axes** (:data:`AXES`: line size, bank count,
 emerging-memory latency profile) plus a few fixed knobs (benchmark,
 trace length, instruction count, seed), and whose return value is a
-flat ``{metric: float}`` dict.  The sweep compiler
-(:mod:`repro.sweep.engine`) materializes one :class:`repro.runner.Task`
-per expanded configuration over it, so every configuration
+flat ``{metric: float}`` dict.  A registered sweep
+(:class:`repro.sweep.SweepExperiment`) runs one task over it per
+expanded configuration, so every configuration
 
 - runs through the supervised process pool (a failure fails the run,
-  spans ride back) exactly like a registered experiment, and
+  spans ride back) like any other experiment shard, and
 - caches under a :func:`repro.runner.fingerprint.slice_fingerprint`
   keyed entry — the function is module-level precisely so
   ``Task.entry_point()`` resolves and the dependency slicer can hash
-  only the modules it actually reaches.  Two sweeps sharing a
-  configuration therefore collapse onto one cached result.
+  only the modules it actually reaches.
 
 Returning plain dicts (not experiment result objects) keeps the worker
 boundary thin: Pareto reduction and rendering happen in the parent

@@ -1,12 +1,13 @@
-"""Sweep reports: machine-readable artifacts and auto-generated SWEEPS.md.
+"""Sweep reports: the deterministic artifact and its SWEEPS.md section.
 
-The same artifact -> render -> drift-check pipeline as
-:mod:`repro.analysis.docs` runs for EXPERIMENTS.md:
+A sweep's merged result is a :class:`SweepReport`: the per-sweep
+artifact (schema below), whose ``render()`` is the sweep's SWEEPS.md
+section.  The same artifact -> render -> drift-check pipeline as
+:mod:`repro.analysis.docs` runs for EXPERIMENTS.md, in the same step:
 
-- ``python -m repro sweep run <spec>`` writes the deterministic
-  per-sweep artifact ``artifacts/sweeps/<name>.json`` (schema below);
-- ``python -m repro sweep report`` regenerates SWEEPS.md from every
-  checked-in artifact;
+- ``python -m repro docs`` writes each sweep's artifact
+  (``artifacts/sweeps/<name>.json``) and regenerates SWEEPS.md from
+  them;
 - ``scripts/check_docs.py`` (and its tier-1 wrapper) regenerates
   SWEEPS.md into a buffer and fails on any diff, so the mechanical
   sweep docs can never drift silently.
@@ -25,14 +26,16 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
-from repro.sweep.engine import SweepOutcome
+from repro.sweep.pareto import pareto_classify
 from repro.sweep.points import OBJECTIVES
 from repro.sweep.spec import DEFAULT_SWEEPS_DIR, SweepSpec, load_spec
 
 SWEEP_SCHEMA_VERSION = 1
-DEFAULT_SWEEPS_DOC = Path("SWEEPS.md")
+SWEEPS_DOC = "SWEEPS.md"
 
 # Schema-1 fields that are the same for every sweep: the one pipeline,
 # its grid expansion and its minimised objectives.  They stay in the
@@ -52,8 +55,8 @@ every objective at once; `dominated by <label>` names the first
 configuration that is at least as good everywhere and strictly better
 somewhere.
 
-Regenerate with `python -m repro sweep run <name>` (recompute or serve
-from cache) followed by `python -m repro sweep report`;
+Regenerate with `python -m repro docs`, which reruns each sweep (or
+serves it from cache) as the experiment `sweep:<name>`;
 `scripts/check_docs.py` fails CI when this document drifts from the
 checked-in sweep artifacts.\
 """
@@ -76,13 +79,21 @@ def spec_digest(spec: SweepSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def build_sweep_artifact(outcome: SweepOutcome) -> dict:
+def build_sweep_artifact(
+    spec: SweepSpec, metrics: Sequence[Mapping[str, float]],
+) -> dict:
     """The deterministic JSON payload for one sweep run.
 
-    Wall times, cache statuses and worker pids are deliberately absent —
+    ``metrics`` holds each configuration's metric dict, in expansion
+    order; the Pareto reduction runs here, in the parent process.  Wall
+    times, cache statuses and worker pids are deliberately absent —
     they live in ``--metrics-out`` — so reruns are byte-stable.
     """
-    spec = outcome.spec
+    configs = spec.configs()
+    verdicts = pareto_classify(
+        [(config.label, m) for config, m in zip(configs, metrics)],
+        OBJECTIVES,
+    )
     return {
         "schema": SWEEP_SCHEMA_VERSION,
         "kind": "sweep",
@@ -101,39 +112,42 @@ def build_sweep_artifact(outcome: SweepOutcome) -> dict:
         ],
         "configs": [
             {
-                "label": c.label,
-                "params": dict(c.params),
-                "metrics": dict(c.metrics),
-                "dominated": c.dominated,
-                "dominated_by": c.dominated_by,
+                "label": config.label,
+                "params": dict(config.params),
+                "metrics": dict(m),
+                "dominated": verdict.dominated,
+                "dominated_by": verdict.dominated_by,
             }
-            for c in outcome.configs
+            for config, m, verdict in zip(configs, metrics, verdicts)
         ],
-        "frontier": outcome.frontier,
+        "frontier": [v.label for v in verdicts if not v.dominated],
     }
 
 
-def write_sweep_artifact(path: Path | str, artifact: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+@dataclass(frozen=True)
+class SweepReport:
+    """A sweep's merged result: its artifact, rendered as its SWEEPS.md
+    section."""
 
+    artifact: dict
 
-def load_sweep_artifact(path: Path | str) -> dict:
-    return json.loads(Path(path).read_text())
+    def render(self) -> str:
+        return render_sweep_section(self.artifact)
 
 
 def discover_reports(
     sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR,
-) -> list[Path]:
-    """Checked-in sweep report artifacts, sorted by sweep name."""
+) -> list[tuple[Path, dict]]:
+    """Checked-in sweep report artifacts, sorted by file name."""
     root = Path(sweeps_dir)
     if not root.is_dir():
         return []
-    return sorted(
-        path for path in root.glob("*.json")
-        if load_sweep_artifact(path).get("kind") == "sweep"
-    )
+    reports = [
+        (path, json.loads(path.read_text()))
+        for path in sorted(root.glob("*.json"))
+    ]
+    return [(path, artifact) for path, artifact in reports
+            if artifact.get("kind") == "sweep"]
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +223,7 @@ def generate_sweeps_md(artifacts: list[dict]) -> str:
     out = lines.append
     out("# SWEEPS — design-space exploration reports")
     out("")
-    out("<!-- Auto-generated by `python -m repro sweep report` from the")
+    out("<!-- Auto-generated by `python -m repro docs` from the")
     out("     artifacts under artifacts/sweeps/.  Do not edit by hand;")
     out("     scripts/check_docs.py fails when this file drifts. -->")
     out("")
@@ -218,7 +232,7 @@ def generate_sweeps_md(artifacts: list[dict]) -> str:
     if not artifacts:
         out("No sweep reports are checked in yet.  Author a spec under")
         out("`artifacts/sweeps/<name>.toml` and run "
-            "`python -m repro sweep run <name>`.")
+            "`python -m repro docs`.")
         out("")
     for artifact in sorted(artifacts, key=lambda a: a["name"]):
         out(render_sweep_section(artifact))
@@ -238,17 +252,6 @@ def generate_sweeps_md(artifacts: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def regenerate_doc(
-    sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR,
-    doc_path: Path | str = DEFAULT_SWEEPS_DOC,
-) -> list[Path]:
-    """Rewrite SWEEPS.md from the checked-in artifacts; returns them."""
-    reports = discover_reports(sweeps_dir)
-    artifacts = [load_sweep_artifact(path) for path in reports]
-    Path(doc_path).write_text(generate_sweeps_md(artifacts))
-    return reports
-
-
 def check_sweeps_drift(repo_root: Path | str = ".") -> list[str]:
     """Diff the checked-in SWEEPS.md against a regeneration from the
     checked-in sweep artifacts; also flag reports with no paired spec
@@ -256,9 +259,8 @@ def check_sweeps_drift(repo_root: Path | str = ".") -> list[str]:
     list = in sync."""
     root = Path(repo_root)
     reports = discover_reports(root / DEFAULT_SWEEPS_DIR)
-    artifacts = [load_sweep_artifact(path) for path in reports]
     problems: list[str] = []
-    for path, artifact in zip(reports, artifacts):
+    for path, artifact in reports:
         spec_path = root / DEFAULT_SWEEPS_DIR / f"{artifact['name']}.toml"
         if not spec_path.exists():
             problems.append(
@@ -272,10 +274,10 @@ def check_sweeps_drift(repo_root: Path | str = ".") -> list[str]:
                 f"{spec_path} was edited after its report was generated "
                 f"(spec digest {digest[:16]} != report's "
                 f"{artifact['spec_digest'][:16]}); rerun "
-                f"`python -m repro sweep run {artifact['name']}`"
+                f"`python -m repro docs`"
             )
-    expected = generate_sweeps_md(artifacts)
-    doc = root / DEFAULT_SWEEPS_DOC
+    expected = generate_sweeps_md([artifact for _, artifact in reports])
+    doc = root / SWEEPS_DOC
     actual = doc.read_text() if doc.exists() else ""
     if expected != actual:
         problems.extend(difflib.unified_diff(

@@ -21,9 +21,9 @@ on *what* is wrong, not on message prose — the same discipline as the
 ``repro check`` finding rules.  Expansion is deterministic: grid order
 is row-major in axis declaration order, labels are the
 ``axis=value`` pairs joined with commas, and a repeated axis value is
-a spec error rather than silent recomputation (across sweeps and
-reruns, identical configurations collapse in the result cache instead
-— see :mod:`repro.sweep.engine`).
+a spec error rather than silent recomputation.  Importing
+:mod:`repro.sweep` registers every spec under :data:`SWEEPS_DIR` as the
+experiment ``sweep:<name>``, one shard per configuration.
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ from repro.sweep.points import (
     validate_fixed_value,
 )
 
+#: Where the specs and their report artifacts sit, relative to a checkout.
 DEFAULT_SWEEPS_DIR = Path("artifacts") / "sweeps"
+#: The checked-in specs, found from the source tree (``src/repro/sweep/``),
+#: not from the working directory.
+SWEEPS_DIR = Path(__file__).resolve().parents[3] / DEFAULT_SWEEPS_DIR
 
 #: Every rule a :class:`SweepSpecError` may carry.
 SPEC_RULES: tuple[str, ...] = (
@@ -73,6 +77,7 @@ class SweepSpecError(ReproError):
         assert rule in SPEC_RULES, rule
         super().__init__(f"[{rule}] {message}")
         self.rule = rule
+        self.detail = message
 
 
 @dataclass(frozen=True)
@@ -220,33 +225,21 @@ def load_spec(path: Path | str) -> SweepSpec:
     except tomllib.TOMLDecodeError as exc:
         raise SweepSpecError(
             "bad-spec", f"{path} is not valid TOML: {exc}") from exc
-    spec = parse_spec(table)
+    try:
+        spec = parse_spec(table)
+    except SweepSpecError as exc:
+        raise SweepSpecError(exc.rule, f"{path}: {exc.detail}") from None
     if path.stem != spec.name:
         raise SweepSpecError(
             "bad-name",
-            f"spec file {path.name!r} must be named after the sweep "
+            f"spec file {path} must be named after the sweep "
             f"({spec.name}.toml) so reports and specs pair up")
     return spec
 
 
-def discover_specs(sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR) -> list[Path]:
+def discover_specs(sweeps_dir: Path | str = SWEEPS_DIR) -> list[Path]:
     """Checked-in spec files (``*.toml``) under the sweeps directory."""
     root = Path(sweeps_dir)
     if not root.is_dir():
         return []
     return sorted(root.glob("*.toml"))
-
-
-def resolve_spec(ref: str, sweeps_dir: Path | str = DEFAULT_SWEEPS_DIR) -> Path:
-    """A spec path from a CLI reference: literal path, or checked-in name."""
-    candidate = Path(ref)
-    if candidate.suffix == ".toml" or candidate.exists():
-        return candidate
-    named = Path(sweeps_dir) / f"{ref}.toml"
-    if named.exists():
-        return named
-    known = ", ".join(p.stem for p in discover_specs(sweeps_dir)) or "none"
-    raise SweepSpecError(
-        "bad-spec",
-        f"no sweep spec {ref!r}: not a file, and {named} does not exist "
-        f"(checked-in sweeps: {known})")

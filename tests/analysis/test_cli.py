@@ -8,11 +8,9 @@ from repro import obs
 from repro.__main__ import main
 from repro.obs import spans
 from repro.runner import METRICS_SCHEMA_VERSION
-from repro.sweep.cli import main as sweep_main
 from tests.failing_tasks import boom, crash
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-MICRO_SWEEP = REPO_ROOT / "artifacts" / "sweeps" / "micro.toml"
 
 
 @pytest.fixture
@@ -23,29 +21,26 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 class EntryPoint:
-    """A command that takes the shared run flags, with a task it runs."""
+    """A run the CLI launches, with one task label it runs."""
 
-    def __init__(self, main, argv, label):
-        self.main = main
+    def __init__(self, argv, label):
         self.argv = argv
-        self.label = label  # one task label the run launches
+        self.label = label
 
     def __call__(self, *flags):
-        return self.main([*self.argv, *flags])
+        return main([*self.argv, *flags])
 
 
 ENTRY_POINTS = {
-    "repro": EntryPoint(main, ["all", "--only", "table1,figure2"], "table1"),
-    "sweep": EntryPoint(
-        sweep_main, ["run", str(MICRO_SWEEP), "--no-report"],
-        "sweep:figure7/line_bytes=256,num_banks=4",
-    ),
+    "repro": EntryPoint(["all", "--only", "table1,figure2"], "table1"),
+    "sweep": EntryPoint(["sweep:micro"],
+                        "sweep:micro/line_bytes=256,num_banks=4"),
 }
 
 
 @pytest.fixture(params=list(ENTRY_POINTS))
 def entry(request):
-    """Each command that launches a supervised run."""
+    """A paper-experiment run and a sweep run."""
     return ENTRY_POINTS[request.param]
 
 
@@ -385,7 +380,6 @@ class TestCLIFaultTolerance:
             raise KeyboardInterrupt
 
         monkeypatch.setattr("repro.analysis.registry.run_tasks", interrupted)
-        monkeypatch.setattr("repro.sweep.engine.run_tasks", interrupted)
         out = tmp_path / "metrics.json"
         assert entry("--metrics-out", str(out)) == 130
         captured = capsys.readouterr()

@@ -281,19 +281,22 @@ class TestRealPackage:
         assert result.errors == [], [f.render() for f in result.errors]
         resolution = float(result.info["import_resolution"].rstrip("%")) / 100
         assert resolution >= 0.95
-        # 11 registered experiments + the sweep point function.
-        assert result.info["entry_points"] == 12
+        # 11 paper experiments + the 2 checked-in sweeps.
+        assert result.info["entry_points"] == 13
         assert [f for f in result.findings if f.rule == "entry-point"] == []
 
     def test_sweep_bases_join_the_entry_points(self):
+        # Every checked-in sweep is a root, under its registered name.
+        from repro.analysis.registry import SPECS
         from repro.check.deps import registry_entry_points
-        from repro.sweep.engine import compile_tasks
-        from repro.sweep.spec import parse_spec
 
-        spec = parse_spec({"name": "one", "axes": {"num_banks": [16]}})
-        (task,) = compile_tasks(spec)
         roots = registry_entry_points()
-        assert roots[task.experiment] == task.entry_point()
+        sweeps = {name for name in SPECS if name.startswith("sweep:")}
+        assert {"sweep:micro", "sweep:fig7-line-bank"} <= sweeps
+        for name in sweeps:
+            (task, *_) = SPECS[name].tasks()
+            assert roots[name] == task.entry_point() == \
+                "repro.sweep.points.icache_point"
 
     def test_rule_namespace_is_stable(self):
         assert DEPS_RULES == (

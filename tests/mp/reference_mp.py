@@ -11,7 +11,9 @@ kept here, in the tests only, so ``test_fast_equivalence`` can require
 the shipped engine to produce identical results and statistics.
 
 They share the cache, directory, fabric and layout models with
-:mod:`repro`; those have their own oracles and tests.  One fix was
+:mod:`repro`; those have their own oracles and tests.  The directory
+queries and the per-message ``send`` that only the oracle calls live
+here, on :class:`ReferenceDirectory` and :class:`ReferenceFabric`.  One fix was
 applied to both sides: a remote write by the owner that hits the
 reference machine's FLC costs ``flc_hit``, as a read does, not
 ``victim_hit``.
@@ -30,7 +32,7 @@ from repro.caches.column_buffer import ColumnBufferCache
 from repro.caches.set_assoc import SetAssociativeCache
 from repro.caches.victim import VictimCache
 from repro.coherence.inc import InterNodeCache
-from repro.coherence.protocol import Directory
+from repro.coherence.protocol import BlockState, Directory
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.params import (
     COHERENCE_UNIT_BYTES,
@@ -187,6 +189,38 @@ class ReferenceCCNUMANode:
         return self._block(addr) in self._slc
 
 
+# -- directory and fabric queries ---------------------------------------------
+
+
+class ReferenceDirectory(Directory):
+    """The shipped directory plus the read-only queries the oracle routes
+    every reference through; the fast engine reads the block's entry
+    once instead."""
+
+    def copies_to_invalidate(self, addr: int, requester: int) -> set[int]:
+        """Nodes (other than the requester) holding copies of ``addr``."""
+        entry = self.peek(addr)
+        return set() if entry is None else entry.copies_except(requester)
+
+    def is_remote_exclusive(self, addr: int, node: int) -> bool:
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner != node)
+
+    def is_owner(self, addr: int, node: int) -> bool:
+        entry = self.peek(addr)
+        return (entry is not None and entry.state is BlockState.EXCLUSIVE
+                and entry.owner == node)
+
+
+class ReferenceFabric(Fabric):
+    """The shipped fabric plus the per-message ``send`` the oracle calls;
+    the fast engine records into ``stats`` directly."""
+
+    def send(self, kind: MessageType, count: int = 1) -> None:
+        self.stats.record(kind, count)
+
+
 # -- system -------------------------------------------------------------------
 
 
@@ -205,8 +239,8 @@ class ReferenceMPSystem:
         self.kind = kind
         self.latencies = latencies or MPLatencies()
         self.layout = layout or Layout(num_nodes)
-        self.directory = Directory(num_nodes=num_nodes)
-        self.fabric = Fabric(device_params)
+        self.directory = ReferenceDirectory(num_nodes=num_nodes)
+        self.fabric = ReferenceFabric(device_params)
         self.stats = AccessStats()
         self.node_stats = [AccessStats() for _ in range(num_nodes)]
 

@@ -1,11 +1,14 @@
-"""Sweep execution through the supervised runner (tier-1, small grids)."""
+"""Sweep execution as registered experiments (tier-1, small grids)."""
 
 import pytest
 
+from repro.analysis import SPECS, run_experiments
+from repro.common.errors import ConfigError
 from repro.runner import ResultCache, TaskFailed
-from repro.sweep.engine import compile_tasks, run_sweep
+from repro.sweep import SweepReport, sweep_experiment
 from repro.sweep.spec import parse_spec
 from tests.failing_tasks import boom
+from tests.sweep.test_cli import micro_section
 
 TINY = {
     "name": "tiny",
@@ -15,92 +18,77 @@ TINY = {
 }
 
 
-def tiny_spec(**overrides):
-    table = dict(TINY)
-    table.update(overrides)
-    return parse_spec(table)
+@pytest.fixture
+def tiny(monkeypatch):
+    """Register the TINY sweep as ``sweep:tiny`` for one test."""
+    experiment = sweep_experiment(parse_spec(TINY))
+    monkeypatch.setitem(SPECS, experiment.name, experiment)
+    return experiment.name
 
 
 class TestCompile:
     def test_one_task_per_configuration(self):
-        tasks = compile_tasks(tiny_spec())
-        assert len(tasks) == 2
-        assert {t.label for t in tasks} == {
-            "sweep:figure7/line_bytes=256,num_banks=4",
-            "sweep:figure7/line_bytes=512,num_banks=4",
-        }
+        tasks = sweep_experiment(parse_spec(TINY)).tasks()
+        assert [t.label for t in tasks] == [
+            "sweep:tiny/line_bytes=256,num_banks=4",
+            "sweep:tiny/line_bytes=512,num_banks=4",
+        ]
+        assert tasks[0].kwargs == {**TINY["fixed"], "line_bytes": 256,
+                                   "num_banks": 4}
 
-    def test_experiment_name_is_base_not_sweep(self):
-        # Cache keys must not depend on the sweep's own name, so two
-        # sweeps sharing a configuration collapse to one cached result.
-        tasks = compile_tasks(tiny_spec(name="renamed"))
-        assert all(t.experiment == "sweep:figure7" for t in tasks)
+    def test_overrides_are_refused(self):
+        # The spec pins every parameter; a knob must not vanish silently.
+        with pytest.raises(ConfigError, match="sweep:tiny takes no overrides"):
+            sweep_experiment(parse_spec(TINY)).tasks({"trace_len": 10})
 
     def test_entry_point_resolves_for_slicing(self):
         # The module-level point function gives every task a dotted
         # entry point, which is what keys the dependency-slice fingerprint.
-        for task in compile_tasks(tiny_spec()):
-            assert task.entry_point() == "repro.sweep.points.icache_point"
+        experiment = sweep_experiment(parse_spec(TINY))
+        assert experiment.entry_point == "repro.sweep.points.icache_point"
+        for task in experiment.tasks():
+            assert task.entry_point() == experiment.entry_point
 
 
 class TestRun:
-    def test_end_to_end_produces_metrics_and_verdicts(self):
-        outcome, metrics = run_sweep(tiny_spec())
-        assert len(outcome.configs) == 2
-        for result in outcome.configs:
-            assert set(result.metrics) == {
+    def test_end_to_end_produces_metrics_and_verdicts(self, tiny):
+        results, metrics = run_experiments([tiny])
+        report = results[tiny]
+        assert isinstance(report, SweepReport)
+        configs = report.artifact["configs"]
+        assert len(configs) == 2
+        for config in configs:
+            assert set(config["metrics"]) == {
                 "miss_rate", "cpi", "bank_utilization"}
-        assert len(outcome.frontier) >= 1
+        assert len(report.artifact["frontier"]) >= 1
         assert len(metrics.tasks) == 2
 
-    def test_second_run_is_all_cache_hits(self, tmp_path):
+    def test_second_run_is_all_cache_hits(self, tiny, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        first_outcome, first = run_sweep(tiny_spec(), cache=cache)
-        second_outcome, second = run_sweep(tiny_spec(), cache=cache)
+        first_results, first = run_experiments([tiny], cache=cache)
+        second_results, second = run_experiments([tiny], cache=cache)
         assert all(t.cache == "miss" for t in first.tasks)
         assert all(t.cache == "hit" for t in second.tasks)
         assert all(t.fingerprint_kind == "slice" for t in second.tasks)
-        assert [c.metrics for c in second_outcome.configs] == [
-            c.metrics for c in first_outcome.configs
-        ]
+        assert second_results == first_results
 
-    def test_configs_collapse_across_sweeps(self, tmp_path):
-        # A differently-named sweep whose grid overlaps reuses the
-        # cached results of the shared configurations.
+    def test_micro_renders_its_sweeps_md_section(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        run_sweep(tiny_spec(), cache=cache)
-        overlapping = tiny_spec(
-            name="other",
-            axes={"line_bytes": [256, 512, 1024], "num_banks": [4]},
-        )
-        _, metrics = run_sweep(overlapping, cache=cache)
-        by_shard = {t.shard: t.cache for t in metrics.tasks}
-        assert by_shard["line_bytes=256,num_banks=4"] == "hit"
-        assert by_shard["line_bytes=512,num_banks=4"] == "hit"
-        assert by_shard["line_bytes=1024,num_banks=4"] == "miss"
+        results, _ = run_experiments(["sweep:micro"], cache=cache)
+        assert results["sweep:micro"].render() == micro_section()
+        _, again = run_experiments(["sweep:micro"], cache=cache)
+        assert [t.cache for t in again.tasks] == ["hit"] * 4
 
-    def test_failed_config_fails_the_sweep(self, fail_tasks):
+    def test_failed_config_fails_the_sweep(self, tiny, fail_tasks):
         # A frontier classified over part of the grid is not the sweep's
         # result, so one failed configuration fails the whole run.
-        fail_tasks("sweep:figure7/line_bytes=256*", boom)
+        fail_tasks("sweep:tiny/line_bytes=256*", boom)
         with pytest.raises(TaskFailed) as err:
-            run_sweep(tiny_spec())
-        assert err.value.label == "sweep:figure7/line_bytes=256,num_banks=4"
+            run_experiments([tiny])
+        assert err.value.label == "sweep:tiny/line_bytes=256,num_banks=4"
         assert err.value.error_type == "Boom"
 
-    def test_deterministic_across_runs(self):
-        first, _ = run_sweep(tiny_spec())
-        second, _ = run_sweep(tiny_spec())
-        assert [c.metrics for c in first.configs] == [
-            c.metrics for c in second.configs
-        ]
-
-
-class TestSpans:
-    def test_sweep_stages_are_traced(self):
-        from repro import obs
-
-        with obs.collect() as records:
-            run_sweep(tiny_spec())
-        names = {record.name for record in records}
-        assert {"sweep/compile", "sweep/run", "sweep/reduce"} <= names
+    def test_deterministic_across_runs(self, tiny):
+        first, _ = run_experiments([tiny])
+        second, _ = run_experiments([tiny])
+        assert first == second

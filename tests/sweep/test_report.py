@@ -4,15 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.sweep.engine import ConfigResult, SweepOutcome
+from repro.analysis.docs import load_artifacts, write_artifacts
 from repro.sweep.report import (
     SWEEP_SCHEMA_VERSION,
     build_sweep_artifact,
     check_sweeps_drift,
     generate_sweeps_md,
-    load_sweep_artifact,
     spec_digest,
-    write_sweep_artifact,
 )
 from repro.sweep.spec import parse_spec
 
@@ -35,32 +33,17 @@ def _spec(**overrides):
     return parse_spec(table)
 
 
-def _outcome(spec=None):
-    spec = spec or _spec()
-    return SweepOutcome(
-        spec=spec,
-        configs=[
-            ConfigResult(
-                label="line_bytes=256",
-                params={"benchmark": "126.gcc", "line_bytes": 256},
-                metrics={"miss_rate": 0.02, "cpi": 1.4,
-                         "bank_utilization": 0.10},
-                dominated=True,
-                dominated_by="line_bytes=512",
-            ),
-            ConfigResult(
-                label="line_bytes=512",
-                params={"benchmark": "126.gcc", "line_bytes": 512},
-                metrics={"miss_rate": 0.01, "cpi": 1.2,
-                         "bank_utilization": 0.05},
-            ),
-        ],
-    )
+def _artifact():
+    # line_bytes=512 beats line_bytes=256 on every objective.
+    return build_sweep_artifact(_spec(), [
+        {"miss_rate": 0.02, "cpi": 1.4, "bank_utilization": 0.10},
+        {"miss_rate": 0.01, "cpi": 1.2, "bank_utilization": 0.05},
+    ])
 
 
 class TestArtifact:
     def test_schema_and_shape(self):
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         assert artifact["schema"] == SWEEP_SCHEMA_VERSION
         assert artifact["kind"] == "sweep"
         assert artifact["name"] == "demo"
@@ -68,20 +51,20 @@ class TestArtifact:
         assert artifact["configs"][0]["dominated_by"] == "line_bytes=512"
 
     def test_roundtrip(self, tmp_path):
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         path = tmp_path / "demo.json"
-        write_sweep_artifact(path, artifact)
-        assert load_sweep_artifact(path) == artifact
+        write_artifacts(path, artifact)
+        assert load_artifacts(path) == artifact
 
     def test_deterministic(self):
-        assert build_sweep_artifact(_outcome()) == \
-            build_sweep_artifact(_outcome())
+        assert _artifact() == \
+            _artifact()
 
     def test_no_code_fingerprint(self):
         # The artifact is a pure function of the spec, so SWEEPS.md
         # only churns when swept results change — never on unrelated
         # source edits.  A code fingerprint would break that.
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         assert "fingerprint" not in artifact
 
     def test_spec_digest_tracks_spec_content(self):
@@ -93,11 +76,11 @@ class TestArtifact:
 
 class TestRendering:
     def test_deterministic(self):
-        artifacts = [build_sweep_artifact(_outcome())]
+        artifacts = [_artifact()]
         assert generate_sweeps_md(artifacts) == generate_sweeps_md(artifacts)
 
     def test_contains_verdicts_and_summary(self):
-        text = generate_sweeps_md([build_sweep_artifact(_outcome())])
+        text = generate_sweeps_md([_artifact()])
         assert text.startswith("# SWEEPS — design-space exploration")
         assert "## `demo` — base `figure7`" in text
         assert "dominated by `line_bytes=512`" in text
@@ -105,7 +88,7 @@ class TestRendering:
         assert "Frontier: 1 of 2 configurations; 1 dominated." in text
 
     def test_no_timestamps(self):
-        text = generate_sweeps_md([build_sweep_artifact(_outcome())])
+        text = generate_sweeps_md([_artifact()])
         for fragment in ("202", "19:", "UTC"):
             assert fragment not in text
 
@@ -127,16 +110,16 @@ class TestDrift:
         sweeps = root / "artifacts" / "sweeps"
         sweeps.mkdir(parents=True)
         (sweeps / "demo.toml").write_text(DEMO_TOML)
-        write_sweep_artifact(sweeps / "demo.json", artifact)
+        write_artifacts(sweeps / "demo.json", artifact)
         (root / "SWEEPS.md").write_text(doc_text)
 
     def test_in_sync_roundtrip(self, tmp_path):
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         self._write_tree(tmp_path, artifact, generate_sweeps_md([artifact]))
         assert check_sweeps_drift(tmp_path) == []
 
     def test_manual_edit_is_detected(self, tmp_path):
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         self._write_tree(
             tmp_path, artifact,
             generate_sweeps_md([artifact]) + "manual edit\n",
@@ -147,7 +130,7 @@ class TestDrift:
     def test_stale_spec_is_detected(self, tmp_path):
         # Editing the spec without rerunning the sweep must fail the
         # check even though SWEEPS.md still matches the old artifact.
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         self._write_tree(tmp_path, artifact, generate_sweeps_md([artifact]))
         (tmp_path / "artifacts" / "sweeps" / "demo.toml").write_text(
             DEMO_TOML.replace("512", "1024")
@@ -157,7 +140,7 @@ class TestDrift:
 
     def test_orphan_artifact_is_detected(self, tmp_path):
         # A report whose spec is gone cannot be rerun or digest-checked.
-        artifact = build_sweep_artifact(_outcome())
+        artifact = _artifact()
         self._write_tree(tmp_path, artifact, generate_sweeps_md([artifact]))
         (tmp_path / "artifacts" / "sweeps" / "demo.toml").unlink()
         drift = check_sweeps_drift(tmp_path)
@@ -166,7 +149,7 @@ class TestDrift:
     def test_missing_doc_is_drift(self, tmp_path):
         sweeps = tmp_path / "artifacts" / "sweeps"
         sweeps.mkdir(parents=True)
-        write_sweep_artifact(
-            sweeps / "demo.json", build_sweep_artifact(_outcome())
+        write_artifacts(
+            sweeps / "demo.json", _artifact()
         )
         assert check_sweeps_drift(tmp_path) != []

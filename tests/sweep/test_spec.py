@@ -6,11 +6,11 @@ import pytest
 
 from repro.sweep.spec import (
     SPEC_RULES,
+    SWEEPS_DIR,
     SweepSpecError,
     load_spec,
     parse_spec,
     discover_specs,
-    resolve_spec,
 )
 
 
@@ -194,14 +194,20 @@ class TestFiles:
             load_spec(path)
         assert excinfo.value.rule == "bad-spec"
 
-    def test_resolve_checked_in_name(self, tmp_path):
-        (tmp_path / "demo.toml").write_text("")
-        assert resolve_spec("demo", tmp_path) == tmp_path / "demo.toml"
+    def test_resolve_checked_in_name(self):
+        # A checked-in name resolves through the registry, as
+        # ``sweep:<name>``, to its spec file in the source tree.
+        from repro.analysis.registry import SPECS
 
-    def test_resolve_unknown_name_raises(self, tmp_path):
+        assert SPECS["sweep:micro"].sweep == load_spec(SWEEPS_DIR / "micro.toml")
+
+    def test_parse_error_names_the_file(self, tmp_path):
+        path = tmp_path / "demo.toml"
+        path.write_text('name = "demo"\n[axes]\nline_bytes = []\n')
         with pytest.raises(SweepSpecError) as excinfo:
-            resolve_spec("ghost", tmp_path)
-        assert excinfo.value.rule == "bad-spec"
+            load_spec(path)
+        assert excinfo.value.rule == "empty-axis"
+        assert str(path) in str(excinfo.value)
 
     def test_checked_in_specs_are_valid(self):
         # The repo's own sweeps must parse under the current validator.
